@@ -20,14 +20,12 @@ from .oracle import (EquivalenceStatus, EquivalenceVerdict, SparsestReport,
                      SystemClass, SystemLabel, classify_system,
                      equivalence_verdict, sparsest_supports)
 from .orderk import (DEFAULT_CHECK_BUDGET, RecoveryOracleReport, RecoveryReport,
-                     prsp_order_k, pwrsp_order_k, rsp_order_k, spark_consistency,
-                     uniform_recovery_oracle, unique_sparsest_consequence,
-                     wrsp_order_k)
+                     prsp_order_k, pwrsp_order_k, rsp_order_k,
+                     uniform_recovery_oracle, wrsp_order_k)
 from .rsp import (FailureReason, LpSparsestResult, RspCertificate,
-                  UniquenessVerdict, Verdict, certify_uniqueness,
-                  certify_weighted_uniqueness, check_rsp_at,
-                  check_weighted_rsp_at, lp_sparsest_pipeline, solve_and_certify,
-                  solve_l1, support_of, verify_rsp_witness)
+                  UniquenessVerdict, Verdict, certify_uniqueness, check_rsp_at,
+                  lp_sparsest_pipeline, solve_and_certify, solve_l1, support_of,
+                  verify_rsp_witness)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, StandardLp,
                       solve, verify_certificate)
 
@@ -45,11 +43,9 @@ __all__ = [
     "EquivalenceStatus", "EquivalenceVerdict", "SparsestReport", "SystemClass",
     "SystemLabel", "classify_system", "equivalence_verdict", "sparsest_supports",
     "RecoveryOracleReport", "RecoveryReport", "prsp_order_k", "pwrsp_order_k",
-    "rsp_order_k", "spark_consistency", "uniform_recovery_oracle",
-    "unique_sparsest_consequence", "wrsp_order_k",
+    "rsp_order_k", "uniform_recovery_oracle", "wrsp_order_k",
     "FailureReason", "LpSparsestResult", "RspCertificate", "UniquenessVerdict",
-    "Verdict", "certify_uniqueness", "certify_weighted_uniqueness",
-    "check_rsp_at", "check_weighted_rsp_at", "lp_sparsest_pipeline",
+    "Verdict", "certify_uniqueness", "check_rsp_at", "lp_sparsest_pipeline",
     "solve_and_certify", "solve_l1", "support_of", "verify_rsp_witness",
     "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "LpSolution", "StandardLp", "solve",
     "verify_certificate",

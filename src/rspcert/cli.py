@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -28,12 +29,12 @@ from .errors import (BudgetExceeded, CertificateUnavailable, Infeasible,
                      IterationLimit, NonpositiveWeight, NotASolution,
                      NotNonnegative, ParseError, RspcertError, Unbounded)
 from .io import load_matrix, load_vector
-from .linalg import DEFAULT_SUBSET_BUDGET, ToleranceConfig, mutual_coherence, spark
+from .linalg import DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, ToleranceConfig
 from .oracle import classify_system, equivalence_verdict
 from .orderk import (DEFAULT_CHECK_BUDGET, prsp_order_k, pwrsp_order_k,
                      rsp_order_k, uniform_recovery_oracle, wrsp_order_k)
-from .rsp import (Verdict, certify_uniqueness, certify_weighted_uniqueness,
-                  lp_sparsest_pipeline, solve_and_certify)
+from .rsp import (Verdict, certify_uniqueness, lp_sparsest_pipeline,
+                  solve_and_certify)
 
 EXIT_YES = 0
 EXIT_USAGE = 1
@@ -53,9 +54,10 @@ _PROPERTIES = {"rsp": rsp_order_k, "wrsp": wrsp_order_k,
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-feas", type=float, default=None,
+    # Each tolerance flag stores under its ToleranceConfig field name.
+    parser.add_argument("--tol-feas", dest="feas_tol", type=float, default=None,
                         help="LP feasibility residual tolerance (default 1e-8)")
-    parser.add_argument("--tol-rank", type=float, default=None,
+    parser.add_argument("--tol-rank", dest="rank_tol", type=float, default=None,
                         help="relative rank pivot threshold (default 1e-8)")
     parser.add_argument("--rsp-margin", type=float, default=None,
                         help="strictness gap below 1 for a firm yes (default 1e-7)")
@@ -70,14 +72,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    defaults = ToleranceConfig()
-    return ToleranceConfig(
-        feas_tol=args.tol_feas if args.tol_feas is not None else defaults.feas_tol,
-        rank_tol=args.tol_rank if args.tol_rank is not None else defaults.rank_tol,
-        rsp_margin=args.rsp_margin if args.rsp_margin is not None else defaults.rsp_margin,
-        gap_tol=args.gap_tol if args.gap_tol is not None else defaults.gap_tol,
-        zero_tol=args.zero_tol if args.zero_tol is not None else defaults.zero_tol,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(ToleranceConfig)
+             if getattr(args, f.name) is not None}
+    return replace(DEFAULT_TOLERANCES, **given)
 
 
 def _budget(args, fallback: int) -> int:
@@ -143,11 +140,8 @@ def cmd_certify(args) -> int:
     A = load_matrix(args.matrix)
     b = load_vector(args.rhs)
     x = load_vector(args.candidate)
-    if args.weights:
-        w = load_vector(args.weights)
-        verdict = certify_weighted_uniqueness(A, b, w, x, tol)
-    else:
-        verdict = certify_uniqueness(A, b, x, tol)
+    w = load_vector(args.weights) if args.weights else None
+    verdict = certify_uniqueness(A, b, x, tol, weights=w)
     timing = (time.perf_counter() - t0) * 1000.0
     _print_uniqueness(verdict)
     inputs = {"matrix": args.matrix, "rhs": args.rhs, "candidate": args.candidate,
@@ -164,19 +158,17 @@ def cmd_order_k(args) -> int:
     budget = _budget(args, DEFAULT_CHECK_BUDGET)
     t0 = time.perf_counter()
     A = load_matrix(args.matrix)
-    certifier = _PROPERTIES[args.property]
-    report = certifier(A, args.k, tol, budget)
+    report = _PROPERTIES[args.property](A, args.k, tol, budget)
     verdicts = {"recovery": rep.recovery_dict(report)}
     agree = None
     oracle = None
     if args.oracle:
         oracle = uniform_recovery_oracle(
             A, args.k, trials_per_support=args.trials, tol=tol, seed=args.seed,
-            budget=budget, exact_size=args.property in ("prsp", "pwrsp"),
-            full_rank_only=args.property in ("wrsp", "pwrsp"))
+            budget=budget, property=args.property)
         verdicts["oracle"] = rep.oracle_dict(oracle)
-        if report.holds is not Verdict.MARGINAL:
-            agree = (report.holds is Verdict.YES) == oracle.recovers
+        agree = report.agrees_with(oracle)
+        if agree is not None:
             verdicts["agreement"] = agree
     timing = (time.perf_counter() - t0) * 1000.0
     print(f"property {args.property} of order {args.k}: {report.holds.value}")
@@ -208,7 +200,7 @@ def cmd_classify(args) -> int:
     A = load_matrix(args.matrix)
     b = load_vector(args.rhs)
     cls = classify_system(A, b, tol, budget)
-    equiv = equivalence_verdict(A, b, tol, budget)
+    equiv = equivalence_verdict(A, b, tol, budget, sparsest=cls.sparsest)
     timing = (time.perf_counter() - t0) * 1000.0
     print(f"class: {cls.label.value}")
     print(f"least-l1 solution unique: {cls.l1_unique}")
@@ -272,14 +264,13 @@ def cmd_random_batch(args) -> int:
             "oracle_recovers": oracle.recovers,
             "oracle_failing_support": rep._idx(oracle.failing_support),
         }
-        if report.holds is Verdict.MARGINAL:
+        ok = report.agrees_with(oracle)
+        record["agree"] = ok
+        if ok is None:
             marginal_indices.append(index)
-            record["agree"] = None
         else:
             hard += 1
-            ok = (report.holds is Verdict.YES) == oracle.recovers
             agreed += ok
-            record["agree"] = ok
         lines.append(json.dumps(record, separators=(",", ":")))
     rate = 1.0 if hard == 0 else agreed / hard
     summary = {

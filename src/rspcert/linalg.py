@@ -7,9 +7,9 @@ on shared read-only arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -203,6 +203,48 @@ def coherence_bound_holds(A: np.ndarray, x, tol: ToleranceConfig = DEFAULT_TOLER
     return k < sparsity_bound(A, tol)
 
 
+@dataclass
+class SupportEnumeration:
+    """The one support loop of every exhaustive search.
+
+    Iterating yields ``(k, S)`` for each size in ``sizes``, ``S`` in
+    lexicographic order within a size; ``count`` is the number yielded.
+    ``full_rank_only`` skips, uncounted, supports with rank-deficient columns.
+    The budget caps the supports visited.  It is checked over all sizes here,
+    before the caller does any work, or with ``lazy`` (for searches that
+    usually stop early) only on reaching a size whose running total exceeds it.
+    """
+
+    A: np.ndarray
+    sizes: Sequence[int]
+    budget: int
+    tol: ToleranceConfig = DEFAULT_TOLERANCES
+    full_rank_only: bool = False
+    lazy: bool = False
+    count: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if not self.lazy:
+            self._check(sum(math.comb(self.A.shape[1], k) for k in self.sizes))
+
+    def _check(self, planned: int) -> None:
+        if planned > self.budget:
+            raise BudgetExceeded(
+                f"support enumeration needs {planned} subsets, budget is {self.budget}")
+
+    def __iter__(self) -> Iterator[tuple[int, IndexSet]]:
+        n = self.A.shape[1]
+        planned = 0
+        for k in self.sizes:
+            planned += math.comb(n, k)
+            self._check(planned)
+            for S in combinations(range(n), k):
+                if self.full_rank_only and rank(self.A, S, self.tol) < k:
+                    continue
+                self.count += 1
+                yield k, S
+
+
 def spark(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES,
           budget: int = DEFAULT_SUBSET_BUDGET) -> int:
     """Smallest number of linearly dependent columns; ``n + 1`` if none.
@@ -212,13 +254,7 @@ def spark(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     """
     A = as_matrix(A)
     n = A.shape[1]
-    enumerated = 0
-    for k in range(1, n + 1):
-        enumerated += math.comb(n, k)
-        if enumerated > budget:
-            raise BudgetExceeded(
-                f"spark search needs {enumerated} subsets, budget is {budget}")
-        for S in combinations(range(n), k):
-            if rank(A, S, tol) < k:
-                return k
+    for k, S in SupportEnumeration(A, range(1, n + 1), budget, lazy=True):
+        if rank(A, S, tol) < k:
+            return k
     return n + 1

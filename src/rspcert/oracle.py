@@ -8,16 +8,15 @@ are checked against, so no pruning shortcuts are taken.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, NoSolutionWithin
+from .errors import NoSolutionWithin
 from .linalg import (DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, IndexSet,
-                     ToleranceConfig, as_matrix, as_vector, rank)
+                     SupportEnumeration, ToleranceConfig, as_matrix, as_vector,
+                     rank)
 from .rsp import (RspCertificate, UniquenessVerdict, Verdict, check_rsp_at,
                   solve_and_certify, support_of, _checked_solve)
 from .simplex import INFEASIBLE, StandardLp
@@ -107,35 +106,31 @@ def sparsest_supports(A, b, max_k: int | None = None,
         raise ValueError("max_k must lie in [0, n]")
     if np.abs(b).max(initial=0.0) <= tol.feas_tol:
         return SparsestReport(0, [()], [np.zeros(n)], [True], 0)
-    checked = 0
-    planned = 0
-    for k in range(1, max_k + 1):
-        planned += math.comb(n, k)
-        if planned > budget:
-            raise BudgetExceeded(
-                f"support search needs {planned} subsets, budget is {budget}")
-        found: dict[IndexSet, tuple[np.ndarray, bool]] = {}
-        for S in combinations(range(n), k):
-            checked += 1
-            sub = StandardLp(np.zeros(k), A[:, list(S)], b)
-            sol = _checked_solve(sub, tol)
-            if sol.status == INFEASIBLE:
-                continue
+    supports = SupportEnumeration(A, range(1, max_k + 1), budget, lazy=True)
+    found: dict[IndexSet, tuple[np.ndarray, bool]] = {}
+    for k, S in supports:
+        sub = StandardLp(np.zeros(k), A[:, list(S)], b)
+        sol = _checked_solve(sub, tol)
+        if sol.status != INFEASIBLE:
             z = np.zeros(n)
             z[list(S)] = np.maximum(sol.x, 0.0)
             exact = support_of(z, tol)
             if exact not in found:
                 found[exact] = (z, rank(A, exact, tol) == len(exact))
-        if found:
-            k_star = min(len(S) for S in found)
-            keep = sorted(S for S in found if len(S) == k_star)
-            return SparsestReport(
-                k_star=k_star,
-                supports=list(keep),
-                representatives=[found[S][0] for S in keep],
-                unique_within_support=[found[S][1] for S in keep],
-                subsets_checked=checked)
-    raise NoSolutionWithin(max_k)
+        # The last support of size k starts at n - k.  Stop there once a size
+        # has solutions, before the enumeration budgets for the next size.
+        if found and S[0] == n - k:
+            break
+    if not found:
+        raise NoSolutionWithin(max_k)
+    k_star = min(len(S) for S in found)
+    keep = sorted(S for S in found if len(S) == k_star)
+    return SparsestReport(
+        k_star=k_star,
+        supports=keep,
+        representatives=[found[S][0] for S in keep],
+        unique_within_support=[found[S][1] for S in keep],
+        subsets_checked=supports.count)
 
 
 def classify_system(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -164,15 +159,19 @@ def classify_system(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES,
 
 
 def equivalence_verdict(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                        budget: int = DEFAULT_SUBSET_BUDGET) -> EquivalenceVerdict:
+                        budget: int = DEFAULT_SUBSET_BUDGET,
+                        sparsest: SparsestReport | None = None) -> EquivalenceVerdict:
     """Decide whether the l1 optimum is a sparsest nonnegative solution.
 
     Runs the range-space certificate at every sparsest support: equivalence
     holds iff some sparsest support passes (at most one ever can), and holds
-    strongly iff that support is the only sparsest one.
+    strongly iff that support is the only sparsest one.  ``sparsest``, the
+    ``sparsest_supports`` report of the same system (as ``classify_system``
+    returns it), is used instead of searching again.
     """
     A = as_matrix(A)
-    report = sparsest_supports(A, b, tol=tol, budget=budget)
+    report = sparsest if sparsest is not None else sparsest_supports(
+        A, b, tol=tol, budget=budget)
     certificates = [check_rsp_at(A, S, tol) for S in report.supports]
     passing = [c.support for c in certificates if c.holds is Verdict.YES]
     marginal = [c.support for c in certificates if c.holds is Verdict.MARGINAL]

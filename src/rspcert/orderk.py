@@ -16,17 +16,13 @@ actually plants a random positive vector on each support and re-solves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded
-from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig, as_matrix,
-                     rank, spark)
-from .oracle import sparsest_supports
+from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
+                     ToleranceConfig, as_matrix, rank)
 from .rsp import Verdict, check_rsp_at, solve_and_certify
 
 # Enumeration cap for LP-backed subset certification.  Each subset costs one
@@ -34,10 +30,21 @@ from .rsp import Verdict, check_rsp_at, solve_and_certify
 # default sits below the plain subset-count budget used there.
 DEFAULT_CHECK_BUDGET = 1_000_000
 
-RSP_K = "rsp"
-WRSP_K = "wrsp"
-PRSP_K = "prsp"
-PWRSP_K = "pwrsp"
+
+class Quantifier(NamedTuple):
+    """The supports an order-K property ranges over."""
+
+    exact_size: bool           # size exactly K, else every size 1 through K
+    full_rank_only: bool       # skip supports with rank-deficient columns
+    needs_full_rank_k: bool    # also require a full-column-rank size-K support
+
+
+QUANTIFIERS = {
+    "rsp": Quantifier(exact_size=False, full_rank_only=False, needs_full_rank_k=False),
+    "wrsp": Quantifier(exact_size=False, full_rank_only=True, needs_full_rank_k=True),
+    "prsp": Quantifier(exact_size=True, full_rank_only=False, needs_full_rank_k=False),
+    "pwrsp": Quantifier(exact_size=True, full_rank_only=True, needs_full_rank_k=False),
+}
 
 
 @dataclass
@@ -62,6 +69,17 @@ class RecoveryReport:
     failures_per_size: dict[int, int] = field(default_factory=dict)
     no_full_rank_subset: bool = False
 
+    def agrees_with(self, oracle: "RecoveryOracleReport") -> bool | None:
+        """Whether the oracle confirms the verdict; None if it cannot test it.
+
+        It cannot test a marginal verdict, nor a no for want of a
+        full-column-rank size-K support: it probes only supports that exist.
+        """
+        if self.holds is Verdict.MARGINAL or (
+                self.holds is Verdict.NO and self.no_full_rank_subset):
+            return None
+        return (self.holds is Verdict.YES) == oracle.recovers
+
 
 @dataclass
 class RecoveryOracleReport:
@@ -74,46 +92,34 @@ class RecoveryOracleReport:
     seed: int
 
 
-def _sizes(K: int, exact: bool) -> list[int]:
-    return [K] if exact else list(range(1, K + 1))
-
-
-def _ensure_budget(n: int, sizes: Iterable[int], budget: int) -> None:
-    total = sum(math.comb(n, k) for k in sizes)
-    if total > budget:
-        raise BudgetExceeded(
-            f"order-K certification needs {total} subset checks, budget is {budget}")
-
-
-def _validate_order(A: np.ndarray, K: int) -> None:
+def _supports(A: np.ndarray, K: int, prop: str, tol: ToleranceConfig,
+              budget: int) -> SupportEnumeration:
     if not 1 <= K <= A.shape[1]:
         raise ValueError(f"order K={K} must lie in [1, {A.shape[1]}]")
+    q = QUANTIFIERS[prop]
+    sizes = [K] if q.exact_size else range(1, K + 1)
+    return SupportEnumeration(A, sizes, budget, tol, full_rank_only=q.full_rank_only)
 
 
-def _certify_subsets(A: np.ndarray, K: int, tol: ToleranceConfig, budget: int,
-                     prop: str, exact: bool, full_rank_only: bool) -> RecoveryReport:
-    _validate_order(A, K)
-    n = A.shape[1]
-    sizes = _sizes(K, exact)
-    _ensure_budget(n, sizes, budget)
+def _certify(A, K: int, tol: ToleranceConfig, budget: int, prop: str) -> RecoveryReport:
+    A = as_matrix(A)
+    supports = _supports(A, K, prop, tol, budget)
+    q = QUANTIFIERS[prop]
+    if q.needs_full_rank_k and rank(A, None, tol) < K:
+        return RecoveryReport(property=prop, order=K, holds=Verdict.NO,
+                              counterexample=None, subsets_checked=0,
+                              no_full_rank_subset=True)
     counterexample: IndexSet | None = None
     marginal: list[IndexSet] = []
     failures: dict[int, int] = {}
-    checked = 0
-    saw_eligible = False
-    for k in sizes:
-        for S in combinations(range(n), k):
-            if full_rank_only and rank(A, S, tol) < k:
-                continue
-            saw_eligible = True
-            checked += 1
-            cert = check_rsp_at(A, S, tol)
-            if cert.holds is Verdict.NO:
-                failures[k] = failures.get(k, 0) + 1
-                if counterexample is None:
-                    counterexample = S
-            elif cert.holds is Verdict.MARGINAL:
-                marginal.append(S)
+    for k, S in supports:
+        cert = check_rsp_at(A, S, tol)
+        if cert.holds is Verdict.NO:
+            failures[k] = failures.get(k, 0) + 1
+            if counterexample is None:
+                counterexample = S
+        elif cert.holds is Verdict.MARGINAL:
+            marginal.append(S)
     if counterexample is not None:
         holds = Verdict.NO
     elif marginal:
@@ -121,9 +127,10 @@ def _certify_subsets(A: np.ndarray, K: int, tol: ToleranceConfig, budget: int,
     else:
         holds = Verdict.YES
     return RecoveryReport(property=prop, order=K, holds=holds,
-                          counterexample=counterexample, subsets_checked=checked,
+                          counterexample=counterexample,
+                          subsets_checked=supports.count,
                           marginal_subsets=marginal, failures_per_size=failures,
-                          no_full_rank_subset=full_rank_only and not saw_eligible)
+                          no_full_rank_subset=q.full_rank_only and supports.count == 0)
 
 
 def rsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -134,8 +141,7 @@ def rsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     quantifies over all of them, and success at size k does not imply success
     at smaller sizes (per-size failure counts are recorded as evidence).
     """
-    A = as_matrix(A)
-    return _certify_subsets(A, K, tol, budget, RSP_K, exact=False, full_rank_only=False)
+    return _certify(A, K, tol, budget, "rsp")
 
 
 def wrsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -146,22 +152,13 @@ def wrsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     property additionally requires some size-K support with full column
     rank, so K above rank(A) fails with ``no_full_rank_subset`` set.
     """
-    A = as_matrix(A)
-    _validate_order(A, K)
-    if rank(A, None, tol) < K:
-        sizes = _sizes(K, exact=False)
-        _ensure_budget(A.shape[1], sizes, budget)
-        return RecoveryReport(property=WRSP_K, order=K, holds=Verdict.NO,
-                              counterexample=None, subsets_checked=0,
-                              no_full_rank_subset=True)
-    return _certify_subsets(A, K, tol, budget, WRSP_K, exact=False, full_rank_only=True)
+    return _certify(A, K, tol, budget, "wrsp")
 
 
 def prsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  budget: int = DEFAULT_CHECK_BUDGET) -> RecoveryReport:
     """Certify the partial range space property: supports of size exactly K."""
-    A = as_matrix(A)
-    return _certify_subsets(A, K, tol, budget, PRSP_K, exact=True, full_rank_only=False)
+    return _certify(A, K, tol, budget, "prsp")
 
 
 def pwrsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -171,77 +168,35 @@ def pwrsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     With no full-column-rank subset of size K the quantifier is empty and the
     property holds vacuously; the report flags that case.
     """
-    A = as_matrix(A)
-    return _certify_subsets(A, K, tol, budget, PWRSP_K, exact=True, full_rank_only=True)
+    return _certify(A, K, tol, budget, "pwrsp")
 
 
 def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
                             tol: ToleranceConfig = DEFAULT_TOLERANCES,
                             seed: int = 0, budget: int = DEFAULT_CHECK_BUDGET,
-                            exact_size: bool = False,
-                            full_rank_only: bool = False) -> RecoveryOracleReport:
+                            property: str = "rsp") -> RecoveryOracleReport:
     """Ground-truth recovery probe, independent of the subset certifiers.
 
-    For each support S of size up to K (exactly K with ``exact_size``;
-    restricted to full-column-rank supports with ``full_rank_only``) draw
-    vectors positive on S, take their measurements, and re-solve: recovery
-    holds iff the solve certifies unique and reproduces the planted vector to
-    1e-6.  One trial per support decides, because the certificate conditions
-    depend only on the support; extra trials guard against tolerance noise.
+    For each support S that the named order-K ``property`` ranges over
+    (sizes up to K, or exactly K for the partial properties; only
+    full-column-rank supports for the weak ones) draw vectors positive on S,
+    take their measurements, and re-solve: recovery holds iff the solve
+    certifies unique and reproduces the planted vector to 1e-6.  One trial
+    per support decides, because the certificate conditions depend only on
+    the support; extra trials guard against tolerance noise.
     """
     A = as_matrix(A)
-    _validate_order(A, K)
-    n = A.shape[1]
-    sizes = _sizes(K, exact_size)
-    _ensure_budget(n, sizes, budget)
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for k in sizes:
-        for S in combinations(range(n), k):
-            if full_rank_only and rank(A, S, tol) < k:
-                continue
-            checked += 1
-            for _ in range(max(1, trials_per_support)):
-                planted = np.zeros(n)
-                planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
-                recovered, verdict = solve_and_certify(A, A @ planted, tol)
-                ok = (verdict.unique is Verdict.YES
-                      and np.abs(recovered - planted).max() <= 1e-6)
-                if not ok:
-                    return RecoveryOracleReport(False, S, checked,
-                                                trials_per_support, seed)
-    return RecoveryOracleReport(True, None, checked, trials_per_support, seed)
-
-
-def spark_consistency(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                      budget: int = DEFAULT_CHECK_BUDGET) -> bool:
-    """Check that a yes at order K forces K < spark(A); vacuously true otherwise."""
-    A = as_matrix(A)
-    report = rsp_order_k(A, K, tol, budget)
-    if report.holds is not Verdict.YES:
-        return True
-    return K < spark(A, tol)
-
-
-def unique_sparsest_consequence(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                                seed: int = 0, budget: int = DEFAULT_CHECK_BUDGET) -> bool:
-    """Check the downstream sparsity claim of a yes verdict at order K.
-
-    When the order-K property holds, any vector planted on a support of size
-    at most K must come back from the brute-force enumeration as the single
-    sparsest support.  Vacuously true when the property does not hold.
-    """
-    A = as_matrix(A)
-    report = rsp_order_k(A, K, tol, budget)
-    if report.holds is not Verdict.YES:
-        return True
+    supports = _supports(A, K, property, tol, budget)
     n = A.shape[1]
     rng = np.random.default_rng(seed)
-    for k in range(1, K + 1):
-        for S in combinations(range(n), k):
+    for k, S in supports:
+        for _ in range(max(1, trials_per_support)):
             planted = np.zeros(n)
             planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
-            found = sparsest_supports(A, A @ planted, tol=tol, budget=budget)
-            if found.k_star != k or found.supports != [S]:
-                return False
-    return True
+            recovered, verdict = solve_and_certify(A, A @ planted, tol)
+            ok = (verdict.unique is Verdict.YES
+                  and np.abs(recovered - planted).max() <= 1e-6)
+            if not ok:
+                return RecoveryOracleReport(False, S, supports.count,
+                                            trials_per_support, seed)
+    return RecoveryOracleReport(True, None, supports.count, trials_per_support, seed)

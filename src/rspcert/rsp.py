@@ -99,15 +99,31 @@ def _checked_solve(lp: StandardLp, tol: ToleranceConfig) -> LpSolution:
     return sol
 
 
-def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> RspCertificate:
+def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
+    w = as_vector(w, A.shape[1])
+    if w.size and w.min() <= 0.0:
+        i = int(np.argmin(w))
+        raise NonpositiveWeight(f"weight {i} is {w[i]:.3g}, must be positive")
+    return A / w
+
+
+def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
+                 weights=None) -> RspCertificate:
     """Certify the range space property at a support via the margin LP.
 
     Solves min t s.t. A_S^T y = 1 on S, A_j^T y <= t off S, t >= -1, with y
     free.  An empty support holds vacuously (eta = 0).  Yes iff
     t* <= 1 - rsp_margin; no iff the equalities are inconsistent or t* is
     within feas_tol of 1 or above; marginal in the band between.
+
+    With positive ``weights`` w the certificate is the weighted one, eta = w
+    on S and eta < w off S.  A weighted l1 objective is a plain l1 objective
+    for the column-rescaled matrix A W^-1, so the certificate is computed for
+    that scaled matrix and its witness lives in the scaled coordinates.
     """
     A = as_matrix(A)
+    if weights is not None:
+        A = _scaled_by_weights(A, weights)
     m, n = A.shape
     S = normalize_support(support, n)
     if not S:
@@ -199,20 +215,26 @@ def _combine(rsp_cert: RspCertificate, rank_res, aug_res, k: int) -> UniquenessV
                              reason=reason)
 
 
-def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> UniquenessVerdict:
+def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES,
+                       weights=None) -> UniquenessVerdict:
     """Decide whether x is the unique least-l1-norm nonnegative solution.
 
     Validates that x actually solves A x = b nonnegatively, then combines the
     range-space certificate at the support of x with the full-column-rank
     test of the support columns.  The ones-row-augmented rank is reported as
     well; the two rank tests agree whenever the range-space property holds.
+
+    With positive ``weights`` the objective is the weighted l1 norm and the
+    range-space certificate is the weighted one (see ``check_rsp_at``).
+    Column rescaling does not change rank, so the rank tests run on A itself.
     """
     A = as_matrix(A)
     b = as_vector(b, A.shape[0])
     x = as_vector(x, A.shape[1])
+    scaled = A if weights is None else _scaled_by_weights(A, weights)
     _require_solution(A, b, x, tol)
     S = support_of(x, tol)
-    cert = check_rsp_at(A, S, tol)
+    cert = check_rsp_at(scaled, S, tol)
     return _combine(cert, rank_details(A, S, tol),
                     augmented_rank_details(A, S, tol), len(S))
 
@@ -240,46 +262,6 @@ def solve_and_certify(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     """Minimize the l1 norm, then certify uniqueness at the returned point."""
     x = solve_l1(A, b, tol)
     return x, certify_uniqueness(A, b, x, tol)
-
-
-def _scaled_by_weights(A: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
-    w = as_vector(w, A.shape[1])
-    if w.size and w.min() <= 0.0:
-        i = int(np.argmin(w))
-        raise NonpositiveWeight(f"weight {i} is {w[i]:.3g}, must be positive")
-    return A / w, w
-
-
-def check_weighted_rsp_at(A, support, w,
-                          tol: ToleranceConfig = DEFAULT_TOLERANCES) -> RspCertificate:
-    """Weighted range-space certificate: eta = w on S, eta < w off S.
-
-    A weighted l1 objective is a plain l1 objective for the column-rescaled
-    matrix A W^-1, so the certificate is computed for that scaled matrix and
-    its witness lives in the scaled coordinates.
-    """
-    A = as_matrix(A)
-    scaled, _ = _scaled_by_weights(A, w)
-    return check_rsp_at(scaled, support, tol)
-
-
-def certify_weighted_uniqueness(A, b, w, x,
-                                tol: ToleranceConfig = DEFAULT_TOLERANCES) -> UniquenessVerdict:
-    """Uniqueness of x for the weighted l1 objective with positive weights w.
-
-    Holds iff the weighted range-space certificate passes at the support of x
-    and the support columns of A have full column rank (column rescaling does
-    not change rank, so the rank test runs on A itself).
-    """
-    A = as_matrix(A)
-    b = as_vector(b, A.shape[0])
-    x = as_vector(x, A.shape[1])
-    scaled, _ = _scaled_by_weights(A, w)
-    _require_solution(A, b, x, tol)
-    S = support_of(x, tol)
-    cert = check_rsp_at(scaled, S, tol)
-    return _combine(cert, rank_details(A, S, tol),
-                    augmented_rank_details(A, S, tol), len(S))
 
 
 def lp_sparsest_pipeline(A, b, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LpSparsestResult:

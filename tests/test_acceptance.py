@@ -14,7 +14,7 @@ import pytest
 
 from rspcert import (OPTIMAL, EquivalenceStatus, FailureReason, StandardLp,
                      SystemLabel, Verdict, augmented_rank, certify_uniqueness,
-                     certify_weighted_uniqueness, check_rsp_at,
+                     check_rsp_at,
                      equivalence_verdict, mutual_coherence,
                      coherence_bound_holds, classify_system, prsp_order_k,
                      pwrsp_order_k, rsp_order_k, solve, solve_and_certify,
@@ -226,7 +226,7 @@ def test_a11_weighted_certificate_matches_rescaled_problem():
         for _ in range(20):
             A, b, x = planted_system(rng, 3, 7, int(rng.integers(1, 3)))
             w = rng.uniform(0.5, 3.0, size=7)
-            weighted = certify_weighted_uniqueness(A, b, w, x)
+            weighted = certify_uniqueness(A, b, x, weights=w)
             rescaled = certify_uniqueness(A / w, b, w * x)
             assert weighted.unique is rescaled.unique
 

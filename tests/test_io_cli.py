@@ -172,8 +172,9 @@ def test_budget_env_override(tmp_path, monkeypatch):
 
 
 def test_order_k_oracle_disagreement_exit_five(tmp_path, monkeypatch):
-    # A certifier/oracle split cannot be produced with honest inputs, so fake
-    # the oracle to pin the exit-code contract.
+    # Fake the oracle to pin the exit-code contract.  No honest input is known
+    # to split the two on the supports both of them test; a wrsp no for want
+    # of a full-rank size-K support is not such a split (see below).
     import rspcert.cli as cli
     from rspcert.orderk import RecoveryOracleReport
 
@@ -182,6 +183,45 @@ def test_order_k_oracle_disagreement_exit_five(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "uniform_recovery_oracle",
                         lambda *a, **k: RecoveryOracleReport(False, (0,), 3, 1, 0))
     assert main(["order-k", str(a_path), "--k", "2", "--oracle"]) == 5
+
+
+@pytest.mark.parametrize("A, k", [
+    (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 3),
+    (np.hstack([np.eye(3), np.zeros((3, 1))]), 4),
+])
+def test_order_k_wrsp_without_full_rank_support_is_not_a_mismatch(tmp_path, capsys, A, k):
+    # wrsp fails for want of a full-column-rank size-K support, a clause the
+    # oracle cannot test; it still recovers on every full-rank support.  The
+    # verdict stands (exit 3) and agreement is left undefined.
+    a_path = tmp_path / "A.csv"
+    out = tmp_path / "report.json"
+    write_csv_matrix(a_path, A)
+    assert main(["order-k", str(a_path), "--k", str(k), "--property", "wrsp",
+                 "--oracle", "--json", str(out)]) == 3
+    stdout = capsys.readouterr().out
+    assert f"property wrsp of order {k}: no" in stdout
+    assert "oracle recovers: True" in stdout
+    assert "agreement" not in stdout
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert verdicts["recovery"]["no_full_rank_subset"] is True
+    assert verdicts["oracle"]["recovers"] is True
+    assert "agreement" not in verdicts
+
+
+def test_classify_searches_sparsest_supports_once(tmp_path, monkeypatch):
+    import rspcert.oracle as oracle
+
+    calls = []
+    search = oracle.sparsest_supports
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "sparsest_supports", counted)
+    args = _write_system(tmp_path, TRIPLE_A, TRIPLE_B)
+    assert main(["classify", *args]) == 0
+    assert len(calls) == 1
 
 
 def test_lp_sparse_exit_codes(tmp_path):

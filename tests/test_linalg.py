@@ -116,6 +116,14 @@ def test_spark_budget_guard():
         spark(A, budget=10)
 
 
+def test_spark_budget_is_checked_lazily_per_size():
+    # Two equal columns: spark 2 is found among the pairs, and the larger
+    # sizes, which would exceed the budget, are never reached.
+    A = np.random.default_rng(7).standard_normal((3, 12))
+    A[:, 11] = A[:, 4]
+    assert spark(A, budget=12 + math.comb(12, 2)) == 2
+
+
 def test_spark_random_gaussian_hits_m_plus_one():
     # Generic 4x8 matrices have every 4-column subset independent.
     for i in range(20):

@@ -66,6 +66,15 @@ def test_budget_guard():
         sparsest_supports(A, b, budget=5)
 
 
+def test_budget_is_checked_lazily_per_size():
+    # k* = 1: the search stops after the n singletons, so a budget of n is
+    # enough; the pairs it never reaches are not charged.
+    A = np.random.default_rng(33).standard_normal((3, 12))
+    report = sparsest_supports(A, 2.0 * A[:, 5], budget=12)
+    assert report.k_star == 1 and report.supports == [(5,)]
+    assert report.subsets_checked == 12
+
+
 def test_all_sparsest_supports_pass_the_augmented_rank_test():
     # Every minimal support stacks to full column rank with the ones row.
     fixtures = [(TRIPLE_A, TRIPLE_B), (DENSE_A, DENSE_B), (UNIQUE_A, UNIQUE_B),

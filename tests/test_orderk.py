@@ -1,16 +1,45 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from rspcert import (BudgetExceeded, Verdict, check_rsp_at, prsp_order_k,
-                     pwrsp_order_k, rank, rsp_order_k, spark,
-                     spark_consistency, uniform_recovery_oracle,
-                     unique_sparsest_consequence, wrsp_order_k)
+                     pwrsp_order_k, rsp_order_k, spark,
+                     sparsest_supports, uniform_recovery_oracle, wrsp_order_k)
 
 from conftest import COHERENT_A
 
 
 def _gaussian(i, shape=(4, 8)):
     return np.random.default_rng([77, i]).standard_normal(shape)
+
+
+def spark_consistency(A, K):
+    """A yes at order K forces K < spark(A); vacuously true otherwise."""
+    if rsp_order_k(A, K).holds is not Verdict.YES:
+        return True
+    return K < spark(A)
+
+
+def unique_sparsest_consequence(A, K, seed=0):
+    """The downstream sparsity claim of a yes verdict at order K.
+
+    When the order-K property holds, any vector planted on a support of size
+    at most K must come back from the brute-force enumeration as the single
+    sparsest support.  Vacuously true when the property does not hold.
+    """
+    if rsp_order_k(A, K).holds is not Verdict.YES:
+        return True
+    n = A.shape[1]
+    rng = np.random.default_rng(seed)
+    for k in range(1, K + 1):
+        for S in combinations(range(n), k):
+            planted = np.zeros(n)
+            planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
+            found = sparsest_supports(A, A @ planted)
+            if found.k_star != k or found.supports != [S]:
+                return False
+    return True
 
 
 # ------------------------------------------------------------- rsp_order_k
@@ -68,6 +97,24 @@ def test_order_k_budget_guard():
     A = rng.standard_normal((4, 30))
     with pytest.raises(BudgetExceeded):
         rsp_order_k(A, 8)
+
+
+@pytest.mark.parametrize("run", [
+    lambda A: rsp_order_k(A, 8),
+    lambda A: wrsp_order_k(A[:2], 8),  # rank 2 < K: the early no is refused too
+    lambda A: uniform_recovery_oracle(A, 8),
+    lambda A: uniform_recovery_oracle(A, 8, property="pwrsp"),
+])
+def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
+    import rspcert.orderk as orderk
+
+    calls = []
+    monkeypatch.setattr(orderk, "check_rsp_at", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "solve_and_certify", lambda *a, **k: calls.append(a))
+    A = np.random.default_rng(40).standard_normal((4, 30))
+    with pytest.raises(BudgetExceeded):
+        run(A)
+    assert calls == []
 
 
 # ------------------------------------------------- weak / partial properties
@@ -186,16 +233,15 @@ def test_restricted_oracles_agree_with_weak_and_partial_properties():
         for K in (1, 2):
             weak = wrsp_order_k(A, K)
             if weak.holds is not Verdict.MARGINAL and not weak.no_full_rank_subset:
-                oracle = uniform_recovery_oracle(A, K, seed=i, full_rank_only=True)
+                oracle = uniform_recovery_oracle(A, K, seed=i, property="wrsp")
                 assert (weak.holds is Verdict.YES) == oracle.recovers
             partial = prsp_order_k(A, K)
             if partial.holds is not Verdict.MARGINAL:
-                oracle = uniform_recovery_oracle(A, K, seed=i, exact_size=True)
+                oracle = uniform_recovery_oracle(A, K, seed=i, property="prsp")
                 assert (partial.holds is Verdict.YES) == oracle.recovers
             partial_weak = pwrsp_order_k(A, K)
             if partial_weak.holds is not Verdict.MARGINAL and not partial_weak.no_full_rank_subset:
-                oracle = uniform_recovery_oracle(A, K, seed=i, exact_size=True,
-                                                 full_rank_only=True)
+                oracle = uniform_recovery_oracle(A, K, seed=i, property="pwrsp")
                 assert (partial_weak.holds is Verdict.YES) == oracle.recovers
 
 

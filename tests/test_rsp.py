@@ -3,9 +3,8 @@ import pytest
 
 from rspcert import (FailureReason, Infeasible, NonpositiveWeight, NotASolution,
                      NotNonnegative, ToleranceConfig, Unbounded, Verdict,
-                     augmented_rank, certify_uniqueness,
-                     certify_weighted_uniqueness, check_rsp_at,
-                     check_weighted_rsp_at, lp_sparsest_pipeline, rank,
+                     augmented_rank, certify_uniqueness, check_rsp_at,
+                     lp_sparsest_pipeline, rank,
                      solve_and_certify, solve_l1, support_of,
                      verify_rsp_witness)
 
@@ -187,36 +186,39 @@ def test_solve_and_certify_across_fixtures():
 
 def test_unit_weights_reduce_to_plain_check():
     plain = check_rsp_at(UNIQUE_A, (0, 1))
-    weighted = check_weighted_rsp_at(UNIQUE_A, (0, 1), np.ones(4))
+    weighted = check_rsp_at(UNIQUE_A, (0, 1), weights=np.ones(4))
     assert weighted.holds is plain.holds
     assert weighted.t_star == pytest.approx(plain.t_star, abs=1e-12)
 
 
 def test_weighted_check_equals_check_on_scaled_matrix():
     w = np.array([2.0, 2.0, 1.0, 1.0])
-    weighted = check_weighted_rsp_at(UNIQUE_A, (0, 1), w)
+    weighted = check_rsp_at(UNIQUE_A, (0, 1), weights=w)
     scaled = check_rsp_at(UNIQUE_A / w, (0, 1))
     assert weighted.holds is scaled.holds
     assert weighted.t_star == pytest.approx(scaled.t_star, abs=1e-12)
 
 
 def test_tied_system_passes_weighted_check_but_not_uniqueness():
-    cert = check_weighted_rsp_at(TIED_A, (0, 1, 2, 3), np.ones(4))
+    cert = check_rsp_at(TIED_A, (0, 1, 2, 3), weights=np.ones(4))
     assert cert.holds is Verdict.YES
-    verdict = certify_weighted_uniqueness(TIED_A, TIED_B, np.ones(4), TIED_X_FULL)
+    verdict = certify_uniqueness(TIED_A, TIED_B, TIED_X_FULL, weights=np.ones(4))
     assert verdict.unique is Verdict.NO
     assert verdict.reason is FailureReason.RANK_DEFICIENT
 
 
 def test_uniform_weight_scaling_preserves_the_verdict():
-    base = certify_weighted_uniqueness(UNIQUE_A, UNIQUE_B, np.ones(4), UNIQUE_X)
-    tripled = certify_weighted_uniqueness(UNIQUE_A, UNIQUE_B, 3.0 * np.ones(4), UNIQUE_X)
+    base = certify_uniqueness(UNIQUE_A, UNIQUE_B, UNIQUE_X, weights=np.ones(4))
+    tripled = certify_uniqueness(UNIQUE_A, UNIQUE_B, UNIQUE_X, weights=3.0 * np.ones(4))
     assert base.unique is tripled.unique is Verdict.YES
 
 
 def test_weights_must_be_positive():
     with pytest.raises(NonpositiveWeight):
-        check_weighted_rsp_at(UNIQUE_A, (0, 1), np.array([1.0, 0.0, 1.0, 1.0]))
+        check_rsp_at(UNIQUE_A, (0, 1), weights=np.array([1.0, 0.0, 1.0, 1.0]))
+    # The weights are rejected before the candidate is checked as a solution.
+    with pytest.raises(NonpositiveWeight):
+        certify_uniqueness(UNIQUE_A, UNIQUE_B, np.ones(4), weights=-np.ones(4))
 
 
 def test_weighted_verdict_matches_rescaled_problem():
@@ -225,7 +227,7 @@ def test_weighted_verdict_matches_rescaled_problem():
     for _ in range(20):
         A, b, x = planted_system(rng, 3, 7, int(rng.integers(1, 3)))
         w = rng.uniform(0.5, 3.0, size=7)
-        left = certify_weighted_uniqueness(A, b, w, x)
+        left = certify_uniqueness(A, b, x, weights=w)
         right = certify_uniqueness(A / w, b, w * x)
         assert left.unique is right.unique
         matches += 1
