@@ -5,9 +5,11 @@ equivalence verdict, so their visiting order (sizes ascending, lexicographic
 within a size) and their counts are part of the contract: the first failing
 support is the reported counterexample, the oracle's random draws follow the
 supports it visits, and the counts are reported.  Each test here reduces CLI
-reports on fixed seeded inputs to those fields and compares a sha256 over
-their canonical JSON with a digest recorded from an earlier build.  A digest
-that changes means a verdict, witness support, count or report field changed.
+reports on fixed seeded inputs to those fields (or, for the report values, to
+the whole document with floats at 12 significant digits) and compares a
+sha256 over their canonical JSON with a digest recorded from an earlier
+build.  A digest that changes means a verdict, witness, count or report field
+changed.
 """
 
 import hashlib
@@ -104,7 +106,8 @@ def test_classify_enumeration_is_pinned(tmp_path):
     assert _digest(rows) == CLASSIFY_DIGEST, json.dumps(rows)
 
 
-def test_report_key_sets_are_pinned(tmp_path):
+def _report_commands(tmp_path):
+    """One argv per report layout: every file-based command and variant."""
     a_path, b_path = tmp_path / "A.csv", tmp_path / "b.csv"
     x_path, w_path = tmp_path / "x.csv", tmp_path / "w.csv"
     c_path = tmp_path / "c.csv"
@@ -114,7 +117,7 @@ def test_report_key_sets_are_pinned(tmp_path):
     write_csv_vector(w_path, np.array([2.0, 2.0, 1.0, 1.0]))
     write_csv_vector(c_path, np.ones(4))
     system = [str(a_path), str(b_path)]
-    commands = {
+    return {
         "solve-l1": ["solve-l1", *system],
         "certify": ["certify", *system, str(x_path)],
         "certify-weighted": ["certify", *system, str(x_path), "--weights", str(w_path)],
@@ -123,6 +126,23 @@ def test_report_key_sets_are_pinned(tmp_path):
         "classify": ["classify", *system],
         "lp-sparse": ["lp-sparse", *system, str(c_path)],
     }
+
+
+def _rounded(obj, tmp_path):
+    """A JSON value with floats at 12 significant digits and paths made relative."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, str):
+        return obj.replace(str(tmp_path), "")
+    if isinstance(obj, dict):
+        return {key: _rounded(value, tmp_path) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(item, tmp_path) for item in obj]
+    return obj
+
+
+def test_report_key_sets_are_pinned(tmp_path):
+    commands = _report_commands(tmp_path)
     keys = {name: sorted(_key_paths(_run(tmp_path, argv)[1]))
             for name, argv in commands.items()}
     batch = tmp_path / "batch.jsonl"
@@ -131,6 +151,16 @@ def test_report_key_sets_are_pinned(tmp_path):
     keys["random-batch"] = [sorted(_key_paths(json.loads(line)))
                             for line in batch.read_text().splitlines()]
     assert _digest(keys) == KEYS_DIGEST, json.dumps(keys)
+
+
+def test_report_values_are_pinned(tmp_path):
+    # Witnesses, tolerances, inputs and every other value, not just the keys.
+    rows = []
+    for name, argv in _report_commands(tmp_path).items():
+        code, report = _run(tmp_path, argv)
+        report.pop("timing_ms")
+        rows.append({"command": name, "exit": code, "report": _rounded(report, tmp_path)})
+    assert _digest(rows) == VALUES_DIGEST, json.dumps(rows)
 
 
 def test_random_batch_output_is_pinned(capsys):
@@ -147,3 +177,6 @@ ORDER_K_DIGEST = "274a67e981f6350a6f11bdecacf2543ba47bae9a4eff4a817691041db3f87c
 CLASSIFY_DIGEST = "6a17cb46af1ba83a500813c7890a44681e7db1cc550b52cc14bc7fd92f1f144c"
 KEYS_DIGEST = "bd91edf65b7a85d45f7315f2bd599e82a7f7d551a166e332b15b3fe23ed8a31f"
 RANDOM_BATCH_DIGEST = "5ef9ca335f71da98ed1495a029183ac390da62ba058e04263a917477b1754f01"
+# Recorded from the build whose reports were assembled by one hand-written
+# builder per result type; the dataclass serialiser must reproduce it.
+VALUES_DIGEST = "07e65c4b3ab4dd26abccbb1ccbfdd067870dda9c755ba3a86f965ec975d69bfa"
