@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,17 @@ _PROPERTIES = {"rsp": rsp_order_k, "wrsp": wrsp_order_k,
                "prsp": prsp_order_k, "pwrsp": pwrsp_order_k}
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     # Each tolerance flag stores under its ToleranceConfig field name.
     parser.add_argument("--tol-feas", dest="feas_tol", type=float, default=None,
@@ -65,7 +77,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="duality gap tolerance (default 1e-7)")
     parser.add_argument("--zero-tol", type=float, default=None,
                         help="support detection threshold (default 1e-9)")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_at_least(0), default=None,
                         help=f"subset enumeration budget (env {BUDGET_ENV} overrides the default)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the full machine-readable report to PATH")
@@ -81,161 +93,166 @@ def _budget(args, fallback: int) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise RspcertError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return fallback
+    if env is None:
+        return fallback
+    try:
+        budget = int(env)
+    except ValueError:
+        raise RspcertError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise RspcertError(f"{BUDGET_ENV} must be at least 0, got {budget}")
+    return budget
 
 
 def _fmt_vec(v) -> str:
     return "[" + ", ".join(f"{float(t):.10g}" for t in np.asarray(v).reshape(-1)) + "]"
 
 
-def _emit(args, report: dict) -> None:
-    if args.json:
-        if args.json == "-":
-            print(json.dumps(report, indent=2))
-        else:
-            rep.dump_report(report, args.json)
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, if given, or print it when ``path`` is ``-``."""
+    if path == "-":
+        print(text)
+    elif path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
 
 
-def _print_uniqueness(verdict) -> None:
+def _uniqueness_lines(verdict) -> list[str]:
     cert = verdict.rsp
-    print(f"support: {list(cert.support)}")
     t = "n/a" if cert.t_star is None else f"{cert.t_star:.10g}"
-    print(f"range space property: {cert.holds.value} (t* = {t}, lp {cert.lp_status})")
-    print(f"rank of support columns: {verdict.rank_found} of {len(cert.support)}"
-          f" ({'full' if verdict.full_column_rank else 'deficient'})")
+    lines = [f"support: {list(cert.support)}",
+             f"range space property: {cert.holds.value} (t* = {t}, lp {cert.lp_status})",
+             f"rank of support columns: {verdict.rank_found} of {len(cert.support)}"
+             f" ({'full' if verdict.full_column_rank else 'deficient'})"]
     if verdict.rank_marginal:
-        print("note: a rank pivot fell near the threshold; rank verdict is marginal")
-    print(f"unique least-l1 nonnegative solution: {verdict.unique.value}"
-          f" (reason: {verdict.reason.value})")
+        lines.append("note: a rank pivot fell near the threshold; rank verdict is marginal")
+    lines.append(f"unique least-l1 nonnegative solution: {verdict.unique.value}"
+                 f" (reason: {verdict.reason.value})")
+    return lines
 
 
-def cmd_solve_l1(args) -> int:
-    tol = _tolerances(args)
-    t0 = time.perf_counter()
-    A = load_matrix(args.matrix)
-    b = load_vector(args.rhs)
-    x, verdict = solve_and_certify(A, b, tol)
-    timing = (time.perf_counter() - t0) * 1000.0
-    print(f"x = {_fmt_vec(x)}")
-    print(f"objective (l1 norm) = {float(x.sum()):.12g}")
-    _print_uniqueness(verdict)
-    _emit(args, rep.build_report(
-        "solve-l1",
-        {"matrix": args.matrix, "rhs": args.rhs,
-         "m": A.shape[0], "n": A.shape[1], "tolerances": rep.tolerance_dict(tol)},
-        {"x": rep._vec(x), "objective": float(x.sum()),
-         "uniqueness": rep.uniqueness_dict(verdict)},
-        timing))
-    return _VERDICT_EXIT[verdict.unique]
+def cmd_solve_l1(args, A, tol, rhs):
+    x, verdict = solve_and_certify(A, rhs, tol)
+    lines = [f"x = {_fmt_vec(x)}", f"objective (l1 norm) = {float(x.sum()):.12g}",
+             *_uniqueness_lines(verdict)]
+    verdicts = {"x": x, "objective": float(x.sum()), "uniqueness": verdict}
+    return lines, verdicts, _VERDICT_EXIT[verdict.unique]
 
 
-def cmd_certify(args) -> int:
-    tol = _tolerances(args)
-    t0 = time.perf_counter()
-    A = load_matrix(args.matrix)
-    b = load_vector(args.rhs)
-    x = load_vector(args.candidate)
-    w = load_vector(args.weights) if args.weights else None
-    verdict = certify_uniqueness(A, b, x, tol, weights=w)
-    timing = (time.perf_counter() - t0) * 1000.0
-    _print_uniqueness(verdict)
-    inputs = {"matrix": args.matrix, "rhs": args.rhs, "candidate": args.candidate,
-              "m": A.shape[0], "n": A.shape[1], "tolerances": rep.tolerance_dict(tol)}
-    if args.weights:
-        inputs["weights"] = args.weights
-    _emit(args, rep.build_report(
-        "certify", inputs, {"uniqueness": rep.uniqueness_dict(verdict)}, timing))
-    return _VERDICT_EXIT[verdict.unique]
+def cmd_certify(args, A, tol, rhs, candidate, weights=None):
+    verdict = certify_uniqueness(A, rhs, candidate, tol, weights=weights)
+    return _uniqueness_lines(verdict), {"uniqueness": verdict}, _VERDICT_EXIT[verdict.unique]
 
 
-def cmd_order_k(args) -> int:
-    tol = _tolerances(args)
-    budget = _budget(args, DEFAULT_CHECK_BUDGET)
-    t0 = time.perf_counter()
-    A = load_matrix(args.matrix)
-    report = _PROPERTIES[args.property](A, args.k, tol, budget)
-    verdicts = {"recovery": rep.recovery_dict(report)}
-    agree = None
-    oracle = None
-    if args.oracle:
-        oracle = uniform_recovery_oracle(
-            A, args.k, trials_per_support=args.trials, tol=tol, seed=args.seed,
-            budget=budget, property=args.property)
-        verdicts["oracle"] = rep.oracle_dict(oracle)
-        agree = report.agrees_with(oracle)
-        if agree is not None:
-            verdicts["agreement"] = agree
-    timing = (time.perf_counter() - t0) * 1000.0
-    print(f"property {args.property} of order {args.k}: {report.holds.value}")
+def cmd_order_k(args, A, tol):
+    report = _PROPERTIES[args.property](A, args.k, tol, args.budget)
+    lines = [f"property {args.property} of order {args.k}: {report.holds.value}"]
     if report.counterexample is not None:
-        print(f"counterexample support: {list(report.counterexample)}")
+        lines.append(f"counterexample support: {list(report.counterexample)}")
     if report.no_full_rank_subset:
-        print(f"no full-column-rank support of size {args.k} exists")
-    print(f"subsets checked: {report.subsets_checked}")
-    if oracle is not None:
-        print(f"oracle recovers: {oracle.recovers}"
-              + (f" (fails at {list(oracle.failing_support)})" if oracle.failing_support else ""))
-        if agree is not None:
-            print(f"certifier/oracle agreement: {agree}")
-    _emit(args, rep.build_report(
-        "order-k",
-        {"matrix": args.matrix, "m": A.shape[0], "n": A.shape[1],
-         "k": args.k, "property": args.property, "budget": budget,
-         "tolerances": rep.tolerance_dict(tol)},
-        verdicts, timing, seed=args.seed if args.oracle else None))
-    if agree is False:
-        return EXIT_MISMATCH
-    return _VERDICT_EXIT[report.holds]
+        lines.append(f"no full-column-rank support of size {args.k} exists")
+    lines.append(f"subsets checked: {report.subsets_checked}")
+    verdicts = {"recovery": report}
+    if not args.oracle:
+        return lines, verdicts, _VERDICT_EXIT[report.holds]
+    oracle = uniform_recovery_oracle(
+        A, args.k, trials_per_support=args.trials, tol=tol, seed=args.seed,
+        budget=args.budget, property=args.property)
+    verdicts["oracle"] = oracle
+    lines.append(f"oracle recovers: {oracle.recovers}"
+                 + (f" (fails at {list(oracle.failing_support)})" if oracle.failing_support else ""))
+    agree = report.agrees_with(oracle)
+    if agree is not None:
+        verdicts["agreement"] = agree
+        lines.append(f"certifier/oracle agreement: {agree}")
+    return lines, verdicts, EXIT_MISMATCH if agree is False else _VERDICT_EXIT[report.holds]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, A, tol, rhs):
+    cls = classify_system(A, rhs, tol, args.budget)
+    equiv = equivalence_verdict(A, rhs, tol, args.budget, sparsest=cls.sparsest)
+    lines = [f"class: {cls.label.value}",
+             f"least-l1 solution unique: {cls.l1_unique}",
+             f"sparsest size k* = {cls.sparsest.k_star}, "
+             f"{cls.sparsest_count} support(s): {[list(S) for S in cls.sparsest.supports]}",
+             f"l0/l1 equivalence: {equiv.status.value}"
+             + (f" (certified support {list(equiv.passing_support)})"
+                if equiv.passing_support is not None else "")]
+    return lines, {"system_class": cls, "equivalence": equiv}, EXIT_YES
+
+
+def cmd_lp_sparse(args, A, tol, rhs, objective):
+    result = lp_sparsest_pipeline(A, rhs, objective, tol)
+    lines = [f"optimal LP value d* = {result.d_star:.12g}", f"x = {_fmt_vec(result.x)}",
+             *_uniqueness_lines(result.verdict)]
+    return lines, {"lp_sparsest": result}, _VERDICT_EXIT[result.verdict.unique]
+
+
+class _Command(NamedTuple):
+    """A file-based command. ``run(args, A, tol, **vectors)`` returns the stdout
+    lines, the verdicts (library results, written out by ``rep.to_json``) and
+    the exit code; ``_run`` loads, times, prints and reports around it."""
+
+    run: Callable
+    help: str
+    vectors: tuple[str, ...] = ()   # positional vector files after the matrix
+    options: tuple = ()             # (flag, add_argument keywords), in --help order
+    files: tuple[str, ...] = ()     # options that name an optional vector file
+    budget: int | None = None       # default enumeration budget; None: takes no budget
+    inputs: tuple[str, ...] = ()    # further arguments recorded in the report's inputs
+
+
+_COMMANDS = {
+    "solve-l1": _Command(
+        cmd_solve_l1, "minimize the l1 norm and certify uniqueness", vectors=("rhs",)),
+    "certify": _Command(
+        cmd_certify, "certify a candidate solution (optionally weighted)",
+        vectors=("rhs", "candidate"), files=("weights",),
+        options=(("--weights", {"default": None, "help": "positive weight vector file"}),)),
+    "order-k": _Command(
+        cmd_order_k, "certify an order-K recovery property",
+        budget=DEFAULT_CHECK_BUDGET, inputs=("k", "property", "budget"), options=(
+            ("--k", {"type": int, "required": True}),
+            ("--property", {"choices": sorted(_PROPERTIES), "default": "rsp"}),
+            ("--oracle", {"action": "store_true",
+                          "help": "also run the brute-force recovery oracle and compare"}),
+            ("--trials", {"type": _at_least(1), "default": 1,
+                          "help": "oracle trials per support"}),
+            ("--seed", {"type": int, "default": 0}),
+        )),
+    "classify": _Command(
+        cmd_classify, "G1/G2/G3 class, sparsest supports, equivalence",
+        vectors=("rhs",), budget=DEFAULT_SUBSET_BUDGET, inputs=("budget",)),
+    "lp-sparse": _Command(
+        cmd_lp_sparse, "certify the sparsest optimal solution of an LP",
+        vectors=("rhs", "objective")),
+}
+
+
+def _run(args) -> int:
+    """Load a file-based command's inputs, run it, print its lines and emit its report."""
+    command = _COMMANDS[args.command]
     tol = _tolerances(args)
-    budget = _budget(args, DEFAULT_SUBSET_BUDGET)
+    if command.budget is not None:
+        args.budget = _budget(args, command.budget)
     t0 = time.perf_counter()
     A = load_matrix(args.matrix)
-    b = load_vector(args.rhs)
-    cls = classify_system(A, b, tol, budget)
-    equiv = equivalence_verdict(A, b, tol, budget, sparsest=cls.sparsest)
+    paths = {name: getattr(args, name) for name in command.vectors}
+    # An optional file given as an empty path counts as not given.
+    paths |= {name: getattr(args, name) for name in command.files if getattr(args, name)}
+    vectors = {name: load_vector(path) for name, path in paths.items()}
+    lines, verdicts, code = command.run(args, A, tol, **vectors)
     timing = (time.perf_counter() - t0) * 1000.0
-    print(f"class: {cls.label.value}")
-    print(f"least-l1 solution unique: {cls.l1_unique}")
-    print(f"sparsest size k* = {cls.sparsest.k_star}, "
-          f"{cls.sparsest_count} support(s): {[list(S) for S in cls.sparsest.supports]}")
-    print(f"l0/l1 equivalence: {equiv.status.value}"
-          + (f" (certified support {list(equiv.passing_support)})"
-             if equiv.passing_support is not None else ""))
-    _emit(args, rep.build_report(
-        "classify",
-        {"matrix": args.matrix, "rhs": args.rhs, "m": A.shape[0], "n": A.shape[1],
-         "budget": budget, "tolerances": rep.tolerance_dict(tol)},
-        {"system_class": rep.system_class_dict(cls),
-         "equivalence": rep.equivalence_dict(equiv)},
-        timing))
-    return EXIT_YES
-
-
-def cmd_lp_sparse(args) -> int:
-    tol = _tolerances(args)
-    t0 = time.perf_counter()
-    A = load_matrix(args.matrix)
-    b = load_vector(args.rhs)
-    c = load_vector(args.objective)
-    result = lp_sparsest_pipeline(A, b, c, tol)
-    timing = (time.perf_counter() - t0) * 1000.0
-    print(f"optimal LP value d* = {result.d_star:.12g}")
-    print(f"x = {_fmt_vec(result.x)}")
-    _print_uniqueness(result.verdict)
-    _emit(args, rep.build_report(
-        "lp-sparse",
-        {"matrix": args.matrix, "rhs": args.rhs, "objective": args.objective,
-         "m": A.shape[0], "n": A.shape[1], "tolerances": rep.tolerance_dict(tol)},
-        {"lp_sparsest": rep.lp_sparsest_dict(result)}, timing))
-    return _VERDICT_EXIT[result.verdict.unique]
+    print("\n".join(lines))
+    inputs = {"matrix": args.matrix, **paths, "m": A.shape[0], "n": A.shape[1],
+              **{name: getattr(args, name) for name in command.inputs}, "tolerances": tol}
+    report = {"schema_version": rep.SCHEMA_VERSION, "command": args.command,
+              "inputs": rep.to_json(inputs), "verdicts": rep.to_json(verdicts),
+              "timing_ms": timing}
+    if "oracle" in verdicts:
+        report["seed"] = verdicts["oracle"].seed
+    _emit(args.json, json.dumps(report, indent=2))
+    return code
 
 
 def cmd_random_batch(args) -> int:
@@ -260,9 +277,9 @@ def cmd_random_batch(args) -> int:
             "n": args.n,
             "k": args.k,
             "verdict": report.holds.value,
-            "counterexample": rep._idx(report.counterexample),
+            "counterexample": rep.to_json(report.counterexample),
             "oracle_recovers": oracle.recovers,
-            "oracle_failing_support": rep._idx(oracle.failing_support),
+            "oracle_failing_support": rep.to_json(oracle.failing_support),
         }
         ok = report.agrees_with(oracle)
         record["agree"] = ok
@@ -287,9 +304,8 @@ def cmd_random_batch(args) -> int:
     lines.append(json.dumps(summary, separators=(",", ":")))
     text = "\n".join(lines)
     print(text)
-    if args.json and args.json != "-":
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    if args.json != "-":
+        _emit(args.json, text)
     return EXIT_YES if agreed == hard else EXIT_MISMATCH
 
 
@@ -301,52 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "All reported indices are 0-based.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-l1", help="minimize the l1 norm and certify uniqueness")
-    p.add_argument("matrix")
-    p.add_argument("rhs")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve_l1)
-
-    p = sub.add_parser("certify", help="certify a candidate solution (optionally weighted)")
-    p.add_argument("matrix")
-    p.add_argument("rhs")
-    p.add_argument("candidate")
-    p.add_argument("--weights", default=None, help="positive weight vector file")
-    _add_common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("order-k", help="certify an order-K recovery property")
-    p.add_argument("matrix")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--property", choices=sorted(_PROPERTIES), default="rsp")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the brute-force recovery oracle and compare")
-    p.add_argument("--trials", type=int, default=1, help="oracle trials per support")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_order_k)
-
-    p = sub.add_parser("classify", help="G1/G2/G3 class, sparsest supports, equivalence")
-    p.add_argument("matrix")
-    p.add_argument("rhs")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("lp-sparse", help="certify the sparsest optimal solution of an LP")
-    p.add_argument("matrix")
-    p.add_argument("rhs")
-    p.add_argument("objective")
-    _add_common(p)
-    p.set_defaults(func=cmd_lp_sparse)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for positional in ("matrix", *command.vectors):
+            p.add_argument(positional)
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
+        _add_common(p)
+        p.set_defaults(func=_run)
 
     p = sub.add_parser("random-batch",
                        help="seeded random matrices: certifier vs oracle, JSON lines")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_at_least(1), default=1)
     _add_common(p)
     p.set_defaults(func=cmd_random_batch)
 

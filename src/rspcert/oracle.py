@@ -8,7 +8,7 @@ are checked against, so no pruning shortcuts are taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -48,7 +48,7 @@ class SystemLabel(str, Enum):
 
 @dataclass
 class SystemClass:
-    label: SystemLabel
+    label: SystemLabel = field(metadata={"json": "class"})
     l1_unique: bool | None
     sparsest_count: int
     l1_solution: np.ndarray
@@ -74,7 +74,7 @@ class EquivalenceVerdict:
     status: EquivalenceStatus
     passing_support: IndexSet | None
     certificates: list[RspCertificate]
-    sparsest: SparsestReport
+    sparsest: SparsestReport = field(metadata={"json": None})
 
     @property
     def equivalent(self) -> bool:

@@ -185,12 +185,14 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     per support decides, because the certificate conditions depend only on
     the support; extra trials guard against tolerance noise.
     """
+    if trials_per_support < 1:
+        raise ValueError(f"trials_per_support={trials_per_support} must be at least 1")
     A = as_matrix(A)
     supports = _supports(A, K, property, tol, budget)
     n = A.shape[1]
     rng = np.random.default_rng(seed)
     for k, S in supports:
-        for _ in range(max(1, trials_per_support)):
+        for _ in range(trials_per_support):
             planted = np.zeros(n)
             planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
             recovered, verdict = solve_and_certify(A, A @ planted, tol)

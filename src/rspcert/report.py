@@ -1,144 +1,50 @@
-"""Machine-readable report assembly (schema version 1).
+"""Machine-readable report values (schema version 1).
 
 Every CLI command can emit one JSON document: inputs (paths, dimensions, the
 tolerance block), per-operation verdicts with witnesses as plain decimal
 arrays and 0-based indices, wall time, and the seed when randomness was
-involved.  Reports round-trip: emitted witnesses re-verify when fed back
-through the library.
+involved.  Each verdict is a library result written out field by field, plus
+its properties, by ``to_json``.  A field whose metadata carries a ``"json"``
+entry is written under that key instead, or left out when the entry is None.
+Reports round-trip: emitted witnesses re-verify when fed back through the
+library.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
+from dataclasses import fields
+from enum import Enum
+from functools import cache
 
 import numpy as np
 
-from .linalg import ToleranceConfig
-from .oracle import EquivalenceVerdict, SparsestReport, SystemClass
-from .orderk import RecoveryOracleReport, RecoveryReport
-from .rsp import LpSparsestResult, RspCertificate, UniquenessVerdict
-
 SCHEMA_VERSION = "1"
 
-
-def _vec(v) -> list[float] | None:
-    if v is None:
-        return None
-    return [float(t) for t in np.asarray(v).reshape(-1)]
+_SCALARS = (str, int, float, bool, type(None))
 
 
-def _idx(S) -> list[int] | None:
-    if S is None:
-        return None
-    return [int(i) for i in S]
+@cache
+def _layout(cls: type) -> tuple[tuple[str, str], ...]:
+    """(attribute, JSON key) pairs of a dataclass: its fields, then its properties."""
+    keys = [(f.name, f.metadata.get("json", f.name)) for f in fields(cls)]
+    keys += [(name, name) for name, attr in vars(cls).items() if isinstance(attr, property)]
+    return tuple((name, key) for name, key in keys if key is not None)
 
 
-def tolerance_dict(tol: ToleranceConfig) -> dict:
-    return {k: float(v) for k, v in asdict(tol).items()}
-
-
-def rsp_certificate_dict(cert: RspCertificate) -> dict:
-    return {
-        "holds": cert.holds.value,
-        "support": _idx(cert.support),
-        "t_star": None if cert.t_star is None else float(cert.t_star),
-        "witness_eta": _vec(cert.witness_eta),
-        "witness_y": _vec(cert.witness_y),
-        "lp_status": cert.lp_status,
-    }
-
-
-def uniqueness_dict(verdict: UniquenessVerdict) -> dict:
-    return {
-        "unique": verdict.unique.value,
-        "reason": verdict.reason.value,
-        "full_column_rank": bool(verdict.full_column_rank),
-        "rank_found": int(verdict.rank_found),
-        "augmented_full_column_rank": bool(verdict.augmented_full_column_rank),
-        "rank_marginal": bool(verdict.rank_marginal),
-        "rsp": rsp_certificate_dict(verdict.rsp),
-    }
-
-
-def sparsest_dict(report: SparsestReport) -> dict:
-    return {
-        "k_star": int(report.k_star),
-        "supports": [_idx(S) for S in report.supports],
-        "representatives": [_vec(r) for r in report.representatives],
-        "unique_within_support": [bool(u) for u in report.unique_within_support],
-        "subsets_checked": int(report.subsets_checked),
-    }
-
-
-def system_class_dict(cls: SystemClass) -> dict:
-    return {
-        "class": cls.label.value,
-        "l1_unique": cls.l1_unique,
-        "sparsest_count": int(cls.sparsest_count),
-        "l1_solution": _vec(cls.l1_solution),
-        "l1_verdict": uniqueness_dict(cls.l1_verdict),
-        "sparsest": sparsest_dict(cls.sparsest),
-    }
-
-
-def equivalence_dict(verdict: EquivalenceVerdict) -> dict:
-    return {
-        "status": verdict.status.value,
-        "equivalent": verdict.equivalent,
-        "strongly_equivalent": verdict.strongly_equivalent,
-        "passing_support": _idx(verdict.passing_support),
-        "certificates": [rsp_certificate_dict(c) for c in verdict.certificates],
-    }
-
-
-def recovery_dict(report: RecoveryReport) -> dict:
-    return {
-        "property": report.property,
-        "order": int(report.order),
-        "holds": report.holds.value,
-        "counterexample": _idx(report.counterexample),
-        "subsets_checked": int(report.subsets_checked),
-        "marginal_subsets": [_idx(S) for S in report.marginal_subsets],
-        "failures_per_size": {str(k): int(v) for k, v in sorted(report.failures_per_size.items())},
-        "no_full_rank_subset": bool(report.no_full_rank_subset),
-    }
-
-
-def oracle_dict(report: RecoveryOracleReport) -> dict:
-    return {
-        "recovers": bool(report.recovers),
-        "failing_support": _idx(report.failing_support),
-        "supports_checked": int(report.supports_checked),
-        "trials_per_support": int(report.trials_per_support),
-        "seed": int(report.seed),
-    }
-
-
-def lp_sparsest_dict(result: LpSparsestResult) -> dict:
-    return {
-        "d_star": float(result.d_star),
-        "augmented_rows": int(result.augmented_matrix.shape[0]),
-        "x": _vec(result.x),
-        "verdict": uniqueness_dict(result.verdict),
-    }
-
-
-def build_report(command: str, inputs: dict, verdicts: dict,
-                 timing_ms: float, seed: int | None = None) -> dict:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "verdicts": verdicts,
-        "timing_ms": float(timing_ms),
-    }
-    if seed is not None:
-        report["seed"] = int(seed)
-    return report
-
-
-def dump_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+def to_json(value):
+    """The JSON value of a result: dataclasses, enums, arrays and containers."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if hasattr(value, "__dataclass_fields__"):
+        return {key: to_json(getattr(value, name)) for name, key in _layout(type(value))}
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float).ravel().tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {str(k): to_json(v) for k, v in sorted(value.items())}
+    raise TypeError(f"no JSON form for {type(value).__name__}")

@@ -9,7 +9,7 @@ module certifies both conditions with re-checkable witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -73,10 +73,14 @@ class LpSparsestResult:
     """Outcome of the sparsest-LP-optimum pipeline."""
 
     d_star: float
-    augmented_matrix: np.ndarray
-    augmented_rhs: np.ndarray
+    augmented_matrix: np.ndarray = field(metadata={"json": None})
+    augmented_rhs: np.ndarray = field(metadata={"json": None})
     x: np.ndarray
     verdict: UniquenessVerdict
+
+    @property
+    def augmented_rows(self) -> int:
+        return self.augmented_matrix.shape[0]
 
 
 def support_of(x, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> IndexSet:

@@ -240,6 +240,38 @@ def test_usage_error_exit_one():
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["random-batch", "--count", "-2"],
+    ["random-batch", "--count", "1", "--trials", "0"],
+    ["order-k", "--oracle", "--trials", "0"],
+    ["order-k", "--oracle", "--trials", "-1"],
+    ["order-k", "--budget", "-1"],
+    ["random-batch", "--count", "1", "--budget", "-1"],
+])
+def test_negative_count_trials_or_budget_exit_one(tmp_path, capsys, flags):
+    a_path = tmp_path / "A.csv"
+    write_csv_matrix(a_path, np.eye(2))
+    command, *rest = flags
+    head = ([command, str(a_path), "--k", "1"] if command == "order-k"
+            else [command, "--m", "2", "--n", "4", "--k", "1"])
+    assert main(head + rest) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {rest[-2]}: must be at least" in captured.err
+
+
+def test_negative_budget_env_exit_one(tmp_path, monkeypatch, capsys):
+    a_path = tmp_path / "A.csv"
+    write_csv_matrix(a_path, np.eye(2))
+    monkeypatch.setenv("RSPCERT_BUDGET", "-1")
+    assert main(["order-k", str(a_path), "--k", "1"]) == 1
+    assert "RSPCERT_BUDGET must be at least 0" in capsys.readouterr().err
+    monkeypatch.setenv("RSPCERT_BUDGET", "0")
+    assert main(["order-k", str(a_path), "--k", "1"]) == 6
+    monkeypatch.delenv("RSPCERT_BUDGET")
+    assert main(["order-k", str(a_path), "--k", "1", "--budget", "0"]) == 6
+
+
 def test_missing_file_exit_one(tmp_path):
     assert main(["solve-l1", str(tmp_path / "none.csv"), str(tmp_path / "none2.csv")]) == 1
 
@@ -258,6 +290,18 @@ def test_report_witness_reverifies(tmp_path):
     assert cert["holds"] == "yes"
     assert verify_rsp_witness(UNIQUE_A, cert["support"],
                               cert["witness_eta"], cert["witness_y"])
+
+
+def test_to_json_plain_values_and_unknown_types():
+    from rspcert.report import to_json
+
+    value = to_json({2: np.int64(3), 1: (np.float64(0.5), np.bool_(True), None)})
+    assert value == {"1": [0.5, True, None], "2": 3}
+    assert list(value) == ["1", "2"]
+    assert [type(v) for v in value["1"][:2]] == [float, bool] and type(value["2"]) is int
+    assert to_json(np.arange(4).reshape(2, 2)) == [0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(TypeError):
+        to_json(object())
 
 
 def test_report_counterexample_recheckable(tmp_path):

@@ -207,6 +207,12 @@ def test_oracle_fails_on_coherent_matrix():
     assert report.failing_support == (0, 1)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_oracle_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials_per_support"):
+        uniform_recovery_oracle(np.eye(2), 2, trials_per_support=trials)
+
+
 def test_oracle_is_replayable_from_its_seed():
     first = uniform_recovery_oracle(COHERENT_A, 2, seed=5)
     second = uniform_recovery_oracle(COHERENT_A, 2, seed=5)
