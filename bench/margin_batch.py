@@ -1,0 +1,183 @@
+"""Layer benchmark of the LP core: margin LPs, feasibility LPs and rank probes.
+
+Measures one rspcert source tree and merges its figures into a JSON file
+under ``layers.<label>``; run it once per tree to compare two builds:
+
+    python3 bench/margin_batch.py --tree . --label change --out BENCH_4.json
+    python3 bench/margin_batch.py --tree ../parent --label parent --out BENCH_4.json
+
+``--e2e LABEL WORKLOAD RESULT...`` instead stores the median of each metric
+over perfbench result files (the last JSON line of ``perfbench/run.py``)
+under ``end_to_end.<workload>.<label>``.
+
+Inputs are seeded: four Gaussian 8x16 matrices for the margin LPs (every
+support of size 1, 2 and 3, through ``prsp_order_k``), two planted k*=4
+10x20 systems for the feasibility LPs (through ``sparsest_supports``), and
+the size-3 supports of the 8x16 matrices for the rank probes.  Times are the
+fastest of ``--repeat`` runs, on one thread.  Only public names that every
+build has are used, apart from the lockstep counts, which read the stacked
+engine when the tree has one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from itertools import combinations
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+
+def _best(fn, repeat: int) -> float:
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _margin_lp(rc, np, A, S):
+    # The margin LP of check_rsp_at (see tests/test_golden_lp.py).
+    m, n = A.shape
+    Sc = [j for j in range(n) if j not in S]
+    k, kc = len(S), len(Sc)
+    B = np.zeros((n, m + 1 + kc))
+    B[:k, :m] = A[:, list(S)].T
+    B[k:, :m] = A[:, Sc].T
+    B[k:, m] = -1.0
+    B[k:, m + 1:] = np.eye(kc)
+    cost = np.zeros(m + 1 + kc)
+    cost[m] = 1.0
+    free = np.zeros(m + 1 + kc, dtype=bool)
+    free[:m] = True
+    return rc.StandardLp(cost, B, np.r_[np.ones(k), -np.ones(kc)], free)
+
+
+def measure(tree: Path, repeat: int) -> dict:
+    sys.path.insert(0, str(tree / "src"))
+    import numpy as np
+    import rspcert as rc
+    from rspcert import linalg
+
+    mats = [np.random.default_rng([4, i]).standard_normal((8, 16)) for i in range(4)]
+    out: dict = {"margin_us_per_lp": {}, "margin_pivots_per_lp": {}}
+    for k in (1, 2, 3):
+        count = math.comb(16, k) * len(mats)
+        t = _best(lambda: [rc.prsp_order_k(A, k) for A in mats], repeat)
+        out["margin_us_per_lp"][str(k)] = 1e6 * t / count
+        pivots = [rc.solve(_margin_lp(rc, np, A, S)).pivots
+                  for A in mats for S in combinations(range(16), k)]
+        out["margin_pivots_per_lp"][str(k)] = statistics.fmean(pivots)
+
+    systems = []
+    for i in range(2):
+        rng = np.random.default_rng([4, 10 + i])
+        A = rng.standard_normal((10, 20))
+        x = np.zeros(20)
+        x[rng.choice(20, size=4, replace=False)] = rng.uniform(0.1, 1.0, size=4)
+        systems.append((A, A @ x))
+    checked = sum(rc.sparsest_supports(A, b).subsets_checked for A, b in systems)
+    t = _best(lambda: [rc.sparsest_supports(A, b) for A, b in systems], repeat)
+    out["feasibility_us_per_lp"] = 1e6 * t / checked
+    out["feasibility_lps"] = checked
+
+    supports = list(combinations(range(16), 3))
+    t = _best(lambda: [list(linalg.SupportEnumeration(A, [3], 10**6, full_rank_only=True))
+                       for A in mats], repeat)
+    out["rank_probe_us_in_filter"] = 1e6 * t / (len(supports) * len(mats))
+    t = _best(lambda: [rc.rank_details(mats[0], S) for S in supports], repeat)
+    out["rank_probe_us_alone"] = 1e6 * t / len(supports)
+
+    out["lockstep"] = _lockstep(rc, np, mats)
+    return out
+
+
+def _lockstep(rc, np, mats) -> dict | None:
+    """Steps per stacked chunk and their waste, for the size-3 margin LPs."""
+    from rspcert import simplex
+    engine = getattr(simplex, "_Tableaux", None)
+    if engine is None:
+        return None
+    steps, sizes, pivots = [], [], 0
+    run = engine.run
+
+    def counting(self, active, allowed, max_pivots):
+        before = int(self.pivots.sum())
+        calls = [0]
+        pivot = self.pivot
+
+        def counted(*args):
+            calls[0] += 1
+            pivot(*args)
+        self.pivot = counted
+        run(self, active, allowed, max_pivots)
+        del self.pivot
+        steps.append(calls[0])
+        sizes.append(active)
+        nonlocal pivots
+        pivots += int(self.pivots.sum()) - before
+
+    engine.run = counting
+    try:
+        for A in mats:
+            rc.prsp_order_k(A, 3)
+    finally:
+        engine.run = run
+    # Each chunk runs phase 1 and phase 2; pair them up per chunk.
+    chunk_steps = [a + b for a, b in zip(steps[::2], steps[1::2])]
+    chunk_sizes = sizes[::2]
+    return {"chunks": len(chunk_steps),
+            "lps_per_chunk": statistics.fmean(chunk_sizes),
+            "steps_per_chunk": statistics.fmean(chunk_steps),
+            "waste": sum(s * b for s, b in zip(chunk_steps, chunk_sizes)) / pivots}
+
+
+def _host() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            cpu = next((line.split(":", 1)[1].strip() for line in handle
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="JSON file to merge the figures into")
+    parser.add_argument("--tree", type=Path, help="source tree to measure (holds src/rspcert)")
+    parser.add_argument("--label", help="name of the measured tree in the JSON file")
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--e2e", nargs="+", metavar="ARG",
+                        help="LABEL WORKLOAD RESULT...: store perfbench medians instead")
+    args = parser.parse_args()
+    path = Path(args.out)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    if args.e2e:
+        label, workload, *files = args.e2e
+        runs = [json.loads(Path(f).read_text().strip().splitlines()[-1]) for f in files]
+        medians = {name: statistics.median(r["metrics"][name]["value"] for r in runs)
+                   for name in runs[0]["metrics"]}
+        doc.setdefault("end_to_end", {}).setdefault(workload, {})[label] = {
+            "runs": len(runs), "median": medians,
+            "attempted": [r["attempted"] for r in runs], "failed": [r["failed"] for r in runs]}
+    else:
+        import numpy as np
+        doc.setdefault("layers", {})[args.label] = measure(args.tree.resolve(), args.repeat)
+        doc["host"] = _host() | {"numpy": np.__version__}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -77,10 +77,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="duality gap tolerance (default 1e-7)")
     parser.add_argument("--zero-tol", type=float, default=None,
                         help="support detection threshold (default 1e-9)")
-    parser.add_argument("--budget", type=_at_least(0), default=None,
-                        help=f"subset enumeration budget (env {BUDGET_ENV} overrides the default)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the full machine-readable report to PATH")
+
+
+def _add_budget(parser: argparse.ArgumentParser) -> None:
+    # Only the commands that enumerate supports take a budget.
+    parser.add_argument("--budget", type=_at_least(0), default=None,
+                        help=f"subset enumeration budget (env {BUDGET_ENV} overrides the default)")
 
 
 def _tolerances(args) -> ToleranceConfig:
@@ -170,7 +174,7 @@ def cmd_order_k(args, A, tol):
 
 def cmd_classify(args, A, tol, rhs):
     cls = classify_system(A, rhs, tol, args.budget)
-    equiv = equivalence_verdict(A, rhs, tol, args.budget, sparsest=cls.sparsest)
+    equiv = equivalence_verdict(A, rhs, tol, args.budget, system=cls)
     lines = [f"class: {cls.label.value}",
              f"least-l1 solution unique: {cls.l1_unique}",
              f"sparsest size k* = {cls.sparsest.k_star}, "
@@ -324,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in command.options:
             p.add_argument(flag, **keywords)
         _add_common(p)
+        if command.budget is not None:
+            _add_budget(p)
         p.set_defaults(func=_run)
 
     p = sub.add_parser("random-batch",
@@ -335,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(1), default=1)
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_random_batch)
 
     return parser

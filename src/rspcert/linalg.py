@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -17,6 +17,14 @@ from .errors import BudgetExceeded, ZeroColumn
 
 # Enumeration cap for rank-based subset searches (spark).
 DEFAULT_SUBSET_BUDGET = 10_000_000
+
+# Size cap of one stacked array of same-shape problems (simplex tableaux, rank
+# probes): batches of more problems are split into consecutive chunks.
+_STACK_BYTES = 128 * 1024
+
+# Supports per block of an enumeration; bounds the memory a size of many
+# supports takes at once.
+_BLOCK_LEN = 256
 
 IndexSet = tuple[int, ...]
 
@@ -100,50 +108,77 @@ class RankResult:
     pivots: tuple[float, ...]
 
 
-def _pivoted_rank(M: np.ndarray, rank_tol: float) -> RankResult:
-    # Householder QR with greedy column pivoting.  The pivot magnitude at step
-    # k is the residual norm of the selected column; a pivot counts toward the
-    # rank iff it exceeds rank_tol * max(1, largest absolute entry).
-    m, n = M.shape
-    if m == 0 or n == 0:
-        return RankResult(0, False, ())
-    R = M.astype(float).copy()
-    threshold = rank_tol * max(1.0, float(np.abs(M).max()))
-    pivots: list[float] = []
-    rank = 0
-    for k in range(min(m, n)):
-        norms = np.linalg.norm(R[k:, k:], axis=0)
-        j = int(np.argmax(norms))  # first maximum: deterministic
-        piv = float(norms[j])
-        pivots.append(piv)
-        if piv <= threshold:
-            break  # column pivoting: the remaining pivots are no larger
-        rank += 1
-        jj = k + j
-        if jj != k:
-            R[:, [k, jj]] = R[:, [jj, k]]
-        x = R[k:, k].copy()
-        alpha = -math.copysign(np.linalg.norm(x), x[0] if x[0] != 0.0 else 1.0)
-        x[0] -= alpha
-        vn = np.linalg.norm(x)
-        if vn > 0.0:
-            x /= vn
-            R[k:, k:] -= 2.0 * np.outer(x, x @ R[k:, k:])
-        R[k, k] = alpha
-    marginal = any(0.1 * threshold <= p <= 10.0 * threshold for p in pivots)
-    return RankResult(rank, marginal, tuple(pivots))
+def stack_chunks(count: int, item_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)``, each a stack of at most _STACK_BYTES."""
+    step = max(1, _STACK_BYTES // item_bytes)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def _pivoted_rank(M: np.ndarray, rank_tol: float) -> list[RankResult]:
+    # Householder QR with greedy column pivoting, on a stack of same-shape
+    # matrices at once.  The pivot magnitude at step k is the residual norm of
+    # the selected column; a pivot counts toward the rank iff it exceeds
+    # rank_tol * max(1, largest absolute entry of that matrix).  A matrix's
+    # pivots end at its first one at or below the threshold (column
+    # pivoting: the remaining pivots are no larger); the stack runs on, and
+    # later steps of such a matrix are never read.
+    count, m, n = M.shape
+    steps = min(m, n)
+    if steps == 0:
+        return [RankResult(0, False, ())] * count
+    R = np.array(M, dtype=float, order="C")
+    threshold = rank_tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+    every = np.arange(count)
+    pivots = np.empty((count, steps))
+    for k in range(steps):
+        norms = np.sqrt((R[:, k:, k:] ** 2).sum(axis=1))
+        j = norms.argmax(axis=1)  # first maximum: deterministic
+        pivots[:, k] = norms[every, j]
+        if k == steps - 1:
+            break
+        if np.count_nonzero(j):
+            jj = k + j
+            R[every, :, k], R[every, :, jj] = R[every, :, jj], R[every, :, k]
+        x = R[:, k:, k].copy()
+        # copysign of x0 + 0.0 treats -0.0 as +0.0, the sign a zero x0 takes.
+        alpha = -np.copysign(np.sqrt((x * x).sum(axis=1)), x[:, 0] + 0.0)
+        x[:, 0] -= alpha
+        vn = np.sqrt((x * x).sum(axis=1))
+        x /= np.where(vn > 0.0, vn, 1.0)[:, None]
+        R[:, k:, k:] -= 2.0 * x[:, :, None] * np.einsum("br,brc->bc", x, R[:, k:, k:])[:, None, :]
+        R[:, k, k] = alpha
+    above = pivots > threshold[:, None]
+    ranks = np.logical_and.accumulate(above, axis=1).sum(axis=1)
+    kept = np.minimum(ranks + 1, steps)
+    near = (0.1 * threshold[:, None] <= pivots) & (pivots <= 10.0 * threshold[:, None])
+    near &= np.arange(steps) < kept[:, None]
+    marginal = near.any(axis=1)
+    return [RankResult(int(r), bool(f), tuple(p[:s]))
+            for r, f, p, s in zip(ranks, marginal, pivots.tolist(), kept)]
+
+
+def _block_ranks(A: np.ndarray, block: list[IndexSet], rank_tol: float) -> list[RankResult]:
+    # The probes of sorted supports of one size, stacked chunk by chunk.
+    if not block or not block[0]:
+        return [RankResult(0, False, ())] * len(block)
+    index = np.array(block, dtype=np.intp)
+    results: list[RankResult] = []
+    for part in stack_chunks(len(block), 8 * A.shape[0] * index.shape[1]):
+        results += _pivoted_rank(A[:, index[part]].transpose(1, 0, 2), rank_tol)
+    return results
 
 
 def rank_details(A: np.ndarray, support: Iterable[int] | None = None,
                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> RankResult:
     """Numerical rank of the column submatrix, with a marginal-pivot flag."""
     A = as_matrix(A)
-    if support is None:
-        return _pivoted_rank(A, tol.rank_tol)
-    S = normalize_support(support, A.shape[1])
-    if not S:
-        return RankResult(0, False, ())
-    return _pivoted_rank(A[:, list(S)], tol.rank_tol)
+    if support is not None:
+        S = normalize_support(support, A.shape[1])
+        if not S:
+            return RankResult(0, False, ())
+        A = A[:, list(S)]
+    return _pivoted_rank(A[None], tol.rank_tol)[0]
 
 
 def rank(A: np.ndarray, support: Iterable[int] | None = None,
@@ -160,7 +195,7 @@ def augmented_rank_details(A: np.ndarray, support: Iterable[int],
     if not S:
         return RankResult(0, False, ())
     stacked = np.vstack([A[:, list(S)], np.ones((1, len(S)))])
-    return _pivoted_rank(stacked, tol.rank_tol)
+    return _pivoted_rank(stacked[None], tol.rank_tol)[0]
 
 
 def augmented_rank(A: np.ndarray, support: Iterable[int],
@@ -207,12 +242,15 @@ def coherence_bound_holds(A: np.ndarray, x, tol: ToleranceConfig = DEFAULT_TOLER
 class SupportEnumeration:
     """The one support loop of every exhaustive search.
 
-    Iterating yields ``(k, S)`` for each size in ``sizes``, ``S`` in
-    lexicographic order within a size; ``count`` is the number yielded.
-    ``full_rank_only`` skips, uncounted, supports with rank-deficient columns.
-    The budget caps the supports visited.  It is checked over all sizes here,
-    before the caller does any work, or with ``lazy`` (for searches that
-    usually stop early) only on reaching a size whose running total exceeds it.
+    Iterating yields ``(k, block)`` for each size in ``sizes``: ``block``
+    lists supports of size ``k`` in lexicographic order, and the blocks of a
+    size, at most _BLOCK_LEN supports each, follow one another in that order.
+    ``count`` is the number of supports yielded so far.  ``full_rank_only``
+    drops, uncounted, supports with rank-deficient columns (one stacked rank
+    probe per block).  The budget caps the supports visited.  It is checked
+    over all sizes here, before the caller does any work, or with ``lazy``
+    (for searches that usually stop early) only on reaching a size whose
+    running total exceeds it.
     """
 
     A: np.ndarray
@@ -232,17 +270,19 @@ class SupportEnumeration:
             raise BudgetExceeded(
                 f"support enumeration needs {planned} subsets, budget is {self.budget}")
 
-    def __iter__(self) -> Iterator[tuple[int, IndexSet]]:
+    def __iter__(self) -> Iterator[tuple[int, list[IndexSet]]]:
         n = self.A.shape[1]
         planned = 0
         for k in self.sizes:
             planned += math.comb(n, k)
             self._check(planned)
-            for S in combinations(range(n), k):
-                if self.full_rank_only and rank(self.A, S, self.tol) < k:
-                    continue
-                self.count += 1
-                yield k, S
+            supports = combinations(range(n), k)
+            while block := list(islice(supports, _BLOCK_LEN)):
+                if self.full_rank_only:
+                    ranks = _block_ranks(self.A, block, self.tol.rank_tol)
+                    block = [S for S, r in zip(block, ranks) if r.rank == k]
+                self.count += len(block)
+                yield k, block
 
 
 def spark(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -254,7 +294,7 @@ def spark(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     """
     A = as_matrix(A)
     n = A.shape[1]
-    for k, S in SupportEnumeration(A, range(1, n + 1), budget, lazy=True):
-        if rank(A, S, tol) < k:
+    for k, block in SupportEnumeration(A, range(1, n + 1), budget, lazy=True):
+        if any(r.rank < k for r in _block_ranks(A, block, tol.rank_tol)):
             return k
     return n + 1

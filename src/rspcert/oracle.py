@@ -16,10 +16,10 @@ import numpy as np
 from .errors import NoSolutionWithin
 from .linalg import (DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, IndexSet,
                      SupportEnumeration, ToleranceConfig, as_matrix, as_vector,
-                     rank)
-from .rsp import (RspCertificate, UniquenessVerdict, Verdict, check_rsp_at,
-                  solve_and_certify, support_of, _checked_solve)
-from .simplex import INFEASIBLE, StandardLp
+                     rank, stack_chunks)
+from .rsp import (RspCertificate, UniquenessVerdict, Verdict, check_rsp_batch,
+                  solve_and_certify, support_of, _checked_solves)
+from .simplex import INFEASIBLE, LpStack, tableau_bytes
 
 
 @dataclass
@@ -108,18 +108,22 @@ def sparsest_supports(A, b, max_k: int | None = None,
         return SparsestReport(0, [()], [np.zeros(n)], [True], 0)
     supports = SupportEnumeration(A, range(1, max_k + 1), budget, lazy=True)
     found: dict[IndexSet, tuple[np.ndarray, bool]] = {}
-    for k, S in supports:
-        sub = StandardLp(np.zeros(k), A[:, list(S)], b)
-        sol = _checked_solve(sub, tol)
-        if sol.status != INFEASIBLE:
-            z = np.zeros(n)
-            z[list(S)] = np.maximum(sol.x, 0.0)
-            exact = support_of(z, tol)
-            if exact not in found:
-                found[exact] = (z, rank(A, exact, tol) == len(exact))
+    for k, block in supports:
+        for part in stack_chunks(len(block), tableau_bytes(m, k)):
+            count = len(block[part])
+            lps = LpStack(np.broadcast_to(np.zeros(k), (count, k)),
+                          A.T[block[part]].transpose(0, 2, 1).copy(),
+                          np.broadcast_to(b, (count, m)), np.zeros(k, dtype=bool))
+            for S, sol in zip(block[part], _checked_solves(lps, tol)):
+                if sol.status != INFEASIBLE:
+                    z = np.zeros(n)
+                    z[list(S)] = np.maximum(sol.x, 0.0)
+                    exact = support_of(z, tol)
+                    if exact not in found:
+                        found[exact] = (z, rank(A, exact, tol) == len(exact))
         # The last support of size k starts at n - k.  Stop there once a size
         # has solutions, before the enumeration budgets for the next size.
-        if found and S[0] == n - k:
+        if found and block[-1][0] == n - k:
             break
     if not found:
         raise NoSolutionWithin(max_k)
@@ -160,19 +164,27 @@ def classify_system(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES,
 
 def equivalence_verdict(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                         budget: int = DEFAULT_SUBSET_BUDGET,
-                        sparsest: SparsestReport | None = None) -> EquivalenceVerdict:
+                        system: SystemClass | None = None) -> EquivalenceVerdict:
     """Decide whether the l1 optimum is a sparsest nonnegative solution.
 
-    Runs the range-space certificate at every sparsest support: equivalence
-    holds iff some sparsest support passes (at most one ever can), and holds
-    strongly iff that support is the only sparsest one.  ``sparsest``, the
-    ``sparsest_supports`` report of the same system (as ``classify_system``
-    returns it), is used instead of searching again.
+    Runs the range-space certificate at every sparsest support, as one batch
+    of margin LPs: equivalence holds iff some sparsest support passes (at
+    most one ever can), and holds strongly iff that support is the only
+    sparsest one.  ``system``, what ``classify_system`` returns for the same
+    system and tolerances, supplies the sparsest supports instead of a second
+    search, and the certificate at the l1 optimum's support instead of a
+    second margin LP there.
     """
     A = as_matrix(A)
-    report = sparsest if sparsest is not None else sparsest_supports(
-        A, b, tol=tol, budget=budget)
-    certificates = [check_rsp_at(A, S, tol) for S in report.supports]
+    if system is None:
+        report = sparsest_supports(A, b, tol=tol, budget=budget)
+        known = {}
+    else:
+        report = system.sparsest
+        known = {system.l1_verdict.rsp.support: system.l1_verdict.rsp}
+    todo = [S for S in report.supports if S not in known]
+    by_support = dict(zip(todo, check_rsp_batch(A, todo, tol))) | known
+    certificates = [by_support[S] for S in report.supports]
     passing = [c.support for c in certificates if c.holds is Verdict.YES]
     marginal = [c.support for c in certificates if c.holds is Verdict.MARGINAL]
     if passing:

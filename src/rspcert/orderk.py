@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
                      ToleranceConfig, as_matrix, rank)
-from .rsp import Verdict, check_rsp_at, solve_and_certify
+from .rsp import Verdict, check_rsp_batch, solve_and_certify
 
 # Enumeration cap for LP-backed subset certification.  Each subset costs one
 # LP solve, far more than the rank probes behind the spark search, so the
@@ -112,14 +112,14 @@ def _certify(A, K: int, tol: ToleranceConfig, budget: int, prop: str) -> Recover
     counterexample: IndexSet | None = None
     marginal: list[IndexSet] = []
     failures: dict[int, int] = {}
-    for k, S in supports:
-        cert = check_rsp_at(A, S, tol)
-        if cert.holds is Verdict.NO:
-            failures[k] = failures.get(k, 0) + 1
-            if counterexample is None:
-                counterexample = S
-        elif cert.holds is Verdict.MARGINAL:
-            marginal.append(S)
+    for k, block in supports:
+        for S, cert in zip(block, check_rsp_batch(A, block, tol)):
+            if cert.holds is Verdict.NO:
+                failures[k] = failures.get(k, 0) + 1
+                if counterexample is None:
+                    counterexample = S
+            elif cert.holds is Verdict.MARGINAL:
+                marginal.append(S)
     if counterexample is not None:
         holds = Verdict.NO
     elif marginal:
@@ -191,14 +191,18 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     supports = _supports(A, K, property, tol, budget)
     n = A.shape[1]
     rng = np.random.default_rng(seed)
-    for k, S in supports:
-        for _ in range(trials_per_support):
-            planted = np.zeros(n)
-            planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
-            recovered, verdict = solve_and_certify(A, A @ planted, tol)
-            ok = (verdict.unique is Verdict.YES
-                  and np.abs(recovered - planted).max() <= 1e-6)
-            if not ok:
-                return RecoveryOracleReport(False, S, supports.count,
-                                            trials_per_support, seed)
-    return RecoveryOracleReport(True, None, supports.count, trials_per_support, seed)
+    checked = 0
+    # One support at a time: the search stops at the first failure, and the
+    # random draws follow the supports in order.
+    for k, block in supports:
+        for S in block:
+            checked += 1
+            for _ in range(trials_per_support):
+                planted = np.zeros(n)
+                planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
+                recovered, verdict = solve_and_certify(A, A @ planted, tol)
+                ok = (verdict.unique is Verdict.YES
+                      and np.abs(recovered - planted).max() <= 1e-6)
+                if not ok:
+                    return RecoveryOracleReport(False, S, checked, trials_per_support, seed)
+    return RecoveryOracleReport(True, None, checked, trials_per_support, seed)

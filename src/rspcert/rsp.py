@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (CertificateUnavailable, Infeasible, IterationLimit,
                      NonpositiveWeight, NotASolution, NotNonnegative, Unbounded)
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig,
-                     as_matrix, as_vector, augmented_rank_details, complement,
-                     normalize_support, rank_details)
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, StandardLp, solve, verify_certificate
+                     as_matrix, as_vector, augmented_rank_details,
+                     complement, normalize_support, rank_details, stack_chunks)
+from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, LpStack, StandardLp,
+                      solve_batch, tableau_bytes, verify_certificate)
 
 
 class Verdict(str, Enum):
@@ -92,15 +94,27 @@ def support_of(x, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> IndexSet:
     return tuple(int(i) for i in np.flatnonzero(x > tol.zero_tol))
 
 
+def _checked_solves(lps: LpStack, tol: ToleranceConfig) -> Iterator[LpSolution]:
+    """Solve a stack and re-check every optimal solve, yielding solutions in order.
+
+    Every downstream certificate re-validates its solve before trusting it.
+    At the first LP whose solve broke down or failed its re-check, raises
+    ``CertificateUnavailable``, after the solutions before it were yielded:
+    a caller that checks each solution as it comes raises for the first
+    failing LP in its order, as a one-by-one loop would.
+    """
+    sols = solve_batch(lps, tol)
+    verified = verify_certificate(lps, sols, tol)
+    for sol, ok in zip(sols, verified):
+        if isinstance(sol, IterationLimit):
+            raise CertificateUnavailable(str(sol)) from sol
+        if sol.status == OPTIMAL and not ok:
+            raise CertificateUnavailable("optimal solve failed its certificate re-check")
+        yield sol
+
+
 def _checked_solve(lp: StandardLp, tol: ToleranceConfig) -> LpSolution:
-    # Every downstream certificate re-validates its solve before trusting it.
-    try:
-        sol = solve(lp, tol)
-    except IterationLimit as exc:
-        raise CertificateUnavailable(str(exc)) from exc
-    if sol.status == OPTIMAL and not verify_certificate(lp, sol, tol):
-        raise CertificateUnavailable("optimal solve failed its certificate re-check")
-    return sol
+    return next(_checked_solves(LpStack.of([lp]), tol))
 
 
 def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
@@ -109,6 +123,84 @@ def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
         i = int(np.argmin(w))
         raise NonpositiveWeight(f"weight {i} is {w[i]:.3g}, must be positive")
     return A / w
+
+
+def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
+    # One margin LP per row of ``block`` (sorted supports of one size k >= 1):
+    # variables y (free), the shifted margin t + 1 (nonnegative) and one
+    # slack per column off the support; rows A_S^T y = 1, then
+    # A_j^T y - (t + 1) + s_j = -1 for each j off S, ascending.
+    m, n = A.shape
+    count, k = block.shape
+    kc = n - k
+    outside = np.ones((count, n), dtype=bool)
+    outside[np.arange(count)[:, None], block] = False
+    off = np.nonzero(outside)[1].reshape(count, kc)
+    nv = m + 1 + kc
+    Bm = np.zeros((count, n, nv))
+    Bm[:, :k, :m] = A.T[block]
+    Bm[:, k:, :m] = A.T[off]
+    Bm[:, k:, m] = -1.0
+    Bm[:, k:, m + 1:] = np.eye(kc)
+    rhs = np.concatenate([np.ones(k), -np.ones(kc)])
+    cost = np.zeros(nv)
+    cost[m] = 1.0
+    free = np.zeros(nv, dtype=bool)
+    free[:m] = True
+    return LpStack(np.broadcast_to(cost, (count, nv)), Bm,
+                   np.broadcast_to(rhs, (count, n)), free)
+
+
+def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
+                        tol: ToleranceConfig) -> RspCertificate:
+    if sol.status == INFEASIBLE:
+        return RspCertificate(Verdict.NO, S, None, None, None, INFEASIBLE)
+    if sol.status != OPTIMAL:
+        # The shifted margin is bounded below by zero, so this cannot happen
+        # unless the solve broke down numerically.
+        raise CertificateUnavailable(f"margin LP returned {sol.status}")
+    t_star = float(sol.objective_value) - 1.0
+    if t_star <= 1.0 - tol.rsp_margin:
+        holds = Verdict.YES
+    elif t_star >= 1.0 - tol.feas_tol:
+        holds = Verdict.NO
+    else:
+        holds = Verdict.MARGINAL
+    if holds is Verdict.NO:
+        return RspCertificate(holds, S, None, None, t_star, sol.status)
+    y = sol.x[:A.shape[0]].copy()
+    return RspCertificate(holds, S, A.T @ y, y, t_star, sol.status)
+
+
+def check_rsp_batch(A, supports: Sequence[Iterable[int]],
+                    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+                    weights=None) -> Iterator[RspCertificate]:
+    """``check_rsp_at`` for several supports of one size, as stacked margin LPs.
+
+    Yields one certificate per support, in order; each equals the one
+    ``check_rsp_at`` gives for its support.  The margin LPs are solved in
+    lockstep, one chunk at a time, so only a chunk's LPs are held at once.  A
+    solve that breaks down raises ``CertificateUnavailable`` at the first
+    such support in the given order.
+    """
+    A = as_matrix(A)
+    if weights is not None:
+        A = _scaled_by_weights(A, weights)
+    m, n = A.shape
+    supports = [normalize_support(S, n) for S in supports]
+    if len({len(S) for S in supports}) > 1:
+        raise ValueError("a margin LP batch takes supports of one size")
+    if not supports:
+        return
+    if not supports[0]:
+        yield from (RspCertificate(Verdict.YES, S, np.zeros(n), np.zeros(m), -1.0, OPTIMAL)
+                    for S in supports)
+        return
+    block = np.array(supports, dtype=np.intp)
+    n_vars = m + 1 + n - block.shape[1]
+    for part in stack_chunks(len(supports), tableau_bytes(n, n_vars, m)):
+        for S, sol in zip(supports[part], _checked_solves(_margin_lps(A, block[part]), tol)):
+            yield _margin_certificate(A, S, sol, tol)
 
 
 def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -125,45 +217,7 @@ def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     for the column-rescaled matrix A W^-1, so the certificate is computed for
     that scaled matrix and its witness lives in the scaled coordinates.
     """
-    A = as_matrix(A)
-    if weights is not None:
-        A = _scaled_by_weights(A, weights)
-    m, n = A.shape
-    S = normalize_support(support, n)
-    if not S:
-        return RspCertificate(Verdict.YES, S, np.zeros(n), np.zeros(m), -1.0, OPTIMAL)
-    Sc = complement(S, n)
-    k, kc = len(S), len(Sc)
-    nv = m + 1 + kc  # y (free), shifted margin t + 1 (nonnegative), slacks
-    Bm = np.zeros((k + kc, nv))
-    Bm[:k, :m] = A[:, list(S)].T
-    if kc:
-        Bm[k:, :m] = A[:, list(Sc)].T
-        Bm[k:, m] = -1.0
-        Bm[k:, m + 1:] = np.eye(kc)
-    rhs = np.concatenate([np.ones(k), -np.ones(kc)])
-    cost = np.zeros(nv)
-    cost[m] = 1.0
-    free = np.zeros(nv, dtype=bool)
-    free[:m] = True
-    sol = _checked_solve(StandardLp(cost, Bm, rhs, free), tol)
-    if sol.status == INFEASIBLE:
-        return RspCertificate(Verdict.NO, S, None, None, None, INFEASIBLE)
-    if sol.status != OPTIMAL:
-        # The shifted margin is bounded below by zero, so this cannot happen
-        # unless the solve broke down numerically.
-        raise CertificateUnavailable(f"margin LP returned {sol.status}")
-    t_star = float(sol.objective_value) - 1.0
-    if t_star <= 1.0 - tol.rsp_margin:
-        holds = Verdict.YES
-    elif t_star >= 1.0 - tol.feas_tol:
-        holds = Verdict.NO
-    else:
-        holds = Verdict.MARGINAL
-    if holds is Verdict.NO:
-        return RspCertificate(holds, S, None, None, t_star, sol.status)
-    y = sol.x[:m].copy()
-    return RspCertificate(holds, S, A.T @ y, y, t_star, sol.status)
+    return next(check_rsp_batch(A, [support], tol, weights))
 
 
 def verify_rsp_witness(A, support, eta, y,

@@ -1,20 +1,30 @@
-"""Two-phase dense tableau simplex with verifiable primal/dual certificates.
+"""Two-phase dense tableau simplex, stacked, with verifiable primal/dual certificates.
 
 Solves min c.x subject to B x = p with per-variable sign restrictions
 (nonnegative by default, unrestricted where ``free_mask`` is set).  Free
 variables are split into differences of nonnegative pairs internally; callers
-see net values only.  Determinism: identical inputs produce identical pivot
-sequences and outputs.
+see net values only.
+
+``solve_batch`` solves LPs of one shape and sign pattern (an ``LpStack``) on
+one stacked tableau of shape (B, rows, cols) of at most 128 KiB
+(``linalg._STACK_BYTES``; more LPs are solved chunk by chunk).  Each step
+prices, ratio-tests and pivots every unfinished LP in lockstep, and an LP
+that finishes is swapped behind the ones still pivoting.  ``solve`` is the
+batch of one.  Every operation acts on each LP alone and every decision is
+made per LP, so an LP gets bit-identical output whether it is solved alone,
+mid-chunk or across a chunk boundary, and identical inputs pivot identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import IterationLimit
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, as_vector
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, as_vector,
+                     stack_chunks)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -25,6 +35,7 @@ _PRICE_EPS = 1e-9      # reduced-cost threshold for optimality
 _RATIO_TIE = 1e-9      # ratio-test tie window
 _CLEAN_EPS = 1e-11     # tiny negatives in rhs / primal values snapped to zero
 _DEGENERATE_RUN = 10   # zero-step pivots tolerated before Bland's rule
+_NO_ROW = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -68,83 +79,367 @@ class LpSolution:
     pivots: int = 0
 
 
-class _Tableau:
-    """Dense simplex tableau over structural plus artificial columns."""
+@dataclass
+class LpStack:
+    """LPs of one shape and one ``free_mask``, stacked along a leading axis.
 
-    def __init__(self, rows: np.ndarray, rhs: np.ndarray, n_struct: int):
-        m = rows.shape[0]
+    LP i is min objective[i] . x s.t. constraints[i] @ x = rhs[i]; rows that
+    all LPs share may be broadcast views.
+    """
+
+    objective: np.ndarray    # (B, n)
+    constraints: np.ndarray  # (B, m, n)
+    rhs: np.ndarray          # (B, m)
+    free_mask: np.ndarray    # (n,)
+
+    @classmethod
+    def of(cls, lps: Sequence[StandardLp]) -> "LpStack":
+        """Stack copies of the LPs; a single LP is wrapped without copying."""
+        first = lps[0]
+        if len(lps) == 1:
+            return cls(first.objective[None], first.constraints[None], first.rhs[None],
+                       first.free_mask)
+        if any(lp.constraints.shape != first.constraints.shape
+               or not np.array_equal(lp.free_mask, first.free_mask) for lp in lps):
+            raise ValueError("stacked LPs must share one shape and one free mask")
+        return cls(np.stack([lp.objective for lp in lps]),
+                   np.stack([lp.constraints for lp in lps]),
+                   np.stack([lp.rhs for lp in lps]), first.free_mask)
+
+    def __getitem__(self, index) -> "LpStack":
+        return LpStack(self.objective[index], self.constraints[index], self.rhs[index],
+                       self.free_mask)
+
+
+def tableau_bytes(m: int, n: int, n_free: int = 0) -> int:
+    """Bytes of the tableau of one LP with m rows and n variables, n_free free."""
+    return 8 * (m + 1) * (n + n_free + m + 1)
+
+
+class _Tableaux:
+    """Stacked dense tableaux over structural plus artificial columns.
+
+    Slot s holds the tableau of LP ``lp[s]``; the LPs still pivoting occupy
+    the leading slots.  Tableau row r of slot s is ``rows[row0[s] + r]``, and
+    ``ints`` holds each slot's basis followed by its LP, so that basis entry r
+    sits at the same flat index.
+    """
+
+    def __init__(self, B: np.ndarray, free_idx: np.ndarray, sigma: np.ndarray,
+                 rhs: np.ndarray):
+        # Row i of LP b is sigma[b, i] times its constraint row; the columns
+        # of free variables are followed by their negated copies.
+        count, m, n = B.shape
+        n_struct = n + free_idx.size
         self.m = m
-        self.n_struct = n_struct
-        self.T = np.zeros((m + 1, n_struct + m + 1))
-        self.T[:m, :n_struct] = rows
-        self.T[:m, n_struct:n_struct + m] = np.eye(m)
-        self.T[:m, -1] = rhs
-        self.basis = list(range(n_struct, n_struct + m))
-        self.pivots = 0
+        self.T = T = np.zeros((count, m + 1, n_struct + m + 1))
+        T[:, :m, :n] = B
+        if free_idx.size:
+            T[:, :m, n:n_struct] = -B[:, :, free_idx]
+        T[:, :m, :n_struct] *= sigma[:, :, None]
+        rows = np.arange(m)
+        T[:, rows, n_struct + rows] = 1.0
+        T[:, :m, -1] = rhs * sigma
+        self.work = np.empty_like(T)
+        self.ratios = np.empty((count, m))
+        self.rows = T.reshape(count * (m + 1), -1)
+        self.every = np.arange(count)
+        self.row0 = self.every * (m + 1)
+        self.ints = np.empty((count, m + 1), dtype=np.int64)
+        self.ints[:, :m] = n_struct + rows
+        self.ints[:, m] = self.every
+        self.basis, self.lp = self.ints[:, :m], self.ints[:, m]
+        self.ints_flat = self.ints.reshape(-1)
+        self.pivots = np.zeros(count, dtype=np.int64)
+        self.entering = np.full(count, -1)    # by LP: improving column when unbounded
+        self.failure: list[str | None] = [None] * count   # by LP: why the solve broke down
 
-    def set_costs(self, costs: np.ndarray) -> None:
-        T = self.T
-        T[-1, :-1] = costs
-        T[-1, -1] = 0.0
-        for r, bv in enumerate(self.basis):
-            cb = costs[bv]
-            if cb != 0.0:
-                T[-1, :] -= cb * T[r, :]
-        T[-1, self.basis] = 0.0
+    def slots(self) -> np.ndarray:
+        """The slot of each LP."""
+        where = np.empty_like(self.every)
+        where[self.lp] = self.every
+        return where
 
-    def pivot(self, r: int, j: int) -> None:
-        T = self.T
-        T[r, :] /= T[r, j]
-        col = T[:, j].copy()
-        col[r] = 0.0
-        T -= np.outer(col, T[r, :])
-        T[:, j] = 0.0
-        T[r, j] = 1.0
-        self.basis[r] = j
-        self.pivots += 1
-        rhs = T[:self.m, -1]
-        tiny = (rhs < 0.0) & (rhs > -_CLEAN_EPS)
-        if tiny.any():
-            rhs[tiny] = 0.0
+    def partition(self, keep: np.ndarray, *local: np.ndarray) -> int:
+        """Move the slots of [0, len(keep)) with ``keep`` set to the front.
 
-    def run(self, allow: np.ndarray, max_pivots: int) -> int | None:
-        """Pivot to optimality; returns the entering column when unbounded."""
-        T = self.T
+        Returns their count; each per-slot array of ``local`` is permuted
+        along with the slots.
+        """
+        active = int(np.count_nonzero(keep))
+        holes = np.flatnonzero(~keep[:active])
+        if holes.size:
+            movers = active + np.flatnonzero(keep[active:])
+            order = np.arange(keep.size)
+            order[holes] = movers
+            order[movers] = holes
+            for a in (self.ints, self.pivots, *local):
+                a[:keep.size] = a[order]
+            spare = self.work[0]
+            for h, mv in zip(holes.tolist(), movers.tolist()):
+                spare[...] = self.T[h]
+                self.T[h] = self.T[mv]
+                self.T[mv] = spare
+        return active
+
+    def set_costs(self, active: int, costs: np.ndarray) -> None:
+        """Price slots [0, active) by ``costs``, one row per LP or one for all.
+
+        The objective row is the cost row minus the cost-weighted basic rows,
+        subtracted one row at a time in row order.  Where one LP's cost in a
+        row is zero and another's is not, the first subtracts a zero row; that
+        can flip only the sign of a zero in its objective row, which no
+        decision or result reads.
+        """
+        T = self.T[:active]
+        every, basis = self.every[:active, None], self.basis[:active]
+        if costs.ndim == 2:
+            costs = costs[self.lp[:active]]
+            basic_costs = costs[every, basis]
+        else:
+            basic_costs = costs[basis]
+        objective = T[:, -1]
+        objective[:, :-1] = costs
+        objective[:, -1] = 0.0
+        for r in np.flatnonzero(basic_costs.any(axis=0)):
+            objective -= basic_costs[:, r, None] * T[:, r]
+        T[every, -1, basis] = 0.0
+
+    def pivot(self, active: int, r: np.ndarray, j: np.ndarray, col: np.ndarray) -> None:
+        """Pivot slots [0, active) each on its row ``r`` and column ``j``.
+
+        ``col`` holds column j of each tableau and is overwritten; the caller
+        counts the pivot.
+        """
+        T = self.T[:active]
+        at = self.row0[:active] + r
+        prow = self.rows.take(at, axis=0)
+        col = col.reshape(-1)
+        prow /= col.take(at)[:, None]
+        self.rows[at] = prow
+        col[at] = 0.0
+        # T -= col (outer) prow, which leaves column j the unit column
+        # exactly (x - x * 1 = 0).  The outer product is built in place: a
+        # product of two broadcast factors is slower.
+        outer = self.work[:active]
+        np.copyto(outer.reshape(col.size, -1), col[:, None])
+        outer *= prow[:, None, :]
+        T -= outer
+        rhs = T[:, :self.m, -1]
+        negative = rhs < 0.0
+        if np.count_nonzero(negative):
+            rhs[negative & (rhs > -_CLEAN_EPS)] = 0.0
+        self.ints_flat[at] = j
+
+    def _views(self, active: int, allowed: int):
+        T = self.T[:active]
+        return (T, self.every[:active], T[:, -1, :allowed], T[:, :self.m, -1],
+                self.ratios[:active], self.basis[:active])
+
+    def run(self, active: int, allowed: int, max_pivots: int) -> None:
+        """Pivot slots [0, active) to optimality over their first ``allowed`` columns.
+
+        An LP with no improving column is optimal; one whose entering column
+        has no positive entry is unbounded and keeps that column in
+        ``entering``; one that would pivot past ``max_pivots`` fails.  Each
+        leaves the active slots when it stops.
+        """
         m = self.m
-        degenerate_run = 0
-        while True:
-            reduced = T[-1, :-1]
-            if degenerate_run >= _DEGENERATE_RUN:
+        # An LP has made step - since[slot] degenerate pivots in a row, and
+        # none is due for Bland's rule while step - since_min < _DEGENERATE_RUN.
+        step = since_min = 0
+        since = np.zeros(active, dtype=np.int64)
+        # Each step pivots every active LP once: ``pending`` steps are not yet
+        # in ``pivots``, and no LP reaches the limit within ``room`` steps.
+        pending = 0
+        room = max_pivots - int(self.pivots[:active].max(initial=0))
+        T, every, reduced, rhs, ratios, basis = self._views(active, allowed)
+        while active:
+            # Optimal under either rule: no reduced cost below -_PRICE_EPS.
+            done = reduced.min(axis=1) >= -_PRICE_EPS
+            if np.count_nonzero(done):
+                self.pivots[:active] += pending
+                pending = 0
+                active = self.partition(~done, since)
+                if not active:
+                    return
+                since = since[:active]
+                room = max_pivots - int(self.pivots[:active].max())
+                T, every, reduced, rhs, ratios, basis = self._views(active, allowed)
+            j = reduced.argmin(axis=1)
+            if step - since_min >= _DEGENERATE_RUN:
+                since_min = int(since.min())
+            if step - since_min >= _DEGENERATE_RUN:
                 # Bland's rule: smallest eligible index, guarantees termination.
-                candidates = np.flatnonzero(allow & (reduced < -_PRICE_EPS))
-                if candidates.size == 0:
-                    return None
-                j = int(candidates[0])
-            else:
-                priced = np.where(allow, reduced, np.inf)
-                j = int(np.argmin(priced))
-                if priced[j] >= -_PRICE_EPS:
-                    return None
-            col = T[:m, j]
-            positive = col > _PIVOT_EPS
-            if not positive.any():
-                return j
-            ratios = np.full(m, np.inf)
-            ratios[positive] = T[:m, -1][positive] / col[positive]
-            best = float(ratios.min())
-            tied = np.flatnonzero(ratios <= best + _RATIO_TIE)
-            r = int(min(tied, key=lambda i: self.basis[i]))
-            if self.pivots >= max_pivots:
-                raise IterationLimit(f"pivot limit {max_pivots} reached")
-            self.pivot(r, j)
-            degenerate_run = degenerate_run + 1 if best <= _RATIO_TIE else 0
+                bland = step - since >= _DEGENERATE_RUN
+                first = (reduced < -_PRICE_EPS).argmax(axis=1)
+                j = first if np.count_nonzero(bland) == active else np.where(bland, first, j)
+            col = T[every, :, j]
+            positive = col[:, :m] > _PIVOT_EPS
+            ratios.fill(np.inf)
+            np.divide(rhs, col[:, :m], out=ratios, where=positive)
+            best = ratios.min(axis=1)
+            # Ratio ties go to the smallest basis index.
+            r = np.where(ratios <= (best + _RATIO_TIE)[:, None], basis, _NO_ROW).argmin(axis=1)
+            if room <= 0 or best.max() == np.inf:
+                self.pivots[:active] += pending
+                pending = 0
+                unbounded = ~positive.any(axis=1)
+                stuck = ~unbounded & (self.pivots[:active] >= max_pivots)
+                lps = self.lp[:active]
+                self.entering[lps[unbounded]] = j[unbounded]
+                for lp in lps[stuck]:
+                    self.failure[lp] = f"pivot limit {max_pivots} reached"
+                active = self.partition(~(unbounded | stuck), r, j, col, best, since)
+                if not active:
+                    return
+                r, j, col, best, since = (a[:active] for a in (r, j, col, best, since))
+                room = max_pivots - int(self.pivots[:active].max())
+                T, every, reduced, rhs, ratios, basis = self._views(active, allowed)
+            self.pivot(active, r, j, col)
+            pending += 1
+            room -= 1
+            step += 1
+            np.putmask(since, best > _RATIO_TIE, step)
 
 
 def _fold_free(v_ext: np.ndarray, n: int, free_idx: np.ndarray) -> np.ndarray:
-    v = v_ext[:n].copy()
+    v = v_ext[..., :n].copy()
     if free_idx.size:
-        v[free_idx] -= v_ext[n:]
+        v[..., free_idx] -= v_ext[..., n:]
     return v
+
+
+def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
+                 max_pivots: int | None) -> list[LpSolution | IterationLimit]:
+    B, p, c = lps.constraints, lps.rhs, lps.objective
+    count, m, n = B.shape
+    free_idx = np.flatnonzero(lps.free_mask)
+    art0 = n_ext = n + free_idx.size
+    width = n_ext + m
+    if max_pivots is None:
+        max_pivots = 50 * (m + n_ext)
+
+    # Orient rows so phase 1 starts from a feasible artificial basis.
+    sigma = np.where(p < 0.0, -1.0, 1.0)
+    tab = _Tableaux(B, free_idx, sigma, p)
+    phase1_costs = np.zeros(width)
+    phase1_costs[art0:] = 1.0
+    tab.set_costs(count, phase1_costs)
+    tab.run(count, width, max_pivots)
+    for i in np.flatnonzero(tab.entering >= 0):
+        # The phase-1 objective is bounded below by zero; an unbounded report
+        # can only come from numerical breakdown.
+        tab.failure[i] = "phase 1 reported an unbounded direction"
+    tab.entering[:] = -1
+    failed = np.array([f is not None for f in tab.failure])
+    infeasible = ~failed & (-tab.T[tab.slots(), -1, -1] > tol.feas_tol)
+    active = tab.partition(~(failed | infeasible)[tab.lp])
+
+    # Swap basic artificials for structural columns where the row allows it;
+    # the LPs that pivot on row r move to the leading slots first.  Rows that
+    # stay artificial are redundant: their artificial sits at level zero with
+    # cost zero in phase 2, pinning the matching dual value to zero.  A pivot
+    # changes only its own row's basic variable, so the rows holding
+    # artificials are known up front.
+    artificial = tab.basis[:active] >= art0
+    for r in np.flatnonzero(artificial.any(axis=0)):
+        row = np.abs(tab.T[:active, r, :n_ext])
+        j = row.argmax(axis=1)
+        ok = artificial[:, r] & (row[tab.every[:active], j] > _PIVOT_EPS)
+        swapped = tab.partition(ok, j, artificial)
+        if swapped:
+            col = tab.T[tab.every[:swapped], :, j[:swapped]]
+            tab.pivot(swapped, np.full(swapped, r), j[:swapped], col)
+            tab.pivots[:swapped] += 1
+
+    shared = c.strides[0] == 0   # one objective for every LP
+    costs = c[:1] if shared else c
+    c_ext = np.zeros((len(costs), width))
+    c_ext[:, :n] = costs
+    c_ext[:, n:n_ext] = -costs[:, free_idx]
+    if shared:
+        c_ext = c_ext[0]
+    tab.set_costs(active, c_ext)
+    tab.run(active, n_ext, max_pivots)
+
+    at = tab.slots()
+    results: list = [None] * count
+    for i in range(count):
+        s = at[i]
+        if tab.failure[i] is not None:
+            results[i] = IterationLimit(tab.failure[i])
+        elif infeasible[i]:
+            results[i] = LpSolution(status=INFEASIBLE, pivots=int(tab.pivots[s]))
+        elif (entering := tab.entering[i]) >= 0:
+            ray_ext = np.zeros(n_ext)
+            ray_ext[entering] = 1.0
+            basic = tab.basis[s] < n_ext
+            ray_ext[tab.basis[s][basic]] = -tab.T[s, :m, entering][basic]
+            results[i] = LpSolution(status=UNBOUNDED, ray=_fold_free(ray_ext, n, free_idx),
+                                    pivots=int(tab.pivots[s]))
+    optimal = np.array([i for i in range(count) if results[i] is None], dtype=np.intp)
+    if not optimal.size:
+        return results
+
+    slots = at[optimal]
+    basis = tab.basis[slots]
+    x_ext = np.zeros((optimal.size, width))
+    x_ext[tab.every[:optimal.size, None], basis] = tab.T[slots, :m, -1]
+    x_ext = x_ext[:, :n_ext]
+    x_ext[(x_ext < 0.0) & (x_ext > -_CLEAN_EPS)] = 0.0
+    x = _fold_free(x_ext, n, free_idx)
+
+    # Dual values from the final basis: solve M^T y = c_B, then undo the row
+    # orientation.  Column r of M is column basis[r] of the row-flipped
+    # [B, -B_free], or for an artificial the unit column of its row (with
+    # cost zero).
+    source = np.concatenate([np.arange(n), free_idx, np.zeros(m, dtype=np.intp)])
+    sign = np.concatenate([np.ones(n), -np.ones(free_idx.size), np.zeros(m)])
+    MT = B[optimal[:, None], :, source[basis]]
+    MT *= sign[basis][:, :, None]
+    MT *= sigma[optimal][:, None, :]
+    q, r = np.nonzero(basis >= n_ext)
+    MT[q, r] = 0.0
+    MT[q, r, basis[q, r] - n_ext] = 1.0
+    c_basis = (c_ext[basis] if shared else c_ext[optimal[:, None], basis])[:, :, None]
+    try:
+        y = np.linalg.solve(MT, c_basis)[:, :, 0]
+    except np.linalg.LinAlgError:
+        y = np.concatenate([_dual(MT[k:k + 1], c_basis[k:k + 1]) for k in range(optimal.size)])
+    y *= sigma[optimal]
+    for k, i in enumerate(optimal):
+        results[i] = LpSolution(status=OPTIMAL, x=x[k], y=y[k],
+                                reduced_costs=c[i] - B[i].T @ y[k],
+                                objective_value=float(c[i] @ x[k]),
+                                pivots=int(tab.pivots[slots[k]]))
+    return results
+
+
+def _dual(MT: np.ndarray, c_basis: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(MT, c_basis)[:, :, 0]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(MT[0], c_basis[0, :, 0], rcond=None)[0][None]
+
+
+def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFAULT_TOLERANCES,
+                max_pivots: int | None = None) -> list[LpSolution | IterationLimit]:
+    """Solve LPs of one shape in lockstep, each with the rules of ``solve``.
+
+    Returns one entry per LP, in order, each what ``solve`` gives that LP
+    alone, except that a solve that breaks down is returned as its
+    ``IterationLimit`` rather than raised, so it leaves the others intact.
+    """
+    if not isinstance(lps, LpStack):
+        if not lps:
+            return []
+        lps = LpStack.of(lps)
+    count, m, n = lps.constraints.shape
+    results: list[LpSolution | IterationLimit] = []
+    for part in stack_chunks(count, tableau_bytes(m, n, int(lps.free_mask.sum()))):
+        results += _solve_chunk(lps[part], tol, max_pivots)
+    return results
 
 
 def solve(lp: StandardLp, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -156,105 +451,34 @@ def solve(lp: StandardLp, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     ``tol.feas_tol``.  Raises ``IterationLimit`` rather than returning a
     silently wrong answer when the pivot budget is exhausted.
     """
-    B, p, c = lp.constraints, lp.rhs, lp.objective
-    m, n = B.shape
-    free_idx = np.flatnonzero(lp.free_mask)
-    if free_idx.size:
-        B_ext = np.hstack([B, -B[:, free_idx]])
-        c_ext = np.concatenate([c, -c[free_idx]])
-    else:
-        B_ext = B
-        c_ext = c
-    n_ext = n + free_idx.size
-    if max_pivots is None:
-        max_pivots = 50 * (m + n_ext)
-
-    # Orient rows so phase 1 starts from a feasible artificial basis.
-    sigma = np.where(p < 0.0, -1.0, 1.0)
-    tab = _Tableau(B_ext * sigma[:, None], p * sigma, n_ext)
-    art0 = n_ext
-
-    phase1_costs = np.zeros(n_ext + m)
-    phase1_costs[art0:] = 1.0
-    tab.set_costs(phase1_costs)
-    if tab.run(np.ones(n_ext + m, dtype=bool), max_pivots) is not None:
-        # The phase-1 objective is bounded below by zero; an unbounded report
-        # can only come from numerical breakdown.
-        raise IterationLimit("phase 1 reported an unbounded direction")
-    if -tab.T[-1, -1] > tol.feas_tol:
-        return LpSolution(status=INFEASIBLE, pivots=tab.pivots)
-
-    # Swap basic artificials for structural columns where the row allows it.
-    # Rows that stay artificial are redundant; their artificial sits at level
-    # zero with cost zero in phase 2, pinning the matching dual value to zero.
-    for r, bv in enumerate(list(tab.basis)):
-        if bv >= art0:
-            row = tab.T[r, :n_ext]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > _PIVOT_EPS:
-                tab.pivot(r, j)
-
-    phase2_costs = np.zeros(n_ext + m)
-    phase2_costs[:n_ext] = c_ext
-    tab.set_costs(phase2_costs)
-    allow = np.zeros(n_ext + m, dtype=bool)
-    allow[:n_ext] = True
-    entering = tab.run(allow, max_pivots)
-    if entering is not None:
-        ray_ext = np.zeros(n_ext)
-        ray_ext[entering] = 1.0
-        for r, bv in enumerate(tab.basis):
-            if bv < n_ext:
-                ray_ext[bv] = -tab.T[r, entering]
-        return LpSolution(status=UNBOUNDED, ray=_fold_free(ray_ext, n, free_idx),
-                          pivots=tab.pivots)
-
-    x_ext = np.zeros(n_ext)
-    for r, bv in enumerate(tab.basis):
-        if bv < n_ext:
-            x_ext[bv] = tab.T[r, -1]
-    x_ext[(x_ext < 0.0) & (x_ext > -_CLEAN_EPS)] = 0.0
-    x = _fold_free(x_ext, n, free_idx)
-
-    # Dual values from the final basis: solve M^T y = c_B over the row-flipped
-    # constraint matrix, then undo the row orientation.
-    flipped = B_ext * sigma[:, None]
-    M = np.empty((m, m))
-    c_basis = np.empty(m)
-    for r, bv in enumerate(tab.basis):
-        if bv < n_ext:
-            M[:, r] = flipped[:, bv]
-            c_basis[r] = c_ext[bv]
-        else:
-            M[:, r] = 0.0
-            M[bv - art0, r] = 1.0
-            c_basis[r] = 0.0
-    try:
-        y = sigma * np.linalg.solve(M.T, c_basis)
-    except np.linalg.LinAlgError:
-        y = sigma * np.linalg.lstsq(M.T, c_basis, rcond=None)[0]
-
-    return LpSolution(status=OPTIMAL, x=x, y=y,
-                      reduced_costs=c - B.T @ y,
-                      objective_value=float(c @ x),
-                      pivots=tab.pivots)
+    result = solve_batch(LpStack.of([lp]), tol, max_pivots)[0]
+    if isinstance(result, IterationLimit):
+        raise result
+    return result
 
 
-def verify_certificate(lp: StandardLp, sol: LpSolution,
-                       tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Re-check an optimal solution by direct residual evaluation.
+def verify_certificate(lp: StandardLp | LpStack, sol: LpSolution | Sequence[LpSolution],
+                       tol: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Re-check optimal solutions by direct residual evaluation.
 
     Independent of the solve path: recomputes every certificate condition
     (primal feasibility, dual feasibility, complementary slackness, matching
-    objectives) from the raw problem data.
+    objectives) from the raw problem data.  Takes one LP and its solution and
+    returns a bool, or an ``LpStack`` and one solution per LP and returns a
+    bool array; a solution that is not optimal never verifies.
     """
-    if sol.status != OPTIMAL or sol.x is None or sol.y is None:
+    if isinstance(lp, StandardLp):
+        return _verified(lp.constraints, lp.rhs, lp.objective, lp.free_mask, sol, tol)
+    return np.array([_verified(B, p, c, lp.free_mask, s, tol)
+                     for B, p, c, s in zip(lp.constraints, lp.rhs, lp.objective, sol)], dtype=bool)
+
+
+def _verified(B, p, c, free, sol, tol: ToleranceConfig) -> bool:
+    if not isinstance(sol, LpSolution) or sol.status != OPTIMAL or sol.x is None or sol.y is None:
         return False
-    B, p, c = lp.constraints, lp.rhs, lp.objective
     x, y = sol.x, sol.y
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return False
-    free = lp.free_mask
     restricted = ~free
     if np.abs(B @ x - p).max() > tol.feas_tol * max(1.0, float(np.abs(p).max())):
         return False
@@ -268,6 +492,4 @@ def verify_certificate(lp: StandardLp, sol: LpSolution,
     if np.abs(x * s).max(initial=0.0) > tol.gap_tol:
         return False
     obj = float(c @ x)
-    if abs(obj - float(p @ y)) > tol.gap_tol * max(1.0, abs(obj)):
-        return False
-    return True
+    return not abs(obj - float(p @ y)) > tol.gap_tol * max(1.0, abs(obj))

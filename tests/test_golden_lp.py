@@ -13,9 +13,12 @@ import json
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from rspcert import OPTIMAL, StandardLp, check_rsp_at, complement, solve
 from rspcert.cli import main
+from rspcert.rsp import check_rsp_batch
+from rspcert.simplex import LpSolution, solve_batch
 
 from conftest import planted_system, write_csv_matrix
 
@@ -62,18 +65,19 @@ def _lp_row(sol, n_y=None):
     return row
 
 
-def margin_rows(solver):
+def margin_rows(solver, certifier):
     """One row per margin LP, sizes 1-3, of two seeded 8x16 matrices.
 
-    ``solver`` maps a list of LPs of one shape to their solutions.
+    ``solver`` maps a list of LPs of one shape to their solutions, and
+    ``certifier`` a matrix and a list of supports of one size to their
+    range-space certificates.
     """
     rows = []
     for i, A in enumerate(_margin_matrices()):
         for k in (1, 2, 3):
             supports = list(combinations(range(16), k))
             sols = solver([margin_lp(A, S) for S in supports])
-            for S, sol in zip(supports, sols):
-                cert = check_rsp_at(A, S)
+            for S, sol, cert in zip(supports, sols, certifier(A, supports)):
                 rows.append({"matrix": i, "support": S, **_lp_row(sol, n_y=8),
                              "holds": cert.holds.value,
                              "t_star": None if cert.t_star is None else _r12(cert.t_star),
@@ -96,16 +100,80 @@ def _one_by_one(lps):
     return [solve(lp) for lp in lps]
 
 
-def test_margin_lps_are_pinned():
-    rows = margin_rows(_one_by_one)
+def _certify_one_by_one(A, supports):
+    return [check_rsp_at(A, S) for S in supports]
+
+
+def _certify_batched(A, supports):
+    return list(check_rsp_batch(A, supports))
+
+
+# "alone" solves each LP on its own; "batched" solves each size's LPs as one
+# stack, chunk by chunk, and certifies each size's supports as one batch.
+PATHS = {"alone": (_one_by_one, _certify_one_by_one),
+         "batched": (solve_batch, _certify_batched)}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_margin_lps_are_pinned(path):
+    rows = margin_rows(*PATHS[path])
     assert len(rows) == 2 * (16 + 120 + 560)
     assert _digest(rows) == MARGIN_DIGEST
 
 
-def test_feasibility_lps_are_pinned():
-    rows = feasibility_rows(_one_by_one)
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_feasibility_lps_are_pinned(path):
+    rows = feasibility_rows(PATHS[path][0])
     assert len(rows) == 20 + 190 + 1140 + 4845
     assert _digest(rows) == FEASIBILITY_DIGEST
+
+
+def _same(a: LpSolution, b: LpSolution) -> bool:
+    fields = ("x", "y", "reduced_costs", "ray")
+    return (a.status == b.status and a.pivots == b.pivots
+            and a.objective_value == b.objective_value
+            and all((getattr(a, f) is None and getattr(b, f) is None)
+                    or np.array_equal(getattr(a, f), getattr(b, f)) for f in fields))
+
+
+def test_a_result_does_not_depend_on_its_batch():
+    # 45 margin LPs of size 3 fill two 20-LP chunks and part of a third, so
+    # LP 10 sits mid-chunk and LPs 19 and 20 on either side of a boundary.
+    # Each must come out bit for bit as when solved alone, and in any order.
+    A = _margin_matrices()[1]
+    lps = [margin_lp(A, S) for S in list(combinations(range(16), 3))[:45]]
+    alone = [solve(lp) for lp in lps]
+    assert {sol.status for sol in alone} == {"optimal"}
+    forward = solve_batch(lps)
+    backward = solve_batch(lps[::-1])[::-1]
+    for i in (0, 10, 19, 20, 44):
+        assert _same(forward[i], alone[i]) and _same(backward[i], alone[i]), i
+    assert all(_same(f, a) and _same(b, a) for f, a, b in zip(forward, alone, backward))
+
+
+def test_a_mixed_batch_keeps_each_result():
+    # Feasible and infeasible, few and many pivots, stacked together.
+    A, b, _ = planted_system(np.random.default_rng([2026, 7]), 10, 20, 4)
+    lps = [StandardLp(np.zeros(4), A[:, list(S)], b)
+           for S in list(combinations(range(20), 4))[:300]]
+    lps.insert(150, StandardLp(np.zeros(4), A[:, [0, 1, 2, 3]], A[:, [0, 1, 2, 3]] @ np.ones(4)))
+    batched = solve_batch(lps)
+    assert {sol.status for sol in batched} == {"optimal", "infeasible"}
+    assert all(_same(s, solve(lp)) for s, lp in zip(batched, lps))
+
+
+def test_a_batch_reports_a_pivot_limit_for_its_lp_only():
+    A = _margin_matrices()[0]
+    lps = [margin_lp(A, S) for S in [(0, 1), (2, 3), (4, 5)]]
+    alone = [solve(lp) for lp in lps]
+    limit = sorted(sol.pivots for sol in alone)[1]
+    assert any(sol.pivots > limit for sol in alone)
+    results = solve_batch(lps, max_pivots=limit)
+    for sol, result in zip(alone, results):
+        if sol.pivots > limit:
+            assert str(result) == f"pivot limit {limit} reached"
+        else:
+            assert _same(result, sol)
 
 
 def test_known_lp_failure_keeps_exit_and_message(tmp_path, capsys):

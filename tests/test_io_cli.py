@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rspcert import ParseError, verify_rsp_witness
-from rspcert.cli import main
+from rspcert.cli import build_parser, main
 from rspcert.io import load_matrix, load_vector
 
 from conftest import (DENSE_A, DENSE_B, TIED_A, TIED_B, TIED_X_FULL,
@@ -367,3 +367,21 @@ def test_random_batch_count_zero_emits_summary_only(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["count"] == 0
+
+
+@pytest.mark.parametrize("command", ["solve-l1", "certify", "lp-sparse"])
+def test_budget_flag_is_refused_where_nothing_is_enumerated(tmp_path, capsys, command):
+    # These commands solve a fixed number of LPs; a budget would be ignored.
+    paths = []
+    for name, data in (("A", UNIQUE_A), ("b", UNIQUE_B), ("v", UNIQUE_X)):
+        path = tmp_path / f"{name}.csv"
+        (write_csv_matrix if name == "A" else write_csv_vector)(path, data)
+        paths.append(str(path))
+    files = paths if command != "solve-l1" else paths[:2]
+    assert main([command, *files, "--budget", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget 0" in captured.err
+    assert main([command, *files]) in (0, 3)
+    capsys.readouterr()
+    assert "budget" not in vars(build_parser().parse_args([command, *files]))

@@ -176,3 +176,42 @@ def test_rank_marginal_flag_near_threshold():
     details = rank_details(A, (0, 1), tol)
     assert details.rank == 2
     assert details.marginal is True
+
+
+def test_stacked_rank_probe_matches_each_probe_alone():
+    # One stacked probe per block must give every support the rank, marginal
+    # flag and pivots of its probe alone, at any position in the stack.
+    from itertools import combinations
+
+    from rspcert.linalg import SupportEnumeration, _block_ranks
+
+    rng = np.random.default_rng(71)
+    A = rng.standard_normal((6, 12))
+    A[:, 11] = A[:, 0] + A[:, 1]             # a dependent triple
+    A[:, 10] = 2.0 * A[:, 3]                  # a dependent pair
+    A[:, 9] = A[:, 4] + 3e-8 * A[:, 5]        # a nearly dependent pair (marginal)
+    tol = ToleranceConfig(rank_tol=1e-8)
+    for k in (1, 2, 3, 4):
+        block = list(combinations(range(12), k))
+        stacked = _block_ranks(A, block, tol.rank_tol)
+        for S, got in zip(block, stacked):
+            assert got == rank_details(A, S, tol), S
+            if not got.marginal:
+                assert got.rank == np.linalg.matrix_rank(A[:, list(S)], tol=1e-6), S
+        assert any(r.marginal for r in stacked) == (k >= 2)
+    kept = [S for _, part in SupportEnumeration(A, [3], 10**6, tol, full_rank_only=True)
+            for S in part]
+    assert kept == [S for S in combinations(range(12), 3) if rank_details(A, S, tol).rank == 3]
+    assert (0, 1, 11) not in kept and (3, 5, 10) not in kept
+
+
+def test_support_enumeration_yields_blocks_in_order():
+    from itertools import combinations
+
+    from rspcert.linalg import SupportEnumeration
+
+    A = np.random.default_rng(72).standard_normal((3, 14))
+    supports = SupportEnumeration(A, [1, 2, 7], 10**6)
+    flat = [(k, S) for k, block in supports for S in block]
+    assert flat == [(k, S) for k in (1, 2, 7) for S in combinations(range(14), k)]
+    assert supports.count == len(flat) == 14 + 91 + 3432

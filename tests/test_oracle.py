@@ -164,6 +164,47 @@ def test_tied_system_is_not_equivalent():
     assert verdict.status is EquivalenceStatus.NOT_EQUIVALENT
 
 
+def test_classify_runs_check_rsp_at_once_at_the_l1_support(tmp_path, monkeypatch):
+    # The l1 optimum's support (0, 2) is also the sparsest one: classify
+    # certifies it while checking the l1 optimum, and the equivalence check
+    # reuses that certificate instead of solving the margin LP again.
+    import rspcert.rsp as rsp
+    from rspcert.cli import main
+
+    from conftest import write_csv_matrix, write_csv_vector
+
+    built = []
+    margin_lps = rsp._margin_lps
+
+    def recording(A, block):
+        built.extend(tuple(S) for S in block.tolist())
+        return margin_lps(A, block)
+
+    monkeypatch.setattr(rsp, "_margin_lps", recording)
+    a_path, b_path, report = tmp_path / "A.csv", tmp_path / "b.csv", tmp_path / "r.json"
+    write_csv_matrix(a_path, COHERENT_A)
+    write_csv_vector(b_path, COHERENT_B)
+    assert main(["classify", str(a_path), str(b_path), "--json", str(report)]) == 0
+    assert built.count((0, 2)) == 1
+
+    system = classify_system(COHERENT_A, COHERENT_B)
+    verdict = equivalence_verdict(COHERENT_A, COHERENT_B, system=system)
+    assert verdict.certificates == [system.l1_verdict.rsp]
+    assert verdict.status is EquivalenceStatus.STRONGLY_EQUIVALENT
+
+
+def test_equivalence_with_a_system_matches_a_fresh_search():
+    for A, b in [(TRIPLE_A, TRIPLE_B), (DENSE_A, DENSE_B), (TIED_A, TIED_B),
+                 (COHERENT_A, COHERENT_B), (UNIQUE_A, UNIQUE_B)]:
+        fresh = equivalence_verdict(A, b)
+        reused = equivalence_verdict(A, b, system=classify_system(A, b))
+        assert reused.status is fresh.status
+        assert reused.passing_support == fresh.passing_support
+        for a, c in zip(reused.certificates, fresh.certificates):
+            assert (a.support, a.holds, a.t_star) == (c.support, c.holds, c.t_star)
+            assert np.array_equal(a.witness_y, c.witness_y)
+
+
 def test_equivalence_agrees_with_the_l1_certifier():
     # Equivalence holds exactly when the certified l1 optimum has a sparsest
     # support; check both directions on fixtures and random systems.

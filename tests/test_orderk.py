@@ -109,7 +109,7 @@ def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
     import rspcert.orderk as orderk
 
     calls = []
-    monkeypatch.setattr(orderk, "check_rsp_at", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "check_rsp_batch", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(orderk, "solve_and_certify", lambda *a, **k: calls.append(a))
     A = np.random.default_rng(40).standard_normal((4, 30))
     with pytest.raises(BudgetExceeded):
