@@ -222,7 +222,7 @@ _COMMANDS = {
                           "help": "also run the brute-force recovery oracle and compare"}),
             ("--trials", {"type": _at_least(1), "default": 1,
                           "help": "oracle trials per support"}),
-            ("--seed", {"type": int, "default": 0}),
+            ("--seed", {"type": _at_least(0), "default": 0}),
         )),
     "classify": _Command(
         cmd_classify, "G1/G2/G3 class, sparsest supports, equivalence",
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count", type=_at_least(0), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--trials", type=_at_least(1), default=1)
     _add_common(p)
     _add_budget(p)

@@ -73,6 +73,8 @@ def _load_mm_matrix(lines: list[str], path) -> np.ndarray:
         m, n = int(size_tokens[0]), int(size_tokens[1])
     except ValueError:
         raise ParseError(path, line_no + 1, 1, "size line must hold two integers") from None
+    if m < 1 or n < 1:
+        raise ParseError(path, line_no + 1, 1, f"array size {m}x{n} must be positive")
     values: list[float] = []
     for entry_line in range(line_no + 1, len(lines)):
         raw = lines[entry_line]

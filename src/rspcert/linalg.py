@@ -174,10 +174,7 @@ def rank_details(A: np.ndarray, support: Iterable[int] | None = None,
     """Numerical rank of the column submatrix, with a marginal-pivot flag."""
     A = as_matrix(A)
     if support is not None:
-        S = normalize_support(support, A.shape[1])
-        if not S:
-            return RankResult(0, False, ())
-        A = A[:, list(S)]
+        A = A[:, list(normalize_support(support, A.shape[1]))]
     return _pivoted_rank(A[None], tol.rank_tol)[0]
 
 
@@ -191,11 +188,7 @@ def augmented_rank_details(A: np.ndarray, support: Iterable[int],
                            tol: ToleranceConfig = DEFAULT_TOLERANCES) -> RankResult:
     """Rank details of the selected columns with an all-ones row appended."""
     A = as_matrix(A)
-    S = normalize_support(support, A.shape[1])
-    if not S:
-        return RankResult(0, False, ())
-    stacked = np.vstack([A[:, list(S)], np.ones((1, len(S)))])
-    return _pivoted_rank(stacked[None], tol.rank_tol)[0]
+    return rank_details(np.vstack([A, np.ones(A.shape[1])]), support, tol)
 
 
 def augmented_rank(A: np.ndarray, support: Iterable[int],

@@ -111,7 +111,7 @@ def sparsest_supports(A, b, max_k: int | None = None,
     for k, block in supports:
         for part in stack_chunks(len(block), tableau_bytes(m, k)):
             count = len(block[part])
-            lps = LpStack(np.broadcast_to(np.zeros(k), (count, k)),
+            lps = LpStack(np.zeros(k),
                           A.T[block[part]].transpose(0, 2, 1).copy(),
                           np.broadcast_to(b, (count, m)), np.zeros(k, dtype=bool))
             for S, sol in zip(block[part], _checked_solves(lps, tol)):

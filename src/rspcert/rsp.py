@@ -126,7 +126,7 @@ def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
 
 
 def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
-    # One margin LP per row of ``block`` (sorted supports of one size k >= 1):
+    # One margin LP per row of ``block`` (sorted supports of one size k):
     # variables y (free), the shifted margin t + 1 (nonnegative) and one
     # slack per column off the support; rows A_S^T y = 1, then
     # A_j^T y - (t + 1) + s_j = -1 for each j off S, ascending.
@@ -147,8 +147,7 @@ def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
     cost[m] = 1.0
     free = np.zeros(nv, dtype=bool)
     free[:m] = True
-    return LpStack(np.broadcast_to(cost, (count, nv)), Bm,
-                   np.broadcast_to(rhs, (count, n)), free)
+    return LpStack(cost, Bm, np.broadcast_to(rhs, (count, n)), free)
 
 
 def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
@@ -173,8 +172,7 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
 
 
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],
-                    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                    weights=None) -> Iterator[RspCertificate]:
+                    tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Iterator[RspCertificate]:
     """``check_rsp_at`` for several supports of one size, as stacked margin LPs.
 
     Yields one certificate per support, in order; each equals the one
@@ -184,17 +182,11 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     such support in the given order.
     """
     A = as_matrix(A)
-    if weights is not None:
-        A = _scaled_by_weights(A, weights)
     m, n = A.shape
     supports = [normalize_support(S, n) for S in supports]
     if len({len(S) for S in supports}) > 1:
         raise ValueError("a margin LP batch takes supports of one size")
     if not supports:
-        return
-    if not supports[0]:
-        yield from (RspCertificate(Verdict.YES, S, np.zeros(n), np.zeros(m), -1.0, OPTIMAL)
-                    for S in supports)
         return
     block = np.array(supports, dtype=np.intp)
     n_vars = m + 1 + n - block.shape[1]
@@ -208,16 +200,19 @@ def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     """Certify the range space property at a support via the margin LP.
 
     Solves min t s.t. A_S^T y = 1 on S, A_j^T y <= t off S, t >= -1, with y
-    free.  An empty support holds vacuously (eta = 0).  Yes iff
-    t* <= 1 - rsp_margin; no iff the equalities are inconsistent or t* is
-    within feas_tol of 1 or above; marginal in the band between.
+    free.  Yes iff t* <= 1 - rsp_margin; no iff the equalities are
+    inconsistent or t* is within feas_tol of 1 or above; marginal in the band
+    between.  The empty support is solved by the same LP: it has no
+    equalities, so t* lies in [-1, 0] (eta = 0 is feasible) and it holds.
 
     With positive ``weights`` w the certificate is the weighted one, eta = w
     on S and eta < w off S.  A weighted l1 objective is a plain l1 objective
     for the column-rescaled matrix A W^-1, so the certificate is computed for
     that scaled matrix and its witness lives in the scaled coordinates.
     """
-    return next(check_rsp_batch(A, [support], tol, weights))
+    if weights is not None:
+        A = _scaled_by_weights(as_matrix(A), weights)
+    return next(check_rsp_batch(A, [support], tol))
 
 
 def verify_rsp_witness(A, support, eta, y,
@@ -236,16 +231,6 @@ def verify_rsp_witness(A, support, eta, y,
     if Sc and eta[list(Sc)].max() > 1.0 - tol.rsp_margin:
         return False
     return True
-
-
-def _require_solution(A: np.ndarray, b: np.ndarray, x: np.ndarray,
-                      tol: ToleranceConfig) -> None:
-    if x.size and x.min() < -tol.zero_tol:
-        i = int(np.argmin(x))
-        raise NotNonnegative(f"entry {i} is {x[i]:.3g} < -zero_tol")
-    residual = np.abs(A @ x - b).max(initial=0.0)
-    if residual > tol.feas_tol * max(1.0, float(np.abs(b).max(initial=0.0))):
-        raise NotASolution(f"candidate violates the system by {residual:.3g}")
 
 
 def _combine(rsp_cert: RspCertificate, rank_res, aug_res, k: int) -> UniquenessVerdict:
@@ -290,8 +275,10 @@ def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     b = as_vector(b, A.shape[0])
     x = as_vector(x, A.shape[1])
     scaled = A if weights is None else _scaled_by_weights(A, weights)
-    _require_solution(A, b, x, tol)
     S = support_of(x, tol)
+    residual = np.abs(A @ x - b).max(initial=0.0)
+    if residual > tol.feas_tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+        raise NotASolution(f"candidate violates the system by {residual:.3g}")
     cert = check_rsp_at(scaled, S, tol)
     return _combine(cert, rank_details(A, S, tol),
                     augmented_rank_details(A, S, tol), len(S))

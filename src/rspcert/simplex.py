@@ -5,8 +5,8 @@ Solves min c.x subject to B x = p with per-variable sign restrictions
 variables are split into differences of nonnegative pairs internally; callers
 see net values only.
 
-``solve_batch`` solves LPs of one shape and sign pattern (an ``LpStack``) on
-one stacked tableau of shape (B, rows, cols) of at most 128 KiB
+``solve_batch`` solves LPs that share one objective, shape and sign pattern
+(an ``LpStack``) on one stacked tableau of shape (B, rows, cols) of at most 128 KiB
 (``linalg._STACK_BYTES``; more LPs are solved chunk by chunk).  Each step
 prices, ratio-tests and pivots every unfinished LP in lockstep, and an LP
 that finishes is swapped behind the ones still pivoting.  ``solve`` is the
@@ -81,33 +81,30 @@ class LpSolution:
 
 @dataclass
 class LpStack:
-    """LPs of one shape and one ``free_mask``, stacked along a leading axis.
+    """LPs of one objective, one shape and one ``free_mask``, stacked along a leading axis.
 
-    LP i is min objective[i] . x s.t. constraints[i] @ x = rhs[i]; rows that
+    LP i is min objective . x s.t. constraints[i] @ x = rhs[i]; rows that
     all LPs share may be broadcast views.
     """
 
-    objective: np.ndarray    # (B, n)
+    objective: np.ndarray    # (n,)
     constraints: np.ndarray  # (B, m, n)
     rhs: np.ndarray          # (B, m)
     free_mask: np.ndarray    # (n,)
 
     @classmethod
     def of(cls, lps: Sequence[StandardLp]) -> "LpStack":
-        """Stack copies of the LPs; a single LP is wrapped without copying."""
+        """Stack copies of the LPs' constraints and right-hand sides."""
         first = lps[0]
-        if len(lps) == 1:
-            return cls(first.objective[None], first.constraints[None], first.rhs[None],
-                       first.free_mask)
         if any(lp.constraints.shape != first.constraints.shape
-               or not np.array_equal(lp.free_mask, first.free_mask) for lp in lps):
-            raise ValueError("stacked LPs must share one shape and one free mask")
-        return cls(np.stack([lp.objective for lp in lps]),
-                   np.stack([lp.constraints for lp in lps]),
+               or not np.array_equal(lp.objective, first.objective)
+               or not np.array_equal(lp.free_mask, first.free_mask) for lp in lps[1:]):
+            raise ValueError("stacked LPs must share one objective, one shape and one free mask")
+        return cls(first.objective, np.stack([lp.constraints for lp in lps]),
                    np.stack([lp.rhs for lp in lps]), first.free_mask)
 
     def __getitem__(self, index) -> "LpStack":
-        return LpStack(self.objective[index], self.constraints[index], self.rhs[index],
+        return LpStack(self.objective, self.constraints[index], self.rhs[index],
                        self.free_mask)
 
 
@@ -183,27 +180,22 @@ class _Tableaux:
         return active
 
     def set_costs(self, active: int, costs: np.ndarray) -> None:
-        """Price slots [0, active) by ``costs``, one row per LP or one for all.
+        """Price slots [0, active) by the cost row ``costs``.
 
         The objective row is the cost row minus the cost-weighted basic rows,
-        subtracted one row at a time in row order.  Where one LP's cost in a
-        row is zero and another's is not, the first subtracts a zero row; that
-        can flip only the sign of a zero in its objective row, which no
+        subtracted one row at a time in row order.  Where one LP's basic cost
+        in a row is zero and another's is not, the first subtracts a zero row;
+        that can flip only the sign of a zero in its objective row, which no
         decision or result reads.
         """
-        T = self.T[:active]
-        every, basis = self.every[:active, None], self.basis[:active]
-        if costs.ndim == 2:
-            costs = costs[self.lp[:active]]
-            basic_costs = costs[every, basis]
-        else:
-            basic_costs = costs[basis]
+        T, basis = self.T[:active], self.basis[:active]
+        basic_costs = costs[basis]
         objective = T[:, -1]
         objective[:, :-1] = costs
         objective[:, -1] = 0.0
         for r in np.flatnonzero(basic_costs.any(axis=0)):
             objective -= basic_costs[:, r, None] * T[:, r]
-        T[every, -1, basis] = 0.0
+        T[self.every[:active, None], -1, basis] = 0.0
 
     def pivot(self, active: int, r: np.ndarray, j: np.ndarray, col: np.ndarray) -> None:
         """Pivot slots [0, active) each on its row ``r`` and column ``j``.
@@ -353,13 +345,9 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
             tab.pivot(swapped, np.full(swapped, r), j[:swapped], col)
             tab.pivots[:swapped] += 1
 
-    shared = c.strides[0] == 0   # one objective for every LP
-    costs = c[:1] if shared else c
-    c_ext = np.zeros((len(costs), width))
-    c_ext[:, :n] = costs
-    c_ext[:, n:n_ext] = -costs[:, free_idx]
-    if shared:
-        c_ext = c_ext[0]
+    c_ext = np.zeros(width)
+    c_ext[:n] = c
+    c_ext[n:n_ext] = -c[free_idx]
     tab.set_costs(active, c_ext)
     tab.run(active, n_ext, max_pivots)
 
@@ -402,7 +390,7 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
     q, r = np.nonzero(basis >= n_ext)
     MT[q, r] = 0.0
     MT[q, r, basis[q, r] - n_ext] = 1.0
-    c_basis = (c_ext[basis] if shared else c_ext[optimal[:, None], basis])[:, :, None]
+    c_basis = c_ext[basis][:, :, None]
     try:
         y = np.linalg.solve(MT, c_basis)[:, :, 0]
     except np.linalg.LinAlgError:
@@ -410,8 +398,8 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
     y *= sigma[optimal]
     for k, i in enumerate(optimal):
         results[i] = LpSolution(status=OPTIMAL, x=x[k], y=y[k],
-                                reduced_costs=c[i] - B[i].T @ y[k],
-                                objective_value=float(c[i] @ x[k]),
+                                reduced_costs=c - B[i].T @ y[k],
+                                objective_value=float(c @ x[k]),
                                 pivots=int(tab.pivots[slots[k]]))
     return results
 
@@ -425,7 +413,7 @@ def _dual(MT: np.ndarray, c_basis: np.ndarray) -> np.ndarray:
 
 def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFAULT_TOLERANCES,
                 max_pivots: int | None = None) -> list[LpSolution | IterationLimit]:
-    """Solve LPs of one shape in lockstep, each with the rules of ``solve``.
+    """Solve LPs of one objective and shape in lockstep, each with the rules of ``solve``.
 
     Returns one entry per LP, in order, each what ``solve`` gives that LP
     alone, except that a solve that breaks down is returned as its
@@ -451,7 +439,7 @@ def solve(lp: StandardLp, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     ``tol.feas_tol``.  Raises ``IterationLimit`` rather than returning a
     silently wrong answer when the pivot budget is exhausted.
     """
-    result = solve_batch(LpStack.of([lp]), tol, max_pivots)[0]
+    result = solve_batch([lp], tol, max_pivots)[0]
     if isinstance(result, IterationLimit):
         raise result
     return result
@@ -469,8 +457,8 @@ def verify_certificate(lp: StandardLp | LpStack, sol: LpSolution | Sequence[LpSo
     """
     if isinstance(lp, StandardLp):
         return _verified(lp.constraints, lp.rhs, lp.objective, lp.free_mask, sol, tol)
-    return np.array([_verified(B, p, c, lp.free_mask, s, tol)
-                     for B, p, c, s in zip(lp.constraints, lp.rhs, lp.objective, sol)], dtype=bool)
+    return np.array([_verified(B, p, lp.objective, lp.free_mask, s, tol)
+                     for B, p, s in zip(lp.constraints, lp.rhs, sol)], dtype=bool)
 
 
 def _verified(B, p, c, free, sol, tol: ToleranceConfig) -> bool:

@@ -65,6 +65,18 @@ def test_matrixmarket_entry_count_checked(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("size", ["-1 -1\n1", "0 3"], ids=["negative", "zero"])
+def test_matrixmarket_size_must_be_positive(tmp_path, size):
+    # Neither size may reach numpy: "-1 -1" with one entry would reshape to
+    # (-1, -1) and "0 3" to an empty matrix, both failing with no location.
+    path = tmp_path / "empty.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n% comment\n{size}\n")
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (3, 1)
+    assert str(err.value).startswith(f"{path}:3:1: array size ")
+
+
 # ----------------------------------------------------------------- CLI paths
 
 def _write_system(tmp_path, A, b, x=None):
@@ -247,6 +259,9 @@ def test_usage_error_exit_one():
     ["order-k", "--oracle", "--trials", "-1"],
     ["order-k", "--budget", "-1"],
     ["random-batch", "--count", "1", "--budget", "-1"],
+    # A negative seed is refused before the certifier runs.
+    ["order-k", "--oracle", "--seed", "-3"],
+    ["random-batch", "--count", "1", "--seed", "-3"],
 ])
 def test_negative_count_trials_or_budget_exit_one(tmp_path, capsys, flags):
     a_path = tmp_path / "A.csv"

@@ -65,11 +65,20 @@ def test_passing_support_reproduces_analytic_margin():
 
 
 def test_empty_support_holds_vacuously():
+    # The margin LP at S = () has no equalities; t* is its optimum, and the
+    # witness eta must stay at or below t* everywhere.
     cert = check_rsp_at(UNIQUE_A, ())
     assert cert.holds is Verdict.YES
-    assert cert.t_star == -1.0
+    assert cert.t_star == 0.0
     assert np.array_equal(cert.witness_eta, np.zeros(4))
     assert np.array_equal(cert.witness_y, np.zeros(3))
+    for A, t_star in ((UNIQUE_A, 0.0), ([[1.0, 1.0, -1.0]], 0.0), ([[1.0, 1.0, 1.0]], -1.0)):
+        cert = check_rsp_at(A, ())
+        assert cert.holds is Verdict.YES
+        assert cert.t_star == pytest.approx(t_star, abs=1e-12)
+        assert cert.witness_eta.max() <= cert.t_star + 1e-12
+        assert verify_rsp_witness(A, (), cert.witness_eta, cert.witness_y)
+    assert np.allclose(cert.witness_eta, -np.ones(3))
 
 
 def test_exact_unit_margin_is_a_hard_no():
@@ -142,6 +151,9 @@ def test_candidate_must_solve_the_system():
     with pytest.raises(NotNonnegative):
         certify_uniqueness(UNIQUE_A, UNIQUE_A @ np.array([1.0, -1.0, 0.0, 0.0]),
                            np.array([1.0, -1.0, 0.0, 0.0]))
+    # Negative and off the system: nonnegativity is checked first.
+    with pytest.raises(NotNonnegative):
+        certify_uniqueness(UNIQUE_A, UNIQUE_B, np.array([1.0, -1.0, 0.0, 0.0]))
 
 
 def test_zero_rhs_certifies_the_zero_solution():
@@ -216,9 +228,10 @@ def test_uniform_weight_scaling_preserves_the_verdict():
 def test_weights_must_be_positive():
     with pytest.raises(NonpositiveWeight):
         check_rsp_at(UNIQUE_A, (0, 1), weights=np.array([1.0, 0.0, 1.0, 1.0]))
-    # The weights are rejected before the candidate is checked as a solution.
-    with pytest.raises(NonpositiveWeight):
-        certify_uniqueness(UNIQUE_A, UNIQUE_B, np.ones(4), weights=-np.ones(4))
+    # The weights are rejected before the candidate is checked at all.
+    for x in (np.ones(4), np.array([1.0, -1.0, 0.0, 0.0])):
+        with pytest.raises(NonpositiveWeight):
+            certify_uniqueness(UNIQUE_A, UNIQUE_B, x, weights=-np.ones(4))
 
 
 def test_weighted_verdict_matches_rescaled_problem():

@@ -4,6 +4,7 @@ from scipy.optimize import linprog
 
 from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, IterationLimit, LpSolution,
                      StandardLp, solve, verify_certificate)
+from rspcert.simplex import LpStack
 
 from conftest import UNIQUE_A, UNIQUE_B
 from rational_lp import rational_feasible
@@ -171,3 +172,15 @@ def test_degenerate_lp_terminates():
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(0.0, abs=1e-10)
     assert verify_certificate(lp, sol)
+
+
+def test_lp_stack_takes_one_objective_shape_and_free_mask():
+    lp = StandardLp([1.0, 1.0], [[1.0, 2.0]], [1.0])
+    stack = LpStack.of([lp, StandardLp([1.0, 1.0], [[3.0, 1.0]], [2.0])])
+    assert stack.objective.shape == (2,)
+    assert stack.constraints.shape == (2, 1, 2)
+    for other in (StandardLp([1.0, 2.0], [[1.0, 2.0]], [1.0]),
+                  StandardLp([1.0, 1.0], [[1.0, 2.0], [0.0, 1.0]], [1.0, 0.0]),
+                  StandardLp([1.0, 1.0], [[1.0, 2.0]], [1.0], free_mask=[True, False])):
+        with pytest.raises(ValueError, match="one objective"):
+            LpStack.of([lp, other])
