@@ -18,6 +18,7 @@ import json
 
 import numpy as np
 
+from rspcert import RspcertError, uniform_recovery_oracle
 from rspcert.cli import main
 
 from conftest import (UNIQUE_A, UNIQUE_B, UNIQUE_X, planted_system,
@@ -171,6 +172,47 @@ def test_random_batch_output_is_pinned(capsys):
     assert _digest(rows) == RANDOM_BATCH_DIGEST, json.dumps(rows)
 
 
+def _oracle_row(A, K, **options):
+    try:
+        report = uniform_recovery_oracle(A, K, **options)
+    except RspcertError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {"recovers": report.recovers, "failing_support": report.failing_support,
+            "supports_checked": report.supports_checked}
+
+
+def oracle_rows():
+    """The recovery oracle's outcome on the benchmark's order-K matrices and on 5x10 cases.
+
+    The 8x16 matrices are those of the orderk_enum benchmark workload, K=3,
+    seeds 1 and 7, with the property cycling as there; seed 7 matrix 4 stops
+    with an LP breakdown.  The 5x10 cases draw three trials per support, and
+    two of them recover every support of size 1 and 2, so the random draws
+    of a whole enumeration follow one another in order.
+    """
+    rows = []
+    for seed, i in itertools.product((1, 7), range(16)):
+        A = np.random.default_rng([seed, 1, i]).standard_normal((8, 16))
+        prop = PROPERTIES[i % len(PROPERTIES)]
+        rows.append({"seed": seed, "matrix": i, "property": prop,
+                     **_oracle_row(A, 3, property=prop)})
+    small = [(i, K, PROPERTIES[(i + K) % 4]) for i in range(4) for K in (1, 2, 3)]
+    small += [(25, 2, "rsp"), (52, 2, "wrsp"), (25, 3, "prsp"), (52, 3, "rsp")]
+    for i, K, prop in small:
+        A = np.random.default_rng([2027, i]).standard_normal((5, 10))
+        rows.append({"matrix": i, "k": K, "property": prop,
+                     **_oracle_row(A, K, trials_per_support=3, seed=i, property=prop)})
+    return rows
+
+
+def test_recovery_oracle_is_pinned():
+    rows = oracle_rows()
+    assert sum(row.get("recovers") is True for row in rows) == 6
+    assert {"seed": 7, "matrix": 4, "property": "rsp", "error": "CertificateUnavailable",
+            "message": "phase 1 reported an unbounded direction"} in rows
+    assert _digest(rows) == ORACLE_DIGEST, json.dumps(rows)
+
+
 # Recorded from the build whose enumerations were still five hand-written
 # combinations() loops; the single-generator core must reproduce them.
 ORDER_K_DIGEST = "274a67e981f6350a6f11bdecacf2543ba47bae9a4eff4a817691041db3f87c53"
@@ -180,3 +222,6 @@ RANDOM_BATCH_DIGEST = "5ef9ca335f71da98ed1495a029183ac390da62ba058e04263a917477b
 # Recorded from the build whose reports were assembled by one hand-written
 # builder per result type; the dataclass serialiser must reproduce it.
 VALUES_DIGEST = "07e65c4b3ab4dd26abccbb1ccbfdd067870dda9c755ba3a86f965ec975d69bfa"
+# Recorded from the build whose recovery oracle solved and certified one
+# support at a time.
+ORACLE_DIGEST = "d2ac709e0c33677ff99ad8d1e30a18dce38845759a93da3cd4aef605630caf45"
