@@ -1,10 +1,11 @@
-"""Layer benchmark of the LP core: margin LPs, feasibility LPs and rank probes.
+"""Layer benchmark of the LP core and the recovery oracle.
 
-Measures one rspcert source tree and merges its figures into a JSON file
-under ``layers.<label>``; run it once per tree to compare two builds:
+Measures margin LPs, feasibility LPs, rank probes and the recovery oracle of
+one rspcert source tree and merges the figures into a JSON file under
+``layers.<label>``; run it once per tree to compare two builds:
 
-    python3 bench/margin_batch.py --tree . --label change --out BENCH_4.json
-    python3 bench/margin_batch.py --tree ../parent --label parent --out BENCH_4.json
+    python3 bench/margin_batch.py --tree . --label change --out BENCH_7.json
+    python3 bench/margin_batch.py --tree ../parent --label parent --out BENCH_7.json
 
 ``--e2e LABEL WORKLOAD RESULT...`` instead stores the median of each metric
 over perfbench result files (the last JSON line of ``perfbench/run.py``)
@@ -13,10 +14,13 @@ under ``end_to_end.<workload>.<label>``.
 Inputs are seeded: four Gaussian 8x16 matrices for the margin LPs (every
 support of size 1, 2 and 3, through ``prsp_order_k``), two planted k*=4
 10x20 systems for the feasibility LPs (through ``sparsest_supports``), and
-the size-3 supports of the 8x16 matrices for the rank probes.  Times are the
-fastest of ``--repeat`` runs, on one thread.  Only public names that every
-build has are used, apart from the lockstep counts, which read the stacked
-engine when the tree has one.
+the size-3 supports of the 8x16 matrices for the rank probes, and the
+recovery oracle at K=3 on the 8x16 matrices under each of the four
+properties.  Times are the fastest of ``--repeat`` runs, on one thread.
+Only public names that every build has are used, apart from the lockstep
+counts, which read the stacked engine when the tree has one, and the l1 LPs
+per oracle window, which count the stacks ``rspcert.rsp`` passes to
+``solve_batch`` when the tree has it.
 """
 
 from __future__ import annotations
@@ -98,6 +102,41 @@ def measure(tree: Path, repeat: int) -> dict:
     out["rank_probe_us_alone"] = 1e6 * t / len(supports)
 
     out["lockstep"] = _lockstep(rc, np, mats)
+    out["oracle"] = _oracle(rc, np, mats, repeat)
+    return out
+
+
+def _oracle(rc, np, mats, repeat: int) -> dict:
+    """µs per support the recovery oracle checks, and its l1 LPs per window."""
+    from rspcert import rsp
+    runs = [(A, prop) for A in mats for prop in ("rsp", "wrsp", "prsp", "pwrsp")]
+
+    def oracle():
+        return [rc.uniform_recovery_oracle(A, 3, property=prop) for A, prop in runs]
+    checked = sum(r.supports_checked for r in oracle())
+    t = _best(oracle, repeat)
+    out = {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
+           "l1_lps_per_window": None, "l1_lps_per_support": None}
+    solve_batch = getattr(rsp, "solve_batch", None)
+    if solve_batch is None:
+        return out
+    stacks = []
+
+    def counting(lps, *args, **kwargs):
+        results = solve_batch(lps, *args, **kwargs)
+        # The l1 LPs: objective all ones, no free variable.
+        free = lps.free_mask if hasattr(lps, "free_mask") else lps[0].free_mask
+        cost = lps.objective if hasattr(lps, "objective") else lps[0].objective
+        if not free.any() and np.all(cost == 1.0):
+            stacks.append(len(results))
+        return results
+    rsp.solve_batch = counting
+    try:
+        oracle()
+    finally:
+        rsp.solve_batch = solve_batch
+    out["l1_lps_per_window"] = statistics.fmean(stacks)
+    out["l1_lps_per_support"] = sum(stacks) / checked
     return out
 
 

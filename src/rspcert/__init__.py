@@ -24,8 +24,8 @@ from .orderk import (DEFAULT_CHECK_BUDGET, RecoveryOracleReport, RecoveryReport,
                      uniform_recovery_oracle, wrsp_order_k)
 from .rsp import (FailureReason, LpSparsestResult, RspCertificate,
                   UniquenessVerdict, Verdict, certify_uniqueness, check_rsp_at,
-                  lp_sparsest_pipeline, solve_and_certify, solve_l1, support_of,
-                  verify_rsp_witness)
+                  lp_sparsest_pipeline, solve_and_certify,
+                  solve_and_certify_batch, solve_l1, support_of, verify_rsp_witness)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, StandardLp,
                       solve, verify_certificate)
 
@@ -46,7 +46,8 @@ __all__ = [
     "rsp_order_k", "uniform_recovery_oracle", "wrsp_order_k",
     "FailureReason", "LpSparsestResult", "RspCertificate", "UniquenessVerdict",
     "Verdict", "certify_uniqueness", "check_rsp_at", "lp_sparsest_pipeline",
-    "solve_and_certify", "solve_l1", "support_of", "verify_rsp_witness",
+    "solve_and_certify", "solve_and_certify_batch", "solve_l1", "support_of",
+    "verify_rsp_witness",
     "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "LpSolution", "StandardLp", "solve",
     "verify_certificate",
 ]

@@ -334,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-batch",
                        help="seeded random matrices: certifier vs oracle, JSON lines")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=_at_least(1), required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
     p.add_argument("--count", type=_at_least(0), required=True)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--trials", type=_at_least(1), default=1)
@@ -351,6 +351,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "random-batch" and args.k > args.n:
+            parser.error(f"argument --k: must be at most --n ({args.n}), got {args.k}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

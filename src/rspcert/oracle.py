@@ -18,7 +18,7 @@ from .linalg import (DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, IndexSet,
                      SupportEnumeration, ToleranceConfig, as_matrix, as_vector,
                      rank, stack_chunks)
 from .rsp import (RspCertificate, UniquenessVerdict, Verdict, check_rsp_batch,
-                  solve_and_certify, support_of, _checked_solves)
+                  solve_and_certify, support_of, _checked_solves, _raised)
 from .simplex import INFEASIBLE, LpStack, tableau_bytes
 
 
@@ -114,7 +114,7 @@ def sparsest_supports(A, b, max_k: int | None = None,
             lps = LpStack(np.zeros(k),
                           A.T[block[part]].transpose(0, 2, 1).copy(),
                           np.broadcast_to(b, (count, m)), np.zeros(k, dtype=bool))
-            for S, sol in zip(block[part], _checked_solves(lps, tol)):
+            for S, sol in zip(block[part], map(_raised, _checked_solves(lps, tol))):
                 if sol.status != INFEASIBLE:
                     z = np.zeros(n)
                     z[list(S)] = np.maximum(sol.x, 0.0)

@@ -23,12 +23,16 @@ import numpy as np
 
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
                      ToleranceConfig, as_matrix, rank)
-from .rsp import Verdict, check_rsp_batch, solve_and_certify
+from .rsp import Verdict, check_rsp_batch, solve_and_certify_batch
 
 # Enumeration cap for LP-backed subset certification.  Each subset costs one
 # LP solve, far more than the rank probes behind the spark search, so the
 # default sits below the plain subset-count budget used there.
 DEFAULT_CHECK_BUDGET = 1_000_000
+
+# Supports in the first window of each block the recovery oracle solves as
+# one batch; each further window of the block is twice as long.
+_FIRST_WINDOW = 8
 
 
 class Quantifier(NamedTuple):
@@ -183,7 +187,20 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     take their measurements, and re-solve: recovery holds iff the solve
     certifies unique and reproduces the planted vector to 1e-6.  One trial
     per support decides, because the certificate conditions depend only on
-    the support; extra trials guard against tolerance noise.
+    the support; extra trials guard against tolerance noise.  Each trial
+    gets its own l1 solve and its own uniqueness certificate; nothing is
+    taken from the certifiers.
+
+    Supports are visited in enumeration order, and the first that fails is
+    reported.  Each block of the enumeration is walked in windows of 8,
+    16, 32, ... supports, and one window's trials are one
+    ``solve_and_certify_batch`` call.  That gives each trial exactly what a
+    ``solve_and_certify`` call of its own gives, and raises an exception
+    only on reaching the trial that raises it, so reading the results in
+    order and stopping at the first failure reports what a one-by-one walk
+    reports.  A window's planted values are one draw of W * trials rows of
+    k values, the same stream as W * trials draws of k values each, so the
+    values planted on a support do not depend on the windows.
     """
     if trials_per_support < 1:
         raise ValueError(f"trials_per_support={trials_per_support} must be at least 1")
@@ -192,17 +209,23 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     n = A.shape[1]
     rng = np.random.default_rng(seed)
     checked = 0
-    # One support at a time: the search stops at the first failure, and the
-    # random draws follow the supports in order.
     for k, block in supports:
-        for S in block:
-            checked += 1
-            for _ in range(trials_per_support):
-                planted = np.zeros(n)
-                planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
-                recovered, verdict = solve_and_certify(A, A @ planted, tol)
+        start, width = 0, _FIRST_WINDOW
+        while start < len(block):
+            window = block[start:start + width]
+            start, width = start + len(window), 2 * width
+            rows = len(window) * trials_per_support
+            planted = np.zeros((rows, n))
+            columns = np.repeat(np.array(window, dtype=np.intp), trials_per_support, axis=0)
+            planted[np.arange(rows)[:, None], columns] = rng.uniform(0.1, 1.0, size=(rows, k))
+            rhs = np.array([A @ p for p in planted])
+            results = solve_and_certify_batch(A, rhs, tol)
+            for i, (recovered, verdict) in enumerate(results):
                 ok = (verdict.unique is Verdict.YES
-                      and np.abs(recovered - planted).max() <= 1e-6)
+                      and np.abs(recovered - planted[i]).max() <= 1e-6)
                 if not ok:
-                    return RecoveryOracleReport(False, S, checked, trials_per_support, seed)
+                    S = window[i // trials_per_support]
+                    return RecoveryOracleReport(False, S, checked + 1 + i // trials_per_support,
+                                                trials_per_support, seed)
+            checked += len(window)
     return RecoveryOracleReport(True, None, checked, trials_per_support, seed)

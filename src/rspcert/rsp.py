@@ -16,8 +16,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (CertificateUnavailable, Infeasible, IterationLimit,
-                     NonpositiveWeight, NotASolution, NotNonnegative, Unbounded)
-from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig,
+                     NonpositiveWeight, NotASolution, NotNonnegative,
+                     RspcertError, Unbounded)
+from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig, _block_ranks,
                      as_matrix, as_vector, augmented_rank_details,
                      complement, normalize_support, rank_details, stack_chunks)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, LpStack, StandardLp,
@@ -94,27 +95,37 @@ def support_of(x, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> IndexSet:
     return tuple(int(i) for i in np.flatnonzero(x > tol.zero_tol))
 
 
-def _checked_solves(lps: LpStack, tol: ToleranceConfig) -> Iterator[LpSolution]:
-    """Solve a stack and re-check every optimal solve, yielding solutions in order.
+def _checked_solves(lps: LpStack, tol: ToleranceConfig) -> list[LpSolution | CertificateUnavailable]:
+    """Solve a stack and re-check every optimal solve.
 
     Every downstream certificate re-validates its solve before trusting it.
-    At the first LP whose solve broke down or failed its re-check, raises
-    ``CertificateUnavailable``, after the solutions before it were yielded:
-    a caller that checks each solution as it comes raises for the first
-    failing LP in its order, as a one-by-one loop would.
+    Returns one entry per LP, in order: its solution, or the
+    ``CertificateUnavailable`` its solve raises when it broke down or failed
+    its re-check.  ``_raised`` turns an entry back into a result or a raise.
     """
     sols = solve_batch(lps, tol)
     verified = verify_certificate(lps, sols, tol)
+    checked: list[LpSolution | CertificateUnavailable] = []
     for sol, ok in zip(sols, verified):
         if isinstance(sol, IterationLimit):
-            raise CertificateUnavailable(str(sol)) from sol
-        if sol.status == OPTIMAL and not ok:
-            raise CertificateUnavailable("optimal solve failed its certificate re-check")
-        yield sol
+            error = CertificateUnavailable(str(sol))
+            error.__cause__ = sol
+            sol = error
+        elif sol.status == OPTIMAL and not ok:
+            sol = CertificateUnavailable("optimal solve failed its certificate re-check")
+        checked.append(sol)
+    return checked
+
+
+def _raised(entry):
+    """``entry``, or raise it if it is an exception."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def _checked_solve(lp: StandardLp, tol: ToleranceConfig) -> LpSolution:
-    return next(_checked_solves(LpStack.of([lp]), tol))
+    return _raised(_checked_solves(LpStack.of([lp]), tol)[0])
 
 
 def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
@@ -171,6 +182,19 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
     return RspCertificate(holds, S, A.T @ y, y, t_star, sol.status)
 
 
+def _margin_solves(A: np.ndarray, supports: list[IndexSet],
+                   tol: ToleranceConfig) -> Iterator[LpSolution | CertificateUnavailable]:
+    # The checked margin LPs of sorted supports of one size, in order, solved
+    # as stacks one chunk at a time.
+    if not supports:
+        return
+    m, n = A.shape
+    block = np.array(supports, dtype=np.intp)
+    n_vars = m + 1 + n - block.shape[1]
+    for part in stack_chunks(len(supports), tableau_bytes(n, n_vars, m)):
+        yield from _checked_solves(_margin_lps(A, block[part]), tol)
+
+
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],
                     tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Iterator[RspCertificate]:
     """``check_rsp_at`` for several supports of one size, as stacked margin LPs.
@@ -182,17 +206,11 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     such support in the given order.
     """
     A = as_matrix(A)
-    m, n = A.shape
-    supports = [normalize_support(S, n) for S in supports]
+    supports = [normalize_support(S, A.shape[1]) for S in supports]
     if len({len(S) for S in supports}) > 1:
         raise ValueError("a margin LP batch takes supports of one size")
-    if not supports:
-        return
-    block = np.array(supports, dtype=np.intp)
-    n_vars = m + 1 + n - block.shape[1]
-    for part in stack_chunks(len(supports), tableau_bytes(n, n_vars, m)):
-        for S, sol in zip(supports[part], _checked_solves(_margin_lps(A, block[part]), tol)):
-            yield _margin_certificate(A, S, sol, tol)
+    for S, sol in zip(supports, _margin_solves(A, supports, tol)):
+        yield _margin_certificate(A, S, _raised(sol), tol)
 
 
 def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -275,13 +293,20 @@ def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     b = as_vector(b, A.shape[0])
     x = as_vector(x, A.shape[1])
     scaled = A if weights is None else _scaled_by_weights(A, weights)
+    S = _solution_support(A, b, x, tol)
+    cert = check_rsp_at(scaled, S, tol)
+    return _combine(cert, rank_details(A, S, tol),
+                    augmented_rank_details(A, S, tol), len(S))
+
+
+def _solution_support(A: np.ndarray, b: np.ndarray, x: np.ndarray,
+                      tol: ToleranceConfig) -> IndexSet:
+    # The support of a candidate x, or a raise unless it solves A x = b, x >= 0.
     S = support_of(x, tol)
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > tol.feas_tol * max(1.0, float(np.abs(b).max(initial=0.0))):
         raise NotASolution(f"candidate violates the system by {residual:.3g}")
-    cert = check_rsp_at(scaled, S, tol)
-    return _combine(cert, rank_details(A, S, tol),
-                    augmented_rank_details(A, S, tol), len(S))
+    return S
 
 
 def solve_l1(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -294,7 +319,10 @@ def solve_l1(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """
     A = as_matrix(A)
     b = as_vector(b, A.shape[0])
-    sol = _checked_solve(StandardLp(np.ones(A.shape[1]), A, b), tol)
+    return _l1_point(_checked_solve(StandardLp(np.ones(A.shape[1]), A, b), tol))
+
+
+def _l1_point(sol: LpSolution) -> np.ndarray:
     if sol.status == INFEASIBLE:
         raise Infeasible("no nonnegative solution to the system")
     if sol.status != OPTIMAL:
@@ -303,10 +331,50 @@ def solve_l1(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     return sol.x
 
 
+def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
+                            ) -> Iterator[tuple[np.ndarray, UniquenessVerdict]]:
+    """``solve_and_certify`` for several right-hand sides of one matrix, as stacked LPs.
+
+    Yields one ``(x, verdict)`` per right-hand side, in order, each what
+    ``solve_and_certify`` gives for it, bit for bit.  The l1 LPs are solved
+    as one stack, the margin LPs at the supports they reach as one stack per
+    support size (each distinct support once: the LP depends only on A and
+    the support), and the two rank tests as stacked probes; every optimal
+    solve is re-checked.  The checks run in the order ``certify_uniqueness``
+    runs them.  Where ``solve_and_certify`` would raise for a right-hand
+    side, the generator raises that exception on reaching it, and not
+    before: a consumer that stops at an earlier one never sees it.
+    """
+    A = as_matrix(A)
+    m, n = A.shape
+    rhs = np.array([as_vector(b, m) for b in rhs]).reshape(-1, m)
+    lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs,
+                  np.zeros(n, dtype=bool))
+    points: list[tuple[np.ndarray, IndexSet] | RspcertError] = []
+    for b, sol in zip(rhs, _checked_solves(lps, tol)):
+        try:
+            x = _l1_point(_raised(sol))
+            points.append((x, _solution_support(A, b, x, tol)))
+        except RspcertError as error:
+            points.append(error)
+    by_size: dict[int, list[IndexSet]] = {}
+    for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
+        by_size.setdefault(len(S), []).append(S)
+    with_ones = np.vstack([A, np.ones(n)])
+    margin, ranks, augmented = {}, {}, {}
+    for group in by_size.values():
+        margin |= zip(group, _margin_solves(A, group, tol))
+        ranks |= zip(group, _block_ranks(A, group, tol.rank_tol))
+        augmented |= zip(group, _block_ranks(with_ones, group, tol.rank_tol))
+    for point in points:
+        x, S = _raised(point)
+        cert = _margin_certificate(A, S, _raised(margin[S]), tol)
+        yield x, _combine(cert, ranks[S], augmented[S], len(S))
+
+
 def solve_and_certify(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     """Minimize the l1 norm, then certify uniqueness at the returned point."""
-    x = solve_l1(A, b, tol)
-    return x, certify_uniqueness(A, b, x, tol)
+    return next(solve_and_certify_batch(A, [b], tol))
 
 
 def lp_sparsest_pipeline(A, b, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LpSparsestResult:

@@ -262,6 +262,11 @@ def test_usage_error_exit_one():
     # A negative seed is refused before the certifier runs.
     ["order-k", "--oracle", "--seed", "-3"],
     ["random-batch", "--count", "1", "--seed", "-3"],
+    # Matrix shape and order below 1 are refused before any matrix is drawn.
+    ["random-batch", "--count", "1", "--m", "-1"],
+    ["random-batch", "--count", "1", "--m", "0"],
+    ["random-batch", "--count", "1", "--n", "0"],
+    ["random-batch", "--count", "0", "--k", "0"],
 ])
 def test_negative_count_trials_or_budget_exit_one(tmp_path, capsys, flags):
     a_path = tmp_path / "A.csv"
@@ -273,6 +278,14 @@ def test_negative_count_trials_or_budget_exit_one(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {rest[-2]}: must be at least" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "1"])
+def test_random_batch_order_above_n_exit_one(capsys, count):
+    assert main(["random-batch", "--m", "2", "--n", "4", "--k", "99", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --k: must be at most --n (4), got 99" in captured.err
 
 
 def test_negative_budget_env_exit_one(tmp_path, monkeypatch, capsys):

@@ -75,6 +75,24 @@ def test_budget_is_checked_lazily_per_size():
     assert report.subsets_checked == 12
 
 
+
+def test_a_broken_feasibility_solve_is_raised(monkeypatch):
+    # A feasibility LP that breaks down stops the search at that support.
+    import rspcert.rsp as rsp
+    from rspcert import CertificateUnavailable, IterationLimit
+
+    real = rsp.solve_batch
+
+    def solve_batch(lps, *args, **kwargs):
+        results = real(lps, *args, **kwargs)
+        results[1] = IterationLimit("injected breakdown")
+        return results
+    monkeypatch.setattr(rsp, "solve_batch", solve_batch)
+    A = np.random.default_rng(33).standard_normal((3, 12))
+    with pytest.raises(CertificateUnavailable, match="injected breakdown"):
+        sparsest_supports(A, 2.0 * A[:, 5])
+
+
 def test_all_sparsest_supports_pass_the_augmented_rank_test():
     # Every minimal support stacks to full column rank with the ones row.
     fixtures = [(TRIPLE_A, TRIPLE_B), (DENSE_A, DENSE_B), (UNIQUE_A, UNIQUE_B),

@@ -3,7 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rspcert import (BudgetExceeded, Verdict, check_rsp_at, prsp_order_k,
+from rspcert import (BudgetExceeded, CertificateUnavailable, IterationLimit,
+                     Verdict, check_rsp_at, prsp_order_k,
                      pwrsp_order_k, rsp_order_k, spark,
                      sparsest_supports, uniform_recovery_oracle, wrsp_order_k)
 
@@ -107,14 +108,83 @@ def test_order_k_budget_guard():
 ])
 def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
     import rspcert.orderk as orderk
+    import rspcert.rsp as rsp
 
+    # The certifier and the oracle reach the LP core through these names;
+    # every LP solve of either goes through rsp.solve_batch.
     calls = []
     monkeypatch.setattr(orderk, "check_rsp_batch", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(orderk, "solve_and_certify", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "solve_and_certify_batch", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
     A = np.random.default_rng(40).standard_normal((4, 30))
     with pytest.raises(BudgetExceeded):
         run(A)
     assert calls == []
+
+
+
+def _break_first_l1_stack(monkeypatch, at):
+    """Make the first stack of l1 LPs return a breakdown for its LP ``at``."""
+    import rspcert.rsp as rsp
+
+    real = rsp.solve_batch
+    stacks = []
+
+    def solve_batch(lps, *args, **kwargs):
+        results = real(lps, *args, **kwargs)
+        if not lps.free_mask.any():     # the l1 LPs; margin LPs have a free y
+            stacks.append(len(results))
+            if len(stacks) == 1:
+                results[at] = IterationLimit("injected breakdown")
+        return results
+    monkeypatch.setattr(rsp, "solve_batch", solve_batch)
+    return stacks
+
+
+def test_oracle_breakdown_after_the_first_failure_is_not_raised(monkeypatch):
+    # Three trials per support: the first window holds supports 0-7, 24 l1
+    # LPs, and support 6 fails recovery.  A breakdown at support 7's last
+    # trial comes after it and is never reached.
+    A = np.random.default_rng([2027, 0]).standard_normal((5, 10))
+    stacks = _break_first_l1_stack(monkeypatch, 23)
+    report = uniform_recovery_oracle(A, 2, trials_per_support=3, property="prsp")
+    assert stacks == [24]
+    assert (report.recovers, report.failing_support, report.supports_checked) == (False, (0, 7), 7)
+
+
+def test_oracle_breakdown_before_the_first_failure_is_raised(monkeypatch):
+    A = np.random.default_rng([2027, 0]).standard_normal((5, 10))
+    _break_first_l1_stack(monkeypatch, 4)
+    with pytest.raises(CertificateUnavailable, match="injected breakdown"):
+        uniform_recovery_oracle(A, 2, trials_per_support=3, property="prsp")
+
+
+
+def test_oracle_draws_follow_the_one_by_one_stream(monkeypatch):
+    # Every trial's measurements, across all windows, are those of one
+    # planted draw per trial, support after support, from the seed's stream.
+    import rspcert.orderk as orderk
+
+    A = np.random.default_rng([2027, 25]).standard_normal((5, 10))
+    seen = []
+    real = orderk.solve_and_certify_batch
+
+    def recording(A, rhs, tol):
+        seen.append(rhs)
+        return real(A, rhs, tol)
+    monkeypatch.setattr(orderk, "solve_and_certify_batch", recording)
+    report = uniform_recovery_oracle(A, 2, trials_per_support=3, seed=5)
+    assert report.recovers and report.supports_checked == 55
+    assert [len(rhs) for rhs in seen] == [24, 6, 24, 48, 63]   # 8, 2 | 8, 16, 21 supports
+    rng = np.random.default_rng(5)
+    expected = []
+    for k in (1, 2):
+        for S in combinations(range(10), k):
+            for _ in range(3):
+                planted = np.zeros(10)
+                planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
+                expected.append(A @ planted)
+    assert np.array_equal(np.concatenate(seen), np.array(expected))
 
 
 # ------------------------------------------------- weak / partial properties

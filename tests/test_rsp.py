@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from rspcert import (FailureReason, Infeasible, NonpositiveWeight, NotASolution,
                      NotNonnegative, ToleranceConfig, Unbounded, Verdict,
                      augmented_rank, certify_uniqueness, check_rsp_at,
                      lp_sparsest_pipeline, rank,
-                     solve_and_certify, solve_l1, support_of,
-                     verify_rsp_witness)
+                     solve_and_certify, solve_and_certify_batch, solve_l1,
+                     support_of, verify_rsp_witness)
 
 from conftest import (DENSE_A, DENSE_B, DENSE_X, TIED_A, TIED_B, TIED_X_FULL,
                       TIED_X_SPARSE, TRIPLE_A, TRIPLE_B, TRIPLE_WITNESS_ETA,
@@ -192,6 +194,59 @@ def test_solve_and_certify_across_fixtures():
     assert verdict.unique is Verdict.NO
     x, verdict = solve_and_certify(TRIPLE_A, TRIPLE_B)
     assert x == pytest.approx(TRIPLE_X3, abs=1e-8) and verdict.unique is Verdict.YES
+
+
+
+def _same_verdict(a, b) -> bool:
+    arrays = ("witness_eta", "witness_y")
+    return (replace(a, rsp=None) == replace(b, rsp=None)
+            and replace(a.rsp, witness_eta=None, witness_y=None)
+            == replace(b.rsp, witness_eta=None, witness_y=None)
+            and all((getattr(a.rsp, f) is None and getattr(b.rsp, f) is None)
+                    or np.array_equal(getattr(a.rsp, f), getattr(b.rsp, f)) for f in arrays))
+
+
+def test_solve_and_certify_batch_matches_each_solve_alone():
+    # Planted supports of sizes 0 to 7 on one 8x16 matrix, some repeated, so
+    # the batch holds several support sizes and margin LPs shared by more
+    # than one right-hand side.  Columns 14 and 15 are equal, so an l1
+    # optimum using one of them is not unique: verdicts yes and no.
+    rng = np.random.default_rng([2026, 30])
+    A = rng.standard_normal((8, 16))
+    A[:, 15] = A[:, 14]
+    planted = np.zeros((40, 16))
+    for row in planted:
+        S = rng.choice(16, size=int(rng.integers(0, 8)), replace=False)
+        row[S] = rng.uniform(0.1, 1.0, size=S.size)
+    planted[20:30] = planted[:10]
+    rhs = np.array([A @ p for p in planted])
+    batched = list(solve_and_certify_batch(A, rhs))
+    assert len(batched) == 40
+    assert {verdict.unique for _, verdict in batched} == {Verdict.YES, Verdict.NO}
+    assert len({len(verdict.rsp.support) for _, verdict in batched}) >= 4
+    for b, (x, verdict) in zip(rhs, batched):
+        alone_x, alone = solve_and_certify(A, b)
+        scalar_x = solve_l1(A, b)
+        scalar = certify_uniqueness(A, b, scalar_x)
+        assert np.array_equal(x, alone_x) and np.array_equal(x, scalar_x)
+        assert _same_verdict(verdict, alone) and _same_verdict(verdict, scalar)
+    # A repeated right-hand side gets equal results, not shared objects.
+    assert batched[0][1].rsp is not batched[20][1].rsp
+    assert list(solve_and_certify_batch(A, np.zeros((0, 8)))) == []
+
+
+def test_solve_and_certify_batch_raises_on_reaching_the_item():
+    # All-positive columns: b = -1 has no nonnegative solution.
+    A = np.abs(np.random.default_rng([2026, 31]).standard_normal((3, 6)))
+    good = A @ np.array([0.5, 0.0, 0.25, 0.0, 0.0, 0.0])
+    results = solve_and_certify_batch(A, [good, -np.ones(3), good])
+    x, verdict = next(results)
+    assert np.array_equal(x, solve_and_certify(A, good)[0])
+    with pytest.raises(Infeasible, match="no nonnegative solution to the system"):
+        next(results)
+    # Nothing is raised for an item the consumer does not reach.
+    first = next(solve_and_certify_batch(A, [good, -np.ones(3)]))
+    assert np.array_equal(first[0], x)
 
 
 # ---------------------------------------------------------- weighted variant
