@@ -125,9 +125,7 @@ def _oracle(rc, np, mats, repeat: int) -> dict:
     def counting(lps, *args, **kwargs):
         results = solve_batch(lps, *args, **kwargs)
         # The l1 LPs: objective all ones, no free variable.
-        free = lps.free_mask if hasattr(lps, "free_mask") else lps[0].free_mask
-        cost = lps.objective if hasattr(lps, "objective") else lps[0].objective
-        if not free.any() and np.all(cost == 1.0):
+        if not lps.free_mask.any() and np.all(lps.objective == 1.0):
             stacks.append(len(results))
         return results
     rsp.solve_batch = counting

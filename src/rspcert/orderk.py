@@ -218,6 +218,7 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
             planted = np.zeros((rows, n))
             columns = np.repeat(np.array(window, dtype=np.intp), trials_per_support, axis=0)
             planted[np.arange(rows)[:, None], columns] = rng.uniform(0.1, 1.0, size=(rows, k))
+            # One product per trial, as each trial's own call computed it.
             rhs = np.array([A @ p for p in planted])
             results = solve_and_certify_batch(A, rhs, tol)
             for i, (recovered, verdict) in enumerate(results):
