@@ -4,37 +4,53 @@ Measures margin LPs, feasibility LPs, rank probes and the recovery oracle of
 one rspcert source tree and merges the figures into a JSON file under
 ``layers.<label>``; run it once per tree to compare two builds:
 
-    python3 bench/margin_batch.py --tree . --label change --out BENCH_7.json
-    python3 bench/margin_batch.py --tree ../parent --label parent --out BENCH_7.json
+    python3 bench/margin_batch.py --tree . --label change --out BENCH_8.json
+    python3 bench/margin_batch.py --tree ../parent --label parent --out BENCH_8.json
 
-``--e2e LABEL WORKLOAD RESULT...`` instead stores the median of each metric
-over perfbench result files (the last JSON line of ``perfbench/run.py``)
-under ``end_to_end.<workload>.<label>``.
+``--sweep KIB,...`` instead measures the tree once per stack byte cap
+(``linalg._STACK_BYTES``, which sets the LPs per lockstep chunk), each in its
+own interpreter so that each cap gets its own peak RSS, and stores the
+figures under ``cap_sweep.<label>.<cap>``.
+
+``--e2e LABEL WORKLOAD RESULT...`` instead stores the median and quartiles of
+each metric over perfbench result files (the last JSON line of
+``perfbench/run.py``), and every run's value, under
+``end_to_end.<workload>.<label>``.
 
 Inputs are seeded: four Gaussian 8x16 matrices for the margin LPs (every
 support of size 1, 2 and 3, through ``prsp_order_k``), two planted k*=4
 10x20 systems for the feasibility LPs (through ``sparsest_supports``), and
 the size-3 supports of the 8x16 matrices for the rank probes, and the
 recovery oracle at K=3 on the 8x16 matrices under each of the four
-properties.  Times are the fastest of ``--repeat`` runs, on one thread.
-Only public names that every build has are used, apart from the lockstep
-counts, which read the stacked engine when the tree has one, and the l1 LPs
-per oracle window, which count the stacks ``rspcert.rsp`` passes to
-``solve_batch`` when the tree has it.
+properties.  The lockstep figures count the steps of the stacked engine on
+the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
+commands for seed 1 (``perfbench/workloads.py``, run in-process through
+``rspcert.cli.main``).  Times are the fastest of ``--repeat`` runs, on one
+thread.  Only public names that every build has are used, apart from the
+lockstep counts, which read the stacked engine when the tree has one, and
+the l1 LPs per oracle window, which count the stacks ``rspcert.rsp`` passes
+to ``solve_batch`` when the tree has it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from itertools import combinations
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
@@ -66,12 +82,14 @@ def _margin_lp(rc, np, A, S):
     return rc.StandardLp(cost, B, np.r_[np.ones(k), -np.ones(kc)], free)
 
 
-def measure(tree: Path, repeat: int) -> dict:
+def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
     import rspcert as rc
     from rspcert import linalg
 
+    if cap_kib is not None:
+        linalg._STACK_BYTES = cap_kib * 1024
     mats = [np.random.default_rng([4, i]).standard_normal((8, 16)) for i in range(4)]
     out: dict = {"margin_us_per_lp": {}, "margin_pivots_per_lp": {}}
     for k in (1, 2, 3):
@@ -101,8 +119,9 @@ def measure(tree: Path, repeat: int) -> dict:
     t = _best(lambda: [rc.rank_details(mats[0], S) for S in supports], repeat)
     out["rank_probe_us_alone"] = 1e6 * t / len(supports)
 
-    out["lockstep"] = _lockstep(rc, np, mats)
-    out["oracle"] = _oracle(rc, np, mats, repeat)
+    out["lockstep"] = _lockstep(rc, np, mats, repeat)
+    if cap_kib is None:
+        out["oracle"] = _oracle(rc, np, mats, repeat)
     return out
 
 
@@ -138,44 +157,90 @@ def _oracle(rc, np, mats, repeat: int) -> dict:
     return out
 
 
-def _lockstep(rc, np, mats) -> dict | None:
-    """Steps per stacked chunk and their waste, for the size-3 margin LPs."""
-    from rspcert import simplex
-    engine = getattr(simplex, "_Tableaux", None)
-    if engine is None:
-        return None
-    steps, sizes, pivots = [], [], 0
-    run = engine.run
+def _steps(simplex, work) -> dict:
+    """Lockstep steps of the stacked engine while ``work()`` runs.
 
-    def counting(self, active, allowed, max_pivots):
-        before = int(self.pivots.sum())
-        calls = [0]
-        pivot = self.pivot
+    A step is one stacked pivot of the LPs still pivoting in a chunk; the
+    occupancy is their share of the chunk's tableaux, over all steps.
+    """
+    engine = simplex._Tableaux
+    pivot = engine.pivot
+    steps, occupied, allocated = [0], [0], [0]
 
-        def counted(*args):
-            calls[0] += 1
-            pivot(*args)
-        self.pivot = counted
-        run(self, active, allowed, max_pivots)
-        del self.pivot
-        steps.append(calls[0])
-        sizes.append(active)
-        nonlocal pivots
-        pivots += int(self.pivots.sum()) - before
-
-    engine.run = counting
+    def counted(self, active, *args):
+        steps[0] += 1
+        occupied[0] += active
+        allocated[0] += len(self.T)
+        return pivot(self, active, *args)
+    engine.pivot = counted
     try:
-        for A in mats:
-            rc.prsp_order_k(A, 3)
+        work()
     finally:
-        engine.run = run
-    # Each chunk runs phase 1 and phase 2; pair them up per chunk.
-    chunk_steps = [a + b for a, b in zip(steps[::2], steps[1::2])]
-    chunk_sizes = sizes[::2]
-    return {"chunks": len(chunk_steps),
-            "lps_per_chunk": statistics.fmean(chunk_sizes),
-            "steps_per_chunk": statistics.fmean(chunk_steps),
-            "waste": sum(s * b for s, b in zip(chunk_steps, chunk_sizes)) / pivots}
+        engine.pivot = pivot
+    return {"steps": steps[0], "occupancy": occupied[0] / max(1, allocated[0])}
+
+
+def _orderk_pass(work: Path):
+    """One pass of the orderk_enum commands of seed 1 with inputs in ``work``, and its LP count."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    from rspcert import cli, rsp
+    here = os.getcwd()
+    os.chdir(work)
+    try:
+        commands = workloads.WORKLOADS["orderk_enum"].commands(1)
+    finally:
+        os.chdir(here)
+
+    def one_pass():
+        os.chdir(work)
+        try:
+            for command in commands:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(command.argv)
+        finally:
+            os.chdir(here)
+    lps = [0]
+    solve_batch = rsp.solve_batch
+
+    def counting(stack, *args, **kwargs):
+        results = solve_batch(stack, *args, **kwargs)
+        lps[0] += len(results)
+        return results
+    rsp.solve_batch = counting
+    try:
+        one_pass()
+    finally:
+        rsp.solve_batch = solve_batch
+    return one_pass, lps[0]
+
+
+def _lockstep(rc, np, mats, repeat: int) -> dict | None:
+    """Steps, occupancy and time of the stacked engine on the size-3 margin LPs and on a pass."""
+    from rspcert import simplex
+    if getattr(simplex, "_Tableaux", None) is None:
+        return None
+    margin = _steps(simplex, lambda: [rc.prsp_order_k(A, 3) for A in mats])
+    count = math.comb(16, 3) * len(mats)
+    with tempfile.TemporaryDirectory() as work:
+        one_pass, lps = _orderk_pass(Path(work))
+        orderk = _steps(simplex, one_pass)
+        pass_s = _best(one_pass, repeat)
+    return {"margin_k3": {**margin, "lps": count, "steps_per_lp": margin["steps"] / count},
+            "orderk_enum_pass": {**orderk, "lps": lps, "steps_per_lp": orderk["steps"] / lps,
+                                 "pass_s": pass_s}}
+
+
+def sweep(tree: Path, caps: list[int], repeat: int) -> dict:
+    """``measure`` at each stack byte cap, each in a fresh interpreter, with its peak RSS."""
+    out = {}
+    for cap in caps:
+        proc = subprocess.run([sys.executable, __file__, "--tree", str(tree), "--cap", str(cap),
+                               "--repeat", str(repeat)],
+                              capture_output=True, text=True, check=True)
+        out[str(cap)] = json.loads(proc.stdout)
+    return out
 
 
 def _host() -> dict:
@@ -189,25 +254,44 @@ def _host() -> dict:
     return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version()}
 
 
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="JSON file to merge the figures into")
+    parser.add_argument("--out", help="JSON file to merge the figures into")
     parser.add_argument("--tree", type=Path, help="source tree to measure (holds src/rspcert)")
     parser.add_argument("--label", help="name of the measured tree in the JSON file")
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--sweep", help="KIB,...: measure the tree at each stack byte cap")
+    parser.add_argument("--cap", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--e2e", nargs="+", metavar="ARG",
                         help="LABEL WORKLOAD RESULT...: store perfbench medians instead")
     args = parser.parse_args()
+    if args.cap is not None:
+        # One cap of a sweep: print its figures for the parent process.
+        out = measure(args.tree.resolve(), args.repeat, args.cap)
+        out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(json.dumps(out))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
     if args.e2e:
         label, workload, *files = args.e2e
         runs = [json.loads(Path(f).read_text().strip().splitlines()[-1]) for f in files]
-        medians = {name: statistics.median(r["metrics"][name]["value"] for r in runs)
-                   for name in runs[0]["metrics"]}
+        values = {name: [r["metrics"][name]["value"] for r in runs] for name in runs[0]["metrics"]}
         doc.setdefault("end_to_end", {}).setdefault(workload, {})[label] = {
-            "runs": len(runs), "median": medians,
+            "runs": len(runs), "values": values,
+            "median": {name: statistics.median(v) for name, v in values.items()},
+            "spread": {name: _spread(v) for name, v in values.items() if len(v) > 1},
             "attempted": [r["attempted"] for r in runs], "failed": [r["failed"] for r in runs]}
+    elif args.sweep:
+        caps = [int(c) for c in args.sweep.split(",")]
+        doc.setdefault("cap_sweep", {})[args.label] = sweep(args.tree.resolve(), caps, args.repeat)
     else:
         import numpy as np
         doc.setdefault("layers", {})[args.label] = measure(args.tree.resolve(), args.repeat)

@@ -19,8 +19,10 @@ from .errors import BudgetExceeded, ZeroColumn
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 # Size cap of one stacked array of same-shape problems (simplex tableaux, rank
-# probes): batches of more problems are split into consecutive chunks.
-_STACK_BYTES = 128 * 1024
+# probes): batches of more problems are split into consecutive chunks.  The
+# cap sets how many tableaux pivot in one lockstep step (82 margin LPs at
+# 8x16, K=3); see bench/margin_batch.py --sweep.
+_STACK_BYTES = 512 * 1024
 
 # Supports per block of an enumeration; bounds the memory a size of many
 # supports takes at once.

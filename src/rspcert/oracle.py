@@ -16,10 +16,10 @@ import numpy as np
 from .errors import NoSolutionWithin
 from .linalg import (DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, IndexSet,
                      SupportEnumeration, ToleranceConfig, as_matrix, as_vector,
-                     rank, stack_chunks)
+                     rank)
 from .rsp import (RspCertificate, UniquenessVerdict, Verdict, check_rsp_batch,
                   solve_and_certify, support_of, _checked_solves, _raised)
-from .simplex import INFEASIBLE, LpStack, tableau_bytes
+from .simplex import INFEASIBLE, LpStack
 
 
 @dataclass
@@ -109,18 +109,15 @@ def sparsest_supports(A, b, max_k: int | None = None,
     supports = SupportEnumeration(A, range(1, max_k + 1), budget, lazy=True)
     found: dict[IndexSet, tuple[np.ndarray, bool]] = {}
     for k, block in supports:
-        for part in stack_chunks(len(block), tableau_bytes(m, k)):
-            count = len(block[part])
-            lps = LpStack(np.zeros(k),
-                          A.T[block[part]].transpose(0, 2, 1).copy(),
-                          np.broadcast_to(b, (count, m)), np.zeros(k, dtype=bool))
-            for S, sol in zip(block[part], map(_raised, _checked_solves(lps, tol))):
-                if sol.status != INFEASIBLE:
-                    z = np.zeros(n)
-                    z[list(S)] = np.maximum(sol.x, 0.0)
-                    exact = support_of(z, tol)
-                    if exact not in found:
-                        found[exact] = (z, rank(A, exact, tol) == len(exact))
+        lps = LpStack(np.zeros(k), A.T[block].transpose(0, 2, 1).copy(),
+                      np.broadcast_to(b, (len(block), m)), np.zeros(k, dtype=bool))
+        for S, sol in zip(block, map(_raised, _checked_solves(lps, tol))):
+            if sol.status != INFEASIBLE:
+                z = np.zeros(n)
+                z[list(S)] = np.maximum(sol.x, 0.0)
+                exact = support_of(z, tol)
+                if exact not in found:
+                    found[exact] = (z, rank(A, exact, tol) == len(exact))
         # The last support of size k starts at n - k.  Stop there once a size
         # has solutions, before the enumeration budgets for the next size.
         if found and block[-1][0] == n - k:

@@ -20,9 +20,9 @@ from .errors import (CertificateUnavailable, Infeasible, IterationLimit,
                      RspcertError, Unbounded)
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig, _block_ranks,
                      as_matrix, as_vector, augmented_rank_details,
-                     complement, normalize_support, rank_details, stack_chunks)
+                     complement, normalize_support, rank_details)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, LpStack, StandardLp,
-                      solve_batch, tableau_bytes, verify_certificate)
+                      solve_batch, verify_certificate)
 
 
 class Verdict(str, Enum):
@@ -183,16 +183,12 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
 
 
 def _margin_solves(A: np.ndarray, supports: list[IndexSet],
-                   tol: ToleranceConfig) -> Iterator[LpSolution | CertificateUnavailable]:
+                   tol: ToleranceConfig) -> list[LpSolution | CertificateUnavailable]:
     # The checked margin LPs of sorted supports of one size, in order, solved
-    # as stacks one chunk at a time.
+    # as one stack.
     if not supports:
-        return
-    m, n = A.shape
-    block = np.array(supports, dtype=np.intp)
-    n_vars = m + 1 + n - block.shape[1]
-    for part in stack_chunks(len(supports), tableau_bytes(n, n_vars, m)):
-        yield from _checked_solves(_margin_lps(A, block[part]), tol)
+        return []
+    return _checked_solves(_margin_lps(A, np.array(supports, dtype=np.intp)), tol)
 
 
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],
@@ -200,10 +196,11 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     """``check_rsp_at`` for several supports of one size, as stacked margin LPs.
 
     Yields one certificate per support, in order; each equals the one
-    ``check_rsp_at`` gives for its support.  The margin LPs are solved in
-    lockstep, one chunk at a time, so only a chunk's LPs are held at once.  A
-    solve that breaks down raises ``CertificateUnavailable`` at the first
-    such support in the given order.
+    ``check_rsp_at`` gives for its support.  The margin LPs are built as one
+    stack and solved in lockstep; ``solve_batch`` bounds the tableau memory,
+    and the caller bounds the stack (the enumerations pass blocks of at most
+    256 supports).  A solve that breaks down raises ``CertificateUnavailable``
+    at the first such support in the given order.
     """
     A = as_matrix(A)
     supports = [normalize_support(S, A.shape[1]) for S in supports]

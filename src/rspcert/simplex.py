@@ -6,13 +6,15 @@ variables are split into differences of nonnegative pairs internally; callers
 see net values only.
 
 ``solve_batch`` solves LPs that share one objective, shape and sign pattern
-(an ``LpStack``) on one stacked tableau of shape (B, rows, cols) of at most 128 KiB
-(``linalg._STACK_BYTES``; more LPs are solved chunk by chunk).  Each step
-prices, ratio-tests and pivots every unfinished LP in lockstep, and an LP
-that finishes is swapped behind the ones still pivoting.  ``solve`` is the
-batch of one.  Every operation acts on each LP alone and every decision is
-made per LP, so an LP gets bit-identical output whether it is solved alone,
-mid-chunk or across a chunk boundary, and identical inputs pivot identically.
+(an ``LpStack``) on one stacked tableau of shape (B, rows, cols) of at most 512 KiB
+(``linalg._STACK_BYTES``; more LPs are solved chunk by chunk).  It is the one
+place that bounds tableau memory.  Each step prices, ratio-tests and pivots
+every unfinished LP in lockstep, and an LP that finishes is swapped behind
+the ones still pivoting.  ``solve`` is the batch of one.  Every operation
+acts on each LP alone and every decision is made per LP, so an LP gets
+bit-identical output whether it is solved alone, mid-chunk or across a chunk
+boundary, and identical inputs pivot identically.  ``verify_certificate``
+re-checks a whole stack as array operations.
 """
 
 from __future__ import annotations
@@ -247,18 +249,19 @@ class _Tableaux:
         room = max_pivots - int(self.pivots[:active].max(initial=0))
         T, every, reduced, rhs, ratios, basis = self._views(active, allowed)
         while active:
-            # Optimal under either rule: no reduced cost below -_PRICE_EPS.
-            done = reduced.min(axis=1) >= -_PRICE_EPS
+            # Optimal under either rule: no reduced cost below -_PRICE_EPS,
+            # read at the first minimum, the Dantzig entering column.
+            j = reduced.argmin(axis=1)
+            done = reduced[every, j] >= -_PRICE_EPS
             if np.count_nonzero(done):
                 self.pivots[:active] += pending
                 pending = 0
-                active = self.partition(~done, since)
+                active = self.partition(~done, since, j)
                 if not active:
                     return
-                since = since[:active]
+                since, j = since[:active], j[:active]
                 room = max_pivots - int(self.pivots[:active].max())
                 T, every, reduced, rhs, ratios, basis = self._views(active, allowed)
-            j = reduced.argmin(axis=1)
             if step - since_min >= _DEGENERATE_RUN:
                 since_min = int(since.min())
             if step - since_min >= _DEGENERATE_RUN:
@@ -415,9 +418,12 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
                 max_pivots: int | None = None) -> list[LpSolution | IterationLimit]:
     """Solve LPs of one objective and shape in lockstep, each with the rules of ``solve``.
 
-    Returns one entry per LP, in order, each what ``solve`` gives that LP
-    alone, except that a solve that breaks down is returned as its
-    ``IterationLimit`` rather than raised, so it leaves the others intact.
+    The LPs are pivoted in consecutive chunks of at most
+    ``linalg._STACK_BYTES`` of tableau; that is the one bound on tableau
+    memory, so callers pass whole stacks.  Returns one entry per LP, in
+    order, each what ``solve`` gives that LP alone, except that a solve that
+    breaks down is returned as its ``IterationLimit`` rather than raised, so
+    it leaves the others intact.
     """
     if not isinstance(lps, LpStack):
         if not lps:
@@ -453,31 +459,41 @@ def verify_certificate(lp: StandardLp | LpStack, sol: LpSolution | Sequence[LpSo
     (primal feasibility, dual feasibility, complementary slackness, matching
     objectives) from the raw problem data.  Takes one LP and its solution and
     returns a bool, or an ``LpStack`` and one solution per LP and returns a
-    bool array; a solution that is not optimal never verifies.
+    bool array, checking the whole stack at once; a solution that is not
+    optimal never verifies.
     """
     if isinstance(lp, StandardLp):
-        return _verified(lp.constraints, lp.rhs, lp.objective, lp.free_mask, sol, tol)
-    return np.array([_verified(B, p, lp.objective, lp.free_mask, s, tol)
-                     for B, p, s in zip(lp.constraints, lp.rhs, sol)], dtype=bool)
+        stack = LpStack(lp.objective, lp.constraints[None], lp.rhs[None], lp.free_mask)
+        return bool(_verified(stack, [sol], tol)[0])
+    return _verified(lp, sol, tol)
 
 
-def _verified(B, p, c, free, sol, tol: ToleranceConfig) -> bool:
-    if not isinstance(sol, LpSolution) or sol.status != OPTIMAL or sol.x is None or sol.y is None:
-        return False
-    x, y = sol.x, sol.y
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        return False
-    restricted = ~free
-    if np.abs(B @ x - p).max() > tol.feas_tol * max(1.0, float(np.abs(p).max())):
-        return False
-    if restricted.any() and x[restricted].min() < -tol.feas_tol:
-        return False
-    s = c - B.T @ y
-    if restricted.any() and s[restricted].min() < -tol.feas_tol:
-        return False
-    if free.any() and np.abs(s[free]).max() > tol.feas_tol:
-        return False
-    if np.abs(x * s).max(initial=0.0) > tol.gap_tol:
-        return False
-    obj = float(c @ x)
-    return not abs(obj - float(p @ y)) > tol.gap_tol * max(1.0, abs(obj))
+def _verified(lps: LpStack, sols: Sequence, tol: ToleranceConfig) -> np.ndarray:
+    ok = np.zeros(len(sols), dtype=bool)
+    at = [i for i, sol in enumerate(sols) if isinstance(sol, LpSolution)
+          and sol.status == OPTIMAL and sol.x is not None and sol.y is not None]
+    if not at:
+        return ok
+    x = np.array([sols[i].x for i in at], dtype=float)
+    y = np.array([sols[i].y for i in at], dtype=float)
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
+    if np.count_nonzero(bad):
+        x[bad] = y[bad] = 0.0
+    B, p = lps.constraints, lps.rhs
+    if len(at) < len(sols):
+        B, p = B[at], p[at]
+    c, free = lps.objective, lps.free_mask
+    feas, gap = tol.feas_tol, tol.gap_tol
+    # Primal residual, relative to the right-hand side, and primal signs.
+    residual = np.abs(np.matmul(B, x[:, :, None])[:, :, 0] - p)
+    bad |= residual.max(axis=1) > feas * np.maximum(1.0, np.abs(p).max(axis=1))
+    bad |= ((x < -feas) & ~free).any(axis=1)
+    # Reduced costs: nonnegative where x is sign-restricted, zero where free.
+    s = c - np.matmul(y[:, None, :], B)[:, 0]
+    bad |= (np.where(free, np.abs(s), -s) > feas).any(axis=1)
+    # Complementary slackness and the duality gap.
+    bad |= (np.abs(x * s) > gap).any(axis=1)
+    obj = x @ c
+    bad |= np.abs(obj - np.einsum("bi,bi->b", p, y)) > gap * np.maximum(1.0, np.abs(obj))
+    ok[at] = ~bad
+    return ok

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rspcert import OPTIMAL, StandardLp, check_rsp_at, complement, solve
+from rspcert import OPTIMAL, StandardLp, check_rsp_at, complement, linalg, simplex, solve
 from rspcert.cli import main
 from rspcert.rsp import check_rsp_batch
 from rspcert.simplex import LpSolution, solve_batch
@@ -136,17 +136,28 @@ def _same(a: LpSolution, b: LpSolution) -> bool:
                     or np.array_equal(getattr(a, f), getattr(b, f)) for f in fields))
 
 
+def _chunk_len(lp: StandardLp) -> int:
+    """LPs of this shape that ``solve_batch`` pivots as one stacked chunk."""
+    m, n = lp.constraints.shape
+    return linalg._STACK_BYTES // simplex.tableau_bytes(m, n, int(lp.free_mask.sum()))
+
+
 def test_a_result_does_not_depend_on_its_batch():
-    # 45 margin LPs of size 3 fill two 20-LP chunks and part of a third, so
-    # LP 10 sits mid-chunk and LPs 19 and 20 on either side of a boundary.
-    # Each must come out bit for bit as when solved alone, and in any order.
+    # Two and a half chunks' worth of margin LPs of size 3: LP 10 sits
+    # mid-chunk, LPs ``chunk - 1`` and ``chunk`` on either side of a
+    # boundary, and the last LP in a part-filled chunk.  Each must come out
+    # bit for bit as when solved alone, and in any order.
     A = _margin_matrices()[1]
-    lps = [margin_lp(A, S) for S in list(combinations(range(16), 3))[:45]]
+    supports = list(combinations(range(16), 3))
+    chunk = _chunk_len(margin_lp(A, supports[0]))
+    count = 2 * chunk + chunk // 2
+    assert chunk >= 20 and count <= len(supports)
+    lps = [margin_lp(A, S) for S in supports[:count]]
     alone = [solve(lp) for lp in lps]
     assert {sol.status for sol in alone} == {"optimal"}
     forward = solve_batch(lps)
     backward = solve_batch(lps[::-1])[::-1]
-    for i in (0, 10, 19, 20, 44):
+    for i in (0, 10, chunk - 1, chunk, count - 1):
         assert _same(forward[i], alone[i]) and _same(backward[i], alone[i]), i
     assert all(_same(f, a) and _same(b, a) for f, a, b in zip(forward, alone, backward))
 
@@ -168,6 +179,21 @@ def test_a_batch_reports_a_pivot_limit_for_its_lp_only():
     alone = [solve(lp) for lp in lps]
     limit = sorted(sol.pivots for sol in alone)[1]
     assert any(sol.pivots > limit for sol in alone)
+    results = solve_batch(lps, max_pivots=limit)
+    for sol, result in zip(alone, results):
+        if sol.pivots > limit:
+            assert str(result) == f"pivot limit {limit} reached"
+        else:
+            assert _same(result, sol)
+    # More LPs than one chunk holds: LPs of both chunks reach the limit.
+    supports = list(combinations(range(16), 3))
+    chunk = _chunk_len(margin_lp(A, supports[0]))
+    lps = [margin_lp(A, S) for S in supports[:chunk + chunk // 2]]
+    assert len(lps) > chunk
+    alone = [solve(lp) for lp in lps]
+    limit = sorted(sol.pivots for sol in alone)[len(lps) // 2]
+    assert sum(sol.pivots > limit for sol in alone[:chunk]) >= 2
+    assert sum(sol.pivots > limit for sol in alone[chunk:]) >= 2
     results = solve_batch(lps, max_pivots=limit)
     for sol, result in zip(alone, results):
         if sol.pivots > limit:

@@ -4,10 +4,12 @@ from scipy.optimize import linprog
 
 from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, IterationLimit, LpSolution,
                      StandardLp, solve, verify_certificate)
+from rspcert.linalg import DEFAULT_TOLERANCES
 from rspcert.simplex import LpStack
 
 from conftest import UNIQUE_A, UNIQUE_B
 from rational_lp import rational_feasible
+from test_golden_lp import margin_lp
 
 
 def test_forced_single_variable():
@@ -184,3 +186,92 @@ def test_lp_stack_takes_one_objective_shape_and_free_mask():
                   StandardLp([1.0, 1.0], [[1.0, 2.0]], [1.0], free_mask=[True, False])):
         with pytest.raises(ValueError, match="one objective"):
             LpStack.of([lp, other])
+
+
+def _verified_alone(B, p, c, free, sol, tol=DEFAULT_TOLERANCES) -> bool:
+    """The per-LP certificate re-check, condition by condition, as reference."""
+    if not isinstance(sol, LpSolution) or sol.status != OPTIMAL or sol.x is None or sol.y is None:
+        return False
+    x, y = sol.x, sol.y
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return False
+    restricted = ~free
+    if np.abs(B @ x - p).max() > tol.feas_tol * max(1.0, float(np.abs(p).max())):
+        return False
+    if restricted.any() and x[restricted].min() < -tol.feas_tol:
+        return False
+    s = c - B.T @ y
+    if restricted.any() and s[restricted].min() < -tol.feas_tol:
+        return False
+    if free.any() and np.abs(s[free]).max() > tol.feas_tol:
+        return False
+    if np.abs(x * s).max(initial=0.0) > tol.gap_tol:
+        return False
+    obj = float(c @ x)
+    return not abs(obj - float(p @ y)) > tol.gap_tol * max(1.0, abs(obj))
+
+
+def _altered(sol, x=None, y=None):
+    return LpSolution(status=OPTIMAL, x=sol.x if x is None else x, y=sol.y if y is None else y,
+                      objective_value=sol.objective_value, pivots=sol.pivots)
+
+
+def _variants(rng, sol):
+    """An optimal solution, then versions of it just inside and just past each check."""
+    variants = [sol]
+    n, m = sol.x.size, sol.y.size
+    i, k = rng.integers(n), rng.integers(m)
+    for scale in (0.3, 3.0):
+        step = scale * DEFAULT_TOLERANCES.feas_tol
+        variants.append(_altered(sol, x=sol.x + step * np.eye(n)[i]))     # residual
+        variants.append(_altered(sol, y=sol.y + step * np.eye(m)[k]))     # dual
+        variants.append(_altered(sol, y=sol.y - step * np.eye(m)[k]))
+        x = sol.x.copy()
+        x[i] = -step                                                       # sign
+        variants.append(_altered(sol, x=x))
+    variants.append(_altered(sol, x=np.where(np.arange(n) == i, np.nan, sol.x)))
+    variants.append(_altered(sol, y=sol.y + 1e-3))
+    return variants
+
+
+@pytest.mark.parametrize("kind", ["margin", "l1", "free", "slack", "gap"])
+def test_stacked_verify_agrees_with_the_per_lp_reference(kind):
+    rng = np.random.default_rng([2026, 11])
+    A = rng.standard_normal((6, 12))
+    if kind == "margin":
+        lps = [margin_lp(A, S) for S in [(0, 1), (2, 3), (4, 5), (6, 11), (7, 9)]]
+    elif kind == "l1":
+        lps = [StandardLp(np.ones(12), A, A @ rng.uniform(0.0, 1.0, 12)) for _ in range(5)]
+    elif kind == "free":
+        # A dual step moves only the free variable's reduced cost, which only
+        # the free-variable condition can reject.
+        lps = [StandardLp([0.0, 1.0], [[1.0, 0.0]], [b], free_mask=[True, False])
+               for b in (-2.5, -0.5, 0.0, 0.7, 3.0)]
+    elif kind == "slack":
+        # x2 has no constraint and reduced cost 1: raising it breaks only
+        # complementarity, the duality gap staying inside its relative bound.
+        lps = [StandardLp([1.0, 1.0], [[1.0, 0.0]], [b]) for b in (40.0, 77.0, 100.0, 250.0, 1e3)]
+        shift = [0.0, 2e-7]
+    else:
+        # Large duals of opposite signs and a zero objective: a residual
+        # inside feas_tol breaks only the duality gap.
+        lps = [StandardLp([1e3, -1e3], np.eye(2), [b, b]) for b in (0.5, 1.0, 1.5, 2.0, 3.0)]
+        shift = [0.5e-8, 0.0]
+    per_lp = [_variants(rng, solve(lp)) for lp in lps]
+    if kind in ("slack", "gap"):
+        for entries in per_lp:
+            entries.append(_altered(entries[0], x=entries[0].x + shift))
+    # Entries that never verify, on the last LP: not optimal, or a breakdown.
+    per_lp[-1] += [LpSolution(status=INFEASIBLE, pivots=3),
+                   LpSolution(status=UNBOUNDED, ray=np.ones(lps[0].objective.size)),
+                   IterationLimit("pivot limit 1 reached")]
+    stack = LpStack.of([lp for lp, entries in zip(lps, per_lp) for _ in entries])
+    entries = [entry for entries in per_lp for entry in entries]
+    got = verify_certificate(stack, entries)
+    want = [_verified_alone(B, p, stack.objective, stack.free_mask, sol)
+            for B, p, sol in zip(stack.constraints, stack.rhs, entries)]
+    assert got.tolist() == want
+    assert True in want and False in want
+    alone = [verify_certificate(StandardLp(stack.objective, B, p, stack.free_mask), sol)
+             for B, p, sol in zip(stack.constraints, stack.rhs, entries)]
+    assert alone == want
