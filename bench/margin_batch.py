@@ -66,20 +66,21 @@ def _best(fn, repeat: int) -> float:
 
 
 def _margin_lp(rc, np, A, S):
-    # The margin LP of check_rsp_at (see tests/test_golden_lp.py).
+    # The margin LP of check_rsp_at (see tests/test_golden_lp.py), its free y
+    # split as y+ - y- over the variables [y+, t + 1, s, y-], all nonnegative,
+    # a form that every build accepts.
     m, n = A.shape
     Sc = [j for j in range(n) if j not in S]
     k, kc = len(S), len(Sc)
-    B = np.zeros((n, m + 1 + kc))
+    B = np.zeros((n, 2 * m + 1 + kc))
     B[:k, :m] = A[:, list(S)].T
     B[k:, :m] = A[:, Sc].T
     B[k:, m] = -1.0
-    B[k:, m + 1:] = np.eye(kc)
-    cost = np.zeros(m + 1 + kc)
+    B[k:, m + 1:-m] = np.eye(kc)
+    B[:, -m:] = -B[:, :m]
+    cost = np.zeros(2 * m + 1 + kc)
     cost[m] = 1.0
-    free = np.zeros(m + 1 + kc, dtype=bool)
-    free[:m] = True
-    return rc.StandardLp(cost, B, np.r_[np.ones(k), -np.ones(kc)], free)
+    return rc.StandardLp(cost, B, np.r_[np.ones(k), -np.ones(kc)])
 
 
 def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
@@ -143,8 +144,8 @@ def _oracle(rc, np, mats, repeat: int) -> dict:
 
     def counting(lps, *args, **kwargs):
         results = solve_batch(lps, *args, **kwargs)
-        # The l1 LPs: objective all ones, no free variable.
-        if not lps.free_mask.any() and np.all(lps.objective == 1.0):
+        # The l1 LPs: objective all ones.
+        if np.all(lps.objective == 1.0):
             stacks.append(len(results))
         return results
     rsp.solve_batch = counting

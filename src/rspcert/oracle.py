@@ -110,7 +110,7 @@ def sparsest_supports(A, b, max_k: int | None = None,
     found: dict[IndexSet, tuple[np.ndarray, bool]] = {}
     for k, block in supports:
         lps = LpStack(np.zeros(k), A.T[block].transpose(0, 2, 1).copy(),
-                      np.broadcast_to(b, (len(block), m)), np.zeros(k, dtype=bool))
+                      np.broadcast_to(b, (len(block), m)))
         for S, sol in zip(block, map(_raised, _checked_solves(lps, tol))):
             if sol.status != INFEASIBLE:
                 z = np.zeros(n)

@@ -138,8 +138,9 @@ def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
 
 def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
     # One margin LP per row of ``block`` (sorted supports of one size k):
-    # variables y (free), the shifted margin t + 1 (nonnegative) and one
-    # slack per column off the support; rows A_S^T y = 1, then
+    # nonnegative variables y+, the shifted margin t + 1, one slack per
+    # column off the support and y-, where the free y is y+ - y- (the y-
+    # columns are the y+ columns negated); rows A_S^T y = 1, then
     # A_j^T y - (t + 1) + s_j = -1 for each j off S, ascending.
     m, n = A.shape
     count, k = block.shape
@@ -147,18 +148,17 @@ def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
     outside = np.ones((count, n), dtype=bool)
     outside[np.arange(count)[:, None], block] = False
     off = np.nonzero(outside)[1].reshape(count, kc)
-    nv = m + 1 + kc
+    nv = 2 * m + 1 + kc
     Bm = np.zeros((count, n, nv))
     Bm[:, :k, :m] = A.T[block]
     Bm[:, k:, :m] = A.T[off]
     Bm[:, k:, m] = -1.0
-    Bm[:, k:, m + 1:] = np.eye(kc)
+    Bm[:, k:, m + 1:-m] = np.eye(kc)
+    np.negative(Bm[:, :, :m], out=Bm[:, :, -m:])
     rhs = np.concatenate([np.ones(k), -np.ones(kc)])
     cost = np.zeros(nv)
     cost[m] = 1.0
-    free = np.zeros(nv, dtype=bool)
-    free[:m] = True
-    return LpStack(cost, Bm, np.broadcast_to(rhs, (count, n)), free)
+    return LpStack(cost, Bm, np.broadcast_to(rhs, (count, n)))
 
 
 def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
@@ -178,7 +178,8 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
         holds = Verdict.MARGINAL
     if holds is Verdict.NO:
         return RspCertificate(holds, S, None, None, t_star, sol.status)
-    y = sol.x[:A.shape[0]].copy()
+    m = A.shape[0]
+    y = sol.x[:m] - sol.x[-m:]
     return RspCertificate(holds, S, A.T @ y, y, t_star, sol.status)
 
 
@@ -215,10 +216,11 @@ def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     """Certify the range space property at a support via the margin LP.
 
     Solves min t s.t. A_S^T y = 1 on S, A_j^T y <= t off S, t >= -1, with y
-    free.  Yes iff t* <= 1 - rsp_margin; no iff the equalities are
-    inconsistent or t* is within feas_tol of 1 or above; marginal in the band
-    between.  The empty support is solved by the same LP: it has no
-    equalities, so t* lies in [-1, 0] (eta = 0 is feasible) and it holds.
+    free, which the LP is given as y = y+ - y- with y+, y- >= 0.  Yes iff
+    t* <= 1 - rsp_margin; no iff the equalities are inconsistent or t* is
+    within feas_tol of 1 or above; marginal in the band between.  The empty
+    support is solved by the same LP: it has no equalities, so t* lies in
+    [-1, 0] (eta = 0 is feasible) and it holds.
 
     With positive ``weights`` w the certificate is the weighted one, eta = w
     on S and eta < w off S.  A weighted l1 objective is a plain l1 objective
@@ -345,8 +347,7 @@ def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
     A = as_matrix(A)
     m, n = A.shape
     rhs = np.array([as_vector(b, m) for b in rhs]).reshape(-1, m)
-    lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs,
-                  np.zeros(n, dtype=bool))
+    lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs)
     points: list[tuple[np.ndarray, IndexSet] | RspcertError] = []
     for b, sol in zip(rhs, _checked_solves(lps, tol)):
         try:

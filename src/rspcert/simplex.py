@@ -1,20 +1,19 @@
 """Two-phase dense tableau simplex, stacked, with verifiable primal/dual certificates.
 
-Solves min c.x subject to B x = p with per-variable sign restrictions
-(nonnegative by default, unrestricted where ``free_mask`` is set).  Free
-variables are split into differences of nonnegative pairs internally; callers
-see net values only.
+Solves min c.x subject to B x = p, x >= 0.  Every variable is nonnegative:
+a caller with an unrestricted variable splits it into the difference of two
+nonnegative ones (the margin LP of ``rsp`` does so for its y).
 
-``solve_batch`` solves LPs that share one objective, shape and sign pattern
-(an ``LpStack``) on one stacked tableau of shape (B, rows, cols) of at most 512 KiB
-(``linalg._STACK_BYTES``; more LPs are solved chunk by chunk).  It is the one
-place that bounds tableau memory.  Each step prices, ratio-tests and pivots
-every unfinished LP in lockstep, and an LP that finishes is swapped behind
-the ones still pivoting.  ``solve`` is the batch of one.  Every operation
-acts on each LP alone and every decision is made per LP, so an LP gets
-bit-identical output whether it is solved alone, mid-chunk or across a chunk
-boundary, and identical inputs pivot identically.  ``verify_certificate``
-re-checks a whole stack as array operations.
+``solve_batch`` solves LPs that share one objective and shape (an
+``LpStack``) on one stacked tableau of shape (B, rows, cols) of at most
+512 KiB (``linalg._STACK_BYTES``; more LPs are solved chunk by chunk).  It is
+the one place that bounds tableau memory.  Each step prices, ratio-tests and
+pivots every unfinished LP in lockstep, and an LP that finishes is swapped
+behind the ones still pivoting.  ``solve`` is the batch of one.  Every
+operation acts on each LP alone and every decision is made per LP, so an LP
+gets bit-identical output whether it is solved alone, mid-chunk or across a
+chunk boundary, and identical inputs pivot identically.
+``verify_certificate`` re-checks a whole stack as array operations.
 """
 
 from __future__ import annotations
@@ -42,24 +41,17 @@ _NO_ROW = np.iinfo(np.int64).max
 
 @dataclass
 class StandardLp:
-    """min objective . x  s.t.  constraints @ x = rhs, x >= 0 except free."""
+    """min objective . x  s.t.  constraints @ x = rhs, x >= 0."""
 
     objective: np.ndarray
     constraints: np.ndarray
     rhs: np.ndarray
-    free_mask: np.ndarray | None = None
 
     def __post_init__(self):
         self.constraints = as_matrix(self.constraints)
         m, n = self.constraints.shape
         self.objective = as_vector(self.objective, n)
         self.rhs = as_vector(self.rhs, m)
-        if self.free_mask is None:
-            self.free_mask = np.zeros(n, dtype=bool)
-        else:
-            self.free_mask = np.asarray(self.free_mask, dtype=bool).reshape(-1)
-            if self.free_mask.size != n:
-                raise ValueError("free_mask length must match the variable count")
 
 
 @dataclass
@@ -67,9 +59,9 @@ class LpSolution:
     """Solver outcome; primal/dual fields are populated when status is optimal.
 
     When optimal: x is primal feasible, y solves the dual equations through
-    s = c - B^T y with s >= 0 on sign-restricted variables, x.s vanishes
-    componentwise, and the primal and dual objectives agree.  ``ray`` carries
-    an unbounded improving direction when status is unbounded.
+    s = c - B^T y with s >= 0, x.s vanishes componentwise, and the primal and
+    dual objectives agree.  ``ray`` carries an unbounded improving direction
+    when status is unbounded.
     """
 
     status: str
@@ -83,36 +75,33 @@ class LpSolution:
 
 @dataclass
 class LpStack:
-    """LPs of one objective, one shape and one ``free_mask``, stacked along a leading axis.
+    """LPs of one objective and one shape, stacked along a leading axis.
 
-    LP i is min objective . x s.t. constraints[i] @ x = rhs[i]; rows that
-    all LPs share may be broadcast views.
+    LP i is min objective . x s.t. constraints[i] @ x = rhs[i], x >= 0; rows
+    that all LPs share may be broadcast views.
     """
 
     objective: np.ndarray    # (n,)
     constraints: np.ndarray  # (B, m, n)
     rhs: np.ndarray          # (B, m)
-    free_mask: np.ndarray    # (n,)
 
     @classmethod
     def of(cls, lps: Sequence[StandardLp]) -> "LpStack":
         """Stack copies of the LPs' constraints and right-hand sides."""
         first = lps[0]
         if any(lp.constraints.shape != first.constraints.shape
-               or not np.array_equal(lp.objective, first.objective)
-               or not np.array_equal(lp.free_mask, first.free_mask) for lp in lps[1:]):
-            raise ValueError("stacked LPs must share one objective, one shape and one free mask")
+               or not np.array_equal(lp.objective, first.objective) for lp in lps[1:]):
+            raise ValueError("stacked LPs must share one objective and one shape")
         return cls(first.objective, np.stack([lp.constraints for lp in lps]),
-                   np.stack([lp.rhs for lp in lps]), first.free_mask)
+                   np.stack([lp.rhs for lp in lps]))
 
     def __getitem__(self, index) -> "LpStack":
-        return LpStack(self.objective, self.constraints[index], self.rhs[index],
-                       self.free_mask)
+        return LpStack(self.objective, self.constraints[index], self.rhs[index])
 
 
-def tableau_bytes(m: int, n: int, n_free: int = 0) -> int:
-    """Bytes of the tableau of one LP with m rows and n variables, n_free free."""
-    return 8 * (m + 1) * (n + n_free + m + 1)
+def tableau_bytes(m: int, n: int) -> int:
+    """Bytes of the tableau of one LP with m rows and n variables."""
+    return 8 * (m + 1) * (n + m + 1)
 
 
 class _Tableaux:
@@ -124,20 +113,15 @@ class _Tableaux:
     sits at the same flat index.
     """
 
-    def __init__(self, B: np.ndarray, free_idx: np.ndarray, sigma: np.ndarray,
-                 rhs: np.ndarray):
-        # Row i of LP b is sigma[b, i] times its constraint row; the columns
-        # of free variables are followed by their negated copies.
+    def __init__(self, B: np.ndarray, sigma: np.ndarray, rhs: np.ndarray):
+        # Row i of LP b is sigma[b, i] times its constraint row.
         count, m, n = B.shape
-        n_struct = n + free_idx.size
         self.m = m
-        self.T = T = np.zeros((count, m + 1, n_struct + m + 1))
+        self.T = T = np.zeros((count, m + 1, n + m + 1))
         T[:, :m, :n] = B
-        if free_idx.size:
-            T[:, :m, n:n_struct] = -B[:, :, free_idx]
-        T[:, :m, :n_struct] *= sigma[:, :, None]
+        T[:, :m, :n] *= sigma[:, :, None]
         rows = np.arange(m)
-        T[:, rows, n_struct + rows] = 1.0
+        T[:, rows, n + rows] = 1.0
         T[:, :m, -1] = rhs * sigma
         self.work = np.empty_like(T)
         self.ratios = np.empty((count, m))
@@ -145,7 +129,7 @@ class _Tableaux:
         self.every = np.arange(count)
         self.row0 = self.every * (m + 1)
         self.ints = np.empty((count, m + 1), dtype=np.int64)
-        self.ints[:, :m] = n_struct + rows
+        self.ints[:, :m] = n + rows
         self.ints[:, m] = self.every
         self.basis, self.lp = self.ints[:, :m], self.ints[:, m]
         self.ints_flat = self.ints.reshape(-1)
@@ -298,28 +282,19 @@ class _Tableaux:
             np.putmask(since, best > _RATIO_TIE, step)
 
 
-def _fold_free(v_ext: np.ndarray, n: int, free_idx: np.ndarray) -> np.ndarray:
-    v = v_ext[..., :n].copy()
-    if free_idx.size:
-        v[..., free_idx] -= v_ext[..., n:]
-    return v
-
-
 def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
                  max_pivots: int | None) -> list[LpSolution | IterationLimit]:
     B, p, c = lps.constraints, lps.rhs, lps.objective
     count, m, n = B.shape
-    free_idx = np.flatnonzero(lps.free_mask)
-    art0 = n_ext = n + free_idx.size
-    width = n_ext + m
+    width = n + m
     if max_pivots is None:
-        max_pivots = 50 * (m + n_ext)
+        max_pivots = 50 * (m + n)
 
     # Orient rows so phase 1 starts from a feasible artificial basis.
     sigma = np.where(p < 0.0, -1.0, 1.0)
-    tab = _Tableaux(B, free_idx, sigma, p)
+    tab = _Tableaux(B, sigma, p)
     phase1_costs = np.zeros(width)
-    phase1_costs[art0:] = 1.0
+    phase1_costs[n:] = 1.0
     tab.set_costs(count, phase1_costs)
     tab.run(count, width, max_pivots)
     for i in np.flatnonzero(tab.entering >= 0):
@@ -337,9 +312,9 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
     # cost zero in phase 2, pinning the matching dual value to zero.  A pivot
     # changes only its own row's basic variable, so the rows holding
     # artificials are known up front.
-    artificial = tab.basis[:active] >= art0
+    artificial = tab.basis[:active] >= n
     for r in np.flatnonzero(artificial.any(axis=0)):
-        row = np.abs(tab.T[:active, r, :n_ext])
+        row = np.abs(tab.T[:active, r, :n])
         j = row.argmax(axis=1)
         ok = artificial[:, r] & (row[tab.every[:active], j] > _PIVOT_EPS)
         swapped = tab.partition(ok, j, artificial)
@@ -350,9 +325,8 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
 
     c_ext = np.zeros(width)
     c_ext[:n] = c
-    c_ext[n:n_ext] = -c[free_idx]
     tab.set_costs(active, c_ext)
-    tab.run(active, n_ext, max_pivots)
+    tab.run(active, n, max_pivots)
 
     at = tab.slots()
     results: list = [None] * count
@@ -363,36 +337,30 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
         elif infeasible[i]:
             results[i] = LpSolution(status=INFEASIBLE, pivots=int(tab.pivots[s]))
         elif (entering := tab.entering[i]) >= 0:
-            ray_ext = np.zeros(n_ext)
-            ray_ext[entering] = 1.0
-            basic = tab.basis[s] < n_ext
-            ray_ext[tab.basis[s][basic]] = -tab.T[s, :m, entering][basic]
-            results[i] = LpSolution(status=UNBOUNDED, ray=_fold_free(ray_ext, n, free_idx),
-                                    pivots=int(tab.pivots[s]))
+            ray = np.zeros(n)
+            ray[entering] = 1.0
+            basic = tab.basis[s] < n
+            ray[tab.basis[s][basic]] = -tab.T[s, :m, entering][basic]
+            results[i] = LpSolution(status=UNBOUNDED, ray=ray, pivots=int(tab.pivots[s]))
     optimal = np.array([i for i in range(count) if results[i] is None], dtype=np.intp)
     if not optimal.size:
         return results
 
     slots = at[optimal]
     basis = tab.basis[slots]
-    x_ext = np.zeros((optimal.size, width))
-    x_ext[tab.every[:optimal.size, None], basis] = tab.T[slots, :m, -1]
-    x_ext = x_ext[:, :n_ext]
-    x_ext[(x_ext < 0.0) & (x_ext > -_CLEAN_EPS)] = 0.0
-    x = _fold_free(x_ext, n, free_idx)
+    x = np.zeros((optimal.size, width))
+    x[tab.every[:optimal.size, None], basis] = tab.T[slots, :m, -1]
+    x = x[:, :n]
+    x[(x < 0.0) & (x > -_CLEAN_EPS)] = 0.0
 
     # Dual values from the final basis: solve M^T y = c_B, then undo the row
-    # orientation.  Column r of M is column basis[r] of the row-flipped
-    # [B, -B_free], or for an artificial the unit column of its row (with
-    # cost zero).
-    source = np.concatenate([np.arange(n), free_idx, np.zeros(m, dtype=np.intp)])
-    sign = np.concatenate([np.ones(n), -np.ones(free_idx.size), np.zeros(m)])
-    MT = B[optimal[:, None], :, source[basis]]
-    MT *= sign[basis][:, :, None]
+    # orientation.  Column r of M is column basis[r] of the row-flipped B, or
+    # for an artificial the unit column of its row (with cost zero).
+    q, r = np.nonzero(basis >= n)
+    MT = B[optimal[:, None], :, np.where(basis < n, basis, 0)]
     MT *= sigma[optimal][:, None, :]
-    q, r = np.nonzero(basis >= n_ext)
     MT[q, r] = 0.0
-    MT[q, r, basis[q, r] - n_ext] = 1.0
+    MT[q, r, basis[q, r] - n] = 1.0
     c_basis = c_ext[basis][:, :, None]
     try:
         y = np.linalg.solve(MT, c_basis)[:, :, 0]
@@ -431,7 +399,7 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
         lps = LpStack.of(lps)
     count, m, n = lps.constraints.shape
     results: list[LpSolution | IterationLimit] = []
-    for part in stack_chunks(count, tableau_bytes(m, n, int(lps.free_mask.sum()))):
+    for part in stack_chunks(count, tableau_bytes(m, n)):
         results += _solve_chunk(lps[part], tol, max_pivots)
     return results
 
@@ -463,8 +431,7 @@ def verify_certificate(lp: StandardLp | LpStack, sol: LpSolution | Sequence[LpSo
     optimal never verifies.
     """
     if isinstance(lp, StandardLp):
-        stack = LpStack(lp.objective, lp.constraints[None], lp.rhs[None], lp.free_mask)
-        return bool(_verified(stack, [sol], tol)[0])
+        return bool(_verified(LpStack.of([lp]), [sol], tol)[0])
     return _verified(lp, sol, tol)
 
 
@@ -482,15 +449,15 @@ def _verified(lps: LpStack, sols: Sequence, tol: ToleranceConfig) -> np.ndarray:
     B, p = lps.constraints, lps.rhs
     if len(at) < len(sols):
         B, p = B[at], p[at]
-    c, free = lps.objective, lps.free_mask
+    c = lps.objective
     feas, gap = tol.feas_tol, tol.gap_tol
     # Primal residual, relative to the right-hand side, and primal signs.
     residual = np.abs(np.matmul(B, x[:, :, None])[:, :, 0] - p)
     bad |= residual.max(axis=1) > feas * np.maximum(1.0, np.abs(p).max(axis=1))
-    bad |= ((x < -feas) & ~free).any(axis=1)
-    # Reduced costs: nonnegative where x is sign-restricted, zero where free.
+    bad |= (x < -feas).any(axis=1)
+    # Reduced costs: nonnegative.
     s = c - np.matmul(y[:, None, :], B)[:, 0]
-    bad |= (np.where(free, np.abs(s), -s) > feas).any(axis=1)
+    bad |= (s < -feas).any(axis=1)
     # Complementary slackness and the duality gap.
     bad |= (np.abs(x * s) > gap).any(axis=1)
     obj = x @ c

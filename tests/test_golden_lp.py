@@ -39,29 +39,30 @@ def _margin_matrices():
 def margin_lp(A, S) -> StandardLp:
     """The margin LP of ``check_rsp_at``, written out independently.
 
-    min t + 1 s.t. A_S^T y = 1, A_j^T y - (t + 1) + s_j = -1 off S, with y
-    free and t + 1, s >= 0.
+    min t + 1 s.t. A_S^T y = 1, A_j^T y - (t + 1) + s_j = -1 off S, with the
+    free y split as y+ - y-: variables [y+, t + 1, s, y-], all nonnegative.
     """
     m, n = A.shape
     Sc = complement(S, n)
     k, kc = len(S), len(Sc)
-    B = np.zeros((n, m + 1 + kc))
+    B = np.zeros((n, 2 * m + 1 + kc))
     B[:k, :m] = A[:, list(S)].T
     B[k:, :m] = A[:, list(Sc)].T
     B[k:, m] = -1.0
-    B[k:, m + 1:] = np.eye(kc)
-    cost = np.zeros(m + 1 + kc)
+    B[k:, m + 1:-m] = np.eye(kc)
+    B[:, -m:] = -B[:, :m]
+    cost = np.zeros(2 * m + 1 + kc)
     cost[m] = 1.0
-    free = np.zeros(m + 1 + kc, dtype=bool)
-    free[:m] = True
-    return StandardLp(cost, B, np.concatenate([np.ones(k), -np.ones(kc)]), free)
+    return StandardLp(cost, B, np.concatenate([np.ones(k), -np.ones(kc)]))
 
 
 def _lp_row(sol, n_y=None):
+    # With ``n_y``, the solution of a margin LP: its x is reported as the
+    # folded y = y+ - y-.
     row = {"status": sol.status, "pivots": sol.pivots}
     if sol.status == OPTIMAL:
         row["objective"] = _r12(sol.objective_value)
-        row["x"] = _r12(sol.x if n_y is None else sol.x[:n_y])
+        row["x"] = _r12(sol.x if n_y is None else sol.x[:n_y] - sol.x[-n_y:])
     return row
 
 
@@ -139,7 +140,7 @@ def _same(a: LpSolution, b: LpSolution) -> bool:
 def _chunk_len(lp: StandardLp) -> int:
     """LPs of this shape that ``solve_batch`` pivots as one stacked chunk."""
     m, n = lp.constraints.shape
-    return linalg._STACK_BYTES // simplex.tableau_bytes(m, n, int(lp.free_mask.sum()))
+    return linalg._STACK_BYTES // simplex.tableau_bytes(m, n)
 
 
 def test_a_result_does_not_depend_on_its_batch():

@@ -132,7 +132,7 @@ def _break_first_l1_stack(monkeypatch, at):
 
     def solve_batch(lps, *args, **kwargs):
         results = real(lps, *args, **kwargs)
-        if not lps.free_mask.any():     # the l1 LPs; margin LPs have a free y
+        if np.all(lps.objective == 1.0):     # the l1 LPs
             stacks.append(len(results))
             if len(stacks) == 1:
                 results[at] = IterationLimit("injected breakdown")

@@ -3,9 +3,9 @@ import pytest
 from scipy.optimize import linprog
 
 from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, IterationLimit, LpSolution,
-                     StandardLp, solve, verify_certificate)
+                     StandardLp, check_rsp_at, solve, verify_certificate)
 from rspcert.linalg import DEFAULT_TOLERANCES
-from rspcert.simplex import LpStack
+from rspcert.simplex import LpStack, solve_batch
 
 from conftest import UNIQUE_A, UNIQUE_B
 from rational_lp import rational_feasible
@@ -71,12 +71,14 @@ def test_verify_accepts_hand_built_optimal_pair():
 
 
 def test_free_variable_reports_net_value():
-    # min |shift| style problem: y free, equality pins it to a negative value.
-    lp = StandardLp([0.0, 1.0], [[1.0, 0.0]], [-2.5],
-                    free_mask=np.array([True, False]))
+    # min |shift| style problem: a free y split as y+ - y- over the variables
+    # [y+, shift, y-], as the margin LP splits its y; the equality pins y to
+    # a negative value, which y- carries.
+    lp = StandardLp([0.0, 1.0, 0.0], [[1.0, 0.0, -1.0]], [-2.5])
     sol = solve(lp)
     assert sol.status == OPTIMAL
-    assert sol.x == pytest.approx([-2.5, 0.0], abs=1e-10)
+    assert sol.x[0] - sol.x[2] == pytest.approx(-2.5, abs=1e-10)
+    assert sol.x == pytest.approx([0.0, 0.0, 2.5], abs=1e-10)
     assert verify_certificate(lp, sol)
 
 
@@ -144,6 +146,22 @@ def test_feasibility_matches_exact_rational_oracle():
         sol = solve(StandardLp(np.zeros(n), B, p))
         exact = rational_feasible(B.tolist(), p.tolist())
         assert (sol.status != INFEASIBLE) == exact
+    # Split margin LPs of small integer matrices whose last column is a
+    # multiple of the first: supports holding both, or more columns than
+    # rows, are dependent, and A_S^T y = 1 may have no solution.  An
+    # infeasible margin LP is the "no" of the range-space check.
+    statuses = set()
+    for _ in range(20):
+        A = rng.integers(-3, 4, size=(3, 6)).astype(float)
+        A[:, 5] = rng.choice([-1.0, 1.0, 2.0]) * A[:, 0]
+        for S in [(0, 5), (0, 2, 5), (1, 2, 3, 4), (0, 1, 2, 3, 5)]:
+            lp = margin_lp(A, S)
+            sol = solve(lp)
+            exact = rational_feasible(lp.constraints.tolist(), lp.rhs.tolist())
+            assert (sol.status != INFEASIBLE) == exact
+            assert (check_rsp_at(A, S).lp_status != INFEASIBLE) == exact
+            statuses.add(sol.status)
+    assert statuses == {OPTIMAL, INFEASIBLE}
 
 
 def test_statuses_and_objectives_match_scipy():
@@ -176,34 +194,63 @@ def test_degenerate_lp_terminates():
     assert verify_certificate(lp, sol)
 
 
-def test_lp_stack_takes_one_objective_shape_and_free_mask():
+def test_lp_stack_takes_one_objective_and_shape():
     lp = StandardLp([1.0, 1.0], [[1.0, 2.0]], [1.0])
     stack = LpStack.of([lp, StandardLp([1.0, 1.0], [[3.0, 1.0]], [2.0])])
     assert stack.objective.shape == (2,)
     assert stack.constraints.shape == (2, 1, 2)
     for other in (StandardLp([1.0, 2.0], [[1.0, 2.0]], [1.0]),
-                  StandardLp([1.0, 1.0], [[1.0, 2.0], [0.0, 1.0]], [1.0, 0.0]),
-                  StandardLp([1.0, 1.0], [[1.0, 2.0]], [1.0], free_mask=[True, False])):
+                  StandardLp([1.0, 1.0], [[1.0, 2.0], [0.0, 1.0]], [1.0, 0.0])):
         with pytest.raises(ValueError, match="one objective"):
             LpStack.of([lp, other])
 
 
-def _verified_alone(B, p, c, free, sol, tol=DEFAULT_TOLERANCES) -> bool:
+def test_dual_solve_falls_back_lp_by_lp_then_to_least_squares(monkeypatch):
+    # No final basis here is singular, so a patched solve raises to reach
+    # each fallback.  Column 11 repeats column 0: the margin LP at
+    # (0, 1, 2, 3, 11) has a redundant row, whose artificial stays basic and
+    # pins that row's dual to zero.  Each LP's duals differ from the others'.
+    A = np.random.default_rng([2026, 12]).standard_normal((6, 12))
+    A[:, 11] = A[:, 0]
+    lps = [margin_lp(A, S) for S in [(0, 1, 2, 3, 11), (1, 2, 3, 4, 5), (5, 6, 7, 8, 9),
+                                     (2, 4, 6, 8, 10)]]
+    stacked = solve_batch(lps)
+    assert all(sol.status == OPTIMAL for sol in stacked)
+    assert stacked[0].y[4] == 0.0 and len({sol.y.tobytes() for sol in stacked}) == 4
+    real, calls = np.linalg.solve, []
+
+    def stack_singular(M, b):
+        calls.append(len(M))
+        if len(M) > 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real(M, b)
+    monkeypatch.setattr(np.linalg, "solve", stack_singular)
+    retried = solve_batch(lps)
+    assert calls == [4, 1, 1, 1, 1]
+    for a, b in zip(stacked, retried):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+    def singular(M, b):
+        raise np.linalg.LinAlgError("singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    least_squares = solve_batch(lps)
+    assert all(np.array_equal(a.x, b.x) for a, b in zip(stacked, least_squares))
+    assert verify_certificate(LpStack.of(lps), least_squares).all()
+
+
+def _verified_alone(B, p, c, sol, tol=DEFAULT_TOLERANCES) -> bool:
     """The per-LP certificate re-check, condition by condition, as reference."""
     if not isinstance(sol, LpSolution) or sol.status != OPTIMAL or sol.x is None or sol.y is None:
         return False
     x, y = sol.x, sol.y
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return False
-    restricted = ~free
     if np.abs(B @ x - p).max() > tol.feas_tol * max(1.0, float(np.abs(p).max())):
         return False
-    if restricted.any() and x[restricted].min() < -tol.feas_tol:
+    if x.min() < -tol.feas_tol:
         return False
     s = c - B.T @ y
-    if restricted.any() and s[restricted].min() < -tol.feas_tol:
-        return False
-    if free.any() and np.abs(s[free]).max() > tol.feas_tol:
+    if s.min() < -tol.feas_tol:
         return False
     if np.abs(x * s).max(initial=0.0) > tol.gap_tol:
         return False
@@ -243,9 +290,10 @@ def test_stacked_verify_agrees_with_the_per_lp_reference(kind):
     elif kind == "l1":
         lps = [StandardLp(np.ones(12), A, A @ rng.uniform(0.0, 1.0, 12)) for _ in range(5)]
     elif kind == "free":
-        # A dual step moves only the free variable's reduced cost, which only
-        # the free-variable condition can reject.
-        lps = [StandardLp([0.0, 1.0], [[1.0, 0.0]], [b], free_mask=[True, False])
+        # A free y split as y+ - y- over [y+, t, y-]: a dual step moves the
+        # reduced costs of the pair by opposite amounts, so the sign test
+        # of one of the pair, |s| <= feas_tol on the free y, rejects it.
+        lps = [StandardLp([0.0, 1.0, 0.0], [[1.0, 0.0, -1.0]], [b])
                for b in (-2.5, -0.5, 0.0, 0.7, 3.0)]
     elif kind == "slack":
         # x2 has no constraint and reduced cost 1: raising it breaks only
@@ -268,10 +316,10 @@ def test_stacked_verify_agrees_with_the_per_lp_reference(kind):
     stack = LpStack.of([lp for lp, entries in zip(lps, per_lp) for _ in entries])
     entries = [entry for entries in per_lp for entry in entries]
     got = verify_certificate(stack, entries)
-    want = [_verified_alone(B, p, stack.objective, stack.free_mask, sol)
+    want = [_verified_alone(B, p, stack.objective, sol)
             for B, p, sol in zip(stack.constraints, stack.rhs, entries)]
     assert got.tolist() == want
     assert True in want and False in want
-    alone = [verify_certificate(StandardLp(stack.objective, B, p, stack.free_mask), sol)
+    alone = [verify_certificate(StandardLp(stack.objective, B, p), sol)
              for B, p, sol in zip(stack.constraints, stack.rhs, entries)]
     assert alone == want
