@@ -18,7 +18,7 @@ each metric over perfbench result files (the last JSON line of
 ``end_to_end.<workload>.<label>``.
 
 Inputs are seeded: four Gaussian 8x16 matrices for the margin LPs (every
-support of size 1, 2 and 3, through ``prsp_order_k``), two planted k*=4
+support of size 1, 2 and 3, through the prsp certifier), two planted k*=4
 10x20 systems for the feasibility LPs (through ``sparsest_supports``), and
 the size-3 supports of the 8x16 matrices for the rank probes, and the
 recovery oracle at K=3 on the 8x16 matrices under each of the four
@@ -27,9 +27,11 @@ the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
 commands for seed 1 (``perfbench/workloads.py``, run in-process through
 ``rspcert.cli.main``).  Times are the fastest of ``--repeat`` runs, on one
 thread.  Only public names that every build has are used, apart from the
-lockstep counts, which read the stacked engine when the tree has one, and
-the l1 LPs per oracle window, which count the stacks ``rspcert.rsp`` passes
-to ``solve_batch`` when the tree has it.
+prsp certifier (``certify_order_k(..., property="prsp")``, or
+``prsp_order_k`` in trees that predate it), the lockstep counts, which read
+the stacked engine when the tree has one, and the l1 LPs per oracle window,
+which count the stacks ``rspcert.rsp`` passes to ``solve_batch`` when the
+tree has it.
 """
 
 from __future__ import annotations
@@ -83,6 +85,13 @@ def _margin_lp(rc, np, A, S):
     return rc.StandardLp(cost, B, np.r_[np.ones(k), -np.ones(kc)])
 
 
+def _prsp(rc):
+    """The tree's certifier of prsp, as a function of (A, K)."""
+    if hasattr(rc, "certify_order_k"):
+        return lambda A, k: rc.certify_order_k(A, k, property="prsp")
+    return rc.prsp_order_k
+
+
 def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
@@ -93,9 +102,10 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
         linalg._STACK_BYTES = cap_kib * 1024
     mats = [np.random.default_rng([4, i]).standard_normal((8, 16)) for i in range(4)]
     out: dict = {"margin_us_per_lp": {}, "margin_pivots_per_lp": {}}
+    prsp = _prsp(rc)
     for k in (1, 2, 3):
         count = math.comb(16, k) * len(mats)
-        t = _best(lambda: [rc.prsp_order_k(A, k) for A in mats], repeat)
+        t = _best(lambda: [prsp(A, k) for A in mats], repeat)
         out["margin_us_per_lp"][str(k)] = 1e6 * t / count
         pivots = [rc.solve(_margin_lp(rc, np, A, S)).pivots
                   for A in mats for S in combinations(range(16), k)]
@@ -222,7 +232,8 @@ def _lockstep(rc, np, mats, repeat: int) -> dict | None:
     from rspcert import simplex
     if getattr(simplex, "_Tableaux", None) is None:
         return None
-    margin = _steps(simplex, lambda: [rc.prsp_order_k(A, 3) for A in mats])
+    prsp = _prsp(rc)
+    margin = _steps(simplex, lambda: [prsp(A, 3) for A in mats])
     count = math.comb(16, 3) * len(mats)
     with tempfile.TemporaryDirectory() as work:
         one_pass, lps = _orderk_pass(Path(work))

@@ -20,8 +20,7 @@ from .oracle import (EquivalenceStatus, EquivalenceVerdict, SparsestReport,
                      SystemClass, SystemLabel, classify_system,
                      equivalence_verdict, sparsest_supports)
 from .orderk import (DEFAULT_CHECK_BUDGET, RecoveryOracleReport, RecoveryReport,
-                     prsp_order_k, pwrsp_order_k, rsp_order_k,
-                     uniform_recovery_oracle, wrsp_order_k)
+                     certify_order_k, uniform_recovery_oracle)
 from .rsp import (FailureReason, LpSparsestResult, RspCertificate,
                   UniquenessVerdict, Verdict, certify_uniqueness, check_rsp_at,
                   lp_sparsest_pipeline, solve_and_certify,
@@ -42,8 +41,8 @@ __all__ = [
     "rank_details", "spark", "sparsity_bound", "submatrix",
     "EquivalenceStatus", "EquivalenceVerdict", "SparsestReport", "SystemClass",
     "SystemLabel", "classify_system", "equivalence_verdict", "sparsest_supports",
-    "RecoveryOracleReport", "RecoveryReport", "prsp_order_k", "pwrsp_order_k",
-    "rsp_order_k", "uniform_recovery_oracle", "wrsp_order_k",
+    "RecoveryOracleReport", "RecoveryReport", "certify_order_k",
+    "uniform_recovery_oracle",
     "FailureReason", "LpSparsestResult", "RspCertificate", "UniquenessVerdict",
     "Verdict", "certify_uniqueness", "check_rsp_at", "lp_sparsest_pipeline",
     "solve_and_certify", "solve_and_certify_batch", "solve_l1", "support_of",

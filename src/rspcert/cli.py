@@ -32,8 +32,8 @@ from .errors import (BudgetExceeded, CertificateUnavailable, Infeasible,
 from .io import load_matrix, load_vector
 from .linalg import DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, ToleranceConfig
 from .oracle import classify_system, equivalence_verdict
-from .orderk import (DEFAULT_CHECK_BUDGET, prsp_order_k, pwrsp_order_k,
-                     rsp_order_k, uniform_recovery_oracle, wrsp_order_k)
+from .orderk import (DEFAULT_CHECK_BUDGET, QUANTIFIERS, certify_order_k,
+                     uniform_recovery_oracle)
 from .rsp import (Verdict, certify_uniqueness, lp_sparsest_pipeline,
                   solve_and_certify)
 
@@ -49,9 +49,6 @@ BUDGET_ENV = "RSPCERT_BUDGET"
 
 _VERDICT_EXIT = {Verdict.YES: EXIT_YES, Verdict.NO: EXIT_NO,
                  Verdict.MARGINAL: EXIT_MARGINAL}
-
-_PROPERTIES = {"rsp": rsp_order_k, "wrsp": wrsp_order_k,
-               "prsp": prsp_order_k, "pwrsp": pwrsp_order_k}
 
 
 def _at_least(low: int):
@@ -149,7 +146,7 @@ def cmd_certify(args, A, tol, rhs, candidate, weights=None):
 
 
 def cmd_order_k(args, A, tol):
-    report = _PROPERTIES[args.property](A, args.k, tol, args.budget)
+    report = certify_order_k(A, args.k, tol, args.budget, property=args.property)
     lines = [f"property {args.property} of order {args.k}: {report.holds.value}"]
     if report.counterexample is not None:
         lines.append(f"counterexample support: {list(report.counterexample)}")
@@ -217,7 +214,7 @@ _COMMANDS = {
         cmd_order_k, "certify an order-K recovery property",
         budget=DEFAULT_CHECK_BUDGET, inputs=("k", "property", "budget"), options=(
             ("--k", {"type": int, "required": True}),
-            ("--property", {"choices": sorted(_PROPERTIES), "default": "rsp"}),
+            ("--property", {"choices": sorted(QUANTIFIERS), "default": "rsp"}),
             ("--oracle", {"action": "store_true",
                           "help": "also run the brute-force recovery oracle and compare"}),
             ("--trials", {"type": _at_least(1), "default": 1,
@@ -270,7 +267,7 @@ def cmd_random_batch(args) -> int:
     for index in range(args.count):
         rng = np.random.default_rng([args.seed, index])
         A = rng.standard_normal((args.m, args.n))
-        report = rsp_order_k(A, args.k, tol, budget)
+        report = certify_order_k(A, args.k, tol, budget)
         oracle = uniform_recovery_oracle(A, args.k, trials_per_support=args.trials,
                                          tol=tol, seed=args.seed + index, budget=budget)
         record = {

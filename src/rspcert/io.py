@@ -3,7 +3,8 @@
 Matrices are plain CSV (one row per line, comma-separated decimals) or the
 MatrixMarket dense array format ("%%MatrixMarket matrix array real general",
 column-major entries).  Vectors are single-column CSV, one value per line.
-Parse failures report 1-based line and column positions.
+A leading UTF-8 byte-order mark is skipped.  Parse failures report 1-based
+line and column positions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ _MM_HEADER = ("%%matrixmarket", "matrix", "array", "real", "general")
 
 def _read_lines(path) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read().splitlines()
     except OSError as exc:
         raise ParseError(path, 0, 0, str(exc)) from exc

@@ -1,7 +1,8 @@
 """Order-K recovery certification by exhaustive subset enumeration.
 
 Four graded matrix properties decide which sparse nonnegative vectors a
-sensing matrix recovers through l1 minimization:
+sensing matrix recovers through l1 minimization.  They are the keys of
+``QUANTIFIERS``, and differ only in the supports they range over:
 
 * rsp_k    - range-space certificate passes at every support of size <= K
              (uniform recovery of all K-sparse nonnegative vectors);
@@ -10,8 +11,9 @@ sensing matrix recovers through l1 minimization:
 * prsp_k   - passes at every support of size exactly K;
 * pwrsp_k  - passes at every full-column-rank support of size exactly K.
 
-Every verdict is cross-checkable against a brute-force recovery oracle that
-actually plants a random positive vector on each support and re-solves.
+``certify_order_k`` certifies any of them.  Every verdict is cross-checkable
+against a brute-force recovery oracle that actually plants a random positive
+vector on each support and re-solves.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ class RecoveryOracleReport:
 
 def _supports(A: np.ndarray, K: int, prop: str, tol: ToleranceConfig,
               budget: int) -> SupportEnumeration:
+    if prop not in QUANTIFIERS:
+        raise ValueError(f"unknown property {prop!r}; expected one of {sorted(QUANTIFIERS)}")
     if not 1 <= K <= A.shape[1]:
         raise ValueError(f"order K={K} must lie in [1, {A.shape[1]}]")
     q = QUANTIFIERS[prop]
@@ -105,12 +109,23 @@ def _supports(A: np.ndarray, K: int, prop: str, tol: ToleranceConfig,
     return SupportEnumeration(A, sizes, budget, tol, full_rank_only=q.full_rank_only)
 
 
-def _certify(A, K: int, tol: ToleranceConfig, budget: int, prop: str) -> RecoveryReport:
+def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
+                    budget: int = DEFAULT_CHECK_BUDGET,
+                    property: str = "rsp") -> RecoveryReport:
+    """Certify the order-K ``property`` (a key of ``QUANTIFIERS``) of A.
+
+    Every support the property ranges over is checked, and per-size failure
+    counts are kept as evidence: success at size k does not imply success at
+    smaller sizes.  wrsp also requires some size-K support with full column
+    rank, so K above rank(A) fails with ``no_full_rank_subset`` set.  When
+    no size-K support has full column rank, pwrsp's quantifier is empty and
+    the property holds vacuously; the report flags that case too.
+    """
     A = as_matrix(A)
-    supports = _supports(A, K, prop, tol, budget)
-    q = QUANTIFIERS[prop]
+    supports = _supports(A, K, property, tol, budget)
+    q = QUANTIFIERS[property]
     if q.needs_full_rank_k and rank(A, None, tol) < K:
-        return RecoveryReport(property=prop, order=K, holds=Verdict.NO,
+        return RecoveryReport(property=property, order=K, holds=Verdict.NO,
                               counterexample=None, subsets_checked=0,
                               no_full_rank_subset=True)
     counterexample: IndexSet | None = None
@@ -130,49 +145,11 @@ def _certify(A, K: int, tol: ToleranceConfig, budget: int, prop: str) -> Recover
         holds = Verdict.MARGINAL
     else:
         holds = Verdict.YES
-    return RecoveryReport(property=prop, order=K, holds=holds,
+    return RecoveryReport(property=property, order=K, holds=holds,
                           counterexample=counterexample,
                           subsets_checked=supports.count,
                           marginal_subsets=marginal, failures_per_size=failures,
                           no_full_rank_subset=q.full_rank_only and supports.count == 0)
-
-
-def rsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                budget: int = DEFAULT_CHECK_BUDGET) -> RecoveryReport:
-    """Certify the range space property of order K.
-
-    Every support size from 1 through K is enumerated: the property
-    quantifies over all of them, and success at size k does not imply success
-    at smaller sizes (per-size failure counts are recorded as evidence).
-    """
-    return _certify(A, K, tol, budget, "rsp")
-
-
-def wrsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                 budget: int = DEFAULT_CHECK_BUDGET) -> RecoveryReport:
-    """Certify the weak range space property of order K.
-
-    Rank-deficient supports are skipped (the quantifier excludes them); the
-    property additionally requires some size-K support with full column
-    rank, so K above rank(A) fails with ``no_full_rank_subset`` set.
-    """
-    return _certify(A, K, tol, budget, "wrsp")
-
-
-def prsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                 budget: int = DEFAULT_CHECK_BUDGET) -> RecoveryReport:
-    """Certify the partial range space property: supports of size exactly K."""
-    return _certify(A, K, tol, budget, "prsp")
-
-
-def pwrsp_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                  budget: int = DEFAULT_CHECK_BUDGET) -> RecoveryReport:
-    """Certify the partial weak property: full-rank supports of size exactly K.
-
-    With no full-column-rank subset of size K the quantifier is empty and the
-    property holds vacuously; the report flags that case.
-    """
-    return _certify(A, K, tol, budget, "pwrsp")
 
 
 def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,

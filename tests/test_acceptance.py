@@ -16,11 +16,12 @@ from rspcert import (OPTIMAL, EquivalenceStatus, FailureReason, StandardLp,
                      SystemLabel, Verdict, augmented_rank, certify_uniqueness,
                      check_rsp_at,
                      equivalence_verdict, mutual_coherence,
-                     coherence_bound_holds, classify_system, prsp_order_k,
-                     pwrsp_order_k, rsp_order_k, solve, solve_and_certify,
-                     solve_l1, spark, sparsest_supports, support_of,
-                     uniform_recovery_oracle, verify_certificate, wrsp_order_k)
+                     coherence_bound_holds, classify_system, certify_order_k,
+                     solve, solve_and_certify, solve_l1, spark,
+                     sparsest_supports, support_of, uniform_recovery_oracle,
+                     verify_certificate)
 from rspcert.cli import main
+from rspcert.orderk import QUANTIFIERS
 
 from conftest import (COHERENT_A, COHERENT_B, COHERENT_X, DENSE_A, DENSE_B,
                       DENSE_SPARSEST, DENSE_X, TIED_A, TIED_B, TIED_X_FULL,
@@ -52,13 +53,8 @@ def gaussian_suite():
         A = np.random.default_rng([77, i]).standard_normal((4, 8))
         per_k = {}
         for K in (1, 2, 3):
-            per_k[K] = {
-                "rsp": rsp_order_k(A, K),
-                "wrsp": wrsp_order_k(A, K),
-                "prsp": prsp_order_k(A, K),
-                "pwrsp": pwrsp_order_k(A, K),
-                "oracle": uniform_recovery_oracle(A, K, seed=i),
-            }
+            per_k[K] = {prop: certify_order_k(A, K, property=prop) for prop in QUANTIFIERS}
+            per_k[K]["oracle"] = uniform_recovery_oracle(A, K, seed=i)
         suite.append((A, per_k))
     return suite
 

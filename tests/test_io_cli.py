@@ -129,6 +129,29 @@ def test_malformed_csv_exit_one_with_location(tmp_path, capsys):
     assert ":1:2:" in capsys.readouterr().err
 
 
+def _write_mtx(path, A):
+    entries = "".join(f"{float(v)!r}\n" for v in np.asarray(A).reshape(-1, order="F"))
+    path.write_text("%%MatrixMarket matrix array real general\n"
+                    f"{A.shape[0]} {A.shape[1]}\n" + entries)
+
+
+@pytest.mark.parametrize("suffix", ["csv", "mtx"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, suffix):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark.
+    plain = [tmp_path / f"A.{suffix}", tmp_path / "b.csv"]
+    {"csv": write_csv_matrix, "mtx": _write_mtx}[suffix](plain[0], UNIQUE_A)
+    write_csv_vector(plain[1], UNIQUE_B)
+    marked = [tmp_path / f"bom_{path.name}" for path in plain]
+    for src, dst in zip(plain, marked):
+        dst.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+    runs = []
+    for paths in (plain, marked):
+        code = main(["solve-l1", *map(str, paths)])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "x = [0.5, 0.5, 0, 0]" in runs[0][1]
+
+
 def test_solve_l1_unique_exit_zero(tmp_path, capsys):
     args = _write_system(tmp_path, UNIQUE_A, UNIQUE_B)
     assert main(["solve-l1", *args]) == 0

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rspcert import (BudgetExceeded, CertificateUnavailable, IterationLimit,
-                     Verdict, check_rsp_at, prsp_order_k,
-                     pwrsp_order_k, rsp_order_k, spark,
-                     sparsest_supports, uniform_recovery_oracle, wrsp_order_k)
+                     Verdict, certify_order_k, check_rsp_at, spark,
+                     sparsest_supports, uniform_recovery_oracle)
+from rspcert.orderk import QUANTIFIERS
 
 from conftest import COHERENT_A
 
@@ -17,7 +17,7 @@ def _gaussian(i, shape=(4, 8)):
 
 def spark_consistency(A, K):
     """A yes at order K forces K < spark(A); vacuously true otherwise."""
-    if rsp_order_k(A, K).holds is not Verdict.YES:
+    if certify_order_k(A, K).holds is not Verdict.YES:
         return True
     return K < spark(A)
 
@@ -29,7 +29,7 @@ def unique_sparsest_consequence(A, K, seed=0):
     at most K must come back from the brute-force enumeration as the single
     sparsest support.  Vacuously true when the property does not hold.
     """
-    if rsp_order_k(A, K).holds is not Verdict.YES:
+    if certify_order_k(A, K).holds is not Verdict.YES:
         return True
     n = A.shape[1]
     rng = np.random.default_rng(seed)
@@ -43,17 +43,17 @@ def unique_sparsest_consequence(A, K, seed=0):
     return True
 
 
-# ------------------------------------------------------------- rsp_order_k
+# ---------------------------------------------------------- certify_order_k
 
 def test_identity_has_order_two_property():
-    report = rsp_order_k(np.eye(2), 2)
+    report = certify_order_k(np.eye(2), 2)
     assert report.holds is Verdict.YES
     assert report.counterexample is None
     assert report.subsets_checked == 3
 
 
 def test_coherent_matrix_fails_at_order_two():
-    report = rsp_order_k(COHERENT_A, 2)
+    report = certify_order_k(COHERENT_A, 2)
     assert report.holds is Verdict.NO
     # First failing subset in enumeration order: {0, 1}.  The equalities pin
     # y = (-1, t, -1), forcing the correlation with column 5 to sqrt(2) > 1.
@@ -71,7 +71,7 @@ def test_coherent_matrix_fails_at_order_two():
 
 
 def test_all_singletons_of_coherent_matrix_pass():
-    report = rsp_order_k(COHERENT_A, 1)
+    report = certify_order_k(COHERENT_A, 1)
     assert report.holds is Verdict.YES
 
 
@@ -79,7 +79,7 @@ def test_rank_one_row_of_ones_fails_at_order_one():
     # The range of the transpose is spanned by the ones vector, so eta = 1 on
     # one index forces eta = 1 everywhere.
     A = np.ones((1, 4))
-    report = rsp_order_k(A, 1)
+    report = certify_order_k(A, 1)
     assert report.holds is Verdict.NO
     assert report.counterexample == (0,)
 
@@ -87,7 +87,7 @@ def test_rank_one_row_of_ones_fails_at_order_one():
 def test_order_k_monotone_in_k():
     for i in range(8):
         A = _gaussian(i)
-        verdicts = [rsp_order_k(A, K).holds for K in (1, 2, 3)]
+        verdicts = [certify_order_k(A, K).holds for K in (1, 2, 3)]
         for smaller, larger in zip(verdicts, verdicts[1:]):
             if larger is Verdict.YES:
                 assert smaller is Verdict.YES
@@ -97,14 +97,14 @@ def test_order_k_budget_guard():
     rng = np.random.default_rng(40)
     A = rng.standard_normal((4, 30))
     with pytest.raises(BudgetExceeded):
-        rsp_order_k(A, 8)
+        certify_order_k(A, 8)
 
 
 @pytest.mark.parametrize("run", [
-    lambda A: rsp_order_k(A, 8),
-    lambda A: wrsp_order_k(A[:2], 8),  # rank 2 < K: the early no is refused too
-    lambda A: uniform_recovery_oracle(A, 8),
-    lambda A: uniform_recovery_oracle(A, 8, property="pwrsp"),
+    lambda A, prop: certify_order_k(A, 8, property=prop),
+    lambda A, prop: certify_order_k(A[:2], 8, property=prop),  # rank 2 < K: wrsp's early no too
+    lambda A, prop: uniform_recovery_oracle(A, 8, property=prop),
+    lambda A, prop: uniform_recovery_oracle(A[:2], 8, property=prop),
 ])
 def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
     import rspcert.orderk as orderk
@@ -117,8 +117,28 @@ def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
     monkeypatch.setattr(orderk, "solve_and_certify_batch", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
     A = np.random.default_rng(40).standard_normal((4, 30))
-    with pytest.raises(BudgetExceeded):
-        run(A)
+    for prop in QUANTIFIERS:
+        with pytest.raises(BudgetExceeded):
+            run(A, prop)
+    assert calls == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda A: certify_order_k(A, 2, property="RSP"),
+    lambda A: uniform_recovery_oracle(A, 2, property="RSP"),
+])
+def test_unknown_property_is_refused_before_any_solve(monkeypatch, run):
+    import rspcert.linalg as linalg
+    import rspcert.orderk as orderk
+    import rspcert.rsp as rsp
+
+    calls = []
+    monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "rank", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(linalg, "_pivoted_rank", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="unknown property 'RSP'") as info:
+        run(np.random.default_rng(40).standard_normal((4, 8)))
+    assert all(prop in str(info.value) for prop in QUANTIFIERS)
     assert calls == []
 
 
@@ -190,14 +210,12 @@ def test_oracle_draws_follow_the_one_by_one_stream(monkeypatch):
 # ------------------------------------------------- weak / partial properties
 
 def test_identity_satisfies_all_weakened_properties():
-    I2 = np.eye(2)
-    assert wrsp_order_k(I2, 2).holds is Verdict.YES
-    assert prsp_order_k(I2, 2).holds is Verdict.YES
-    assert pwrsp_order_k(I2, 2).holds is Verdict.YES
+    for prop in QUANTIFIERS:
+        assert certify_order_k(np.eye(2), 2, property=prop).holds is Verdict.YES
 
 
 def test_prsp_fails_on_coherent_matrix():
-    report = prsp_order_k(COHERENT_A, 2)
+    report = certify_order_k(COHERENT_A, 2, property="prsp")
     assert report.holds is Verdict.NO
     assert report.counterexample == (0, 1)
     assert check_rsp_at(COHERENT_A, report.counterexample).holds is Verdict.NO
@@ -205,7 +223,7 @@ def test_prsp_fails_on_coherent_matrix():
 
 def test_wrsp_requires_a_full_rank_subset():
     A = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    report = wrsp_order_k(A, 2)
+    report = certify_order_k(A, 2, property="wrsp")
     assert report.holds is Verdict.NO
     assert report.no_full_rank_subset is True
     assert report.counterexample is None
@@ -213,14 +231,14 @@ def test_wrsp_requires_a_full_rank_subset():
 
 def test_pwrsp_vacuous_when_no_full_rank_subset():
     A = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    report = pwrsp_order_k(A, 2)
+    report = certify_order_k(A, 2, property="pwrsp")
     assert report.holds is Verdict.YES
     assert report.no_full_rank_subset is True
 
 
 def test_wrsp_skips_the_dependent_pair():
-    full = rsp_order_k(COHERENT_A, 2)
-    weak = wrsp_order_k(COHERENT_A, 2)
+    full = certify_order_k(COHERENT_A, 2)
+    weak = certify_order_k(COHERENT_A, 2, property="wrsp")
     # The dependent pair is excluded from the weak quantifier, so the weak
     # check runs over one fewer subset than the plain one.
     assert weak.subsets_checked == full.subsets_checked - 1
@@ -229,28 +247,51 @@ def test_wrsp_skips_the_dependent_pair():
     assert weak.counterexample == (0, 1)
 
 
+def test_verdicts_ignore_row_rotation_and_column_order():
+    # R((QA)^T) = R(A^T) for an orthogonal Q, so every support's margin LP and
+    # rank test pose the same question; a column permutation relabels the
+    # supports, so only the counts are comparable.
+    same = ("holds", "counterexample", "subsets_checked", "failures_per_size",
+            "marginal_subsets", "no_full_rank_subset")
+    verdicts = []
+    for seed in range(8):
+        rng = np.random.default_rng([2029, seed])
+        A = rng.standard_normal((5, 10))
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        perm = rng.permutation(10)
+        for prop in QUANTIFIERS:
+            for K in (1, 2, 3):
+                base = certify_order_k(A, K, property=prop)
+                rotated = certify_order_k(Q @ A, K, property=prop)
+                permuted = certify_order_k(A[:, perm], K, property=prop)
+                assert ([getattr(rotated, f) for f in same]
+                        == [getattr(base, f) for f in same]), (seed, prop, K)
+                counts = [(r.holds, r.subsets_checked, r.failures_per_size,
+                           len(r.marginal_subsets)) for r in (base, permuted)]
+                assert counts[0] == counts[1], (seed, prop, K)
+                verdicts.append(base.holds)
+    assert {Verdict.YES, Verdict.NO} <= set(verdicts)
+
+
 def test_implication_chain_on_random_matrices():
     for i in range(8):
         A = _gaussian(i)
         for K in (1, 2, 3):
-            full = rsp_order_k(A, K).holds
-            partial = prsp_order_k(A, K).holds
-            weak = wrsp_order_k(A, K).holds
-            partial_weak = pwrsp_order_k(A, K).holds
-            if full is Verdict.YES:
-                assert partial is Verdict.YES
-                assert weak is Verdict.YES
-            if weak is Verdict.YES:
-                assert partial_weak is Verdict.YES
+            holds = {prop: certify_order_k(A, K, property=prop).holds for prop in QUANTIFIERS}
+            if holds["rsp"] is Verdict.YES:
+                assert holds["prsp"] is Verdict.YES
+                assert holds["wrsp"] is Verdict.YES
+            if holds["wrsp"] is Verdict.YES:
+                assert holds["pwrsp"] is Verdict.YES
 
 
 def test_weak_properties_bound_the_order_by_m():
     for i in range(5):
         A = _gaussian(i, shape=(3, 6))
         for K in (1, 2, 3):
-            if wrsp_order_k(A, K).holds is Verdict.YES:
+            if certify_order_k(A, K, property="wrsp").holds is Verdict.YES:
                 assert K <= 3
-            report = pwrsp_order_k(A, K)
+            report = certify_order_k(A, K, property="pwrsp")
             if report.holds is Verdict.YES and not report.no_full_rank_subset:
                 assert K <= 3
 
@@ -259,7 +300,7 @@ def test_partial_property_bounds_the_order_by_spark():
     for i in range(5):
         A = _gaussian(i)
         for K in (1, 2, 3):
-            if prsp_order_k(A, K).holds is Verdict.YES:
+            if certify_order_k(A, K, property="prsp").holds is Verdict.YES:
                 assert K < spark(A)
 
 
@@ -296,7 +337,7 @@ def test_certifier_and_oracle_agree_on_random_matrices():
     for i in range(5):
         A = _gaussian(i)
         for K in (1, 2, 3):
-            report = rsp_order_k(A, K)
+            report = certify_order_k(A, K)
             oracle = uniform_recovery_oracle(A, K, seed=i)
             if report.holds is Verdict.MARGINAL:
                 continue
@@ -307,18 +348,11 @@ def test_restricted_oracles_agree_with_weak_and_partial_properties():
     for i in range(4):
         A = _gaussian(i)
         for K in (1, 2):
-            weak = wrsp_order_k(A, K)
-            if weak.holds is not Verdict.MARGINAL and not weak.no_full_rank_subset:
-                oracle = uniform_recovery_oracle(A, K, seed=i, property="wrsp")
-                assert (weak.holds is Verdict.YES) == oracle.recovers
-            partial = prsp_order_k(A, K)
-            if partial.holds is not Verdict.MARGINAL:
-                oracle = uniform_recovery_oracle(A, K, seed=i, property="prsp")
-                assert (partial.holds is Verdict.YES) == oracle.recovers
-            partial_weak = pwrsp_order_k(A, K)
-            if partial_weak.holds is not Verdict.MARGINAL and not partial_weak.no_full_rank_subset:
-                oracle = uniform_recovery_oracle(A, K, seed=i, property="pwrsp")
-                assert (partial_weak.holds is Verdict.YES) == oracle.recovers
+            for prop in QUANTIFIERS:
+                report = certify_order_k(A, K, property=prop)
+                if report.holds is not Verdict.MARGINAL and not report.no_full_rank_subset:
+                    oracle = uniform_recovery_oracle(A, K, seed=i, property=prop)
+                    assert (report.holds is Verdict.YES) == oracle.recovers
 
 
 # ------------------------------------------------------------- consequences
@@ -351,6 +385,6 @@ def test_unique_sparsest_consequence_random():
 
 def test_order_k_rejects_bad_orders():
     with pytest.raises(ValueError):
-        rsp_order_k(np.eye(2), 0)
+        certify_order_k(np.eye(2), 0)
     with pytest.raises(ValueError):
-        rsp_order_k(np.eye(2), 3)
+        certify_order_k(np.eye(2), 3)
