@@ -4,8 +4,8 @@ Measures margin LPs, feasibility LPs, rank probes and the recovery oracle of
 one rspcert source tree and merges the figures into a JSON file under
 ``layers.<label>``; run it once per tree to compare two builds:
 
-    python3 bench/margin_batch.py --tree . --label change --out BENCH_8.json
-    python3 bench/margin_batch.py --tree ../parent --label parent --out BENCH_8.json
+    python3 bench/margin_batch.py --tree . --label change --out BENCH_11.json
+    python3 bench/margin_batch.py --tree ../parent --label parent --out BENCH_11.json
 
 ``--sweep KIB,...`` instead measures the tree once per stack byte cap
 (``linalg._STACK_BYTES``, which sets the LPs per lockstep chunk), each in its
@@ -18,20 +18,22 @@ each metric over perfbench result files (the last JSON line of
 ``end_to_end.<workload>.<label>``.
 
 Inputs are seeded: four Gaussian 8x16 matrices for the margin LPs (every
-support of size 1, 2 and 3, through the prsp certifier), two planted k*=4
-10x20 systems for the feasibility LPs (through ``sparsest_supports``), and
-the size-3 supports of the 8x16 matrices for the rank probes, and the
-recovery oracle at K=3 on the 8x16 matrices under each of the four
-properties.  The lockstep figures count the steps of the stacked engine on
+support of size 1, 2 and 3, through the prsp certifier, with the pivots of
+each margin LP as the certifier solves it), one Gaussian 4x8 and one 6x12
+matrix for ``check_rsp_at`` called one support at a time (every support of
+size 2), two planted k*=4 10x20 systems for the feasibility LPs (through
+``sparsest_supports``), the size-3 supports of the 8x16 matrices for the
+rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
+of the four properties.  The lockstep figures count the steps of the stacked engine on
 the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
 commands for seed 1 (``perfbench/workloads.py``, run in-process through
 ``rspcert.cli.main``).  Times are the fastest of ``--repeat`` runs, on one
 thread.  Only public names that every build has are used, apart from the
 prsp certifier (``certify_order_k(..., property="prsp")``, or
 ``prsp_order_k`` in trees that predate it), the lockstep counts, which read
-the stacked engine when the tree has one, and the l1 LPs per oracle window,
-which count the stacks ``rspcert.rsp`` passes to ``solve_batch`` when the
-tree has it.
+the stacked engine when the tree has one, and the margin-LP pivots and the
+l1 LPs per oracle window, which read the stacks ``rspcert.rsp`` passes to
+``solve_batch``.
 """
 
 from __future__ import annotations
@@ -67,24 +69,6 @@ def _best(fn, repeat: int) -> float:
     return best
 
 
-def _margin_lp(rc, np, A, S):
-    # The margin LP of check_rsp_at (see tests/test_golden_lp.py), its free y
-    # split as y+ - y- over the variables [y+, t + 1, s, y-], all nonnegative,
-    # a form that every build accepts.
-    m, n = A.shape
-    Sc = [j for j in range(n) if j not in S]
-    k, kc = len(S), len(Sc)
-    B = np.zeros((n, 2 * m + 1 + kc))
-    B[:k, :m] = A[:, list(S)].T
-    B[k:, :m] = A[:, Sc].T
-    B[k:, m] = -1.0
-    B[k:, m + 1:-m] = np.eye(kc)
-    B[:, -m:] = -B[:, :m]
-    cost = np.zeros(2 * m + 1 + kc)
-    cost[m] = 1.0
-    return rc.StandardLp(cost, B, np.r_[np.ones(k), -np.ones(kc)])
-
-
 def _prsp(rc):
     """The tree's certifier of prsp, as a function of (A, K)."""
     if hasattr(rc, "certify_order_k"):
@@ -107,9 +91,10 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
         count = math.comb(16, k) * len(mats)
         t = _best(lambda: [prsp(A, k) for A in mats], repeat)
         out["margin_us_per_lp"][str(k)] = 1e6 * t / count
-        pivots = [rc.solve(_margin_lp(rc, np, A, S)).pivots
-                  for A in mats for S in combinations(range(16), k)]
+        pivots = _solved(lambda: [prsp(A, k) for A in mats])
+        assert len(pivots) == count
         out["margin_pivots_per_lp"][str(k)] = statistics.fmean(pivots)
+    out["check_rsp_at_us"] = _batch_of_one(rc, np, repeat)
 
     systems = []
     for i in range(2):
@@ -133,6 +118,34 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     out["lockstep"] = _lockstep(rc, np, mats, repeat)
     if cap_kib is None:
         out["oracle"] = _oracle(rc, np, mats, repeat)
+    return out
+
+
+def _solved(work) -> list[int]:
+    """Pivots of each LP that ``rspcert.rsp`` passes to ``solve_batch`` while ``work()`` runs."""
+    from rspcert import rsp
+    solve_batch, pivots = rsp.solve_batch, []
+
+    def counting(lps, *args, **kwargs):
+        results = solve_batch(lps, *args, **kwargs)
+        pivots.extend(r.pivots for r in results)
+        return results
+    rsp.solve_batch = counting
+    try:
+        work()
+    finally:
+        rsp.solve_batch = solve_batch
+    return pivots
+
+
+def _batch_of_one(rc, np, repeat: int) -> dict:
+    """µs per ``check_rsp_at`` call, one support at a time, on every size-2 support."""
+    out = {}
+    for m, n in ((4, 8), (6, 12)):
+        A = np.random.default_rng([4, 20 + m]).standard_normal((m, n))
+        supports = list(combinations(range(n), 2))
+        t = _best(lambda: [rc.check_rsp_at(A, S) for S in supports], repeat)
+        out[f"{m}x{n}"] = 1e6 * t / len(supports)
     return out
 
 

@@ -95,15 +95,16 @@ def support_of(x, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> IndexSet:
     return tuple(int(i) for i in np.flatnonzero(x > tol.zero_tol))
 
 
-def _checked_solves(lps: LpStack, tol: ToleranceConfig) -> list[LpSolution | CertificateUnavailable]:
-    """Solve a stack and re-check every optimal solve.
+def _checked_solves(lps: LpStack, tol: ToleranceConfig,
+                    basis: np.ndarray | None = None) -> list[LpSolution | CertificateUnavailable]:
+    """Solve a stack, from the starting bases ``basis`` if given, and re-check every optimal solve.
 
     Every downstream certificate re-validates its solve before trusting it.
     Returns one entry per LP, in order: its solution, or the
     ``CertificateUnavailable`` its solve raises when it broke down or failed
     its re-check.  ``_raised`` turns an entry back into a result or a raise.
     """
-    sols = solve_batch(lps, tol)
+    sols = solve_batch(lps, tol, basis=basis)
     verified = verify_certificate(lps, sols, tol)
     checked: list[LpSolution | CertificateUnavailable] = []
     for sol, ok in zip(sols, verified):
@@ -183,13 +184,63 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
     return RspCertificate(holds, S, A.T @ y, y, t_star, sol.status)
 
 
+def _margin_starts(A: np.ndarray, block: np.ndarray, rank_tol: float) -> np.ndarray:
+    # A feasible basis of each margin LP of ``_margin_lps`` (one row of n
+    # column indices per support), or a row of -1 where the support has no
+    # start.  A partial-pivot elimination on A_S picks k rows I with A_{I,S}
+    # nonsingular; a support whose pivot falls to rank_tol * max(1, largest
+    # |entry| of A_S) or below gets no start, and phase 1 decides it (its
+    # equalities may be inconsistent).  Then y_I = A_{I,S}^-T 1, y = 0
+    # elsewhere, and each y_i is basic as y+ or y- by its sign;
+    # t + 1 = max(0, 1 + max_{j off S} A_j^T y) is basic in the row of the
+    # first arg-max unless it is 0, and every other off-support row keeps its
+    # slack basic.  All these values are nonnegative, so the basis is feasible.
+    m, n = A.shape
+    count, k = block.shape
+    every = np.arange(count)
+    R = A.T[block].transpose(0, 2, 1)       # A_S of each support, (count, m, k)
+    threshold = rank_tol * np.maximum(1.0, np.abs(R).max(axis=(1, 2), initial=0.0))
+    rows = np.empty((count, k), dtype=np.intp)
+    taken = np.zeros((count, m), dtype=bool)
+    ok = np.ones(count, dtype=bool)
+    for c in range(k):
+        r = np.where(taken, -1.0, np.abs(R[:, :, c])).argmax(axis=1)
+        pivot = R[every, r, c]
+        ok &= np.abs(pivot) > threshold
+        rows[:, c] = r
+        taken[every, r] = True
+        if c + 1 < k:
+            factor = R[:, :, c] / np.where(ok, pivot, 1.0)[:, None]
+            R[:, :, c + 1:] -= factor[:, :, None] * R[every, r, c + 1:][:, None, :]
+    y = np.zeros((count, m))
+    if k:
+        AIS = A[rows[:, :, None], block[:, None, :]]
+        AIS[~ok] = np.eye(k)
+        y[every[:, None], rows] = np.linalg.solve(AIS.transpose(0, 2, 1),
+                                                  np.ones((count, k, 1)))[:, :, 0]
+    basis = np.empty((count, n), dtype=np.intp)
+    nv = 2 * m + 1 + n - k
+    basis[:, :k] = np.where(y[every[:, None], rows] >= 0.0, rows, nv - m + rows)
+    basis[:, k:] = m + 1 + np.arange(n - k)
+    if k < n:
+        eta = np.matmul(y[:, None, :], A)[:, 0]
+        eta[every[:, None], block] = -np.inf
+        j = eta.argmax(axis=1)
+        lifted = np.flatnonzero(eta[every, j] > -1.0)
+        # Off-support column j sits in row k + (its rank among the off columns).
+        basis[lifted, k + j[lifted] - (block[lifted] < j[lifted, None]).sum(axis=1)] = m
+    basis[~ok] = -1
+    return basis
+
+
 def _margin_solves(A: np.ndarray, supports: list[IndexSet],
                    tol: ToleranceConfig) -> list[LpSolution | CertificateUnavailable]:
     # The checked margin LPs of sorted supports of one size, in order, solved
-    # as one stack.
+    # as one stack, each full-rank support's from its constructed start.
     if not supports:
         return []
-    return _checked_solves(_margin_lps(A, np.array(supports, dtype=np.intp)), tol)
+    block = np.array(supports, dtype=np.intp)
+    return _checked_solves(_margin_lps(A, block), tol, _margin_starts(A, block, tol.rank_tol))
 
 
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],

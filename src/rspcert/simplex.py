@@ -1,11 +1,18 @@
-"""Two-phase dense tableau simplex, stacked, with verifiable primal/dual certificates.
+"""Dense tableau simplex, stacked, with verifiable primal/dual certificates.
 
 Solves min c.x subject to B x = p, x >= 0.  Every variable is nonnegative:
 a caller with an unrestricted variable splits it into the difference of two
 nonnegative ones (the margin LP of ``rsp`` does so for its y).
 
+An LP is solved two-phase: phase 1 drives out artificial columns to reach a
+feasible basis, phase 2 optimises from it.  A caller that knows a feasible
+basis passes it to ``solve_batch`` and the LP starts in phase 2 on a
+tableau with no artificial columns.  ``rsp`` does so for the margin LP of
+every support with full column rank; the l1, feasibility and ``lp-sparse``
+LPs, and the margin LPs of rank-deficient supports, stay two-phase.
+
 ``solve_batch`` solves LPs that share one objective and shape (an
-``LpStack``) on one stacked tableau of shape (B, rows, cols) of at most
+``LpStack``) on stacked tableaux of shape (B, rows, cols) of at most
 512 KiB (``linalg._STACK_BYTES``; more LPs are solved chunk by chunk).  It is
 the one place that bounds tableau memory.  Each step prices, ratio-tests and
 pivots every unfinished LP in lockstep, and an LP that finishes is swapped
@@ -99,13 +106,17 @@ class LpStack:
         return LpStack(self.objective, self.constraints[index], self.rhs[index])
 
 
-def tableau_bytes(m: int, n: int) -> int:
-    """Bytes of the tableau of one LP with m rows and n variables."""
-    return 8 * (m + 1) * (n + m + 1)
+def tableau_bytes(m: int, n: int, phase1: bool = True) -> int:
+    """Bytes of the tableau of one LP with m rows and n variables.
+
+    Without ``phase1`` (an LP started at a given basis) the tableau has no
+    artificial columns.
+    """
+    return 8 * (m + 1) * (n + 1 + (m if phase1 else 0))
 
 
 class _Tableaux:
-    """Stacked dense tableaux over structural plus artificial columns.
+    """Stacked dense tableaux, over structural columns and phase 1's artificial ones if any.
 
     Slot s holds the tableau of LP ``lp[s]``; the LPs still pivoting occupy
     the leading slots.  Tableau row r of slot s is ``rows[row0[s] + r]``, and
@@ -113,23 +124,20 @@ class _Tableaux:
     sits at the same flat index.
     """
 
-    def __init__(self, B: np.ndarray, sigma: np.ndarray, rhs: np.ndarray):
-        # Row i of LP b is sigma[b, i] times its constraint row.
-        count, m, n = B.shape
+    def __init__(self, T: np.ndarray, basis: np.ndarray):
+        # T holds each LP's tableau in canonical form for its basis: the
+        # basic columns are unit columns; the objective row is set later.
+        count, rows, _ = T.shape
+        m = rows - 1
         self.m = m
-        self.T = T = np.zeros((count, m + 1, n + m + 1))
-        T[:, :m, :n] = B
-        T[:, :m, :n] *= sigma[:, :, None]
-        rows = np.arange(m)
-        T[:, rows, n + rows] = 1.0
-        T[:, :m, -1] = rhs * sigma
+        self.T = T
         self.work = np.empty_like(T)
         self.ratios = np.empty((count, m))
-        self.rows = T.reshape(count * (m + 1), -1)
+        self.rows = T.reshape(count * rows, -1)
         self.every = np.arange(count)
-        self.row0 = self.every * (m + 1)
-        self.ints = np.empty((count, m + 1), dtype=np.int64)
-        self.ints[:, :m] = n + rows
+        self.row0 = self.every * rows
+        self.ints = np.empty((count, rows), dtype=np.int64)
+        self.ints[:, :m] = basis
         self.ints[:, m] = self.every
         self.basis, self.lp = self.ints[:, :m], self.ints[:, m]
         self.ints_flat = self.ints.reshape(-1)
@@ -282,17 +290,60 @@ class _Tableaux:
             np.putmask(since, best > _RATIO_TIE, step)
 
 
-def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
-                 max_pivots: int | None) -> list[LpSolution | IterationLimit]:
-    B, p, c = lps.constraints, lps.rhs, lps.objective
+def _artificial_tableaux(B: np.ndarray, sigma: np.ndarray, p: np.ndarray) -> _Tableaux:
+    # Phase 1's tableaux: row i of LP b is sigma[b, i] times its constraint
+    # row, and the artificial columns n, ..., n + m - 1 form the first basis.
     count, m, n = B.shape
-    width = n + m
-    if max_pivots is None:
-        max_pivots = 50 * (m + n)
+    T = np.zeros((count, m + 1, n + m + 1))
+    T[:, :m, :n] = B
+    T[:, :m, :n] *= sigma[:, :, None]
+    rows = np.arange(m)
+    T[:, rows, n + rows] = 1.0
+    T[:, :m, -1] = p * sigma
+    return _Tableaux(T, n + rows)
 
-    # Orient rows so phase 1 starts from a feasible artificial basis.
-    sigma = np.where(p < 0.0, -1.0, 1.0)
-    tab = _Tableaux(B, sigma, p)
+
+def _started_tableaux(lps: LpStack, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-2 tableaux M^-1 [B | p] of LPs at given bases, and which of the bases serve.
+
+    Column r of LP b's M is column basis[b, r] of its B; the tableaux have no
+    artificial columns.  A basis serves when M is nonsingular and the basic
+    solution M^-1 p is finite and nonnegative (entries above -_CLEAN_EPS
+    are snapped to zero).
+    """
+    B, p = lps.constraints, lps.rhs
+    count, m, n = B.shape
+    T = np.zeros((count, m + 1, n + 1))
+    T[:, :m, :n] = B
+    T[:, :m, n] = p
+    M = np.take_along_axis(B, basis[:, None, :], axis=2)
+    serves = np.ones(count, dtype=bool)
+    # 16 LPs per solve: its output, live beside T and M, stays a small part
+    # of T, and a singular M is retried alone within its 16.
+    for lo in range(0, count, 16):
+        part = slice(lo, lo + 16)
+        try:
+            T[part, :m] = np.linalg.solve(M[part], T[part, :m])
+        except np.linalg.LinAlgError:
+            for b in range(lo, min(lo + 16, count)):
+                try:
+                    T[b:b + 1, :m] = np.linalg.solve(M[b:b + 1], T[b:b + 1, :m])
+                except np.linalg.LinAlgError:
+                    serves[b] = False
+    T[np.arange(count)[:, None], :m, basis] = np.eye(m)
+    rhs = T[:, :m, -1]
+    rhs[(rhs < 0.0) & (rhs > -_CLEAN_EPS)] = 0.0
+    serves &= (rhs >= 0.0).all(axis=1) & np.isfinite(T).all(axis=(1, 2))
+    return T, serves
+
+
+def _phase1(tab: _Tableaux, n: int, tol: ToleranceConfig, max_pivots: int) -> tuple[np.ndarray, int]:
+    """Drive the artificials of ``tab`` out; the infeasible LPs, and the count left active.
+
+    The LPs that broke down or are infeasible leave the active slots.
+    """
+    count, m = tab.basis.shape
+    width = n + m
     phase1_costs = np.zeros(width)
     phase1_costs[n:] = 1.0
     tab.set_costs(count, phase1_costs)
@@ -322,7 +373,29 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig,
             col = tab.T[tab.every[:swapped], :, j[:swapped]]
             tab.pivot(swapped, np.full(swapped, r), j[:swapped], col)
             tab.pivots[:swapped] += 1
+    return infeasible, active
 
+
+def _solve_chunk(lps: LpStack, tol: ToleranceConfig, max_pivots: int | None,
+                 start: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> list[LpSolution | IterationLimit]:
+    # Two-phase, or with ``start`` (tableaux and bases from
+    # ``_started_tableaux``) phase 2 alone.
+    B, p, c = lps.constraints, lps.rhs, lps.objective
+    count, m, n = B.shape
+    if max_pivots is None:
+        max_pivots = 50 * (m + n)
+    if start is None:
+        # Orient rows so phase 1 starts from a feasible artificial basis.
+        sigma = np.where(p < 0.0, -1.0, 1.0)
+        tab = _artificial_tableaux(B, sigma, p)
+        infeasible, active = _phase1(tab, n, tol, max_pivots)
+    else:
+        sigma = np.ones((count, m))
+        tab = _Tableaux(*start)
+        infeasible, active = np.zeros(count, dtype=bool), count
+
+    width = tab.T.shape[2] - 1
     c_ext = np.zeros(width)
     c_ext[:n] = c
     tab.set_costs(active, c_ext)
@@ -383,7 +456,8 @@ def _dual(MT: np.ndarray, c_basis: np.ndarray) -> np.ndarray:
 
 
 def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                max_pivots: int | None = None) -> list[LpSolution | IterationLimit]:
+                max_pivots: int | None = None,
+                basis: np.ndarray | None = None) -> list[LpSolution | IterationLimit]:
     """Solve LPs of one objective and shape in lockstep, each with the rules of ``solve``.
 
     The LPs are pivoted in consecutive chunks of at most
@@ -392,16 +466,50 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
     order, each what ``solve`` gives that LP alone, except that a solve that
     breaks down is returned as its ``IterationLimit`` rather than raised, so
     it leaves the others intact.
+
+    ``basis`` may give LP i a feasible starting basis: row i lists m column
+    indices, column r of the basis matrix M being column ``basis[i, r]`` of
+    LP i's constraints.  Such an LP skips phase 1: its tableau is
+    M^-1 [B | p], built per chunk with no artificial columns, and phase 2
+    runs from it.  An LP whose row starts with -1 has no start and is solved
+    two-phase, as is one whose M is singular or whose basic solution M^-1 p
+    has an entry below -_CLEAN_EPS.  A started LP, too, gets the same
+    result whether it is solved alone, mid-chunk or across a chunk boundary,
+    and among started and unstarted LPs alike.
     """
     if not isinstance(lps, LpStack):
         if not lps:
             return []
         lps = LpStack.of(lps)
     count, m, n = lps.constraints.shape
-    results: list[LpSolution | IterationLimit] = []
-    for part in stack_chunks(count, tableau_bytes(m, n)):
-        results += _solve_chunk(lps[part], tol, max_pivots)
+    results: list = [None] * count
+    two_phase = np.arange(count)
+    if basis is not None:
+        started = np.flatnonzero(basis[:, 0] >= 0)
+        two_phase = np.flatnonzero(basis[:, 0] < 0)
+        for part in stack_chunks(started.size, tableau_bytes(m, n, phase1=False)):
+            at = started[part]
+            chunk = _rows(lps, at)
+            T, serves = _started_tableaux(chunk, basis[at])
+            if not serves.all():
+                two_phase = np.union1d(two_phase, at[~serves])
+                at, chunk, T = at[serves], chunk[serves], T[serves]
+            if at.size:
+                for i, result in zip(at, _solve_chunk(chunk, tol, max_pivots, (T, basis[at]))):
+                    results[i] = result
+    for part in stack_chunks(two_phase.size, tableau_bytes(m, n)):
+        at = two_phase[part]
+        for i, result in zip(at, _solve_chunk(_rows(lps, at), tol, max_pivots)):
+            results[i] = result
     return results
+
+
+def _rows(lps: LpStack, at: np.ndarray) -> LpStack:
+    # The LPs ``at`` (ascending, at least one) of a stack: a view when they
+    # are consecutive, else a copy of this chunk alone.
+    if at[-1] - at[0] + 1 == at.size:
+        return lps[at[0]:at[-1] + 1]
+    return lps[at]
 
 
 def solve(lp: StandardLp, tol: ToleranceConfig = DEFAULT_TOLERANCES,

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from rspcert import RspcertError, uniform_recovery_oracle
+from rspcert import RspcertError, uniform_recovery_oracle, verify_rsp_witness
 from rspcert.cli import main
 
 from conftest import (UNIQUE_A, UNIQUE_B, UNIQUE_X, planted_system,
@@ -154,13 +154,35 @@ def test_report_key_sets_are_pinned(tmp_path):
     assert _digest(keys) == KEYS_DIGEST, json.dumps(keys)
 
 
+def _witnesses(obj):
+    """Every range-space certificate with a witness in a JSON document."""
+    if isinstance(obj, dict):
+        if obj.get("witness_y") is not None:
+            yield obj
+        for value in obj.values():
+            yield from _witnesses(value)
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _witnesses(item)
+
+
 def test_report_values_are_pinned(tmp_path):
     # Witnesses, tolerances, inputs and every other value, not just the keys.
-    rows = []
+    # A witness at a degenerate optimum is one point of the optimal face, so
+    # each is also re-verified: lp-sparse certifies A with the cost row
+    # appended, the weighted certify A with its columns divided by w.
+    matrices = {"lp-sparse": np.vstack([UNIQUE_A, np.ones(4)]),
+                "certify-weighted": UNIQUE_A / np.array([2.0, 2.0, 1.0, 1.0])}
+    rows, verified = [], 0
     for name, argv in _report_commands(tmp_path).items():
         code, report = _run(tmp_path, argv)
         report.pop("timing_ms")
         rows.append({"command": name, "exit": code, "report": _rounded(report, tmp_path)})
+        for cert in _witnesses(report):
+            M = matrices.get(name, UNIQUE_A)
+            assert verify_rsp_witness(M, cert["support"], cert["witness_eta"], cert["witness_y"])
+            verified += 1
+    assert verified == 6
     assert _digest(rows) == VALUES_DIGEST, json.dumps(rows)
 
 
@@ -185,8 +207,7 @@ def oracle_rows():
     """The recovery oracle's outcome on the benchmark's order-K matrices and on 5x10 cases.
 
     The 8x16 matrices are those of the orderk_enum benchmark workload, K=3,
-    seeds 1 and 7, with the property cycling as there; seed 7 matrix 4 stops
-    with an LP breakdown.  The 5x10 cases draw three trials per support, and
+    seeds 1 and 7, with the property cycling as there.  The 5x10 cases draw three trials per support, and
     two of them recover every support of size 1 and 2, so the random draws
     of a whole enumeration follow one another in order.
     """
@@ -208,8 +229,11 @@ def oracle_rows():
 def test_recovery_oracle_is_pinned():
     rows = oracle_rows()
     assert sum(row.get("recovers") is True for row in rows) == 6
-    assert {"seed": 7, "matrix": 4, "property": "rsp", "error": "CertificateUnavailable",
-            "message": "phase 1 reported an unbounded direction"} in rows
+    # This run stopped with "phase 1 reported an unbounded direction" while
+    # its margin LPs ran phase 1; it must now fail where the certifier does.
+    assert {"seed": 7, "matrix": 4, "property": "rsp", "recovers": False,
+            "failing_support": (0, 1, 8), "supports_checked": 143} in rows
+    assert not any("error" in row for row in rows)
     assert _digest(rows) == ORACLE_DIGEST, json.dumps(rows)
 
 
@@ -219,9 +243,14 @@ ORDER_K_DIGEST = "274a67e981f6350a6f11bdecacf2543ba47bae9a4eff4a817691041db3f87c
 CLASSIFY_DIGEST = "6a17cb46af1ba83a500813c7890a44681e7db1cc550b52cc14bc7fd92f1f144c"
 KEYS_DIGEST = "bd91edf65b7a85d45f7315f2bd599e82a7f7d551a166e332b15b3fe23ed8a31f"
 RANDOM_BATCH_DIGEST = "5ef9ca335f71da98ed1495a029183ac390da62ba058e04263a917477b1754f01"
-# Recorded from the build whose reports were assembled by one hand-written
-# builder per result type; the dataclass serialiser must reproduce it.
-VALUES_DIGEST = "07e65c4b3ab4dd26abccbb1ccbfdd067870dda9c755ba3a86f965ec975d69bfa"
-# Recorded from the build whose recovery oracle solved and certified one
-# support at a time.
-ORACLE_DIGEST = "d2ac709e0c33677ff99ad8d1e30a18dce38845759a93da3cd4aef605630caf45"
+# Recorded from the build whose certifier started every full-rank margin LP
+# at a constructed feasible basis: the witnesses of solve-l1, certify,
+# classify and lp-sparse moved to other points of their degenerate optimal
+# faces; every other value is that of the build whose reports were assembled
+# by one hand-written builder per result type.
+VALUES_DIGEST = "62214a2bdde46741fdf46045d3550e46a1444d47bbf3c7b2b43bacdc2b4493bf"
+# Recorded from the build whose certifier started every full-rank margin LP
+# at a constructed feasible basis.  Every row but seed 7 matrix 4, which
+# broke down in phase 1 before, is that of the build whose recovery oracle
+# solved and certified one support at a time.
+ORACLE_DIGEST = "8ed5e65dfe1ca6d8a13fd55578fd8293f1b0ad2a9a5a4a0dee4ce620a038168a"

@@ -1,11 +1,14 @@
-"""Golden digests of individual LP solves, and a pinned LP-core failure.
+"""Golden digests of individual LP solves, and cross-checks of the started margin LPs.
 
 Every certificate rests on the LP core: the margin LP behind each
 range-space check and the feasibility LP behind each sparsest-support probe.
 Each LP is reduced to its status, its pivot count and its solution (floats at
 12 significant digits), and a sha256 over those rows is compared with a
 digest recorded from an earlier build.  A digest that changes means some LP
-took another pivot path or reached another point.
+took another pivot path or reached another point.  The certifier starts the
+margin LP of a full-rank support in phase 2, so its optima are also checked
+against the two-phase solve, exact rationals and scipy, including on order-K
+runs that broke down while those LPs ran phase 1.
 """
 
 import hashlib
@@ -15,12 +18,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rspcert import OPTIMAL, StandardLp, check_rsp_at, complement, linalg, simplex, solve
+from rspcert import (OPTIMAL, StandardLp, check_rsp_at, complement, linalg, simplex, solve,
+                     verify_rsp_witness)
 from rspcert.cli import main
 from rspcert.rsp import check_rsp_batch
 from rspcert.simplex import LpSolution, solve_batch
 
 from conftest import planted_system, write_csv_matrix
+from rational_lp import rational_feasible
 
 
 def _digest(payload) -> str:
@@ -203,19 +208,104 @@ def test_a_batch_reports_a_pivot_limit_for_its_lp_only():
             assert _same(result, sol)
 
 
-def test_known_lp_failure_keeps_exit_and_message(tmp_path, capsys):
-    # A margin LP of this wrsp certification stops at a basis whose primal
-    # residual is 3.5e-8, above feas_tol; the run must say so and exit 1.
-    A = np.random.default_rng([6, 1, 11]).standard_normal((8, 16))
-    path = tmp_path / "A.csv"
-    write_csv_matrix(path, A)
-    code = main(["order-k", str(path), "--k", "3", "--property", "wrsp", "--oracle"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == "error: optimal solve failed its certificate re-check\n"
+def test_started_margin_lps_match_the_two_phase_solve():
+    # The certifier solves each full-rank margin LP from a constructed
+    # feasible basis in phase 2 alone.  Its t* must match the two-phase
+    # solve of the same LP, every pinned LP must reach the same status, and
+    # every witness, which may be another point of a degenerate optimal face,
+    # must re-verify.
+    started = 0
+    for A in _margin_matrices():
+        for k in (1, 2, 3):
+            supports = list(combinations(range(16), k))
+            two_phase = solve_batch([margin_lp(A, S) for S in supports])
+            for S, sol, cert in zip(supports, two_phase, check_rsp_batch(A, supports)):
+                assert cert.lp_status == sol.status == OPTIMAL
+                assert abs(cert.t_star - (sol.objective_value - 1.0)) <= 1e-9, S
+                if cert.witness_y is not None:
+                    assert verify_rsp_witness(A, S, cert.witness_eta, cert.witness_y)
+                started += 1
+    assert started == 2 * (16 + 120 + 560)
 
 
+def _shifted_optimum_is(lp: StandardLp, column: int, value: float, delta: float = 1e-6) -> bool:
+    """Whether min x[column] over the LP lies within ``delta`` of ``value``, decided exactly.
+
+    Adds the row x[column] + u = bound with a slack u >= 0: the LP must stay
+    feasible at bound = value + delta and become infeasible at value - delta.
+    """
+    rows, cols = lp.constraints.shape
+    cap = np.zeros(cols + 1)
+    cap[[column, cols]] = 1.0
+    B = np.vstack([np.hstack([lp.constraints, np.zeros((rows, 1))]), cap]).tolist()
+    return (rational_feasible(B, [*lp.rhs.tolist(), value + delta])
+            and not rational_feasible(B, [*lp.rhs.tolist(), value - delta]))
+
+
+def test_started_margin_lps_match_exact_rationals():
+    # Small integer matrices, some with a column that repeats a multiple of
+    # another: t* of every feasible margin LP is pinned to within 1e-6 by the
+    # exact rational oracle, and an infeasible one must be infeasible there.
+    rng = np.random.default_rng([2026, 40])
+    statuses = set()
+    for _ in range(6):
+        A = rng.integers(-3, 4, size=(3, 6)).astype(float)
+        A[:, 5] = rng.choice([-1.0, 2.0]) * A[:, 0]
+        for S in [(), (1,), (0, 5), (1, 3), (0, 2, 4), (1, 2, 3)]:
+            lp = margin_lp(A, S)
+            cert = check_rsp_at(A, S)
+            statuses.add(cert.lp_status)
+            if cert.lp_status == OPTIMAL:
+                assert _shifted_optimum_is(lp, A.shape[0], cert.t_star + 1.0), (A, S)
+            else:
+                assert not rational_feasible(lp.constraints.tolist(), lp.rhs.tolist())
+    assert statuses == {OPTIMAL, "infeasible"}
+
+
+def _scipy_t_star(A, S) -> float:
+    """t* of the margin LP at S by scipy's HiGHS, which shares no code with rspcert."""
+    from scipy.optimize import linprog
+
+    m, n = A.shape
+    Sc = complement(S, n)
+    cost = np.zeros(m + 1)
+    cost[m] = 1.0
+    res = linprog(cost, A_ub=np.hstack([A[:, list(Sc)].T, -np.ones((len(Sc), 1))]),
+                  b_ub=np.zeros(len(Sc)), A_eq=np.hstack([A[:, list(S)].T, np.zeros((len(S), 1))]),
+                  b_eq=np.ones(len(S)), bounds=[(None, None)] * m + [(-1.0, None)],
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return float(res.fun)
+
+
+# Order-K runs that stopped with exit 1 while margin LPs ran phase 1 (a
+# failed re-check for [6, 1, 11], an unbounded phase-1 report for
+# [7, 1, 4] under rsp), with the verdict each gives now.
+FORMERLY_FAILING = [([6, 1, 11], "wrsp", [5, 14]), ([6, 1, 11], "pwrsp", [0, 1, 7]),
+                    ([7, 1, 4], "rsp", [0, 1, 8]), ([7, 1, 4], "pwrsp", [0, 1, 8])]
+
+
+def test_formerly_failing_commands_give_verdicts(tmp_path, capsys):
+    path, report = tmp_path / "A.csv", tmp_path / "report.json"
+    for seed, prop, counterexample in FORMERLY_FAILING:
+        A = np.random.default_rng(seed).standard_normal((8, 16))
+        write_csv_matrix(path, A)
+        code = main(["order-k", str(path), "--k", "3", "--property", prop, "--oracle",
+                     "--json", str(report)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (3, ""), (seed, prop)
+        verdicts = json.loads(report.read_text())["verdicts"]
+        assert verdicts["recovery"]["counterexample"] == counterexample
+        assert verdicts["oracle"]["failing_support"] == counterexample
+        t_star = check_rsp_at(A, counterexample).t_star
+        assert t_star >= 1.0 - linalg.DEFAULT_TOLERANCES.feas_tol
+        assert abs(_scipy_t_star(A, counterexample) - t_star) <= 1e-8
+
+
+# Recorded from the build whose certifier started every full-rank margin LP
+# at a constructed feasible basis (the solver rows, solved two-phase, are
+# those of the build that solved every LP on its own scalar tableau).
+MARGIN_DIGEST = "a9ce36a3fe3b1f33fb342a9eb8c0c5a26fac37e016494185fc76e9f83abb63d7"
 # Recorded from the build that solved every LP on its own scalar tableau.
-MARGIN_DIGEST = "41a76fed5b1858d4b8ef7e04e72d4ffa50d382168140c74f34503053feef45f0"
 FEASIBILITY_DIGEST = "03bc16a1315a1aa1d52445f9532d277600ed2d7c8eff195cc6c759c5c315fe63"

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rspcert import (FailureReason, Infeasible, NonpositiveWeight, NotASolution,
-                     NotNonnegative, ToleranceConfig, Unbounded, Verdict,
-                     augmented_rank, certify_uniqueness, check_rsp_at,
-                     lp_sparsest_pipeline, rank,
+from rspcert import (DEFAULT_TOLERANCES, INFEASIBLE, OPTIMAL, FailureReason, Infeasible,
+                     NonpositiveWeight, NotASolution, NotNonnegative, ToleranceConfig,
+                     Unbounded, Verdict, augmented_rank, certify_uniqueness, check_rsp_at,
+                     lp_sparsest_pipeline, rank, rsp, simplex,
                      solve_and_certify, solve_and_certify_batch, solve_l1,
                      support_of, verify_rsp_witness)
 
@@ -81,6 +81,50 @@ def test_empty_support_holds_vacuously():
         assert cert.witness_eta.max() <= cert.t_star + 1e-12
         assert verify_rsp_witness(A, (), cert.witness_eta, cert.witness_y)
     assert np.allclose(cert.witness_eta, -np.ones(3))
+
+
+def _start(A, S):
+    """The certifier's starting basis of the margin LP at S, or None, and the LP."""
+    block = np.array([S], dtype=np.intp).reshape(1, len(S))
+    basis = rsp._margin_starts(A, block, DEFAULT_TOLERANCES.rank_tol)
+    return (None if basis[0, 0] < 0 else basis), rsp._margin_lps(A, block)
+
+
+def test_empty_support_starts_at_y_zero_with_every_slack_at_zero():
+    # No equalities: y = 0, t + 1 = 1 is basic in the first off-support row,
+    # and every other slack is basic at 0.  Variables [y+, t + 1, s, y-].
+    A = np.array(UNIQUE_A)
+    basis, lps = _start(A, ())
+    assert basis.tolist() == [[3, 5, 6, 7]]
+    T, serves = simplex._started_tableaux(lps, basis)
+    assert serves.all()
+    x = np.zeros(11)
+    x[basis[0]] = T[0, :-1, -1]
+    assert x.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    cert = check_rsp_at(A, ())
+    assert cert.holds is Verdict.YES and cert.t_star == 0.0
+
+
+def test_rank_deficient_support_runs_phase_1():
+    # A duplicate column: A_S is singular, so the support gets no start and
+    # the two-phase solve decides it.  Consistent equalities give an
+    # optimum, inconsistent ones (a column and its negation) "infeasible".
+    A = np.random.default_rng([2026, 41]).standard_normal((4, 8))
+    A[:, 6] = A[:, 1]
+    A[:, 7] = -A[:, 2]
+    for S, status in (((1, 6), OPTIMAL), ((0, 1, 6), OPTIMAL), ((2, 7), INFEASIBLE),
+                      ((2, 5, 7), INFEASIBLE)):
+        basis, lps = _start(A, S)
+        assert basis is None
+        cert = check_rsp_at(A, S)
+        sol = simplex.solve_batch(lps)[0]
+        assert cert.lp_status == sol.status == status
+        if status == OPTIMAL:
+            assert cert.t_star == sol.objective_value - 1.0
+        else:
+            assert cert.holds is Verdict.NO and cert.t_star is None
+    # Full-rank supports of the same matrix do start.
+    assert _start(A, (1, 2))[0] is not None and _start(A, (0, 3, 5))[0] is not None
 
 
 def test_exact_unit_margin_is_a_hard_no():

@@ -1,15 +1,18 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, IterationLimit, LpSolution,
-                     StandardLp, check_rsp_at, solve, verify_certificate)
+                     StandardLp, check_rsp_at, linalg, rsp, simplex, solve,
+                     verify_certificate)
 from rspcert.linalg import DEFAULT_TOLERANCES
 from rspcert.simplex import LpStack, solve_batch
 
 from conftest import UNIQUE_A, UNIQUE_B
 from rational_lp import rational_feasible
-from test_golden_lp import margin_lp
+from test_golden_lp import _margin_matrices, _same, margin_lp
 
 
 def test_forced_single_variable():
@@ -323,3 +326,64 @@ def test_stacked_verify_agrees_with_the_per_lp_reference(kind):
     alone = [verify_certificate(StandardLp(stack.objective, B, p), sol)
              for B, p, sol in zip(stack.constraints, stack.rhs, entries)]
     assert alone == want
+
+
+def _margin_stack(A, k):
+    """The size-k margin LPs of A, as the certifier stacks them, and their starts."""
+    block = np.array(list(combinations(range(A.shape[1]), k)), dtype=np.intp)
+    return rsp._margin_lps(A, block), rsp._margin_starts(A, block, DEFAULT_TOLERANCES.rank_tol)
+
+
+def _started_chunk_len(lps) -> int:
+    _, m, n = lps.constraints.shape
+    return linalg._STACK_BYTES // simplex.tableau_bytes(m, n, phase1=False)
+
+
+def test_started_and_unstarted_lps_keep_each_result_in_one_stack():
+    # Two and a half chunks' worth of started margin LPs of size 3, with
+    # every fourth LP given no start, one start that is not feasible (LP 1:
+    # a y column of the wrong sign) and one whose basis matrix is singular
+    # (LP 2: a column twice).  Each LP must come out bit for bit as when
+    # solved alone with its own row of the bases, and in any order; LPs 1
+    # and 2 and the unstarted ones come out as the two-phase solve gives them.
+    A = _margin_matrices()[1]
+    lps, basis = _margin_stack(A, 3)
+    chunk = _started_chunk_len(lps)
+    count = 2 * chunk + chunk // 2 + (2 * chunk + chunk // 2) // 3
+    assert chunk >= 100 and count <= len(basis)
+    lps, basis = lps[:count], basis[:count].copy()
+    basis[::4] = -1
+    flip = lps.constraints.shape[2] - A.shape[0]     # from a y+ column to its y- column
+    basis[1, 0] += flip if basis[1, 0] < A.shape[0] else -flip
+    basis[2, 1] = basis[2, 0]
+    assert not simplex._started_tableaux(lps[1:3], basis[1:3])[1].any()
+    started = basis[:, 0] >= 0
+    assert started.sum() > 2 * chunk
+    alone = [solve_batch(lps[i:i + 1], basis=basis[i:i + 1])[0] for i in range(count)]
+    two_phase = solve_batch(lps)
+    for i in (1, 2, *np.flatnonzero(~started)):
+        assert _same(alone[i], two_phase[i]), i
+    assert {sol.status for sol in alone} == {OPTIMAL}
+    assert (np.mean([alone[i].pivots for i in np.flatnonzero(started)[2:]])
+            < np.mean([sol.pivots for sol in two_phase]) / 3)
+    forward = solve_batch(lps, basis=basis)
+    backward = solve_batch(lps[::-1], basis=basis[::-1])[::-1]
+    assert all(_same(f, a) and _same(b, a) for f, a, b in zip(forward, alone, backward))
+
+
+def test_a_started_batch_reports_a_pivot_limit_for_its_lp_only():
+    # More started LPs than one chunk holds: LPs of both chunks reach the limit.
+    lps, basis = _margin_stack(_margin_matrices()[0], 3)
+    chunk = _started_chunk_len(lps)
+    count = chunk + chunk // 2
+    lps, basis = lps[:count], basis[:count]
+    assert (basis[:, 0] >= 0).all()
+    alone = [solve_batch(lps[i:i + 1], basis=basis[i:i + 1])[0] for i in range(count)]
+    limit = sorted(sol.pivots for sol in alone)[count // 2]
+    assert sum(sol.pivots > limit for sol in alone[:chunk]) >= 2
+    assert sum(sol.pivots > limit for sol in alone[chunk:]) >= 2
+    for sol, result in zip(alone, solve_batch(lps, max_pivots=limit, basis=basis)):
+        if sol.pivots > limit:
+            assert str(result) == f"pivot limit {limit} reached"
+        else:
+            assert _same(result, sol)
