@@ -31,9 +31,9 @@ commands for seed 1 (``perfbench/workloads.py``, run in-process through
 thread.  Only public names that every build has are used, apart from the
 prsp certifier (``certify_order_k(..., property="prsp")``, or
 ``prsp_order_k`` in trees that predate it), the lockstep counts, which read
-the stacked engine when the tree has one, and the margin-LP pivots and the
-l1 LPs per oracle window, which read the stacks ``rspcert.rsp`` passes to
-``solve_batch``.
+the stacked engine when the tree has one, and the margin-LP pivots, the LPs
+per pass and the l1 LPs per oracle window, which read the stacks the library
+passes to ``simplex.solve_batch`` (``_counting``).
 """
 
 from __future__ import annotations
@@ -121,20 +121,42 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     return out
 
 
-def _solved(work) -> list[int]:
-    """Pivots of each LP that ``rspcert.rsp`` passes to ``solve_batch`` while ``work()`` runs."""
-    from rspcert import rsp
-    solve_batch, pivots = rsp.solve_batch, []
+@contextlib.contextmanager
+def _counting(record):
+    """Call ``record(lps, results)`` on every stack the library passes to ``solve_batch``.
+
+    Each module of the tree that binds ``simplex.solve_batch`` is patched:
+    ``simplex`` itself (for ``solve``), ``rsp``, and ``oracle`` in trees whose
+    sparsest search solves its feasibility LPs itself.
+    """
+    from rspcert import oracle, rsp, simplex
+    real = getattr(simplex, "solve_batch", None)
+    modules = [m for m in (simplex, rsp, oracle)
+               if real is not None and getattr(m, "solve_batch", None) is real]
 
     def counting(lps, *args, **kwargs):
-        results = solve_batch(lps, *args, **kwargs)
-        pivots.extend(r.pivots for r in results)
+        results = real(lps, *args, **kwargs)
+        record(lps, results)
         return results
-    rsp.solve_batch = counting
+    for module in modules:
+        module.solve_batch = counting
     try:
-        work()
+        yield
     finally:
-        rsp.solve_batch = solve_batch
+        for module in modules:
+            module.solve_batch = real
+
+
+def _solved(work) -> list[int]:
+    """Pivots of each LP the library solves while ``work()`` runs.
+
+    Entries that are no solution (a breakdown, or an optimum that failed its
+    certificate re-check) are skipped.
+    """
+    pivots = []
+    with _counting(lambda lps, results: pivots.extend(
+            r.pivots for r in results if not isinstance(r, Exception))):
+        work()
     return pivots
 
 
@@ -151,7 +173,7 @@ def _batch_of_one(rc, np, repeat: int) -> dict:
 
 def _oracle(rc, np, mats, repeat: int) -> dict:
     """µs per support the recovery oracle checks, and its l1 LPs per window."""
-    from rspcert import rsp
+    from rspcert import simplex
     runs = [(A, prop) for A in mats for prop in ("rsp", "wrsp", "prsp", "pwrsp")]
 
     def oracle():
@@ -160,22 +182,16 @@ def _oracle(rc, np, mats, repeat: int) -> dict:
     t = _best(oracle, repeat)
     out = {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
            "l1_lps_per_window": None, "l1_lps_per_support": None}
-    solve_batch = getattr(rsp, "solve_batch", None)
-    if solve_batch is None:
+    if getattr(simplex, "solve_batch", None) is None:
         return out
     stacks = []
 
-    def counting(lps, *args, **kwargs):
-        results = solve_batch(lps, *args, **kwargs)
-        # The l1 LPs: objective all ones.
-        if np.all(lps.objective == 1.0):
+    def record(lps, results):
+        # The l1 LPs: stacks with objective all ones.
+        if isinstance(lps, simplex.LpStack) and np.all(lps.objective == 1.0):
             stacks.append(len(results))
-        return results
-    rsp.solve_batch = counting
-    try:
+    with _counting(record):
         oracle()
-    finally:
-        rsp.solve_batch = solve_batch
     out["l1_lps_per_window"] = statistics.fmean(stacks)
     out["l1_lps_per_support"] = sum(stacks) / checked
     return out
@@ -208,7 +224,7 @@ def _orderk_pass(work: Path):
     """One pass of the orderk_enum commands of seed 1 with inputs in ``work``, and its LP count."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
-    from rspcert import cli, rsp
+    from rspcert import cli
     here = os.getcwd()
     os.chdir(work)
     try:
@@ -226,17 +242,11 @@ def _orderk_pass(work: Path):
         finally:
             os.chdir(here)
     lps = [0]
-    solve_batch = rsp.solve_batch
 
-    def counting(stack, *args, **kwargs):
-        results = solve_batch(stack, *args, **kwargs)
+    def record(stack, results):
         lps[0] += len(results)
-        return results
-    rsp.solve_batch = counting
-    try:
+    with _counting(record):
         one_pass()
-    finally:
-        rsp.solve_batch = solve_batch
     return one_pass, lps[0]
 
 

@@ -26,8 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import report as rep
-from .errors import (BudgetExceeded, CertificateUnavailable, Infeasible,
-                     IterationLimit, NonpositiveWeight, NotASolution,
+from .errors import (BudgetExceeded, Infeasible, NonpositiveWeight, NotASolution,
                      NotNonnegative, ParseError, RspcertError, Unbounded)
 from .io import load_matrix, load_vector
 from .linalg import DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, ToleranceConfig
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
     except (Infeasible, Unbounded, NotASolution, NotNonnegative, NonpositiveWeight) as exc:
         print(f"problem rejected: {exc}", file=sys.stderr)
         return EXIT_PROBLEM
-    except (CertificateUnavailable, IterationLimit, RspcertError, ValueError, OSError) as exc:
+    except (RspcertError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,10 +24,6 @@ class BudgetExceeded(RspcertError):
     """Subset enumeration would exceed the configured budget."""
 
 
-class IterationLimit(RspcertError):
-    """Simplex pivot limit hit; the solve is numerically suspect."""
-
-
 class Infeasible(RspcertError):
     """The constraint system admits no nonnegative solution."""
 
@@ -49,7 +45,16 @@ class NonpositiveWeight(RspcertError):
 
 
 class CertificateUnavailable(RspcertError):
-    """A solve finished but its optimality certificate could not be validated."""
+    """An LP solve gave no trusted result.
+
+    The LP core raises it, or returns it from ``solve_batch``, for an
+    optimum that failed its certificate re-check; ``IterationLimit`` is the
+    form it takes when the solve broke down.
+    """
+
+
+class IterationLimit(CertificateUnavailable):
+    """Simplex pivot limit hit, or the solve broke down; numerically suspect."""
 
 
 class NoSolutionWithin(RspcertError):

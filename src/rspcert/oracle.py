@@ -18,8 +18,8 @@ from .linalg import (DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, IndexSet,
                      SupportEnumeration, ToleranceConfig, as_matrix, as_vector,
                      rank)
 from .rsp import (RspCertificate, UniquenessVerdict, Verdict, check_rsp_batch,
-                  solve_and_certify, support_of, _checked_solves, _raised)
-from .simplex import INFEASIBLE, LpStack
+                  solve_and_certify, support_of, _raised)
+from .simplex import INFEASIBLE, LpStack, solve_batch
 
 
 @dataclass
@@ -111,7 +111,7 @@ def sparsest_supports(A, b, max_k: int | None = None,
     for k, block in supports:
         lps = LpStack(np.zeros(k), A.T[block].transpose(0, 2, 1).copy(),
                       np.broadcast_to(b, (len(block), m)))
-        for S, sol in zip(block, map(_raised, _checked_solves(lps, tol))):
+        for S, sol in zip(block, map(_raised, solve_batch(lps, tol))):
             if sol.status != INFEASIBLE:
                 z = np.zeros(n)
                 z[list(S)] = np.maximum(sol.x, 0.0)

@@ -15,14 +15,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (CertificateUnavailable, Infeasible, IterationLimit,
-                     NonpositiveWeight, NotASolution, NotNonnegative,
-                     RspcertError, Unbounded)
+from .errors import (CertificateUnavailable, Infeasible, NonpositiveWeight,
+                     NotASolution, NotNonnegative, RspcertError, Unbounded)
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig, _block_ranks,
                      as_matrix, as_vector, augmented_rank_details,
                      complement, normalize_support, rank_details)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, LpStack, StandardLp,
-                      solve_batch, verify_certificate)
+                      solve, solve_batch)
 
 
 class Verdict(str, Enum):
@@ -95,38 +94,11 @@ def support_of(x, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> IndexSet:
     return tuple(int(i) for i in np.flatnonzero(x > tol.zero_tol))
 
 
-def _checked_solves(lps: LpStack, tol: ToleranceConfig,
-                    basis: np.ndarray | None = None) -> list[LpSolution | CertificateUnavailable]:
-    """Solve a stack, from the starting bases ``basis`` if given, and re-check every optimal solve.
-
-    Every downstream certificate re-validates its solve before trusting it.
-    Returns one entry per LP, in order: its solution, or the
-    ``CertificateUnavailable`` its solve raises when it broke down or failed
-    its re-check.  ``_raised`` turns an entry back into a result or a raise.
-    """
-    sols = solve_batch(lps, tol, basis=basis)
-    verified = verify_certificate(lps, sols, tol)
-    checked: list[LpSolution | CertificateUnavailable] = []
-    for sol, ok in zip(sols, verified):
-        if isinstance(sol, IterationLimit):
-            error = CertificateUnavailable(str(sol))
-            error.__cause__ = sol
-            sol = error
-        elif sol.status == OPTIMAL and not ok:
-            sol = CertificateUnavailable("optimal solve failed its certificate re-check")
-        checked.append(sol)
-    return checked
-
-
 def _raised(entry):
     """``entry``, or raise it if it is an exception."""
     if isinstance(entry, Exception):
         raise entry
     return entry
-
-
-def _checked_solve(lp: StandardLp, tol: ToleranceConfig) -> LpSolution:
-    return _raised(_checked_solves(LpStack.of([lp]), tol)[0])
 
 
 def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
@@ -235,12 +207,12 @@ def _margin_starts(A: np.ndarray, block: np.ndarray, rank_tol: float) -> np.ndar
 
 def _margin_solves(A: np.ndarray, supports: list[IndexSet],
                    tol: ToleranceConfig) -> list[LpSolution | CertificateUnavailable]:
-    # The checked margin LPs of sorted supports of one size, in order, solved
-    # as one stack, each full-rank support's from its constructed start.
+    # The margin LPs of sorted supports of one size, in order, solved as one
+    # stack, each full-rank support's from its constructed start.
     if not supports:
         return []
     block = np.array(supports, dtype=np.intp)
-    return _checked_solves(_margin_lps(A, block), tol, _margin_starts(A, block, tol.rank_tol))
+    return solve_batch(_margin_lps(A, block), tol, basis=_margin_starts(A, block, tol.rank_tol))
 
 
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],
@@ -251,8 +223,8 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     ``check_rsp_at`` gives for its support.  The margin LPs are built as one
     stack and solved in lockstep; ``solve_batch`` bounds the tableau memory,
     and the caller bounds the stack (the enumerations pass blocks of at most
-    256 supports).  A solve that breaks down raises ``CertificateUnavailable``
-    at the first such support in the given order.
+    256 supports).  A solve that breaks down or fails its re-check raises
+    its ``CertificateUnavailable`` at the first such support in the given order.
     """
     A = as_matrix(A)
     supports = [normalize_support(S, A.shape[1]) for S in supports]
@@ -369,7 +341,7 @@ def solve_l1(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """
     A = as_matrix(A)
     b = as_vector(b, A.shape[0])
-    return _l1_point(_checked_solve(StandardLp(np.ones(A.shape[1]), A, b), tol))
+    return _l1_point(solve(StandardLp(np.ones(A.shape[1]), A, b), tol))
 
 
 def _l1_point(sol: LpSolution) -> np.ndarray:
@@ -400,7 +372,7 @@ def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
     rhs = np.array([as_vector(b, m) for b in rhs]).reshape(-1, m)
     lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs)
     points: list[tuple[np.ndarray, IndexSet] | RspcertError] = []
-    for b, sol in zip(rhs, _checked_solves(lps, tol)):
+    for b, sol in zip(rhs, solve_batch(lps, tol)):
         try:
             x = _l1_point(_raised(sol))
             points.append((x, _solution_support(A, b, x, tol)))
@@ -437,7 +409,7 @@ def lp_sparsest_pipeline(A, b, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     A = as_matrix(A)
     b = as_vector(b, A.shape[0])
     c = as_vector(c, A.shape[1])
-    sol = _checked_solve(StandardLp(c, A, b), tol)
+    sol = solve(StandardLp(c, A, b), tol)
     if sol.status == INFEASIBLE:
         raise Infeasible("the LP has no nonnegative feasible point")
     if sol.status == UNBOUNDED:

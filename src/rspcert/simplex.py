@@ -20,7 +20,13 @@ behind the ones still pivoting.  ``solve`` is the batch of one.  Every
 operation acts on each LP alone and every decision is made per LP, so an LP
 gets bit-identical output whether it is solved alone, mid-chunk or across a
 chunk boundary, and identical inputs pivot identically.
-``verify_certificate`` re-checks a whole stack as array operations.
+
+The core hands out only checked results.  Each chunk re-checks its optimal
+LPs as array operations on the raw B, p and c and the x and y just computed
+(primal feasibility, dual feasibility, complementary slackness, matching
+objectives), never reading the tableau.  An optimum that fails comes back
+as ``CertificateUnavailable``, and so does a breakdown (its subclass
+``IterationLimit``).  ``verify_certificate`` runs the same check on one LP.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IterationLimit
+from .errors import CertificateUnavailable, IterationLimit
 from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, as_vector,
                      stack_chunks)
 
@@ -378,7 +384,7 @@ def _phase1(tab: _Tableaux, n: int, tol: ToleranceConfig, max_pivots: int) -> tu
 
 def _solve_chunk(lps: LpStack, tol: ToleranceConfig, max_pivots: int | None,
                  start: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> list[LpSolution | IterationLimit]:
+                 ) -> list[LpSolution | CertificateUnavailable]:
     # Two-phase, or with ``start`` (tableaux and bases from
     # ``_started_tableaux``) phase 2 alone.
     B, p, c = lps.constraints, lps.rhs, lps.objective
@@ -440,11 +446,16 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig, max_pivots: int | None,
     except np.linalg.LinAlgError:
         y = np.concatenate([_dual(MT[k:k + 1], c_basis[k:k + 1]) for k in range(optimal.size)])
     y *= sigma[optimal]
+    if optimal.size < count:
+        B, p = B[optimal], p[optimal]
+    certified, s = _certified(B, p, c, x, y, tol)
     for k, i in enumerate(optimal):
-        results[i] = LpSolution(status=OPTIMAL, x=x[k], y=y[k],
-                                reduced_costs=c - B[i].T @ y[k],
-                                objective_value=float(c @ x[k]),
-                                pivots=int(tab.pivots[slots[k]]))
+        if certified[k]:
+            results[i] = LpSolution(status=OPTIMAL, x=x[k], y=y[k], reduced_costs=s[k],
+                                    objective_value=float(c @ x[k]),
+                                    pivots=int(tab.pivots[slots[k]]))
+        else:
+            results[i] = CertificateUnavailable("optimal solve failed its certificate re-check")
     return results
 
 
@@ -457,15 +468,17 @@ def _dual(MT: np.ndarray, c_basis: np.ndarray) -> np.ndarray:
 
 def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFAULT_TOLERANCES,
                 max_pivots: int | None = None,
-                basis: np.ndarray | None = None) -> list[LpSolution | IterationLimit]:
+                basis: np.ndarray | None = None) -> list[LpSolution | CertificateUnavailable]:
     """Solve LPs of one objective and shape in lockstep, each with the rules of ``solve``.
 
     The LPs are pivoted in consecutive chunks of at most
     ``linalg._STACK_BYTES`` of tableau; that is the one bound on tableau
     memory, so callers pass whole stacks.  Returns one entry per LP, in
-    order, each what ``solve`` gives that LP alone, except that a solve that
-    breaks down is returned as its ``IterationLimit`` rather than raised, so
-    it leaves the others intact.
+    order, each what ``solve`` gives that LP alone, except that where
+    ``solve`` raises, the ``CertificateUnavailable`` is returned instead, so
+    it leaves the others intact: an optimum that failed its certificate
+    re-check, or a breakdown (``IterationLimit``).  Every ``LpSolution``
+    returned with status optimal has passed the re-check.
 
     ``basis`` may give LP i a feasible starting basis: row i lists m column
     indices, column r of the basis matrix M being column ``basis[i, r]`` of
@@ -514,50 +527,48 @@ def _rows(lps: LpStack, at: np.ndarray) -> LpStack:
 
 def solve(lp: StandardLp, tol: ToleranceConfig = DEFAULT_TOLERANCES,
           max_pivots: int | None = None) -> LpSolution:
-    """Two-phase simplex solve of a standard-form LP.
+    """Two-phase simplex solve of a standard-form LP, its optimum re-checked.
 
     Dantzig pricing with smallest-index tie breaks; Bland's rule engages after
     a run of degenerate pivots.  Infeasible iff the phase-1 optimum exceeds
-    ``tol.feas_tol``.  Raises ``IterationLimit`` rather than returning a
-    silently wrong answer when the pivot budget is exhausted.
+    ``tol.feas_tol``.  Rather than return a silently wrong answer it raises
+    ``CertificateUnavailable``: an optimum that fails the certificate
+    re-check of ``verify_certificate``, or, as its subclass
+    ``IterationLimit``, a solve that exhausts its pivot budget or breaks down.
     """
     result = solve_batch([lp], tol, max_pivots)[0]
-    if isinstance(result, IterationLimit):
+    if isinstance(result, CertificateUnavailable):
         raise result
     return result
 
 
-def verify_certificate(lp: StandardLp | LpStack, sol: LpSolution | Sequence[LpSolution],
-                       tol: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Re-check optimal solutions by direct residual evaluation.
+def verify_certificate(lp: StandardLp, sol: LpSolution,
+                       tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+    """Re-check one LP's solution by direct residual evaluation.
 
     Independent of the solve path: recomputes every certificate condition
     (primal feasibility, dual feasibility, complementary slackness, matching
-    objectives) from the raw problem data.  Takes one LP and its solution and
-    returns a bool, or an ``LpStack`` and one solution per LP and returns a
-    bool array, checking the whole stack at once; a solution that is not
+    objectives) from the raw problem data, with the check and the thresholds
+    ``solve_batch`` applies to every optimum.  A solution that is not
     optimal never verifies.
     """
-    if isinstance(lp, StandardLp):
-        return bool(_verified(LpStack.of([lp]), [sol], tol)[0])
-    return _verified(lp, sol, tol)
+    if not (isinstance(sol, LpSolution) and sol.status == OPTIMAL
+            and sol.x is not None and sol.y is not None):
+        return False
+    x, y = (np.asarray(v, dtype=float)[None] for v in (sol.x, sol.y))
+    return bool(_certified(lp.constraints[None], lp.rhs[None], lp.objective, x, y, tol)[0][0])
 
 
-def _verified(lps: LpStack, sols: Sequence, tol: ToleranceConfig) -> np.ndarray:
-    ok = np.zeros(len(sols), dtype=bool)
-    at = [i for i, sol in enumerate(sols) if isinstance(sol, LpSolution)
-          and sol.status == OPTIMAL and sol.x is not None and sol.y is not None]
-    if not at:
-        return ok
-    x = np.array([sols[i].x for i in at], dtype=float)
-    y = np.array([sols[i].y for i in at], dtype=float)
+def _certified(B: np.ndarray, p: np.ndarray, c: np.ndarray, x: np.ndarray, y: np.ndarray,
+               tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Which pairs (x[i], y[i]) certify LP i of (B, p, c) optimal, and s = c - B[i]^T y[i].
+
+    Each check reads the raw problem data only; a pair with an entry that is
+    not finite fails.
+    """
     bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
     if np.count_nonzero(bad):
-        x[bad] = y[bad] = 0.0
-    B, p = lps.constraints, lps.rhs
-    if len(at) < len(sols):
-        B, p = B[at], p[at]
-    c = lps.objective
+        x, y = np.where(bad[:, None], 0.0, x), np.where(bad[:, None], 0.0, y)
     feas, gap = tol.feas_tol, tol.gap_tol
     # Primal residual, relative to the right-hand side, and primal signs.
     residual = np.abs(np.matmul(B, x[:, :, None])[:, :, 0] - p)
@@ -570,5 +581,4 @@ def _verified(lps: LpStack, sols: Sequence, tol: ToleranceConfig) -> np.ndarray:
     bad |= (np.abs(x * s) > gap).any(axis=1)
     obj = x @ c
     bad |= np.abs(obj - np.einsum("bi,bi->b", p, y)) > gap * np.maximum(1.0, np.abs(obj))
-    ok[at] = ~bad
-    return ok
+    return ~bad, s

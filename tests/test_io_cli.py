@@ -327,6 +327,26 @@ def test_missing_file_exit_one(tmp_path):
     assert main(["solve-l1", str(tmp_path / "none.csv"), str(tmp_path / "none2.csv")]) == 1
 
 
+def test_lp_core_failures_exit_one_with_their_message(tmp_path, monkeypatch, capsys):
+    # A pivot-limit breakdown (IterationLimit) and an optimum whose duals
+    # fail the certificate re-check: each reaches stderr with exit 1.
+    from rspcert import rsp, simplex
+    a_path, b_path = tmp_path / "A.csv", tmp_path / "b.csv"
+    write_csv_matrix(a_path, UNIQUE_A)
+    write_csv_vector(b_path, UNIQUE_B)
+    argv = ["solve-l1", str(a_path), str(b_path)]
+    solve_batch = simplex.solve_batch
+    monkeypatch.setattr(rsp, "solve_batch",
+                        lambda lps, tol, **kwargs: solve_batch(lps, tol, max_pivots=1, **kwargs))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: pivot limit 1 reached\n")
+    monkeypatch.undo()
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda M, b: solve(M, b) + 1e-3)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: optimal solve failed its certificate re-check\n")
+
+
 # ------------------------------------------------------------------- reports
 
 def test_report_witness_reverifies(tmp_path):

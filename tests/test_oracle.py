@@ -78,16 +78,16 @@ def test_budget_is_checked_lazily_per_size():
 
 def test_a_broken_feasibility_solve_is_raised(monkeypatch):
     # A feasibility LP that breaks down stops the search at that support.
-    import rspcert.rsp as rsp
+    import rspcert.oracle as oracle
     from rspcert import CertificateUnavailable, IterationLimit
 
-    real = rsp.solve_batch
+    real = oracle.solve_batch
 
     def solve_batch(lps, *args, **kwargs):
         results = real(lps, *args, **kwargs)
         results[1] = IterationLimit("injected breakdown")
         return results
-    monkeypatch.setattr(rsp, "solve_batch", solve_batch)
+    monkeypatch.setattr(oracle, "solve_batch", solve_batch)
     A = np.random.default_rng(33).standard_normal((3, 12))
     with pytest.raises(CertificateUnavailable, match="injected breakdown"):
         sparsest_supports(A, 2.0 * A[:, 5])

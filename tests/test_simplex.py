@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, IterationLimit, LpSolution,
-                     StandardLp, check_rsp_at, linalg, rsp, simplex, solve,
-                     verify_certificate)
+from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, CertificateUnavailable,
+                     IterationLimit, LpSolution, StandardLp, check_rsp_at, linalg,
+                     rsp, simplex, solve, verify_certificate)
 from rspcert.linalg import DEFAULT_TOLERANCES
 from rspcert.simplex import LpStack, solve_batch
 
@@ -87,8 +87,38 @@ def test_free_variable_reports_net_value():
 
 def test_iteration_limit_raises():
     lp = StandardLp(np.ones(4), UNIQUE_A, UNIQUE_B)
-    with pytest.raises(IterationLimit):
+    with pytest.raises(IterationLimit, match="^pivot limit 1 reached$") as info:
         solve(lp, max_pivots=1)
+    assert isinstance(info.value, CertificateUnavailable)
+
+
+def test_an_optimum_that_fails_its_re_check_is_not_handed_out(monkeypatch):
+    # l1 LPs; LP 0 is infeasible (its first row has positive entries and a
+    # negative right-hand side), so the optimal LPs are a proper subset of
+    # the stack.  A patched dual solve corrupts the duals of LP 2, which is
+    # row 1 of the stacked dual solve and row 0 when LP 2 is solved alone.
+    rng = np.random.default_rng([2026, 13])
+    A = rng.standard_normal((6, 12))
+    lps = [StandardLp(np.ones(12), A, A @ rng.uniform(0.0, 1.0, 12)) for _ in range(5)]
+    B = A.copy()
+    B[0] = np.abs(B[0])
+    lps[0] = StandardLp(np.ones(12), B, np.append(-1.0, lps[0].rhs[1:]))
+    clean = solve_batch(lps)
+    assert [sol.status for sol in clean] == [INFEASIBLE] + [OPTIMAL] * 4
+    real, row = np.linalg.solve, [1]
+
+    def corrupted(M, b):
+        y = real(M, b)
+        y[row[0]] += 1e-3
+        return y
+    monkeypatch.setattr(np.linalg, "solve", corrupted)
+    results = solve_batch(lps)
+    assert type(results[2]) is CertificateUnavailable
+    assert str(results[2]) == "optimal solve failed its certificate re-check"
+    assert all(_same(a, b) for i, (a, b) in enumerate(zip(results, clean)) if i != 2)
+    row[0] = 0
+    with pytest.raises(CertificateUnavailable, match="^optimal solve failed its certificate re-check$"):
+        solve(lps[2])
 
 
 def test_determinism_bitwise():
@@ -238,7 +268,7 @@ def test_dual_solve_falls_back_lp_by_lp_then_to_least_squares(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     least_squares = solve_batch(lps)
     assert all(np.array_equal(a.x, b.x) for a, b in zip(stacked, least_squares))
-    assert verify_certificate(LpStack.of(lps), least_squares).all()
+    assert all(verify_certificate(lp, sol) for lp, sol in zip(lps, least_squares))
 
 
 def _verified_alone(B, p, c, sol, tol=DEFAULT_TOLERANCES) -> bool:
@@ -318,10 +348,17 @@ def test_stacked_verify_agrees_with_the_per_lp_reference(kind):
                    IterationLimit("pivot limit 1 reached")]
     stack = LpStack.of([lp for lp, entries in zip(lps, per_lp) for _ in entries])
     entries = [entry for entries in per_lp for entry in entries]
-    got = verify_certificate(stack, entries)
     want = [_verified_alone(B, p, stack.objective, sol)
             for B, p, sol in zip(stack.constraints, stack.rhs, entries)]
-    assert got.tolist() == want
+    # The optimal entries through the array check ``solve_batch`` runs on a
+    # chunk's optima; every entry through the one-LP ``verify_certificate``.
+    optimal = [i for i, sol in enumerate(entries) if isinstance(sol, LpSolution)
+               and sol.status == OPTIMAL]
+    got, _ = simplex._certified(stack.constraints[optimal], stack.rhs[optimal], stack.objective,
+                                np.array([entries[i].x for i in optimal]),
+                                np.array([entries[i].y for i in optimal]), DEFAULT_TOLERANCES)
+    assert got.tolist() == [want[i] for i in optimal]
+    assert len(optimal) < len(entries)
     assert True in want and False in want
     alone = [verify_certificate(StandardLp(stack.objective, B, p), sol)
              for B, p, sol in zip(stack.constraints, stack.rhs, entries)]
