@@ -56,11 +56,13 @@ def _load_csv_matrix(lines: list[str], path) -> np.ndarray:
 
 
 def _load_mm_matrix(lines: list[str], path) -> np.ndarray:
-    header = lines[0].split()
+    # The header is the first non-blank line; line_no indexes ``lines`` from 0.
+    line_no = next(i for i, ln in enumerate(lines) if ln.strip())
+    header = lines[line_no].split()
     if [t.lower() for t in header] != list(_MM_HEADER):
-        raise ParseError(path, 1, 1,
+        raise ParseError(path, line_no + 1, 1,
                          "expected header '%%MatrixMarket matrix array real general'")
-    line_no = 1
+    line_no += 1
     # skip comment lines
     while line_no < len(lines) and (not lines[line_no].strip()
                                     or lines[line_no].lstrip().startswith("%")):

@@ -109,17 +109,29 @@ def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
     return A / w
 
 
-def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
-    # One margin LP per row of ``block`` (sorted supports of one size k):
-    # nonnegative variables y+, the shifted margin t + 1, one slack per
-    # column off the support and y-, where the free y is y+ - y- (the y-
-    # columns are the y+ columns negated); rows A_S^T y = 1, then
-    # A_j^T y - (t + 1) + s_j = -1 for each j off S, ascending.
+def _margin_lps(A: np.ndarray, block: np.ndarray, rank_tol: float) -> tuple[LpStack, np.ndarray]:
+    # One margin LP per row of ``block`` (sorted supports of one size k), and
+    # a feasible basis of each (a row of n column indices), or a row of -1
+    # where the support has no start.  The LP has nonnegative variables y+,
+    # the shifted margin t + 1, one slack per column off the support and y-,
+    # where the free y is y+ - y- (the y- columns are the y+ columns negated);
+    # rows A_S^T y = 1, then A_j^T y - (t + 1) + s_j = -1 for each j off S,
+    # ascending.
+    # The start: a partial-pivot elimination on A_S picks k rows I with
+    # A_{I,S} nonsingular; a support whose pivot falls to
+    # rank_tol * max(1, largest |entry| of A_S) or below gets no start, and
+    # phase 1 decides it (its equalities may be inconsistent).  Then
+    # y_I = A_{I,S}^-T 1, y = 0 elsewhere, and each y_i is basic as y+ or y-
+    # by its sign; t + 1 = max(0, 1 + max_{j off S} A_j^T y) is basic in the
+    # row of the first arg-max unless it is 0, and every other off-support row
+    # keeps its slack basic.  All these values are nonnegative, so the basis
+    # is feasible.
     m, n = A.shape
     count, k = block.shape
     kc = n - k
+    every = np.arange(count)
     outside = np.ones((count, n), dtype=bool)
-    outside[np.arange(count)[:, None], block] = False
+    outside[every[:, None], block] = False
     off = np.nonzero(outside)[1].reshape(count, kc)
     nv = 2 * m + 1 + kc
     Bm = np.zeros((count, n, nv))
@@ -131,7 +143,39 @@ def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
     rhs = np.concatenate([np.ones(k), -np.ones(kc)])
     cost = np.zeros(nv)
     cost[m] = 1.0
-    return LpStack(cost, Bm, np.broadcast_to(rhs, (count, n)))
+    lps = LpStack(cost, Bm, np.broadcast_to(rhs, (count, n)))
+
+    R = A.T[block].transpose(0, 2, 1)       # A_S of each support, (count, m, k)
+    threshold = rank_tol * np.maximum(1.0, np.abs(R).max(axis=(1, 2), initial=0.0))
+    rows = np.empty((count, k), dtype=np.intp)
+    taken = np.zeros((count, m), dtype=bool)
+    ok = np.ones(count, dtype=bool)
+    for c in range(k):
+        r = np.where(taken, -1.0, np.abs(R[:, :, c])).argmax(axis=1)
+        pivot = R[every, r, c]
+        ok &= np.abs(pivot) > threshold
+        rows[:, c] = r
+        taken[every, r] = True
+        if c + 1 < k:
+            factor = R[:, :, c] / np.where(ok, pivot, 1.0)[:, None]
+            R[:, :, c + 1:] -= factor[:, :, None] * R[every, r, c + 1:][:, None, :]
+    y = np.zeros((count, m))
+    if k:
+        AIS = A[rows[:, :, None], block[:, None, :]]
+        AIS[~ok] = np.eye(k)
+        y[every[:, None], rows] = np.linalg.solve(AIS.transpose(0, 2, 1),
+                                                  np.ones((count, k, 1)))[:, :, 0]
+    basis = np.empty((count, n), dtype=np.intp)
+    basis[:, :k] = np.where(y[every[:, None], rows] >= 0.0, rows, nv - m + rows)
+    basis[:, k:] = m + 1 + np.arange(kc)
+    if kc:
+        # Row k + i holds off-support column off[:, i].
+        eta = np.take_along_axis(np.matmul(y[:, None, :], A)[:, 0], off, axis=1)
+        i = eta.argmax(axis=1)
+        lifted = np.flatnonzero(eta[every, i] > -1.0)
+        basis[lifted, k + i[lifted]] = m
+    basis[~ok] = -1
+    return lps, basis
 
 
 def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
@@ -156,63 +200,14 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
     return RspCertificate(holds, S, A.T @ y, y, t_star, sol.status)
 
 
-def _margin_starts(A: np.ndarray, block: np.ndarray, rank_tol: float) -> np.ndarray:
-    # A feasible basis of each margin LP of ``_margin_lps`` (one row of n
-    # column indices per support), or a row of -1 where the support has no
-    # start.  A partial-pivot elimination on A_S picks k rows I with A_{I,S}
-    # nonsingular; a support whose pivot falls to rank_tol * max(1, largest
-    # |entry| of A_S) or below gets no start, and phase 1 decides it (its
-    # equalities may be inconsistent).  Then y_I = A_{I,S}^-T 1, y = 0
-    # elsewhere, and each y_i is basic as y+ or y- by its sign;
-    # t + 1 = max(0, 1 + max_{j off S} A_j^T y) is basic in the row of the
-    # first arg-max unless it is 0, and every other off-support row keeps its
-    # slack basic.  All these values are nonnegative, so the basis is feasible.
-    m, n = A.shape
-    count, k = block.shape
-    every = np.arange(count)
-    R = A.T[block].transpose(0, 2, 1)       # A_S of each support, (count, m, k)
-    threshold = rank_tol * np.maximum(1.0, np.abs(R).max(axis=(1, 2), initial=0.0))
-    rows = np.empty((count, k), dtype=np.intp)
-    taken = np.zeros((count, m), dtype=bool)
-    ok = np.ones(count, dtype=bool)
-    for c in range(k):
-        r = np.where(taken, -1.0, np.abs(R[:, :, c])).argmax(axis=1)
-        pivot = R[every, r, c]
-        ok &= np.abs(pivot) > threshold
-        rows[:, c] = r
-        taken[every, r] = True
-        if c + 1 < k:
-            factor = R[:, :, c] / np.where(ok, pivot, 1.0)[:, None]
-            R[:, :, c + 1:] -= factor[:, :, None] * R[every, r, c + 1:][:, None, :]
-    y = np.zeros((count, m))
-    if k:
-        AIS = A[rows[:, :, None], block[:, None, :]]
-        AIS[~ok] = np.eye(k)
-        y[every[:, None], rows] = np.linalg.solve(AIS.transpose(0, 2, 1),
-                                                  np.ones((count, k, 1)))[:, :, 0]
-    basis = np.empty((count, n), dtype=np.intp)
-    nv = 2 * m + 1 + n - k
-    basis[:, :k] = np.where(y[every[:, None], rows] >= 0.0, rows, nv - m + rows)
-    basis[:, k:] = m + 1 + np.arange(n - k)
-    if k < n:
-        eta = np.matmul(y[:, None, :], A)[:, 0]
-        eta[every[:, None], block] = -np.inf
-        j = eta.argmax(axis=1)
-        lifted = np.flatnonzero(eta[every, j] > -1.0)
-        # Off-support column j sits in row k + (its rank among the off columns).
-        basis[lifted, k + j[lifted] - (block[lifted] < j[lifted, None]).sum(axis=1)] = m
-    basis[~ok] = -1
-    return basis
-
-
 def _margin_solves(A: np.ndarray, supports: list[IndexSet],
                    tol: ToleranceConfig) -> list[LpSolution | CertificateUnavailable]:
     # The margin LPs of sorted supports of one size, in order, solved as one
     # stack, each full-rank support's from its constructed start.
     if not supports:
         return []
-    block = np.array(supports, dtype=np.intp)
-    return solve_batch(_margin_lps(A, block), tol, basis=_margin_starts(A, block, tol.rank_tol))
+    lps, basis = _margin_lps(A, np.array(supports, dtype=np.intp), tol.rank_tol)
+    return solve_batch(lps, tol, basis=basis)
 
 
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],

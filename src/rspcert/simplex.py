@@ -21,12 +21,15 @@ operation acts on each LP alone and every decision is made per LP, so an LP
 gets bit-identical output whether it is solved alone, mid-chunk or across a
 chunk boundary, and identical inputs pivot identically.
 
-The core hands out only checked results.  Each chunk re-checks its optimal
-LPs as array operations on the raw B, p and c and the x and y just computed
-(primal feasibility, dual feasibility, complementary slackness, matching
-objectives), never reading the tableau.  An optimum that fails comes back
-as ``CertificateUnavailable``, and so does a breakdown (its subclass
-``IterationLimit``).  ``verify_certificate`` runs the same check on one LP.
+The core re-checks every optimum it hands out, and only optima.  Each chunk
+re-checks its optimal LPs as array operations on the raw B, p and c and the
+x and y just computed (primal feasibility, dual feasibility, complementary
+slackness, matching objectives), never reading the tableau.  An optimum that
+fails comes back as ``CertificateUnavailable``, and so does a breakdown (its
+subclass ``IterationLimit``).  ``verify_certificate`` runs the same check on
+one LP.  An "infeasible" status and an unbounded ray leave the core
+unchecked, and at large scale the "infeasible" status can be wrong (ROADMAP
+item 2 holds the Farkas check that would catch it).
 """
 
 from __future__ import annotations
@@ -296,10 +299,12 @@ class _Tableaux:
             np.putmask(since, best > _RATIO_TIE, step)
 
 
-def _artificial_tableaux(B: np.ndarray, sigma: np.ndarray, p: np.ndarray) -> _Tableaux:
-    # Phase 1's tableaux: row i of LP b is sigma[b, i] times its constraint
-    # row, and the artificial columns n, ..., n + m - 1 form the first basis.
+def _artificial_tableaux(lps: LpStack) -> _Tableaux:
+    # Phase 1's tableaux: rows of negative right-hand side are negated, so that
+    # the artificial columns n, ..., n + m - 1 form a feasible first basis.
+    B, p = lps.constraints, lps.rhs
     count, m, n = B.shape
+    sigma = np.where(p < 0.0, -1.0, 1.0)
     T = np.zeros((count, m + 1, n + m + 1))
     T[:, :m, :n] = B
     T[:, :m, :n] *= sigma[:, :, None]
@@ -382,23 +387,16 @@ def _phase1(tab: _Tableaux, n: int, tol: ToleranceConfig, max_pivots: int) -> tu
     return infeasible, active
 
 
-def _solve_chunk(lps: LpStack, tol: ToleranceConfig, max_pivots: int | None,
-                 start: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> list[LpSolution | CertificateUnavailable]:
-    # Two-phase, or with ``start`` (tableaux and bases from
-    # ``_started_tableaux``) phase 2 alone.
+def _solve_chunk(lps: LpStack, tab: _Tableaux, tol: ToleranceConfig,
+                 max_pivots: int) -> list[LpSolution | CertificateUnavailable]:
+    # Solve the LPs of ``lps`` from their tableaux ``tab``: phase 1 first when
+    # ``tab`` has artificial columns (``_artificial_tableaux``), else phase 2
+    # alone from a feasible basis (``_started_tableaux``).
     B, p, c = lps.constraints, lps.rhs, lps.objective
     count, m, n = B.shape
-    if max_pivots is None:
-        max_pivots = 50 * (m + n)
-    if start is None:
-        # Orient rows so phase 1 starts from a feasible artificial basis.
-        sigma = np.where(p < 0.0, -1.0, 1.0)
-        tab = _artificial_tableaux(B, sigma, p)
+    if tab.T.shape[2] > n + 1:
         infeasible, active = _phase1(tab, n, tol, max_pivots)
     else:
-        sigma = np.ones((count, m))
-        tab = _Tableaux(*start)
         infeasible, active = np.zeros(count, dtype=bool), count
 
     width = tab.T.shape[2] - 1
@@ -432,12 +430,11 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig, max_pivots: int | None,
     x = x[:, :n]
     x[(x < 0.0) & (x > -_CLEAN_EPS)] = 0.0
 
-    # Dual values from the final basis: solve M^T y = c_B, then undo the row
-    # orientation.  Column r of M is column basis[r] of the row-flipped B, or
-    # for an artificial the unit column of its row (with cost zero).
+    # Dual values from the final basis: solve M^T y = c_B.  Column r of M is
+    # column basis[r] of B, or for an artificial the unit column of its row
+    # (with cost zero, so that row's dual is zero).
     q, r = np.nonzero(basis >= n)
     MT = B[optimal[:, None], :, np.where(basis < n, basis, 0)]
-    MT *= sigma[optimal][:, None, :]
     MT[q, r] = 0.0
     MT[q, r, basis[q, r] - n] = 1.0
     c_basis = c_ext[basis][:, :, None]
@@ -445,7 +442,6 @@ def _solve_chunk(lps: LpStack, tol: ToleranceConfig, max_pivots: int | None,
         y = np.linalg.solve(MT, c_basis)[:, :, 0]
     except np.linalg.LinAlgError:
         y = np.concatenate([_dual(MT[k:k + 1], c_basis[k:k + 1]) for k in range(optimal.size)])
-    y *= sigma[optimal]
     if optimal.size < count:
         B, p = B[optimal], p[optimal]
     certified, s = _certified(B, p, c, x, y, tol)
@@ -495,6 +491,8 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
             return []
         lps = LpStack.of(lps)
     count, m, n = lps.constraints.shape
+    if max_pivots is None:
+        max_pivots = 50 * (m + n)
     results: list = [None] * count
     two_phase = np.arange(count)
     if basis is not None:
@@ -508,11 +506,14 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
                 two_phase = np.union1d(two_phase, at[~serves])
                 at, chunk, T = at[serves], chunk[serves], T[serves]
             if at.size:
-                for i, result in zip(at, _solve_chunk(chunk, tol, max_pivots, (T, basis[at]))):
+                solved = _solve_chunk(chunk, _Tableaux(T, basis[at]), tol, max_pivots)
+                for i, result in zip(at, solved):
                     results[i] = result
     for part in stack_chunks(two_phase.size, tableau_bytes(m, n)):
         at = two_phase[part]
-        for i, result in zip(at, _solve_chunk(_rows(lps, at), tol, max_pivots)):
+        chunk = _rows(lps, at)
+        solved = _solve_chunk(chunk, _artificial_tableaux(chunk), tol, max_pivots)
+        for i, result in zip(at, solved):
             results[i] = result
     return results
 

@@ -29,6 +29,22 @@ def test_matrixmarket_array_is_column_major(tmp_path):
     assert np.array_equal(load_matrix(path), A)
 
 
+def test_matrixmarket_header_may_follow_blank_lines(tmp_path):
+    # The format is picked from the first non-blank line; the header is read
+    # there too, and positions stay 1-based lines of the file.
+    path = tmp_path / "a.mtx"
+    path.write_text("\n  \n%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
+    assert np.array_equal(load_matrix(path), [[1.0, 3.0], [2.0, 4.0]])
+    path.write_text("\n%%MatrixMarket matrix coordinate real general\n2 2\n")
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (2, 1)
+    path.write_text("\n%%MatrixMarket matrix array real general\n2 2\n1\nx\n3\n4\n")
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (5, 1)
+
+
 def test_csv_vector_roundtrip(tmp_path):
     path = tmp_path / "b.csv"
     write_csv_vector(path, UNIQUE_B)

@@ -194,9 +194,9 @@ def test_classify_runs_check_rsp_at_once_at_the_l1_support(tmp_path, monkeypatch
     built = []
     margin_lps = rsp._margin_lps
 
-    def recording(A, block):
+    def recording(A, block, rank_tol):
         built.extend(tuple(S) for S in block.tolist())
-        return margin_lps(A, block)
+        return margin_lps(A, block, rank_tol)
 
     monkeypatch.setattr(rsp, "_margin_lps", recording)
     a_path, b_path, report = tmp_path / "A.csv", tmp_path / "b.csv", tmp_path / "r.json"

@@ -86,8 +86,8 @@ def test_empty_support_holds_vacuously():
 def _start(A, S):
     """The certifier's starting basis of the margin LP at S, or None, and the LP."""
     block = np.array([S], dtype=np.intp).reshape(1, len(S))
-    basis = rsp._margin_starts(A, block, DEFAULT_TOLERANCES.rank_tol)
-    return (None if basis[0, 0] < 0 else basis), rsp._margin_lps(A, block)
+    lps, basis = rsp._margin_lps(A, block, DEFAULT_TOLERANCES.rank_tol)
+    return (None if basis[0, 0] < 0 else basis), lps
 
 
 def test_empty_support_starts_at_y_zero_with_every_slack_at_zero():

@@ -368,7 +368,7 @@ def test_stacked_verify_agrees_with_the_per_lp_reference(kind):
 def _margin_stack(A, k):
     """The size-k margin LPs of A, as the certifier stacks them, and their starts."""
     block = np.array(list(combinations(range(A.shape[1]), k)), dtype=np.intp)
-    return rsp._margin_lps(A, block), rsp._margin_starts(A, block, DEFAULT_TOLERANCES.rank_tol)
+    return rsp._margin_lps(A, block, DEFAULT_TOLERANCES.rank_tol)
 
 
 def _started_chunk_len(lps) -> int:
@@ -424,3 +424,88 @@ def test_a_started_batch_reports_a_pivot_limit_for_its_lp_only():
             assert str(result) == f"pivot limit {limit} reached"
         else:
             assert _same(result, sol)
+
+
+def _negated_rows(lps, rng):
+    """The stack with a random set of each LP's rows of nonzero right-hand side negated."""
+    flip = (rng.random(lps.rhs.shape) < 0.5) & (lps.rhs != 0.0)
+    signs = np.where(flip, -1.0, 1.0)
+    return LpStack(lps.objective, lps.constraints * signs[:, :, None], lps.rhs * signs), flip
+
+
+def _same_up_to_row_signs(a, b, flip) -> bool:
+    """Whether b, the solution after negating the rows ``flip``, is a with those duals negated.
+
+    The duals are compared by value: a dual that is exactly zero may change
+    the sign of its zero.
+    """
+    if isinstance(a, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    if (a.status, a.pivots, a.objective_value) != (b.status, b.pivots, b.objective_value):
+        return False
+    if a.status != OPTIMAL:
+        return a.ray is None and b.ray is None or np.array_equal(a.ray, b.ray)
+    return (np.array_equal(a.x, b.x) and np.all(b.y == np.where(flip, -a.y, a.y))
+            and np.all(a.reduced_costs == b.reduced_costs))
+
+
+def test_negating_rows_negates_only_their_duals():
+    # Phase 1 negates each row of negative right-hand side, so negating a row
+    # of nonzero right-hand side leaves its tableau, and with it the status,
+    # pivots and x, bit for bit; the duals, solved on the raw rows, negate on
+    # exactly the negated rows.  The same holds for a started LP, whose
+    # tableau M^-1 [B | p] does not see the signs of the rows.  Some stacks
+    # repeat their first row negated: it is redundant, so its artificial stays
+    # basic and pins its dual to zero.
+    rng = np.random.default_rng([2026, 50])
+    statuses, pinned, compared = set(), 0, 0
+    for m, n, redundant in ((3, 7, False), (5, 10, False), (4, 9, True), (2, 6, True)):
+        for _ in range(3):
+            B = rng.standard_normal((30, m, n))
+            x0 = rng.uniform(0.0, 1.0, (30, n)) * (rng.random((30, n)) < 0.5)
+            p = np.einsum("bij,bj->bi", B, x0)
+            p[::5] = rng.standard_normal((6, m))
+            if redundant:
+                B = np.concatenate([B, -B[:, :1]], axis=1)
+                p = np.concatenate([p, -p[:, :1]], axis=1)
+            lps = LpStack(rng.standard_normal(n), B, p)
+            flipped, flip = _negated_rows(lps, rng)
+            for a, b, f in zip(solve_batch(lps), solve_batch(flipped), flip):
+                assert _same_up_to_row_signs(a, b, f)
+                statuses.add(getattr(a, "status", None))
+                pinned += redundant and a.status == OPTIMAL and a.y[-1] == 0.0
+                compared += f.any()
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert pinned > 0 and compared > 300
+    lps, basis = _margin_stack(_margin_matrices()[0], 2)
+    flipped, flip = _negated_rows(lps, rng)
+    assert flip.any(axis=1).all() and (basis[:, 0] >= 0).all()
+    for a, b, f in zip(solve_batch(lps, basis=basis), solve_batch(flipped, basis=basis), flip):
+        assert _same_up_to_row_signs(a, b, f)
+
+
+def test_a_started_lp_can_be_unbounded_optimal_at_its_start_or_stop_at_the_limit():
+    # min -x0 over one row: x0 - x1 = 1 from x0 is unbounded along (1, 1);
+    # x0 + x1 = 1 is optimal at x0 with no pivot, and from x1 needs one pivot.
+    lps = LpStack(np.array([-1.0, 0.0]), np.array([[[1.0, -1.0]], [[1.0, 1.0]], [[1.0, 1.0]]]),
+                  np.ones((3, 1)))
+    basis = np.array([[0], [0], [1]])
+    for max_pivots in (None, 0):
+        results = solve_batch(lps, max_pivots=max_pivots, basis=basis)
+        for i, result in enumerate(results):
+            alone = solve_batch(lps[i:i + 1], max_pivots=max_pivots, basis=basis[i:i + 1])[0]
+            if isinstance(alone, IterationLimit):
+                assert type(result) is IterationLimit and str(result) == str(alone)
+            else:
+                assert _same(result, alone)
+        unbounded, at_start, last = results
+        assert (unbounded.status, unbounded.pivots) == (UNBOUNDED, 0)
+        ray = unbounded.ray
+        assert ray.tolist() == [1.0, 1.0]
+        assert lps.constraints[0] @ ray == [0.0] and ray.min() >= 0.0
+        assert lps.objective @ ray < 0.0
+        assert (at_start.status, at_start.pivots, at_start.x.tolist()) == (OPTIMAL, 0, [1.0, 0.0])
+        if max_pivots is None:
+            assert (last.status, last.pivots, last.x.tolist()) == (OPTIMAL, 1, [1.0, 0.0])
+        else:
+            assert type(last) is IterationLimit and str(last) == "pivot limit 0 reached"
