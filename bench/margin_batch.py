@@ -28,12 +28,10 @@ of the four properties.  The lockstep figures count the steps of the stacked eng
 the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
 commands for seed 1 (``perfbench/workloads.py``, run in-process through
 ``rspcert.cli.main``).  Times are the fastest of ``--repeat`` runs, on one
-thread.  Only public names that every build has are used, apart from the
-prsp certifier (``certify_order_k(..., property="prsp")``, or
-``prsp_order_k`` in trees that predate it), the lockstep counts, which read
-the stacked engine when the tree has one, and the margin-LP pivots, the LPs
-per pass and the l1 LPs per oracle window, which read the stacks the library
-passes to ``simplex.solve_batch`` (``_counting``).
+thread.  The tree must have ``certify_order_k``, ``simplex.solve_batch`` and
+the stacked engine ``simplex._Tableaux``: the lockstep counts read the
+engine, and the margin-LP pivots, the LPs per pass and the l1 LPs per oracle
+window read the stacks the library passes to ``solve_batch`` (``_counting``).
 """
 
 from __future__ import annotations
@@ -69,13 +67,6 @@ def _best(fn, repeat: int) -> float:
     return best
 
 
-def _prsp(rc):
-    """The tree's certifier of prsp, as a function of (A, K)."""
-    if hasattr(rc, "certify_order_k"):
-        return lambda A, k: rc.certify_order_k(A, k, property="prsp")
-    return rc.prsp_order_k
-
-
 def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
@@ -86,12 +77,11 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
         linalg._STACK_BYTES = cap_kib * 1024
     mats = [np.random.default_rng([4, i]).standard_normal((8, 16)) for i in range(4)]
     out: dict = {"margin_us_per_lp": {}, "margin_pivots_per_lp": {}}
-    prsp = _prsp(rc)
     for k in (1, 2, 3):
         count = math.comb(16, k) * len(mats)
-        t = _best(lambda: [prsp(A, k) for A in mats], repeat)
+        t = _best(lambda: [rc.certify_order_k(A, k, property="prsp") for A in mats], repeat)
         out["margin_us_per_lp"][str(k)] = 1e6 * t / count
-        pivots = _solved(lambda: [prsp(A, k) for A in mats])
+        pivots = _solved(lambda: [rc.certify_order_k(A, k, property="prsp") for A in mats])
         assert len(pivots) == count
         out["margin_pivots_per_lp"][str(k)] = statistics.fmean(pivots)
     out["check_rsp_at_us"] = _batch_of_one(rc, np, repeat)
@@ -115,7 +105,7 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     t = _best(lambda: [rc.rank_details(mats[0], S) for S in supports], repeat)
     out["rank_probe_us_alone"] = 1e6 * t / len(supports)
 
-    out["lockstep"] = _lockstep(rc, np, mats, repeat)
+    out["lockstep"] = _lockstep(rc, mats, repeat)
     if cap_kib is None:
         out["oracle"] = _oracle(rc, np, mats, repeat)
     return out
@@ -125,14 +115,13 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
 def _counting(record):
     """Call ``record(lps, results)`` on every stack the library passes to ``solve_batch``.
 
-    Each module of the tree that binds ``simplex.solve_batch`` is patched:
-    ``simplex`` itself (for ``solve``), ``rsp``, and ``oracle`` in trees whose
-    sparsest search solves its feasibility LPs itself.
+    Each module that binds ``simplex.solve_batch`` is patched: ``simplex``
+    itself (for ``solve``), ``rsp``, and ``oracle``, whose sparsest search
+    solves its feasibility LPs itself.
     """
     from rspcert import oracle, rsp, simplex
-    real = getattr(simplex, "solve_batch", None)
-    modules = [m for m in (simplex, rsp, oracle)
-               if real is not None and getattr(m, "solve_batch", None) is real]
+    real = simplex.solve_batch
+    modules = (simplex, rsp, oracle)
 
     def counting(lps, *args, **kwargs):
         results = real(lps, *args, **kwargs)
@@ -180,10 +169,6 @@ def _oracle(rc, np, mats, repeat: int) -> dict:
         return [rc.uniform_recovery_oracle(A, 3, property=prop) for A, prop in runs]
     checked = sum(r.supports_checked for r in oracle())
     t = _best(oracle, repeat)
-    out = {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
-           "l1_lps_per_window": None, "l1_lps_per_support": None}
-    if getattr(simplex, "solve_batch", None) is None:
-        return out
     stacks = []
 
     def record(lps, results):
@@ -192,9 +177,9 @@ def _oracle(rc, np, mats, repeat: int) -> dict:
             stacks.append(len(results))
     with _counting(record):
         oracle()
-    out["l1_lps_per_window"] = statistics.fmean(stacks)
-    out["l1_lps_per_support"] = sum(stacks) / checked
-    return out
+    return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
+            "l1_lps_per_window": statistics.fmean(stacks),
+            "l1_lps_per_support": sum(stacks) / checked}
 
 
 def _steps(simplex, work) -> dict:
@@ -250,13 +235,10 @@ def _orderk_pass(work: Path):
     return one_pass, lps[0]
 
 
-def _lockstep(rc, np, mats, repeat: int) -> dict | None:
+def _lockstep(rc, mats, repeat: int) -> dict:
     """Steps, occupancy and time of the stacked engine on the size-3 margin LPs and on a pass."""
     from rspcert import simplex
-    if getattr(simplex, "_Tableaux", None) is None:
-        return None
-    prsp = _prsp(rc)
-    margin = _steps(simplex, lambda: [prsp(A, 3) for A in mats])
+    margin = _steps(simplex, lambda: [rc.certify_order_k(A, 3, property="prsp") for A in mats])
     count = math.comb(16, 3) * len(mats)
     with tempfile.TemporaryDirectory() as work:
         one_pass, lps = _orderk_pass(Path(work))

@@ -7,6 +7,7 @@ on shared read-only arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
@@ -49,8 +50,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("feas_tol", "rank_tol", "rsp_margin", "gap_tol", "zero_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if not self.rsp_margin > self.feas_tol:
             raise ValueError("rsp_margin must exceed feas_tol")
 
@@ -81,8 +82,17 @@ def as_vector(data, length: int | None = None) -> np.ndarray:
 
 
 def normalize_support(indices: Iterable[int], n: int) -> IndexSet:
-    """Sorted tuple of distinct 0-based column indices, all below ``n``."""
-    idx = [int(i) for i in indices]
+    """Sorted tuple of distinct 0-based column indices, all below ``n``.
+
+    Each index must be an integer, Python or NumPy; any other value, such as
+    a float, raises ValueError rather than being truncated.
+    """
+    idx = []
+    for i in indices:
+        try:
+            idx.append(operator.index(i))
+        except TypeError:
+            raise ValueError(f"index {i!r} is not an integer") from None
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate indices in support")
     for i in idx:

@@ -45,8 +45,10 @@ class RspCertificate:
     eta = A^T y equals 1 on the support and stays at or below t off it
     (t clamped below at -1 to keep the LP bounded).  The property holds
     strictly iff t_star < 1; verdicts leave a tolerance band around 1.
-    Witnesses are present for yes/marginal verdicts and satisfy
-    eta = A^T y, eta = 1 on the support, eta <= 1 - rsp_margin off it.
+    Witnesses are present for yes/marginal verdicts and satisfy eta = A^T y,
+    eta = 1 on the support and eta <= t_star off it, the last two up to the
+    LP's feasibility tolerance.  Only a yes witness, whose t_star is at most
+    1 - rsp_margin, passes ``verify_rsp_witness``; a marginal one does not.
     """
 
     holds: Verdict

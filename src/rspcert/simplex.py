@@ -130,7 +130,8 @@ class _Tableaux:
     Slot s holds the tableau of LP ``lp[s]``; the LPs still pivoting occupy
     the leading slots.  Tableau row r of slot s is ``rows[row0[s] + r]``, and
     ``ints`` holds each slot's basis followed by its LP, so that basis entry r
-    sits at the same flat index.
+    sits at the same flat index.  ``status`` holds each LP's outcome: OPTIMAL
+    while it pivots, then UNBOUNDED, INFEASIBLE or a breakdown's message.
     """
 
     def __init__(self, T: np.ndarray, basis: np.ndarray):
@@ -151,8 +152,8 @@ class _Tableaux:
         self.basis, self.lp = self.ints[:, :m], self.ints[:, m]
         self.ints_flat = self.ints.reshape(-1)
         self.pivots = np.zeros(count, dtype=np.int64)
-        self.entering = np.full(count, -1)    # by LP: improving column when unbounded
-        self.failure: list[str | None] = [None] * count   # by LP: why the solve broke down
+        self.status = np.full(count, OPTIMAL, dtype=object)
+        self.entering = np.full(count, -1)    # by LP: the ray's column when unbounded
 
     def slots(self) -> np.ndarray:
         """The slot of each LP."""
@@ -234,10 +235,10 @@ class _Tableaux:
     def run(self, active: int, allowed: int, max_pivots: int) -> None:
         """Pivot slots [0, active) to optimality over their first ``allowed`` columns.
 
-        An LP with no improving column is optimal; one whose entering column
-        has no positive entry is unbounded and keeps that column in
-        ``entering``; one that would pivot past ``max_pivots`` fails.  Each
-        leaves the active slots when it stops.
+        An LP with no improving column keeps ``status`` OPTIMAL; one whose
+        entering column has no positive entry turns UNBOUNDED and keeps that
+        column in ``entering``; one that would pivot past ``max_pivots`` gets
+        the pivot-limit message.  Each leaves the active slots when it stops.
         """
         m = self.m
         # An LP has made step - since[slot] degenerate pivots in a row, and
@@ -284,8 +285,8 @@ class _Tableaux:
                 stuck = ~unbounded & (self.pivots[:active] >= max_pivots)
                 lps = self.lp[:active]
                 self.entering[lps[unbounded]] = j[unbounded]
-                for lp in lps[stuck]:
-                    self.failure[lp] = f"pivot limit {max_pivots} reached"
+                self.status[lps[unbounded]] = UNBOUNDED
+                self.status[lps[stuck]] = f"pivot limit {max_pivots} reached"
                 active = self.partition(~(unbounded | stuck), r, j, col, best, since)
                 if not active:
                     return
@@ -348,10 +349,10 @@ def _started_tableaux(lps: LpStack, basis: np.ndarray) -> tuple[np.ndarray, np.n
     return T, serves
 
 
-def _phase1(tab: _Tableaux, n: int, tol: ToleranceConfig, max_pivots: int) -> tuple[np.ndarray, int]:
-    """Drive the artificials of ``tab`` out; the infeasible LPs, and the count left active.
+def _phase1(tab: _Tableaux, n: int, tol: ToleranceConfig, max_pivots: int) -> int:
+    """Drive the artificials of ``tab`` out; the count of LPs left active.
 
-    The LPs that broke down or are infeasible leave the active slots.
+    The LPs that broke down or ended INFEASIBLE leave the active slots.
     """
     count, m = tab.basis.shape
     width = n + m
@@ -359,14 +360,10 @@ def _phase1(tab: _Tableaux, n: int, tol: ToleranceConfig, max_pivots: int) -> tu
     phase1_costs[n:] = 1.0
     tab.set_costs(count, phase1_costs)
     tab.run(count, width, max_pivots)
-    for i in np.flatnonzero(tab.entering >= 0):
-        # The phase-1 objective is bounded below by zero; an unbounded report
-        # can only come from numerical breakdown.
-        tab.failure[i] = "phase 1 reported an unbounded direction"
-    tab.entering[:] = -1
-    failed = np.array([f is not None for f in tab.failure])
-    infeasible = ~failed & (-tab.T[tab.slots(), -1, -1] > tol.feas_tol)
-    active = tab.partition(~(failed | infeasible)[tab.lp])
+    # Phase 1's objective is bounded below by zero: unbounded means breakdown.
+    tab.status[tab.status == UNBOUNDED] = "phase 1 reported an unbounded direction"
+    tab.status[(tab.status == OPTIMAL) & (-tab.T[tab.slots(), -1, -1] > tol.feas_tol)] = INFEASIBLE
+    active = tab.partition((tab.status == OPTIMAL)[tab.lp])
 
     # Swap basic artificials for structural columns where the row allows it;
     # the LPs that pivot on row r move to the leading slots first.  Rows that
@@ -384,20 +381,18 @@ def _phase1(tab: _Tableaux, n: int, tol: ToleranceConfig, max_pivots: int) -> tu
             col = tab.T[tab.every[:swapped], :, j[:swapped]]
             tab.pivot(swapped, np.full(swapped, r), j[:swapped], col)
             tab.pivots[:swapped] += 1
-    return infeasible, active
+    return active
 
 
 def _solve_chunk(lps: LpStack, tab: _Tableaux, tol: ToleranceConfig,
                  max_pivots: int) -> list[LpSolution | CertificateUnavailable]:
     # Solve the LPs of ``lps`` from their tableaux ``tab``: phase 1 first when
     # ``tab`` has artificial columns (``_artificial_tableaux``), else phase 2
-    # alone from a feasible basis (``_started_tableaux``).
+    # alone from a feasible basis (``_started_tableaux``).  Each result
+    # follows from the LP's ``tab.status``; only optima are re-checked.
     B, p, c = lps.constraints, lps.rhs, lps.objective
     count, m, n = B.shape
-    if tab.T.shape[2] > n + 1:
-        infeasible, active = _phase1(tab, n, tol, max_pivots)
-    else:
-        infeasible, active = np.zeros(count, dtype=bool), count
+    active = _phase1(tab, n, tol, max_pivots) if tab.T.shape[2] > n + 1 else count
 
     width = tab.T.shape[2] - 1
     c_ext = np.zeros(width)
@@ -407,19 +402,19 @@ def _solve_chunk(lps: LpStack, tab: _Tableaux, tol: ToleranceConfig,
 
     at = tab.slots()
     results: list = [None] * count
-    for i in range(count):
-        s = at[i]
-        if tab.failure[i] is not None:
-            results[i] = IterationLimit(tab.failure[i])
-        elif infeasible[i]:
+    for i in np.flatnonzero(tab.status != OPTIMAL):
+        s, status = at[i], tab.status[i]
+        if status == INFEASIBLE:
             results[i] = LpSolution(status=INFEASIBLE, pivots=int(tab.pivots[s]))
-        elif (entering := tab.entering[i]) >= 0:
+        elif status == UNBOUNDED:
+            j, basic = tab.entering[i], tab.basis[s] < n
             ray = np.zeros(n)
-            ray[entering] = 1.0
-            basic = tab.basis[s] < n
-            ray[tab.basis[s][basic]] = -tab.T[s, :m, entering][basic]
+            ray[j] = 1.0
+            ray[tab.basis[s][basic]] = -tab.T[s, :m, j][basic]
             results[i] = LpSolution(status=UNBOUNDED, ray=ray, pivots=int(tab.pivots[s]))
-    optimal = np.array([i for i in range(count) if results[i] is None], dtype=np.intp)
+        else:
+            results[i] = IterationLimit(status)
+    optimal = np.flatnonzero(tab.status == OPTIMAL)
     if not optimal.size:
         return results
 

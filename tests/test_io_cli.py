@@ -339,6 +339,19 @@ def test_negative_budget_env_exit_one(tmp_path, monkeypatch, capsys):
     assert main(["order-k", str(a_path), "--k", "1", "--budget", "0"]) == 6
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--gap-tol", "inf", "gap_tol"),
+    ("--rsp-margin", "inf", "rsp_margin"),
+    ("--tol-rank", "nan", "rank_tol"),
+])
+def test_non_finite_tolerance_exit_one(tmp_path, capsys, flag, value, field):
+    # An infinite or NaN tolerance would switch its check off; it is refused
+    # before any LP runs.
+    args = _write_system(tmp_path, UNIQUE_A, UNIQUE_B)
+    assert main(["solve-l1", *args, flag, value]) == 1
+    assert capsys.readouterr() == ("", f"error: {field} must be finite and strictly positive\n")
+
+
 def test_missing_file_exit_one(tmp_path):
     assert main(["solve-l1", str(tmp_path / "none.csv"), str(tmp_path / "none2.csv")]) == 1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rspcert import (BudgetExceeded, ToleranceConfig, ZeroColumn, as_matrix,
-                     augmented_rank, coherence_bound_holds, mutual_coherence,
+                     augmented_rank, check_rsp_at, coherence_bound_holds, mutual_coherence,
                      normalize_support, rank, rank_details, spark,
                      sparsity_bound, submatrix)
 
@@ -153,6 +153,15 @@ def test_normalize_support_rejects_duplicates_and_range():
         normalize_support((1, 1), 4)
     with pytest.raises(ValueError):
         normalize_support((4,), 4)
+    # Non-integral indices are refused, not truncated; integers of either kind pass.
+    for bad in (0.9, 2.2, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            normalize_support((bad,), 4)
+    with pytest.raises(ValueError, match="index 0.9 is not an integer"):
+        check_rsp_at(np.eye(3), [0.9])
+    with pytest.raises(ValueError, match="index 2.2 is not an integer"):
+        rank(np.eye(3), [2.2])
+    assert normalize_support((np.int64(3), 0, np.int32(2)), 4) == (0, 2, 3)
 
 
 def test_as_matrix_rejects_non_finite():
@@ -167,6 +176,11 @@ def test_tolerances_validated():
         ToleranceConfig(feas_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(rsp_margin=1e-9, feas_tol=1e-8)
+    # Infinite or NaN thresholds would switch their checks off.
+    for name in ("feas_tol", "rank_tol", "rsp_margin", "gap_tol", "zero_tol"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+                ToleranceConfig(**{name: value})
 
 
 def test_rank_marginal_flag_near_threshold():

@@ -144,6 +144,27 @@ def test_marginal_band_between_yes_and_no():
     assert cert.holds is Verdict.MARGINAL
 
 
+def test_marginal_witness_is_bounded_by_t_star_and_only_a_yes_witness_reverifies():
+    # A marginal witness stays at or below t* off the support, and t* lies
+    # above 1 - rsp_margin, so verify_rsp_witness refuses it; the same 1x2
+    # system one margin further from 1 certifies yes with a witness it accepts.
+    feas = DEFAULT_TOLERANCES.feas_tol
+    A = np.array([[1.0, 1.0 - 5e-8]])
+    cert = check_rsp_at(A, (0,))
+    assert cert.holds is Verdict.MARGINAL
+    assert cert.t_star == pytest.approx(1.0 - 5e-8, abs=1e-12)
+    eta, y = cert.witness_eta, cert.witness_y
+    np.testing.assert_array_equal(eta, A.T @ y)
+    assert abs(eta[0] - 1.0) <= feas
+    assert eta[1] <= cert.t_star + feas
+    assert eta[1] > 1.0 - DEFAULT_TOLERANCES.rsp_margin
+    assert not verify_rsp_witness(A, (0,), eta, y)
+    A = np.array([[1.0, 1.0 - 5e-7]])
+    cert = check_rsp_at(A, (0,))
+    assert cert.holds is Verdict.YES
+    assert verify_rsp_witness(A, (0,), cert.witness_eta, cert.witness_y)
+
+
 def test_verdict_depends_only_on_the_support():
     rng = np.random.default_rng(21)
     A = rng.standard_normal((3, 7))

@@ -121,6 +121,44 @@ def test_an_optimum_that_fails_its_re_check_is_not_handed_out(monkeypatch):
         solve(lps[2])
 
 
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_a_phase_1_unbounded_report_is_a_breakdown_of_its_lp_only(monkeypatch, target):
+    # Phase 1's objective is bounded below by zero, so only a numerical
+    # breakdown reports an unbounded direction there.  One is injected into
+    # LP ``target`` of a stack whose LPs 0, 1 and 2 are optimal, infeasible
+    # and unbounded: before phase 1 runs, column 0 of its tableau gets no
+    # positive entry and the most negative reduced cost.
+    rng = np.random.default_rng([2026, 14])
+    c = np.append(np.ones(5), -2.0)
+    lps = []
+    for i in range(9):
+        B = rng.standard_normal((3, 6))
+        if i % 3 == 2:
+            B[:, 5] = -B[:, 0]          # e_0 + e_5 is an improving ray
+        p = B @ rng.uniform(0.0, 1.0, 6)
+        if i % 4 == 1:
+            B[0], p[0] = np.abs(B[0]), -1.0
+        lps.append(StandardLp(c, B, p))
+    clean = solve_batch(lps)
+    assert [sol.status for sol in clean[:3]] == [OPTIMAL, INFEASIBLE, UNBOUNDED]
+    run, slot = simplex._Tableaux.run, [target]
+
+    def broken(self, active, allowed, max_pivots):
+        if not hasattr(self, "phase_1_ran"):    # a two-phase solve's first run
+            self.phase_1_ran = True
+            self.T[slot[0], :-1, 0] = -1.0
+            self.T[slot[0], -1, 0] = -1e3
+        return run(self, active, allowed, max_pivots)
+    monkeypatch.setattr(simplex._Tableaux, "run", broken)
+    results = solve_batch(lps)
+    assert type(results[target]) is IterationLimit
+    assert str(results[target]) == "phase 1 reported an unbounded direction"
+    assert all(_same(a, b) for i, (a, b) in enumerate(zip(results, clean)) if i != target)
+    slot[0] = 0
+    with pytest.raises(IterationLimit, match="^phase 1 reported an unbounded direction$"):
+        solve(lps[target])
+
+
 def test_determinism_bitwise():
     rng = np.random.default_rng(11)
     B = rng.standard_normal((4, 9))
