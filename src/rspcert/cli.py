@@ -16,6 +16,7 @@ All indices printed or emitted in JSON are 0-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -108,11 +109,12 @@ def _fmt_vec(v) -> str:
     return "[" + ", ".join(f"{float(t):.10g}" for t in np.asarray(v).reshape(-1)) + "]"
 
 
-def _emit(path: str | None, text: str) -> None:
-    """Write ``text`` to the file ``path``, if given, or print it when ``path`` is ``-``."""
-    if path == "-":
-        print(text)
-    elif path:
+def _write_report(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path`` unless it is None or ``-`` (stdout).
+
+    Called before any verdict line is printed: an unwritable path leaves stdout empty.
+    """
+    if path and path != "-":
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
 
@@ -243,7 +245,6 @@ def _run(args) -> int:
     vectors = {name: load_vector(path) for name, path in paths.items()}
     lines, verdicts, code = command.run(args, A, tol, **vectors)
     timing = (time.perf_counter() - t0) * 1000.0
-    print("\n".join(lines))
     inputs = {"matrix": args.matrix, **paths, "m": A.shape[0], "n": A.shape[1],
               **{name: getattr(args, name) for name in command.inputs}, "tolerances": tol}
     report = {"schema_version": rep.SCHEMA_VERSION, "command": args.command,
@@ -251,7 +252,11 @@ def _run(args) -> int:
               "timing_ms": timing}
     if "oracle" in verdicts:
         report["seed"] = verdicts["oracle"].seed
-    _emit(args.json, json.dumps(report, indent=2))
+    text = json.dumps(report, indent=2)
+    _write_report(args.json, text)
+    print("\n".join(lines))
+    if args.json == "-":
+        print(text)
     return code
 
 
@@ -303,13 +308,14 @@ def cmd_random_batch(args) -> int:
     }
     lines.append(json.dumps(summary, separators=(",", ":")))
     text = "\n".join(lines)
+    _write_report(args.json, text)
     print(text)
-    if args.json != "-":
-        _emit(args.json, text)
     return EXIT_YES if agreed == hard else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rspcert",
         description="Certify uniqueness, l0/l1 equivalence, and order-K recovery "

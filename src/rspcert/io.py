@@ -56,34 +56,25 @@ def _load_csv_matrix(lines: list[str], path) -> np.ndarray:
 
 
 def _load_mm_matrix(lines: list[str], path) -> np.ndarray:
-    # The header is the first non-blank line; line_no indexes ``lines`` from 0.
-    line_no = next(i for i, ln in enumerate(lines) if ln.strip())
-    header = lines[line_no].split()
-    if [t.lower() for t in header] != list(_MM_HEADER):
-        raise ParseError(path, line_no + 1, 1,
+    # The header is the first non-blank line; positions are 1-based lines of the file.
+    start = next(i for i, ln in enumerate(lines) if ln.strip())
+    if [t.lower() for t in lines[start].split()] != list(_MM_HEADER):
+        raise ParseError(path, start + 1, 1,
                          "expected header '%%MatrixMarket matrix array real general'")
-    line_no += 1
-    # skip comment lines
-    while line_no < len(lines) and (not lines[line_no].strip()
-                                    or lines[line_no].lstrip().startswith("%")):
-        line_no += 1
-    if line_no >= len(lines):
-        raise ParseError(path, line_no, 1, "missing size line")
-    size_tokens = lines[line_no].split()
-    if len(size_tokens) != 2:
-        raise ParseError(path, line_no + 1, 1, "size line must hold two integers")
+    # Past the header, blank and comment lines are skipped: the first data
+    # line is the size line, the rest are the entries.
+    data = [(line_no, raw) for line_no, raw in enumerate(lines[start + 1:], start=start + 2)
+            if raw.strip() and not raw.lstrip().startswith("%")]
+    if not data:
+        raise ParseError(path, len(lines), 1, "missing size line")
+    size_line, size = data[0]
     try:
-        m, n = int(size_tokens[0]), int(size_tokens[1])
+        m, n = (int(token) for token in size.split())
     except ValueError:
-        raise ParseError(path, line_no + 1, 1, "size line must hold two integers") from None
+        raise ParseError(path, size_line, 1, "size line must hold two integers") from None
     if m < 1 or n < 1:
-        raise ParseError(path, line_no + 1, 1, f"array size {m}x{n} must be positive")
-    values: list[float] = []
-    for entry_line in range(line_no + 1, len(lines)):
-        raw = lines[entry_line]
-        if not raw.strip() or raw.lstrip().startswith("%"):
-            continue
-        values.append(_parse_float(raw, path, entry_line + 1, 1))
+        raise ParseError(path, size_line, 1, f"array size {m}x{n} must be positive")
+    values = [_parse_float(raw, path, line_no, 1) for line_no, raw in data[1:]]
     if len(values) != m * n:
         raise ParseError(path, len(lines), 1,
                          f"expected {m * n} entries for a {m}x{n} array, found {len(values)}")

@@ -238,7 +238,8 @@ class _Tableaux:
         An LP with no improving column keeps ``status`` OPTIMAL; one whose
         entering column has no positive entry turns UNBOUNDED and keeps that
         column in ``entering``; one that would pivot past ``max_pivots`` gets
-        the pivot-limit message.  Each leaves the active slots when it stops.
+        the pivot-limit message.  Each step prices and ratio-tests every
+        active LP, then retires those that stopped in one block.
         """
         m = self.m
         # An LP has made step - since[slot] degenerate pivots in a row, and
@@ -255,15 +256,6 @@ class _Tableaux:
             # read at the first minimum, the Dantzig entering column.
             j = reduced.argmin(axis=1)
             done = reduced[every, j] >= -_PRICE_EPS
-            if np.count_nonzero(done):
-                self.pivots[:active] += pending
-                pending = 0
-                active = self.partition(~done, since, j)
-                if not active:
-                    return
-                since, j = since[:active], j[:active]
-                room = max_pivots - int(self.pivots[:active].max())
-                T, every, reduced, rhs, ratios, basis = self._views(active, allowed)
             if step - since_min >= _DEGENERATE_RUN:
                 since_min = int(since.min())
             if step - since_min >= _DEGENERATE_RUN:
@@ -278,16 +270,22 @@ class _Tableaux:
             best = ratios.min(axis=1)
             # Ratio ties go to the smallest basis index.
             r = np.where(ratios <= (best + _RATIO_TIE)[:, None], basis, _NO_ROW).argmin(axis=1)
-            if room <= 0 or best.max() == np.inf:
+            # The one place LPs stop: optimal, unbounded (a ratio test of an LP
+            # not optimal found no row) or at the pivot limit.  An optimal LP
+            # stays OPTIMAL; its ratio test is discarded.
+            failing = room <= 0 or np.count_nonzero((best == np.inf) & ~done)
+            if failing or np.count_nonzero(done):
                 self.pivots[:active] += pending
                 pending = 0
-                unbounded = ~positive.any(axis=1)
-                stuck = ~unbounded & (self.pivots[:active] >= max_pivots)
-                lps = self.lp[:active]
-                self.entering[lps[unbounded]] = j[unbounded]
-                self.status[lps[unbounded]] = UNBOUNDED
-                self.status[lps[stuck]] = f"pivot limit {max_pivots} reached"
-                active = self.partition(~(unbounded | stuck), r, j, col, best, since)
+                if failing:
+                    unbounded = ~done & ~positive.any(axis=1)
+                    stuck = ~done & ~unbounded & (self.pivots[:active] >= max_pivots)
+                    lps = self.lp[:active]
+                    self.entering[lps[unbounded]] = j[unbounded]
+                    self.status[lps[unbounded]] = UNBOUNDED
+                    self.status[lps[stuck]] = f"pivot limit {max_pivots} reached"
+                    done |= unbounded | stuck
+                active = self.partition(~done, r, j, col, best, since)
                 if not active:
                     return
                 r, j, col, best, since = (a[:active] for a in (r, j, col, best, since))

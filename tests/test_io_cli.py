@@ -43,6 +43,14 @@ def test_matrixmarket_header_may_follow_blank_lines(tmp_path):
     with pytest.raises(ParseError) as err:
         load_matrix(path)
     assert (err.value.line, err.value.column) == (5, 1)
+    # A missing size line is reported at the file's last line, a bad one at its own.
+    for body, message, line in (("% only a comment\n\n", "missing size line", 4),
+                                ("% comment\n\n2 2 2\n1\n", "size line must hold two integers", 5),
+                                ("2 x\n1\n", "size line must hold two integers", 3)):
+        path.write_text(f"\n%%MatrixMarket matrix array real general\n{body}")
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:{line}:1: {message}"
 
 
 def test_csv_vector_roundtrip(tmp_path):
@@ -390,6 +398,28 @@ def test_report_witness_reverifies(tmp_path):
     assert cert["holds"] == "yes"
     assert verify_rsp_witness(UNIQUE_A, cert["support"],
                               cert["witness_eta"], cert["witness_y"])
+
+
+@pytest.mark.parametrize("command", ["solve-l1", "random-batch"])
+def test_unwritable_report_prints_no_verdict(tmp_path, capsys, command):
+    # The report file is written before any verdict line is printed; with
+    # --json - the report follows the lines on stdout, and random-batch,
+    # whose lines are its report, prints them once.
+    argv = [command, *(_write_system(tmp_path, UNIQUE_A, UNIQUE_B) if command == "solve-l1"
+                       else ["--m", "2", "--n", "4", "--k", "1", "--count", "2"])]
+    assert main([*argv, "--json", str(tmp_path / "missing" / "report.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ")
+    assert main(argv) == 0
+    lines = capsys.readouterr().out
+    assert main([*argv, "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    if command == "solve-l1":
+        assert out.startswith(lines)
+        assert json.loads(out[len(lines):])["command"] == "solve-l1"
+    else:
+        assert len(out.splitlines()) == len(lines.splitlines()) == 3
 
 
 def test_to_json_plain_values_and_unknown_types():

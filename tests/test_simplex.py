@@ -1,12 +1,15 @@
+import importlib.util
+import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, CertificateUnavailable,
-                     IterationLimit, LpSolution, StandardLp, check_rsp_at, linalg,
-                     rsp, simplex, solve, verify_certificate)
+                     IterationLimit, LpSolution, StandardLp, certify_order_k,
+                     check_rsp_at, linalg, rsp, simplex, solve, verify_certificate)
 from rspcert.linalg import DEFAULT_TOLERANCES
 from rspcert.simplex import LpStack, solve_batch
 
@@ -547,3 +550,21 @@ def test_a_started_lp_can_be_unbounded_optimal_at_its_start_or_stop_at_the_limit
             assert (last.status, last.pivots, last.x.tolist()) == (OPTIMAL, 1, [1.0, 0.0])
         else:
             assert type(last) is IterationLimit and str(last) == "pivot limit 0 reached"
+
+
+def test_the_bench_tool_still_binds_the_engine():
+    # bench/margin_batch.py counts lockstep steps by patching
+    # _Tableaux.pivot and LPs by patching solve_batch where it is bound; its
+    # figures read 0 or fail if the engine's names move.
+    path = Path(__file__).resolve().parent.parent / "bench" / "margin_batch.py"
+    spec = importlib.util.spec_from_file_location("margin_batch", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    A = np.random.default_rng([4, 0]).standard_normal((4, 8))
+    pivot = simplex._Tableaux.pivot
+
+    def work():
+        certify_order_k(A, 2, property="prsp")
+    assert bench._steps(simplex, work)["steps"] > 0
+    assert len(bench._solved(work)) == math.comb(8, 2)
+    assert simplex._Tableaux.pivot is pivot and rsp.solve_batch is solve_batch
