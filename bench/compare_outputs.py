@@ -10,8 +10,12 @@ of ``random-batch``):
 
 Each tree runs in its own interpreter, with ``PYTHONPATH=<tree>/src`` and
 BLAS on one thread; the commands and inputs of both come from this tree's
-``perfbench/workloads.py``.  Prints the commands and differences per
-workload; exits 1 on any difference and 2 when a tree could not run.
+``perfbench/workloads.py``.  Prints, per workload, how many commands differ
+in exit code, stdout, stderr and report; for the first differing commands
+the fields that differ and, for a report, its JSON key paths that differ
+(list indices folded to ``[]``) with the largest absolute difference where
+both sides are numbers; and the key paths over all differing reports.
+Exits 1 on any difference and 2 when a tree could not run.
 """
 
 from __future__ import annotations
@@ -29,11 +33,58 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("orderk_enum", "sparsest_search", "oneshot_small")
+FIELDS = ("code", "stdout", "stderr", "report")
 _TIMING = re.compile(r'("timing_ms":\s*)[^,}\n]+')
+_INDEX = re.compile(r"\[\d+\]")
+_MISSING = object()
 
 
 def _untimed(text: str) -> str:
-    return _TIMING.sub(r"\1-", text)
+    return _TIMING.sub(r"\1null", text)
+
+
+def _parsed(report: str | None):
+    # A report is one JSON document, or one per line (random-batch).
+    if report is None:
+        return None
+    try:
+        return json.loads(report)
+    except json.JSONDecodeError:
+        return [json.loads(line) for line in report.splitlines() if line.strip()]
+
+
+def _differing(a, b, path: str = ""):
+    """(key path, |a - b| or None) for each place where JSON values a and b differ.
+
+    The difference is a number where both sides are numbers, else None.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from _differing(a.get(key, _MISSING), b.get(key, _MISSING),
+                                  f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _differing(x, y, f"{path}[{i}]")
+    elif a != b:
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        yield path, abs(a - b) if numbers else None
+
+
+def _folded(change: str | None, parent: str | None) -> dict[str, float | None]:
+    """The key paths where two reports differ, list indices folded, and the largest |difference|.
+
+    None where some difference at the path is not between two numbers.
+    """
+    paths: dict[str, float | None] = {}
+    for path, delta in _differing(_parsed(change), _parsed(parent)):
+        path = _INDEX.sub("[]", path) or "(whole report)"
+        known = paths.get(path, 0.0)
+        paths[path] = None if delta is None or known is None else max(known, delta)
+    return paths
+
+
+def _delta(value: float | None) -> str:
+    return "not numbers" if value is None else f"max |diff| {value:.3g}"
 
 
 def run_tree(tree: Path, seeds: list[int], out: Path) -> None:
@@ -97,10 +148,23 @@ def main(argv=None) -> int:
     for name in WORKLOADS:
         pairs = [(c, p) for c, p in zip(change, parent) if c["workload"] == name]
         differ = [(c, p) for c, p in pairs if c != p]
-        print(f"{name}: {len(pairs)} commands, {len(differ)} differences")
+        counts = ", ".join(f"{field} {sum(c[field] != p[field] for c, p in differ)}"
+                           for field in FIELDS)
+        print(f"{name}: {len(pairs)} commands, {len(differ)} differences ({counts})")
         for c, p in differ[:5]:
             fields = [k for k in c if c[k] != p[k]]
             print(f"  seed {c['seed']} {' '.join(c['argv'])}: {', '.join(fields)} differ")
+            if c["report"] != p["report"]:
+                for path, delta in _folded(c["report"], p["report"]).items():
+                    print(f"    {path}: {_delta(delta)}")
+        reports = [_folded(c["report"], p["report"]) for c, p in differ
+                   if c["report"] != p["report"]]
+        if reports:
+            print(f"  key paths over all {len(reports)} differing reports:")
+            for path in sorted({path for paths in reports for path in paths}):
+                deltas = [paths[path] for paths in reports if path in paths]
+                worst = None if None in deltas else max(deltas)
+                print(f"    {path}: {len(deltas)} reports, {_delta(worst)}")
         status |= bool(differ)
     return status
 

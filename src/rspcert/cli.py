@@ -245,15 +245,18 @@ def _run(args) -> int:
     vectors = {name: load_vector(path) for name, path in paths.items()}
     lines, verdicts, code = command.run(args, A, tol, **vectors)
     timing = (time.perf_counter() - t0) * 1000.0
-    inputs = {"matrix": args.matrix, **paths, "m": A.shape[0], "n": A.shape[1],
-              **{name: getattr(args, name) for name in command.inputs}, "tolerances": tol}
-    report = {"schema_version": rep.SCHEMA_VERSION, "command": args.command,
-              "inputs": rep.to_json(inputs), "verdicts": rep.to_json(verdicts),
-              "timing_ms": timing}
-    if "oracle" in verdicts:
-        report["seed"] = verdicts["oracle"].seed
-    text = json.dumps(report, indent=2)
-    _write_report(args.json, text)
+    text = None
+    if args.json:
+        # The report is built only when asked for.
+        inputs = {"matrix": args.matrix, **paths, "m": A.shape[0], "n": A.shape[1],
+                  **{name: getattr(args, name) for name in command.inputs}, "tolerances": tol}
+        report = {"schema_version": rep.SCHEMA_VERSION, "command": args.command,
+                  "inputs": rep.to_json(inputs), "verdicts": rep.to_json(verdicts),
+                  "timing_ms": timing}
+        if "oracle" in verdicts:
+            report["seed"] = verdicts["oracle"].seed
+        text = json.dumps(report, indent=2)
+        _write_report(args.json, text)
     print("\n".join(lines))
     if args.json == "-":
         print(text)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,84 +111,156 @@ def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
     return A / w
 
 
-def _margin_lps(A: np.ndarray, block: np.ndarray, rank_tol: float) -> tuple[LpStack, np.ndarray]:
-    # One margin LP per row of ``block`` (sorted supports of one size k), and
-    # a feasible basis of each (a row of n column indices), or a row of -1
-    # where the support has no start.  The LP has nonnegative variables y+,
-    # the shifted margin t + 1, one slack per column off the support and y-,
-    # where the free y is y+ - y- (the y- columns are the y+ columns negated);
-    # rows A_S^T y = 1, then A_j^T y - (t + 1) + s_j = -1 for each j off S,
-    # ascending.
-    # The start: a partial-pivot elimination on A_S picks k rows I with
-    # A_{I,S} nonsingular; a support whose pivot falls to
-    # rank_tol * max(1, largest |entry| of A_S) or below gets no start, and
-    # phase 1 decides it (its equalities may be inconsistent).  Then
-    # y_I = A_{I,S}^-T 1, y = 0 elsewhere, and each y_i is basic as y+ or y-
-    # by its sign; t + 1 = max(0, 1 + max_{j off S} A_j^T y) is basic in the
-    # row of the first arg-max unless it is 0, and every other off-support row
-    # keeps its slack basic.  All these values are nonnegative, so the basis
-    # is feasible.
+def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
+    # The full margin LP of each row of ``block`` (sorted supports of one
+    # size k), solved two-phase: the margin LP of a support without full
+    # column rank, whose equalities may be inconsistent.  Nonnegative
+    # variables y+, the shifted margin t + 1, one slack per column off the
+    # support and y-, where the free y is y+ - y- (the y- columns are the y+
+    # columns negated); rows A_S^T y = 1, then A_j^T y - (t + 1) + s_j = -1
+    # for each j off S, ascending.
     m, n = A.shape
     count, k = block.shape
     kc = n - k
-    every = np.arange(count)
-    outside = np.ones((count, n), dtype=bool)
-    outside[every[:, None], block] = False
-    off = np.nonzero(outside)[1].reshape(count, kc)
     nv = 2 * m + 1 + kc
     Bm = np.zeros((count, n, nv))
     Bm[:, :k, :m] = A.T[block]
-    Bm[:, k:, :m] = A.T[off]
+    Bm[:, k:, :m] = A.T[_off_support(block, n)]
     Bm[:, k:, m] = -1.0
     Bm[:, k:, m + 1:-m] = np.eye(kc)
     np.negative(Bm[:, :, :m], out=Bm[:, :, -m:])
     rhs = np.concatenate([np.ones(k), -np.ones(kc)])
     cost = np.zeros(nv)
     cost[m] = 1.0
-    lps = LpStack(cost, Bm, np.broadcast_to(rhs, (count, n)))
+    return LpStack(cost, Bm, np.broadcast_to(rhs, (count, n)))
 
-    R = A.T[block].transpose(0, 2, 1)       # A_S of each support, (count, m, k)
-    threshold = rank_tol * np.maximum(1.0, np.abs(R).max(axis=(1, 2), initial=0.0))
-    rows = np.empty((count, k), dtype=np.intp)
-    taken = np.zeros((count, m), dtype=bool)
-    ok = np.ones(count, dtype=bool)
-    for c in range(k):
-        r = np.where(taken, -1.0, np.abs(R[:, :, c])).argmax(axis=1)
-        pivot = R[every, r, c]
-        ok &= np.abs(pivot) > threshold
-        rows[:, c] = r
-        taken[every, r] = True
-        if c + 1 < k:
-            factor = R[:, :, c] / np.where(ok, pivot, 1.0)[:, None]
-            R[:, :, c + 1:] -= factor[:, :, None] * R[every, r, c + 1:][:, None, :]
-    y = np.zeros((count, m))
+
+def _off_support(block: np.ndarray, n: int) -> np.ndarray:
+    # The columns off each support of ``block``, ascending.
+    count, k = block.shape
+    outside = np.ones((count, n), dtype=bool)
+    outside[np.arange(count)[:, None], block] = False
+    return np.nonzero(outside)[1].reshape(count, n - k)
+
+
+class _NullSpaceLps(NamedTuple):
+    """The null-space margin LPs of the full-rank supports of a block.
+
+    With y0 the least-norm solution of A_S^T y = 1 and the columns of N an
+    orthonormal basis of null(A_S^T), both in the range of A, every y with
+    A_S^T y = 1 that moves eta is y0 + N w, and eta off S is eta0 + G^T w,
+    with eta0 = A_off^T y0 and G = N^T A_off.  The margin LP is then the dual
+    of max eta0.z - mu s.t. G z = 0, 1.z + mu = 1, z, mu >= 0; ``lps`` states
+    that over [z, mu, v+, v-], with the objective in the last row,
+    eta0.z - mu - (v+ - v-) = 0, and cost v- - v+.  So t* = -objective, and
+    w is the dual of the G rows.
+    """
+
+    at: np.ndarray       # positions in the block
+    lps: LpStack
+    basis: np.ndarray    # each LP's start, or a row of -1
+    y0: np.ndarray       # (count, m)
+    N: np.ndarray        # (count, m, r - k)
+
+
+def _margin_stacks(A: np.ndarray, block: np.ndarray,
+                   rank_tol: float) -> tuple[_NullSpaceLps, np.ndarray]:
+    # Every margin LP of the sorted supports of one size in ``block``: the
+    # null-space LPs of the supports with full column rank, and the
+    # positions of the others, whose full LPs ``_margin_lps`` builds.
+    # A is first reduced to r independent rows, A~ = U^T A with U from an
+    # SVD (a singular value counts above rank_tol times the largest), so
+    # that no row of G is zero up to rounding.  A support has full column
+    # rank when k <= r and each diagonal entry of R in the QR A~_S = Q R
+    # exceeds rank_tol * max(1, largest |entry| of A_S).  Then y0 = Q_1 R^-T 1
+    # and N = Q_2, both mapped back by U.
+    count, k = block.shape
+    U, sigma, _ = np.linalg.svd(A, full_matrices=False)
+    U = U[:, sigma > rank_tol * sigma[0]]
+    At = U.T @ A
+    r = U.shape[1]
+    if k > r:
+        full = np.zeros(count, dtype=bool)
+    elif k:
+        Q, R = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode="complete")
+        AS = A.T[block]
+        threshold = rank_tol * np.maximum(1.0, np.abs(AS).max(axis=(1, 2)))
+        full = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > threshold[:, None]).all(axis=1)
+    else:
+        Q, R = np.broadcast_to(np.eye(r), (count, r, r)), np.zeros((count, r, 0))
+        full = np.ones(count, dtype=bool)
+    at = np.flatnonzero(full)
+    if not at.size:
+        return _NullSpaceLps(at, None, None, None, None), np.arange(count)
+    return (_NullSpaceLps(at, *_null_space_lps(At, U, block[at], Q[at], R[at], rank_tol)),
+            np.flatnonzero(~full))
+
+
+def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, Q: np.ndarray,
+                    R: np.ndarray, rank_tol: float):
+    # The null-space LPs of full-rank supports from their QRs, with y0, N and
+    # the start of each: z_J for r - k columns J with G_J nonsingular, picked
+    # by a partial-pivot elimination on G (pivots above rank_tol * max(1,
+    # largest |entry| of G)), then mu and v-.  The start's z_J = 0, mu = 1
+    # and v- = 1 are feasible; an LP whose elimination falls below the
+    # threshold gets no start.
+    r, n = At.shape
+    count, k = block.shape
+    kc, rows = n - k, r - k
+    every = np.arange(count)
+    u = np.zeros((count, 0, 1))                       # R^-T 1
     if k:
-        AIS = A[rows[:, :, None], block[:, None, :]]
-        AIS[~ok] = np.eye(k)
-        y[every[:, None], rows] = np.linalg.solve(AIS.transpose(0, 2, 1),
-                                                  np.ones((count, k, 1)))[:, :, 0]
-    basis = np.empty((count, n), dtype=np.intp)
-    basis[:, :k] = np.where(y[every[:, None], rows] >= 0.0, rows, nv - m + rows)
-    basis[:, k:] = m + 1 + np.arange(kc)
-    if kc:
-        # Row k + i holds off-support column off[:, i].
-        eta = np.take_along_axis(np.matmul(y[:, None, :], A)[:, 0], off, axis=1)
-        i = eta.argmax(axis=1)
-        lifted = np.flatnonzero(eta[every, i] > -1.0)
-        basis[lifted, k + i[lifted]] = m
+        u = np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((count, k, 1)))
+    P = np.matmul(Q.transpose(0, 2, 1), At)[every[:, None], :, _off_support(block, n)]
+    P = P.transpose(0, 2, 1)                          # Q^T A~_off, (count, r, kc)
+    G = P[:, k:]
+    eta0 = np.matmul(u.transpose(0, 2, 1), P[:, :k])[:, 0]
+    y0 = np.matmul(U, np.matmul(Q[:, :, :k], u))[:, :, 0]
+    N = np.matmul(U, Q[:, :, k:])
+
+    B = np.zeros((count, rows + 2, kc + 3))
+    B[:, :rows, :kc] = G
+    B[:, rows, :kc + 1] = 1.0
+    B[:, rows + 1, :kc] = eta0
+    B[:, rows + 1, kc:] = (-1.0, -1.0, 1.0)
+    rhs = np.zeros(rows + 2)
+    rhs[rows] = 1.0
+    cost = np.zeros(kc + 3)
+    cost[kc + 1:] = (-1.0, 1.0)
+    lps = LpStack(cost, B, np.broadcast_to(rhs, (count, rows + 2)))
+
+    E = G.transpose(0, 2, 1).copy()                   # row c of G is column c of E
+    threshold = rank_tol * np.maximum(1.0, np.abs(E).max(axis=(1, 2), initial=0.0))
+    basis = np.empty((count, rows + 2), dtype=np.intp)
+    basis[:, rows:] = (kc, kc + 2)
+    taken = np.zeros((count, kc), dtype=bool)
+    ok = np.ones(count, dtype=bool)
+    for c in range(rows):
+        j = np.where(taken, -1.0, np.abs(E[:, :, c])).argmax(axis=1)
+        pivot = E[every, j, c]
+        ok &= np.abs(pivot) > threshold
+        basis[:, c] = j
+        taken[every, j] = True
+        if c + 1 < rows:
+            factor = E[:, :, c] / np.where(ok, pivot, 1.0)[:, None]
+            E[:, :, c + 1:] -= factor[:, :, None] * E[every, j, c + 1:][:, None, :]
     basis[~ok] = -1
-    return lps, basis
+    return lps, basis, y0, N
 
 
-def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
+class _Margin(NamedTuple):
+    """A margin LP's outcome: INFEASIBLE, or OPTIMAL with t* and the y of a witness."""
+
+    status: str
+    t_star: float | None = None
+    y: np.ndarray | None = None
+
+
+def _margin_certificate(A: np.ndarray, S: IndexSet, margin: _Margin,
                         tol: ToleranceConfig) -> RspCertificate:
-    if sol.status == INFEASIBLE:
+    if margin.status == INFEASIBLE:
         return RspCertificate(Verdict.NO, S, None, None, None, INFEASIBLE)
-    if sol.status != OPTIMAL:
-        # The shifted margin is bounded below by zero, so this cannot happen
-        # unless the solve broke down numerically.
-        raise CertificateUnavailable(f"margin LP returned {sol.status}")
-    t_star = float(sol.objective_value) - 1.0
+    t_star = margin.t_star
     if t_star <= 1.0 - tol.rsp_margin:
         holds = Verdict.YES
     elif t_star >= 1.0 - tol.feas_tol:
@@ -196,20 +268,72 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, sol: LpSolution,
     else:
         holds = Verdict.MARGINAL
     if holds is Verdict.NO:
-        return RspCertificate(holds, S, None, None, t_star, sol.status)
-    m = A.shape[0]
-    y = sol.x[:m] - sol.x[-m:]
-    return RspCertificate(holds, S, A.T @ y, y, t_star, sol.status)
+        return RspCertificate(holds, S, None, None, t_star, OPTIMAL)
+    return RspCertificate(holds, S, A.T @ margin.y, margin.y, t_star, OPTIMAL)
+
+
+def _full_margin(sol: LpSolution | CertificateUnavailable,
+                 m: int) -> _Margin | CertificateUnavailable:
+    # A full margin LP's outcome; the LP core re-checked its optimum.
+    if isinstance(sol, CertificateUnavailable) or sol.status == INFEASIBLE:
+        return sol if isinstance(sol, CertificateUnavailable) else _Margin(INFEASIBLE)
+    if sol.status != OPTIMAL:
+        # The shifted margin is bounded below by zero, so this cannot happen
+        # unless the solve broke down numerically.
+        return CertificateUnavailable(f"margin LP returned {sol.status}")
+    return _Margin(OPTIMAL, float(sol.objective_value) - 1.0, sol.x[:m] - sol.x[-m:])
+
+
+def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps,
+                        solved: list, tol: ToleranceConfig) -> list[_Margin | CertificateUnavailable]:
+    # The null-space LPs' outcomes.  Each optimum is re-checked on the raw A
+    # as well, not only on the reduced LP: eta = A^T y must be 1 on S and at
+    # most t* off S, each to feas_tol, so that an error in U, Q or R shows.
+    # The LP is feasible and bounded, so any other status is a breakdown.
+    rows = reduced.N.shape[2]
+    optimal = np.array([isinstance(sol, LpSolution) and sol.status == OPTIMAL for sol in solved])
+    w = np.zeros((len(solved), rows))
+    t_star = np.zeros(len(solved))
+    for i in np.flatnonzero(optimal):
+        w[i] = solved[i].y[:rows]
+        t_star[i] = 0.0 - solved[i].objective_value
+    y = reduced.y0 + np.matmul(reduced.N, w[:, :, None])[:, :, 0]
+    eta = np.matmul(y[:, None, :], A)[:, 0]
+    on = np.abs(np.take_along_axis(eta, block, axis=1) - 1.0).max(axis=1, initial=0.0)
+    off = np.take_along_axis(eta, _off_support(block, A.shape[1]), axis=1)
+    passed = (on <= tol.feas_tol) & (off.max(axis=1, initial=-np.inf) <= t_star + tol.feas_tol)
+    margins: list = []
+    for i, sol in enumerate(solved):
+        if isinstance(sol, CertificateUnavailable):
+            margins.append(sol)
+        elif not optimal[i]:
+            margins.append(CertificateUnavailable(f"margin LP returned {sol.status}"))
+        elif not passed[i]:
+            margins.append(CertificateUnavailable("optimal solve failed its certificate re-check"))
+        else:
+            margins.append(_Margin(OPTIMAL, float(t_star[i]), y[i]))
+    return margins
 
 
 def _margin_solves(A: np.ndarray, supports: list[IndexSet],
-                   tol: ToleranceConfig) -> list[LpSolution | CertificateUnavailable]:
-    # The margin LPs of sorted supports of one size, in order, solved as one
-    # stack, each full-rank support's from its constructed start.
+                   tol: ToleranceConfig) -> list[_Margin | CertificateUnavailable]:
+    # The margin LPs of sorted supports of one size, in order: one stack of
+    # null-space LPs, each started where it has a start, and one stack of
+    # full LPs, solved two-phase.
     if not supports:
         return []
-    lps, basis = _margin_lps(A, np.array(supports, dtype=np.intp), tol.rank_tol)
-    return solve_batch(lps, tol, basis=basis)
+    block = np.array(supports, dtype=np.intp)
+    reduced, full = _margin_stacks(A, block, tol.rank_tol)
+    results: list = [None] * len(supports)
+    if reduced.at.size:
+        solved = solve_batch(reduced.lps, tol, basis=reduced.basis)
+        for i, margin in zip(reduced.at, _null_space_margins(A, block[reduced.at], reduced,
+                                                              solved, tol)):
+            results[i] = margin
+    if full.size:
+        for i, sol in zip(full, solve_batch(_margin_lps(A, block[full]), tol)):
+            results[i] = _full_margin(sol, A.shape[0])
+    return results
 
 
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],
@@ -227,8 +351,8 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     supports = [normalize_support(S, A.shape[1]) for S in supports]
     if len({len(S) for S in supports}) > 1:
         raise ValueError("a margin LP batch takes supports of one size")
-    for S, sol in zip(supports, _margin_solves(A, supports, tol)):
-        yield _margin_certificate(A, S, _raised(sol), tol)
+    for S, margin in zip(supports, _margin_solves(A, supports, tol)):
+        yield _margin_certificate(A, S, _raised(margin), tol)
 
 
 def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,

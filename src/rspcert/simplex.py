@@ -317,33 +317,43 @@ def _started_tableaux(lps: LpStack, basis: np.ndarray) -> tuple[np.ndarray, np.n
     """Phase-2 tableaux M^-1 [B | p] of LPs at given bases, and which of the bases serve.
 
     Column r of LP b's M is column basis[b, r] of its B; the tableaux have no
-    artificial columns.  A basis serves when M is nonsingular and the basic
-    solution M^-1 p is finite and nonnegative (entries above -_CLEAN_EPS
-    are snapped to zero).
+    artificial columns.  M^-1 is applied to the non-basic columns and p
+    alone, and the basic columns are set to unit columns.  A basis serves
+    when its m columns are distinct, M is nonsingular and the basic solution
+    M^-1 p is finite and nonnegative (entries above -_CLEAN_EPS are snapped
+    to zero).
     """
     B, p = lps.constraints, lps.rhs
     count, m, n = B.shape
-    T = np.zeros((count, m + 1, n + 1))
-    T[:, :m, :n] = B
-    T[:, :m, n] = p
+    every = np.arange(count)
+    nonbasic = np.ones((count, n), dtype=bool)
+    nonbasic[every[:, None], basis] = False
+    serves = np.count_nonzero(nonbasic, axis=1) == n - m
+    # A basis that repeats a column serves not; its rows read the first n - m columns.
+    nonbasic[~serves] = np.arange(n) >= m
+    columns = np.nonzero(nonbasic)[1].reshape(count, n - m)
     M = np.take_along_axis(B, basis[:, None, :], axis=2)
-    serves = np.ones(count, dtype=bool)
-    # 16 LPs per solve: its output, live beside T and M, stays a small part
-    # of T, and a singular M is retried alone within its 16.
+    rhs = np.concatenate([np.take_along_axis(B, columns[:, None, :], axis=2), p[:, :, None]],
+                         axis=2)
+    # 16 LPs per solve: its output, live beside the tableaux and M, stays
+    # small, and a singular M is retried alone within its 16.
     for lo in range(0, count, 16):
         part = slice(lo, lo + 16)
         try:
-            T[part, :m] = np.linalg.solve(M[part], T[part, :m])
+            rhs[part] = np.linalg.solve(M[part], rhs[part])
         except np.linalg.LinAlgError:
             for b in range(lo, min(lo + 16, count)):
                 try:
-                    T[b:b + 1, :m] = np.linalg.solve(M[b:b + 1], T[b:b + 1, :m])
+                    rhs[b:b + 1] = np.linalg.solve(M[b:b + 1], rhs[b:b + 1])
                 except np.linalg.LinAlgError:
                     serves[b] = False
-    T[np.arange(count)[:, None], :m, basis] = np.eye(m)
-    rhs = T[:, :m, -1]
-    rhs[(rhs < 0.0) & (rhs > -_CLEAN_EPS)] = 0.0
-    serves &= (rhs >= 0.0).all(axis=1) & np.isfinite(T).all(axis=(1, 2))
+    T = np.zeros((count, m + 1, n + 1))
+    T[every[:, None], :m, columns] = rhs[:, :, :-1].transpose(0, 2, 1)
+    T[every[:, None], :m, basis] = np.eye(m)
+    T[:, :m, n] = rhs[:, :, -1]
+    basic = T[:, :m, -1]
+    basic[(basic < 0.0) & (basic > -_CLEAN_EPS)] = 0.0
+    serves &= (basic >= 0.0).all(axis=1) & np.isfinite(T).all(axis=(1, 2))
     return T, serves
 
 

@@ -243,12 +243,11 @@ ORDER_K_DIGEST = "274a67e981f6350a6f11bdecacf2543ba47bae9a4eff4a817691041db3f87c
 CLASSIFY_DIGEST = "6a17cb46af1ba83a500813c7890a44681e7db1cc550b52cc14bc7fd92f1f144c"
 KEYS_DIGEST = "bd91edf65b7a85d45f7315f2bd599e82a7f7d551a166e332b15b3fe23ed8a31f"
 RANDOM_BATCH_DIGEST = "5ef9ca335f71da98ed1495a029183ac390da62ba058e04263a917477b1754f01"
-# Recorded from the build whose certifier started every full-rank margin LP
-# at a constructed feasible basis: the witnesses of solve-l1, certify,
-# classify and lp-sparse moved to other points of their degenerate optimal
-# faces; every other value is that of the build whose reports were assembled
-# by one hand-written builder per result type.
-VALUES_DIGEST = "62214a2bdde46741fdf46045d3550e46a1444d47bbf3c7b2b43bacdc2b4493bf"
+# Recorded from the build whose certifier solves the margin LP of every
+# full-rank support in null-space coordinates: the lp-sparse witness moved to
+# another point of its degenerate optimal face.  Every other value is that of
+# the build that started the full margin LP at a constructed feasible basis.
+VALUES_DIGEST = "c649510a3aee6c51f75b311f0b9365f225254f29e6a00e9175ea56b236971a45"
 # Recorded from the build whose certifier started every full-rank margin LP
 # at a constructed feasible basis.  Every row but seed 7 matrix 4, which
 # broke down in phase 1 before, is that of the build whose recovery oracle

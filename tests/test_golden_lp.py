@@ -5,10 +5,11 @@ range-space check and the feasibility LP behind each sparsest-support probe.
 Each LP is reduced to its status, its pivot count and its solution (floats at
 12 significant digits), and a sha256 over those rows is compared with a
 digest recorded from an earlier build.  A digest that changes means some LP
-took another pivot path or reached another point.  The certifier starts the
-margin LP of a full-rank support in phase 2, so its optima are also checked
-against the two-phase solve, exact rationals and scipy, including on order-K
-runs that broke down while those LPs ran phase 1.
+took another pivot path or reached another point.  The certifier solves the
+margin LP of a full-rank support in null-space coordinates, mostly started
+in phase 2, so its optima are also checked against the two-phase solve of
+the full LP, exact rationals and scipy, including on order-K runs that broke
+down while those LPs ran phase 1.
 """
 
 import hashlib
@@ -37,8 +38,8 @@ def _r12(v):
     return [float(f"{t:.12g}") for t in np.asarray(v, dtype=float).reshape(-1)]
 
 
-def _margin_matrices():
-    return [np.random.default_rng([2026, i]).standard_normal((8, 16)) for i in range(2)]
+def _margin_matrices(first=0, stop=2):
+    return [np.random.default_rng([2026, i]).standard_normal((8, 16)) for i in range(first, stop)]
 
 
 def margin_lp(A, S) -> StandardLp:
@@ -209,9 +210,10 @@ def test_a_batch_reports_a_pivot_limit_for_its_lp_only():
 
 
 def test_started_margin_lps_match_the_two_phase_solve():
-    # The certifier solves each full-rank margin LP from a constructed
-    # feasible basis in phase 2 alone.  Its t* must match the two-phase
-    # solve of the same LP, every pinned LP must reach the same status, and
+    # The certifier solves each full-rank margin LP in null-space
+    # coordinates, from a constructed feasible basis in phase 2 alone.  Its
+    # t* must match the two-phase solve of the full LP, every pinned LP must
+    # reach the same status, and
     # every witness, which may be another point of a degenerate optimal face,
     # must re-verify.
     started = 0
@@ -262,8 +264,11 @@ def test_started_margin_lps_match_exact_rationals():
     assert statuses == {OPTIMAL, "infeasible"}
 
 
-def _scipy_t_star(A, S) -> float:
-    """t* of the margin LP at S by scipy's HiGHS, which shares no code with rspcert."""
+def _scipy_t_star(A, S) -> float | None:
+    """t* of the margin LP at S by scipy's HiGHS, which shares no code with rspcert.
+
+    None when the LP is infeasible (A_S^T y = 1 is inconsistent).
+    """
     from scipy.optimize import linprog
 
     m, n = A.shape
@@ -275,8 +280,62 @@ def _scipy_t_star(A, S) -> float:
                   b_eq=np.ones(len(S)), bounds=[(None, None)] * m + [(-1.0, None)],
                   method="highs", options={"primal_feasibility_tolerance": 1e-10,
                                            "dual_feasibility_tolerance": 1e-10})
-    assert res.status == 0
-    return float(res.fun)
+    assert res.status in (0, 2)
+    return float(res.fun) if res.status == 0 else None
+
+
+def _differential_cases():
+    """(name, matrix, supports) of the null-space and full margin LPs' differential test."""
+    rng = np.random.default_rng([2026, 60])
+    gaussian = rng.standard_normal((8, 16))
+    dependent = rng.standard_normal((8, 16))
+    dependent[7] = dependent[0]
+    deficient = rng.standard_normal((6, 12))
+    deficient[:, 10] = -2.0 * deficient[:, 5]
+    deficient[:, 11] = deficient[:, 3] + deficient[:, 4]
+    deficient[:, 9] = deficient[:, 2]
+    deficient[:, 8] = 0.5 * (deficient[:, 6] + deficient[:, 7])
+    square = rng.standard_normal((4, 8))
+    low_rank = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 9))
+
+    def every(n, k, step=1):
+        return list(combinations(range(n), k))[::step]
+    # Sizes above the rank of A and supports with dependent columns get the
+    # full margin LP, which may be infeasible.
+    return [("gaussian", gaussian, every(16, 1) + every(16, 2, 2) + every(16, 3, 8)),
+            ("dependent rows", dependent, every(16, 1) + every(16, 2, 4) + every(16, 3, 16)),
+            ("rank deficient", deficient, [(3, 4, 11), (5, 10), (0, 5, 10), (2, 9), (0, 2, 9),
+                                           (6, 7, 8), (3, 11), (1, 4, 11)] + every(12, 2, 3)),
+            ("k = rank", square, every(8, 4, 2)),
+            ("k = rank < m", low_rank, every(9, 3, 3) + every(9, 4, 6))]
+
+
+_INFEASIBLE_SOME = ("rank deficient", "k = rank < m")
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_margin_t_star_matches_scipy(case):
+    # t* of every support, batched as the enumerations batch them, against
+    # HiGHS on the margin LP as the paper states it, to 1e-9; "infeasible"
+    # must be infeasible there.  Every yes witness re-verifies on the raw A.
+    name, A, supports = _differential_cases()[case]
+    yes, statuses = 0, set()
+    for k in sorted({len(S) for S in supports}):
+        block = [S for S in supports if len(S) == k]
+        for S, cert in zip(block, check_rsp_batch(A, block)):
+            want = _scipy_t_star(A, S)
+            statuses.add(cert.lp_status)
+            if want is None:
+                assert cert.lp_status == "infeasible", (name, S)
+                continue
+            assert abs(cert.t_star - want) <= 1e-9, (name, S, cert.t_star, want)
+            if cert.holds.value == "yes":
+                assert verify_rsp_witness(A, S, cert.witness_eta, cert.witness_y), (name, S)
+                yes += 1
+            elif cert.holds.value == "marginal":
+                assert cert.witness_eta.max() <= 1.0
+    assert yes > 0
+    assert statuses == ({OPTIMAL, "infeasible"} if name in _INFEASIBLE_SOME else {OPTIMAL})
 
 
 # Order-K runs that stopped with exit 1 while margin LPs ran phase 1 (a
@@ -303,9 +362,13 @@ def test_formerly_failing_commands_give_verdicts(tmp_path, capsys):
         assert abs(_scipy_t_star(A, counterexample) - t_star) <= 1e-8
 
 
-# Recorded from the build whose certifier started every full-rank margin LP
-# at a constructed feasible basis (the solver rows, solved two-phase, are
-# those of the build that solved every LP on its own scalar tableau).
-MARGIN_DIGEST = "a9ce36a3fe3b1f33fb342a9eb8c0c5a26fac37e016494185fc76e9f83abb63d7"
+# Recorded from the build whose certifier solves the margin LP of every
+# full-rank support in null-space coordinates.  Against the build that
+# started the full margin LP at a constructed feasible basis no verdict moved:
+# 231 witnesses moved to other points of degenerate optimal faces, and the
+# 12th digit of 2 t* and of 20 other witnesses moved.  The solver rows,
+# solved two-phase, are those of the build that solved every LP on its own
+# scalar tableau.
+MARGIN_DIGEST = "ccc5f0fc4a6ec95f25c485e2d65a466b5ee5106a0d2047319bd477a0a105edf3"
 # Recorded from the build that solved every LP on its own scalar tableau.
 FEASIBILITY_DIGEST = "03bc16a1315a1aa1d52445f9532d277600ed2d7c8eff195cc6c759c5c315fe63"

@@ -192,13 +192,13 @@ def test_classify_runs_check_rsp_at_once_at_the_l1_support(tmp_path, monkeypatch
     from conftest import write_csv_matrix, write_csv_vector
 
     built = []
-    margin_lps = rsp._margin_lps
+    margin_stacks = rsp._margin_stacks
 
     def recording(A, block, rank_tol):
         built.extend(tuple(S) for S in block.tolist())
-        return margin_lps(A, block, rank_tol)
+        return margin_stacks(A, block, rank_tol)
 
-    monkeypatch.setattr(rsp, "_margin_lps", recording)
+    monkeypatch.setattr(rsp, "_margin_stacks", recording)
     a_path, b_path, report = tmp_path / "A.csv", tmp_path / "b.csv", tmp_path / "r.json"
     write_csv_matrix(a_path, COHERENT_A)
     write_csv_vector(b_path, COHERENT_B)

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rspcert import (DEFAULT_TOLERANCES, INFEASIBLE, OPTIMAL, FailureReason, Infeasible,
+from rspcert import (DEFAULT_TOLERANCES, INFEASIBLE, OPTIMAL, CertificateUnavailable,
+                     FailureReason, Infeasible,
                      NonpositiveWeight, NotASolution, NotNonnegative, ToleranceConfig,
                      Unbounded, Verdict, augmented_rank, certify_uniqueness, check_rsp_at,
                      lp_sparsest_pipeline, rank, rsp, simplex,
@@ -84,30 +85,72 @@ def test_empty_support_holds_vacuously():
 
 
 def _start(A, S):
-    """The certifier's starting basis of the margin LP at S, or None, and the LP."""
+    """The certifier's margin LP at S and its start: the null-space LP and its
+    starting basis, or None and the full LP where S lacks full column rank."""
     block = np.array([S], dtype=np.intp).reshape(1, len(S))
-    lps, basis = rsp._margin_lps(A, block, DEFAULT_TOLERANCES.rank_tol)
-    return (None if basis[0, 0] < 0 else basis), lps
+    reduced, full = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES.rank_tol)
+    if full.size:
+        return None, rsp._margin_lps(A, block)
+    return reduced.basis, reduced.lps
 
 
-def test_empty_support_starts_at_y_zero_with_every_slack_at_zero():
-    # No equalities: y = 0, t + 1 = 1 is basic in the first off-support row,
-    # and every other slack is basic at 0.  Variables [y+, t + 1, s, y-].
+def test_empty_support_starts_at_y0_zero_with_mu_at_one():
+    # No equalities: y0 = 0 and G is A itself in the coordinates of its
+    # range.  The start has z_J basic at 0 for three columns J, mu = 1 and
+    # v- = 1, that is eta = 0 clamped at t = -1.  Variables [z (4), mu, v+, v-].
     A = np.array(UNIQUE_A)
     basis, lps = _start(A, ())
-    assert basis.tolist() == [[3, 5, 6, 7]]
+    assert lps.constraints.shape == (1, 5, 7)
+    assert basis[0, 3:].tolist() == [4, 6] and sorted(basis[0, :3]) == sorted(set(basis[0, :3]))
     T, serves = simplex._started_tableaux(lps, basis)
     assert serves.all()
-    x = np.zeros(11)
+    x = np.zeros(7)
     x[basis[0]] = T[0, :-1, -1]
-    assert x.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert x.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0]
     cert = check_rsp_at(A, ())
     assert cert.holds is Verdict.YES and cert.t_star == 0.0
 
 
+def test_dependent_rows_leave_no_zero_row_in_the_null_space_lp():
+    # Rows 0 and 2 of TRIPLE_A are equal, so A has rank 2 and A_S at (0, 4)
+    # leaves no null-space direction that moves eta: G has no rows, and the
+    # LP keeps only its sum and objective rows.  Had the dependent row stayed,
+    # G would hold a row of rounding error, and a start that pivots on it
+    # reaches a wrong optimum that the reduced LP's own re-check accepts.
+    basis, lps = _start(np.array(TRIPLE_A), (0, 4))
+    assert lps.constraints.shape == (1, 2, 7) and basis.tolist() == [[4, 6]]
+    cert = check_rsp_at(TRIPLE_A, (0, 4))
+    assert cert.t_star == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert cert.witness_eta[[0, 4]] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
+def test_a_null_space_optimum_that_fails_on_the_raw_matrix_is_not_a_verdict(monkeypatch):
+    # Corrupt y0 after the LPs are built: each LP still solves and passes the
+    # LP core's re-check, but eta = A^T y misses 1 on S, so the re-check on
+    # the raw A must refuse every verdict.
+    null_space_lps = rsp._null_space_lps
+
+    def corrupted(*args):
+        lps, basis, y0, N = null_space_lps(*args)
+        return lps, basis, y0 + 1e-3, N
+
+    monkeypatch.setattr(rsp, "_null_space_lps", corrupted)
+    A = np.random.default_rng([2026, 61]).standard_normal((6, 12))
+    message = "^optimal solve failed its certificate re-check$"
+    with pytest.raises(CertificateUnavailable, match=message):
+        next(rsp.check_rsp_batch(A, [(0, 1), (2, 3)]))
+    with pytest.raises(CertificateUnavailable, match=message):
+        check_rsp_at(TRIPLE_A, (0, 4))
+    A, b, _ = planted_system(np.random.default_rng([2026, 62]), 4, 8, 2)
+    with pytest.raises(CertificateUnavailable, match=message):
+        solve_and_certify(A, b)
+    # A support without full column rank takes the full LP, which y0 does not touch.
+    assert check_rsp_at(np.hstack([A, A[:, :1]]), (0, 8)).lp_status == OPTIMAL
+
+
 def test_rank_deficient_support_runs_phase_1():
-    # A duplicate column: A_S is singular, so the support gets no start and
-    # the two-phase solve decides it.  Consistent equalities give an
+    # A duplicate column: A_S is singular, so the support gets the full
+    # margin LP, and the two-phase solve decides it.  Consistent equalities give an
     # optimum, inconsistent ones (a column and its negation) "infeasible".
     A = np.random.default_rng([2026, 41]).standard_normal((4, 8))
     A[:, 6] = A[:, 1]
@@ -124,7 +167,7 @@ def test_rank_deficient_support_runs_phase_1():
         else:
             assert cert.holds is Verdict.NO and cert.t_star is None
     # Full-rank supports of the same matrix do start.
-    assert _start(A, (1, 2))[0] is not None and _start(A, (0, 3, 5))[0] is not None
+    assert _start(A, (1, 2))[0][0, 0] >= 0 and _start(A, (0, 3, 5))[0][0, 0] >= 0
 
 
 def test_exact_unit_margin_is_a_hard_no():

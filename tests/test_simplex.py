@@ -406,10 +406,20 @@ def test_stacked_verify_agrees_with_the_per_lp_reference(kind):
     assert alone == want
 
 
-def _margin_stack(A, k):
-    """The size-k margin LPs of A, as the certifier stacks them, and their starts."""
-    block = np.array(list(combinations(range(A.shape[1]), k)), dtype=np.intp)
-    return rsp._margin_lps(A, block, DEFAULT_TOLERANCES.rank_tol)
+def _margin_stack(matrices, k):
+    """The null-space margin LPs of every size-k support of each matrix, and their starts.
+
+    The stacks of the matrices, all 8x16 and of full row rank, are concatenated.
+    """
+    stacks = []
+    for A in matrices:
+        block = np.array(list(combinations(range(A.shape[1]), k)), dtype=np.intp)
+        reduced, full = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES.rank_tol)
+        assert not full.size
+        stacks.append(reduced)
+    lps = LpStack(stacks[0].lps.objective, np.concatenate([r.lps.constraints for r in stacks]),
+                  np.concatenate([r.lps.rhs for r in stacks]))
+    return lps, np.concatenate([r.basis for r in stacks])
 
 
 def _started_chunk_len(lps) -> int:
@@ -420,19 +430,17 @@ def _started_chunk_len(lps) -> int:
 def test_started_and_unstarted_lps_keep_each_result_in_one_stack():
     # Two and a half chunks' worth of started margin LPs of size 3, with
     # every fourth LP given no start, one start that is not feasible (LP 1:
-    # a y column of the wrong sign) and one whose basis matrix is singular
+    # v+ in place of v-, at -1) and one whose basis matrix is singular
     # (LP 2: a column twice).  Each LP must come out bit for bit as when
     # solved alone with its own row of the bases, and in any order; LPs 1
     # and 2 and the unstarted ones come out as the two-phase solve gives them.
-    A = _margin_matrices()[1]
-    lps, basis = _margin_stack(A, 3)
+    lps, basis = _margin_stack(_margin_matrices() + _margin_matrices(2, 3), 3)
     chunk = _started_chunk_len(lps)
     count = 2 * chunk + chunk // 2 + (2 * chunk + chunk // 2) // 3
     assert chunk >= 100 and count <= len(basis)
     lps, basis = lps[:count], basis[:count].copy()
     basis[::4] = -1
-    flip = lps.constraints.shape[2] - A.shape[0]     # from a y+ column to its y- column
-    basis[1, 0] += flip if basis[1, 0] < A.shape[0] else -flip
+    basis[1, -1] -= 1                                # v- to v+
     basis[2, 1] = basis[2, 0]
     assert not simplex._started_tableaux(lps[1:3], basis[1:3])[1].any()
     started = basis[:, 0] >= 0
@@ -443,7 +451,7 @@ def test_started_and_unstarted_lps_keep_each_result_in_one_stack():
         assert _same(alone[i], two_phase[i]), i
     assert {sol.status for sol in alone} == {OPTIMAL}
     assert (np.mean([alone[i].pivots for i in np.flatnonzero(started)[2:]])
-            < np.mean([sol.pivots for sol in two_phase]) / 3)
+            < np.mean([sol.pivots for sol in two_phase]) / 2)
     forward = solve_batch(lps, basis=basis)
     backward = solve_batch(lps[::-1], basis=basis[::-1])[::-1]
     assert all(_same(f, a) and _same(b, a) for f, a, b in zip(forward, alone, backward))
@@ -451,7 +459,7 @@ def test_started_and_unstarted_lps_keep_each_result_in_one_stack():
 
 def test_a_started_batch_reports_a_pivot_limit_for_its_lp_only():
     # More started LPs than one chunk holds: LPs of both chunks reach the limit.
-    lps, basis = _margin_stack(_margin_matrices()[0], 3)
+    lps, basis = _margin_stack(_margin_matrices(), 3)
     chunk = _started_chunk_len(lps)
     count = chunk + chunk // 2
     lps, basis = lps[:count], basis[:count]
@@ -467,9 +475,17 @@ def test_a_started_batch_reports_a_pivot_limit_for_its_lp_only():
             assert _same(result, sol)
 
 
-def _negated_rows(lps, rng):
-    """The stack with a random set of each LP's rows of nonzero right-hand side negated."""
-    flip = (rng.random(lps.rhs.shape) < 0.5) & (lps.rhs != 0.0)
+def _negated_rows(lps, rng, started=False):
+    """The stack with a random set of each LP's rows of nonzero right-hand side negated.
+
+    With ``started`` (LPs that start at a basis) any row may be negated, and
+    each LP has at least one negated row.
+    """
+    flip = rng.random(lps.rhs.shape) < 0.5
+    if started:
+        flip[np.arange(len(flip)), rng.integers(flip.shape[1], size=len(flip))] = True
+    else:
+        flip &= lps.rhs != 0.0
     signs = np.where(flip, -1.0, 1.0)
     return LpStack(lps.objective, lps.constraints * signs[:, :, None], lps.rhs * signs), flip
 
@@ -495,7 +511,7 @@ def test_negating_rows_negates_only_their_duals():
     # of nonzero right-hand side leaves its tableau, and with it the status,
     # pivots and x, bit for bit; the duals, solved on the raw rows, negate on
     # exactly the negated rows.  The same holds for a started LP, whose
-    # tableau M^-1 [B | p] does not see the signs of the rows.  Some stacks
+    # tableau M^-1 [B | p] does not see the signs of any of its rows.  Some stacks
     # repeat their first row negated: it is redundant, so its artificial stays
     # basic and pins its dual to zero.
     rng = np.random.default_rng([2026, 50])
@@ -518,8 +534,8 @@ def test_negating_rows_negates_only_their_duals():
                 compared += f.any()
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert pinned > 0 and compared > 300
-    lps, basis = _margin_stack(_margin_matrices()[0], 2)
-    flipped, flip = _negated_rows(lps, rng)
+    lps, basis = _margin_stack(_margin_matrices()[:1], 2)
+    flipped, flip = _negated_rows(lps, rng, started=True)
     assert flip.any(axis=1).all() and (basis[:, 0] >= 0).all()
     for a, b, f in zip(solve_batch(lps, basis=basis), solve_batch(flipped, basis=basis), flip):
         assert _same_up_to_row_signs(a, b, f)
