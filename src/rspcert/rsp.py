@@ -148,8 +148,8 @@ class _NullSpaceLps(NamedTuple):
 
     With y0 the least-norm solution of A_S^T y = 1 and the columns of N an
     orthonormal basis of null(A_S^T), both in the range of A, every y with
-    A_S^T y = 1 that moves eta is y0 + N w, and eta off S is eta0 + G^T w,
-    with eta0 = A_off^T y0 and G = N^T A_off.  The margin LP is then the dual
+    A_S^T y = 1 is y0 + N w up to a part outside that range, which moves no
+    eta.  Off S, eta is eta0 + G^T w, with eta0 = A_off^T y0 and G = N^T A_off.  The margin LP is then the dual
     of max eta0.z - mu s.t. G z = 0, 1.z + mu = 1, z, mu >= 0; ``lps`` states
     that over [z, mu, v+, v-], with the objective in the last row,
     eta0.z - mu - (v+ - v-) = 0, and cost v- - v+.  So t* = -objective, and
@@ -164,10 +164,11 @@ class _NullSpaceLps(NamedTuple):
 
 
 def _margin_stacks(A: np.ndarray, block: np.ndarray,
-                   rank_tol: float) -> tuple[_NullSpaceLps, np.ndarray]:
+                   rank_tol: float) -> tuple[_NullSpaceLps | None, np.ndarray]:
     # Every margin LP of the sorted supports of one size in ``block``: the
-    # null-space LPs of the supports with full column rank, and the
-    # positions of the others, whose full LPs ``_margin_lps`` builds.
+    # null-space LPs of the supports with full column rank (None if there
+    # are none), and the positions of the others, whose full LPs
+    # ``_margin_lps`` builds.
     # A is first reduced to r independent rows, A~ = U^T A with U from an
     # SVD (a singular value counts above rank_tol times the largest), so
     # that no row of G is zero up to rounding.  A support has full column
@@ -191,7 +192,7 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray,
         full = np.ones(count, dtype=bool)
     at = np.flatnonzero(full)
     if not at.size:
-        return _NullSpaceLps(at, None, None, None, None), np.arange(count)
+        return None, np.arange(count)
     return (_NullSpaceLps(at, *_null_space_lps(At, U, block[at], Q[at], R[at], rank_tol)),
             np.flatnonzero(~full))
 
@@ -213,10 +214,15 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, Q: np.ndar
         u = np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((count, k, 1)))
     P = np.matmul(Q.transpose(0, 2, 1), At)[every[:, None], :, _off_support(block, n)]
     P = P.transpose(0, 2, 1)                          # Q^T A~_off, (count, r, kc)
-    G = P[:, k:]
     eta0 = np.matmul(u.transpose(0, 2, 1), P[:, :k])[:, 0]
     y0 = np.matmul(U, np.matmul(Q[:, :, :k], u))[:, :, 0]
-    N = np.matmul(U, Q[:, :, k:])
+    # Each row of G is scaled to unit norm, and its column of N with it:
+    # G z = 0 does not see the scale of a row, and so the LP does not see
+    # the scale of A (eta0 does not either).
+    norms = np.linalg.norm(P[:, k:], axis=2)
+    norms[norms == 0.0] = 1.0
+    G = P[:, k:] / norms[:, :, None]
+    N = np.matmul(U, Q[:, :, k:]) / norms[:, None, :]
 
     B = np.zeros((count, rows + 2, kc + 3))
     B[:, :rows, :kc] = G
@@ -229,21 +235,22 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, Q: np.ndar
     cost[kc + 1:] = (-1.0, 1.0)
     lps = LpStack(cost, B, np.broadcast_to(rhs, (count, rows + 2)))
 
-    E = G.transpose(0, 2, 1).copy()                   # row c of G is column c of E
+    # Row c of G picks its column of largest |entry| once the rows above are
+    # eliminated.  A picked column is left at rounding level in the rows
+    # below, so a pick repeats only at a pivot below the threshold.
+    E = G.copy()
     threshold = rank_tol * np.maximum(1.0, np.abs(E).max(axis=(1, 2), initial=0.0))
     basis = np.empty((count, rows + 2), dtype=np.intp)
     basis[:, rows:] = (kc, kc + 2)
-    taken = np.zeros((count, kc), dtype=bool)
     ok = np.ones(count, dtype=bool)
     for c in range(rows):
-        j = np.where(taken, -1.0, np.abs(E[:, :, c])).argmax(axis=1)
-        pivot = E[every, j, c]
+        j = np.abs(E[:, c]).argmax(axis=1)
+        pivot = E[every, c, j]
         ok &= np.abs(pivot) > threshold
         basis[:, c] = j
-        taken[every, j] = True
         if c + 1 < rows:
-            factor = E[:, :, c] / np.where(ok, pivot, 1.0)[:, None]
-            E[:, :, c + 1:] -= factor[:, :, None] * E[every, j, c + 1:][:, None, :]
+            factor = E[every, c + 1:, j] / np.where(ok, pivot, 1.0)[:, None]
+            E[:, c + 1:] -= factor[:, :, None] * E[:, c, None, :]
     basis[~ok] = -1
     return lps, basis, y0, N
 
@@ -275,8 +282,10 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, margin: _Margin,
 def _full_margin(sol: LpSolution | CertificateUnavailable,
                  m: int) -> _Margin | CertificateUnavailable:
     # A full margin LP's outcome; the LP core re-checked its optimum.
-    if isinstance(sol, CertificateUnavailable) or sol.status == INFEASIBLE:
-        return sol if isinstance(sol, CertificateUnavailable) else _Margin(INFEASIBLE)
+    if isinstance(sol, CertificateUnavailable):
+        return sol
+    if sol.status == INFEASIBLE:
+        return _Margin(INFEASIBLE)
     if sol.status != OPTIMAL:
         # The shifted margin is bounded below by zero, so this cannot happen
         # unless the solve broke down numerically.
@@ -325,7 +334,7 @@ def _margin_solves(A: np.ndarray, supports: list[IndexSet],
     block = np.array(supports, dtype=np.intp)
     reduced, full = _margin_stacks(A, block, tol.rank_tol)
     results: list = [None] * len(supports)
-    if reduced.at.size:
+    if reduced is not None:
         solved = solve_batch(reduced.lps, tol, basis=reduced.basis)
         for i, margin in zip(reduced.at, _null_space_margins(A, block[reduced.at], reduced,
                                                               solved, tol)):
@@ -341,8 +350,9 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     """``check_rsp_at`` for several supports of one size, as stacked margin LPs.
 
     Yields one certificate per support, in order; each equals the one
-    ``check_rsp_at`` gives for its support.  The margin LPs are built as one
-    stack and solved in lockstep; ``solve_batch`` bounds the tableau memory,
+    ``check_rsp_at`` gives for its support.  The margin LPs are built as two
+    stacks, the null-space LPs of the full-rank supports and the full LPs of
+    the others, each solved in lockstep; ``solve_batch`` bounds the tableau memory,
     and the caller bounds the stack (the enumerations pass blocks of at most
     256 supports).  A solve that breaks down or fails its re-check raises
     its ``CertificateUnavailable`` at the first such support in the given order.
@@ -359,12 +369,18 @@ def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  weights=None) -> RspCertificate:
     """Certify the range space property at a support via the margin LP.
 
-    Solves min t s.t. A_S^T y = 1 on S, A_j^T y <= t off S, t >= -1, with y
-    free, which the LP is given as y = y+ - y- with y+, y- >= 0.  Yes iff
-    t* <= 1 - rsp_margin; no iff the equalities are inconsistent or t* is
-    within feas_tol of 1 or above; marginal in the band between.  The empty
-    support is solved by the same LP: it has no equalities, so t* lies in
-    [-1, 0] (eta = 0 is feasible) and it holds.
+    The margin LP is min t s.t. A_S^T y = 1 on S, A_j^T y <= t off S,
+    t >= -1, with y free.  Where A_S has full column rank it is solved in
+    null-space coordinates: y = y0 + N w with y0 the least-norm solution of
+    the equalities and N a basis of null(A_S^T) in the range of A, through
+    the dual LP max eta0.z - mu s.t. (N^T A_off) z = 0, 1.z + mu = 1,
+    z, mu >= 0 (eta0 = A_off^T y0), whose optimum is t*; its optimum is
+    re-checked on A itself.  Elsewhere the LP is solved as stated, with
+    y = y+ - y-, and may be infeasible.  Yes iff t* <= 1 - rsp_margin; no
+    iff the equalities are inconsistent or t* is within feas_tol of 1 or
+    above; marginal in the band between.  The empty support is solved the
+    same way: it has no equalities, so t* lies in [-1, 0] (eta = 0 is
+    feasible) and it holds.
 
     With positive ``weights`` w the certificate is the weighted one, eta = w
     on S and eta < w off S.  A weighted l1 objective is a plain l1 objective

@@ -2,14 +2,16 @@
 
 Solves min c.x subject to B x = p, x >= 0.  Every variable is nonnegative:
 a caller with an unrestricted variable splits it into the difference of two
-nonnegative ones (the margin LP of ``rsp`` does so for its y).
+nonnegative ones (the margin LPs of ``rsp`` do so for their objective value
+or their y).
 
 An LP is solved two-phase: phase 1 drives out artificial columns to reach a
 feasible basis, phase 2 optimises from it.  A caller that knows a feasible
 basis passes it to ``solve_batch`` and the LP starts in phase 2 on a
-tableau with no artificial columns.  ``rsp`` does so for the margin LP of
-every support with full column rank; the l1, feasibility and ``lp-sparse``
-LPs, and the margin LPs of rank-deficient supports, stay two-phase.
+tableau with no artificial columns.  ``rsp`` does so for the null-space
+margin LP of every support with full column rank, (m - k + 2) x (n - k + 3)
+for A of full row rank; the l1, feasibility and ``lp-sparse`` LPs, and the
+full margin LPs of rank-deficient supports, stay two-phase.
 
 ``solve_batch`` solves LPs that share one objective and shape (an
 ``LpStack``) on stacked tableaux of shape (B, rows, cols) of at most

@@ -366,9 +366,9 @@ def test_formerly_failing_commands_give_verdicts(tmp_path, capsys):
 # full-rank support in null-space coordinates.  Against the build that
 # started the full margin LP at a constructed feasible basis no verdict moved:
 # 231 witnesses moved to other points of degenerate optimal faces, and the
-# 12th digit of 2 t* and of 20 other witnesses moved.  The solver rows,
+# 12th digit of 3 t* and of 24 other witnesses moved.  The solver rows,
 # solved two-phase, are those of the build that solved every LP on its own
 # scalar tableau.
-MARGIN_DIGEST = "ccc5f0fc4a6ec95f25c485e2d65a466b5ee5106a0d2047319bd477a0a105edf3"
+MARGIN_DIGEST = "ba2c38b2a6349a49df0805a84ae3134474ae31cd20a52fef9b46c42e40d3138a"
 # Recorded from the build that solved every LP on its own scalar tableau.
 FEASIBILITY_DIGEST = "03bc16a1315a1aa1d52445f9532d277600ed2d7c8eff195cc6c759c5c315fe63"

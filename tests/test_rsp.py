@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ def test_a_null_space_optimum_that_fails_on_the_raw_matrix_is_not_a_verdict(monk
         solve_and_certify(A, b)
     # A support without full column rank takes the full LP, which y0 does not touch.
     assert check_rsp_at(np.hstack([A, A[:, :1]]), (0, 8)).lp_status == OPTIMAL
+
+
+def test_null_space_margins_do_not_see_the_scale_of_a():
+    # The null-space LP scales each row of G to unit norm, and eta0 is
+    # invariant under A -> s A, so t* stays put over 14 orders of magnitude
+    # wherever A_S passes the full-rank test (its threshold has an absolute
+    # floor, so at s = 1e-6 only because the columns are not that small).
+    # At s = 1e8 the full margin LP fails its re-check for these supports.
+    A = np.random.default_rng([2026, 70]).standard_normal((6, 12))
+    for k in (0, 1, 2, 3):
+        supports = list(combinations(range(12), k))
+        want = [cert.t_star for cert in rsp.check_rsp_batch(A, supports)]
+        for scale in (1e-6, 1e-3, 1e3, 1e6, 1e8):
+            got = [cert.t_star for cert in rsp.check_rsp_batch(scale * A, supports)]
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12, (k, scale)
 
 
 def test_rank_deficient_support_runs_phase_1():
