@@ -157,6 +157,7 @@ class _NullSpaceLps(NamedTuple):
     """
 
     at: np.ndarray       # positions in the block
+    off: np.ndarray      # the columns off each support, ascending
     lps: LpStack
     basis: np.ndarray    # each LP's start, or a row of -1
     y0: np.ndarray       # (count, m)
@@ -193,12 +194,15 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray,
     at = np.flatnonzero(full)
     if not at.size:
         return None, np.arange(count)
-    return (_NullSpaceLps(at, *_null_space_lps(At, U, block[at], Q[at], R[at], rank_tol)),
-            np.flatnonzero(~full))
+    if at.size < count:
+        block, Q, R = block[at], Q[at], R[at]
+    off = _off_support(block, A.shape[1])
+    return _NullSpaceLps(at, off, *_null_space_lps(At, U, block, off, Q, R, rank_tol)), \
+        np.flatnonzero(~full)
 
 
-def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, Q: np.ndarray,
-                    R: np.ndarray, rank_tol: float):
+def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, off: np.ndarray,
+                    Q: np.ndarray, R: np.ndarray, rank_tol: float):
     # The null-space LPs of full-rank supports from their QRs, with y0, N and
     # the start of each: z_J for r - k columns J with G_J nonsingular, picked
     # by a partial-pivot elimination on G (pivots above rank_tol * max(1,
@@ -212,7 +216,7 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, Q: np.ndar
     u = np.zeros((count, 0, 1))                       # R^-T 1
     if k:
         u = np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((count, k, 1)))
-    P = np.matmul(Q.transpose(0, 2, 1), At)[every[:, None], :, _off_support(block, n)]
+    P = np.matmul(Q.transpose(0, 2, 1), At)[every[:, None], :, off]
     P = P.transpose(0, 2, 1)                          # Q^T A~_off, (count, r, kc)
     eta0 = np.matmul(u.transpose(0, 2, 1), P[:, :k])[:, 0]
     y0 = np.matmul(U, np.matmul(Q[:, :, :k], u))[:, :, 0]
@@ -239,19 +243,20 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, Q: np.ndar
     # eliminated.  A picked column is left at rounding level in the rows
     # below, so a pick repeats only at a pivot below the threshold.
     E = G.copy()
-    threshold = rank_tol * np.maximum(1.0, np.abs(E).max(axis=(1, 2), initial=0.0))
     basis = np.empty((count, rows + 2), dtype=np.intp)
     basis[:, rows:] = (kc, kc + 2)
-    ok = np.ones(count, dtype=bool)
-    for c in range(rows):
-        j = np.abs(E[:, c]).argmax(axis=1)
-        pivot = E[every, c, j]
-        ok &= np.abs(pivot) > threshold
-        basis[:, c] = j
-        if c + 1 < rows:
-            factor = E[every, c + 1:, j] / np.where(ok, pivot, 1.0)[:, None]
-            E[:, c + 1:] -= factor[:, :, None] * E[:, c, None, :]
-    basis[~ok] = -1
+    pivots = np.empty((count, rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A zero pivot fills the rest of its LP with inf and nan, and the
+        # LP has no start.
+        for c in range(rows):
+            j = np.abs(E[:, c]).argmax(axis=1)
+            basis[:, c] = j
+            pivots[:, c] = pivot = E[every, c, j]
+            if c + 1 < rows:
+                E[:, c + 1:] -= (E[every, c + 1:, j] / pivot[:, None])[:, :, None] * E[:, c, None, :]
+    threshold = rank_tol * np.maximum(1.0, np.abs(G).max(axis=(1, 2), initial=0.0))
+    basis[~(np.abs(pivots) > threshold[:, None]).all(axis=1)] = -1
     return lps, basis, y0, N
 
 
@@ -308,9 +313,10 @@ def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps
         t_star[i] = 0.0 - solved[i].objective_value
     y = reduced.y0 + np.matmul(reduced.N, w[:, :, None])[:, :, 0]
     eta = np.matmul(y[:, None, :], A)[:, 0]
-    on = np.abs(np.take_along_axis(eta, block, axis=1) - 1.0).max(axis=1, initial=0.0)
-    off = np.take_along_axis(eta, _off_support(block, A.shape[1]), axis=1)
-    passed = (on <= tol.feas_tol) & (off.max(axis=1, initial=-np.inf) <= t_star + tol.feas_tol)
+    every = np.arange(len(solved))[:, None]
+    on = np.abs(eta[every, block] - 1.0).max(axis=1, initial=0.0)
+    off = eta[every, reduced.off].max(axis=1, initial=-np.inf)
+    passed = (on <= tol.feas_tol) & (off <= t_star + tol.feas_tol)
     margins: list = []
     for i, sol in enumerate(solved):
         if isinstance(sol, CertificateUnavailable):

@@ -327,16 +327,18 @@ def _started_tableaux(lps: LpStack, basis: np.ndarray) -> tuple[np.ndarray, np.n
     """
     B, p = lps.constraints, lps.rhs
     count, m, n = B.shape
-    every = np.arange(count)
-    nonbasic = np.ones((count, n), dtype=bool)
-    nonbasic[every[:, None], basis] = False
-    serves = np.count_nonzero(nonbasic, axis=1) == n - m
-    # A basis that repeats a column serves not; its rows read the first n - m columns.
-    nonbasic[~serves] = np.arange(n) >= m
-    columns = np.nonzero(nonbasic)[1].reshape(count, n - m)
-    M = np.take_along_axis(B, basis[:, None, :], axis=2)
-    rhs = np.concatenate([np.take_along_axis(B, columns[:, None, :], axis=2), p[:, :, None]],
-                         axis=2)
+    every = np.arange(count)[:, None]
+    basic = np.zeros((count, n), dtype=bool)
+    basic[every, basis] = True
+    serves = np.count_nonzero(basic, axis=1) == m
+    # A basis that repeats a column does not serve; its LP takes its last m
+    # columns as basic here, so that every LP has n - m non-basic ones.
+    basic[~serves] = np.arange(n) >= n - m
+    columns = np.nonzero(~basic)[1].reshape(count, n - m)
+    M = B[every, :, basis].transpose(0, 2, 1)
+    rhs = np.empty((count, m, n - m + 1))
+    rhs[:, :, :-1] = B[every, :, columns].transpose(0, 2, 1)
+    rhs[:, :, -1] = p
     # 16 LPs per solve: its output, live beside the tableaux and M, stays
     # small, and a singular M is retried alone within its 16.
     for lo in range(0, count, 16):
@@ -350,8 +352,8 @@ def _started_tableaux(lps: LpStack, basis: np.ndarray) -> tuple[np.ndarray, np.n
                 except np.linalg.LinAlgError:
                     serves[b] = False
     T = np.zeros((count, m + 1, n + 1))
-    T[every[:, None], :m, columns] = rhs[:, :, :-1].transpose(0, 2, 1)
-    T[every[:, None], :m, basis] = np.eye(m)
+    T[every, :m, columns] = rhs[:, :, :-1].transpose(0, 2, 1)
+    T[every, :m, basis] = np.eye(m)
     T[:, :m, n] = rhs[:, :, -1]
     basic = T[:, :m, -1]
     basic[(basic < 0.0) & (basic > -_CLEAN_EPS)] = 0.0
