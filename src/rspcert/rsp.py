@@ -146,14 +146,14 @@ def _off_support(block: np.ndarray, n: int) -> np.ndarray:
 class _NullSpaceLps(NamedTuple):
     """The null-space margin LPs of the full-rank supports of a block.
 
-    With y0 the least-norm solution of A_S^T y = 1 and the columns of N an
-    orthonormal basis of null(A_S^T), both in the range of A, every y with
-    A_S^T y = 1 is y0 + N w up to a part outside that range, which moves no
-    eta.  Off S, eta is eta0 + G^T w, with eta0 = A_off^T y0 and G = N^T A_off.  The margin LP is then the dual
-    of max eta0.z - mu s.t. G z = 0, 1.z + mu = 1, z, mu >= 0; ``lps`` states
-    that over [z, mu, v+, v-], with the objective in the last row,
-    eta0.z - mu - (v+ - v-) = 0, and cost v- - v+.  So t* = -objective, and
-    w is the dual of the G rows.
+    With y0 the least-norm solution of A_S^T y = 1 and the columns of N a
+    basis of null(A_S^T), both in the range of A, every y with A_S^T y = 1
+    is y0 + N w up to a part outside that range, which moves no eta.  Off S,
+    eta is eta0 + G^T w, with eta0 = A_off^T y0 and G = N^T A_off.  The
+    margin LP is then the dual of max eta0.z - mu s.t. G z = 0,
+    1.z + mu = 1, z, mu >= 0; ``lps`` states that over [z, mu, v+, v-], with
+    the objective in the last row, eta0.z - mu - (v+ - v-) = 0, and cost
+    v- - v+.  So t* = -objective, and w is the dual of the G rows.
     """
 
     at: np.ndarray       # positions in the block
@@ -175,18 +175,18 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray,
     # that no row of G is zero up to rounding.  A support has full column
     # rank when k <= r and each diagonal entry of R in the QR A~_S = Q R
     # exceeds rank_tol * max(1, largest |entry| of A_S).  Then y0 = Q_1 R^-T 1
-    # and N = Q_2, both mapped back by U.
+    # and N = Q_2, both mapped back by U, and each column of N scaled with its
+    # row of G.
     count, k = block.shape
     U, sigma, _ = np.linalg.svd(A, full_matrices=False)
     U = U[:, sigma > rank_tol * sigma[0]]
     At = U.T @ A
     r = U.shape[1]
     if k > r:
-        full = np.zeros(count, dtype=bool)
-    elif k:
+        return None, np.arange(count)
+    if k:
         Q, R = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode="complete")
-        AS = A.T[block]
-        threshold = rank_tol * np.maximum(1.0, np.abs(AS).max(axis=(1, 2)))
+        threshold = rank_tol * np.maximum(1.0, np.abs(A).max(axis=0)[block].max(axis=1))
         full = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > threshold[:, None]).all(axis=1)
     else:
         Q, R = np.broadcast_to(np.eye(r), (count, r, r)), np.zeros((count, r, 0))
@@ -254,7 +254,8 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, off: np.nd
             basis[:, c] = j
             pivots[:, c] = pivot = E[every, c, j]
             if c + 1 < rows:
-                E[:, c + 1:] -= (E[every, c + 1:, j] / pivot[:, None])[:, :, None] * E[:, c, None, :]
+                factor = E[every, c + 1:, j] / pivot[:, None]
+                E[:, c + 1:] -= factor[:, :, None] * E[:, c, None, :]
     threshold = rank_tol * np.maximum(1.0, np.abs(G).max(axis=(1, 2), initial=0.0))
     basis[~(np.abs(pivots) > threshold[:, None]).all(axis=1)] = -1
     return lps, basis, y0, N
@@ -298,8 +299,8 @@ def _full_margin(sol: LpSolution | CertificateUnavailable,
     return _Margin(OPTIMAL, float(sol.objective_value) - 1.0, sol.x[:m] - sol.x[-m:])
 
 
-def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps,
-                        solved: list, tol: ToleranceConfig) -> list[_Margin | CertificateUnavailable]:
+def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps, solved: list,
+                        tol: ToleranceConfig) -> list[_Margin | CertificateUnavailable]:
     # The null-space LPs' outcomes.  Each optimum is re-checked on the raw A
     # as well, not only on the reduced LP: eta = A^T y must be 1 on S and at
     # most t* off S, each to feas_tol, so that an error in U, Q or R shows.
@@ -358,9 +359,9 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     Yields one certificate per support, in order; each equals the one
     ``check_rsp_at`` gives for its support.  The margin LPs are built as two
     stacks, the null-space LPs of the full-rank supports and the full LPs of
-    the others, each solved in lockstep; ``solve_batch`` bounds the tableau memory,
-    and the caller bounds the stack (the enumerations pass blocks of at most
-    256 supports).  A solve that breaks down or fails its re-check raises
+    the others, each solved in lockstep; ``solve_batch`` bounds the tableau
+    memory, and the caller bounds the stack (the enumerations pass blocks of
+    at most 256 supports).  A solve that breaks down or fails its re-check raises
     its ``CertificateUnavailable`` at the first such support in the given order.
     """
     A = as_matrix(A)

@@ -317,12 +317,17 @@ _INFEASIBLE_SOME = ("rank deficient", "k = rank < m")
 def test_margin_t_star_matches_scipy(case):
     # t* of every support, batched as the enumerations batch them, against
     # HiGHS on the margin LP as the paper states it, to 1e-9; "infeasible"
-    # must be infeasible there.  Every yes witness re-verifies on the raw A.
+    # must be infeasible there.  Every yes witness re-verifies on the raw A,
+    # and each certificate is bit for bit the one its support gets alone.
     name, A, supports = _differential_cases()[case]
     yes, statuses = 0, set()
     for k in sorted({len(S) for S in supports}):
         block = [S for S in supports if len(S) == k]
         for S, cert in zip(block, check_rsp_batch(A, block)):
+            alone = check_rsp_at(A, S)
+            assert alone.t_star == cert.t_star and alone.holds is cert.holds, (name, S)
+            assert (alone.witness_y is cert.witness_y is None
+                    or np.array_equal(alone.witness_y, cert.witness_y)), (name, S)
             want = _scipy_t_star(A, S)
             statuses.add(cert.lp_status)
             if want is None:
