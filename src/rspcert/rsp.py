@@ -205,10 +205,9 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, off: np.nd
                     Q: np.ndarray, R: np.ndarray, rank_tol: float):
     # The null-space LPs of full-rank supports from their QRs, with y0, N and
     # the start of each: z_J for r - k columns J with G_J nonsingular, picked
-    # by a partial-pivot elimination on G (pivots above rank_tol * max(1,
-    # largest |entry| of G)), then mu and v-.  The start's z_J = 0, mu = 1
-    # and v- = 1 are feasible; an LP whose elimination falls below the
-    # threshold gets no start.
+    # by a partial-pivot elimination on G (pivots above rank_tol), then mu
+    # and v-.  The start's z_J = 0, mu = 1 and v- = 1 are feasible; an LP
+    # whose elimination falls to the threshold or below gets no start.
     r, n = At.shape
     count, k = block.shape
     kc, rows = n - k, r - k
@@ -216,22 +215,21 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, off: np.nd
     u = np.zeros((count, 0, 1))                       # R^-T 1
     if k:
         u = np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((count, k, 1)))
-    P = np.matmul(Q.transpose(0, 2, 1), At)[every[:, None], :, off]
-    P = P.transpose(0, 2, 1)                          # Q^T A~_off, (count, r, kc)
-    eta0 = np.matmul(u.transpose(0, 2, 1), P[:, :k])[:, 0]
-    y0 = np.matmul(U, np.matmul(Q[:, :, :k], u))[:, :, 0]
+    P = np.matmul(Q.transpose(0, 2, 1), At[:, off].transpose(1, 0, 2))   # Q^T A~_off
+    UQ = np.matmul(U, Q)
     # Each row of G is scaled to unit norm, and its column of N with it:
     # G z = 0 does not see the scale of a row, and so the LP does not see
-    # the scale of A (eta0 does not either).
-    norms = np.linalg.norm(P[:, k:], axis=2)
-    norms[norms == 0.0] = 1.0
+    # the scale of A (eta0 does not either).  No row is zero: A~ has full
+    # row rank, and N^T A~_S = 0.
+    norms = np.sqrt((P[:, k:] * P[:, k:]).sum(axis=2))
     G = P[:, k:] / norms[:, :, None]
-    N = np.matmul(U, Q[:, :, k:]) / norms[:, None, :]
+    N = UQ[:, :, k:] / norms[:, None, :]
+    y0 = np.matmul(UQ[:, :, :k], u)[:, :, 0]
 
     B = np.zeros((count, rows + 2, kc + 3))
     B[:, :rows, :kc] = G
     B[:, rows, :kc + 1] = 1.0
-    B[:, rows + 1, :kc] = eta0
+    B[:, rows + 1, :kc] = np.matmul(u.transpose(0, 2, 1), P[:, :k])[:, 0]   # eta0
     B[:, rows + 1, kc:] = (-1.0, -1.0, 1.0)
     rhs = np.zeros(rows + 2)
     rhs[rows] = 1.0
@@ -240,37 +238,36 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, off: np.nd
     lps = LpStack(cost, B, np.broadcast_to(rhs, (count, rows + 2)))
 
     # Row c of G picks its column of largest |entry| once the rows above are
-    # eliminated.  A picked column is left at rounding level in the rows
-    # below, so a pick repeats only at a pivot below the threshold.
+    # eliminated; the pivot stays in row c.  A picked column is left at
+    # rounding level in the rows below, so a pick repeats only at a pivot
+    # below the threshold.
     E = G.copy()
     basis = np.empty((count, rows + 2), dtype=np.intp)
     basis[:, rows:] = (kc, kc + 2)
-    pivots = np.empty((count, rows))
     with np.errstate(divide="ignore", invalid="ignore"):
         # A zero pivot fills the rest of its LP with inf and nan, and the
         # LP has no start.
-        for c in range(rows):
-            j = np.abs(E[:, c]).argmax(axis=1)
-            basis[:, c] = j
-            pivots[:, c] = pivot = E[every, c, j]
-            if c + 1 < rows:
-                factor = E[every, c + 1:, j] / pivot[:, None]
-                E[:, c + 1:] -= factor[:, :, None] * E[:, c, None, :]
-    threshold = rank_tol * np.maximum(1.0, np.abs(G).max(axis=(1, 2), initial=0.0))
-    basis[~(np.abs(pivots) > threshold[:, None]).all(axis=1)] = -1
+        for c in range(rows - 1):
+            basis[:, c] = j = np.abs(E[:, c]).argmax(axis=1)
+            factor = E[every, c + 1:, j] / E[every, c, j][:, None]
+            E[:, c + 1:] -= factor[:, :, None] * E[:, c, None, :]
+    if rows:
+        basis[:, rows - 1] = np.abs(E[:, rows - 1]).argmax(axis=1)
+    pivots = E[every[:, None], np.arange(rows), basis[:, :rows]]
+    basis[~(np.abs(pivots) > rank_tol).all(axis=1)] = -1
     return lps, basis, y0, N
 
 
 class _Margin(NamedTuple):
-    """A margin LP's outcome: INFEASIBLE, or OPTIMAL with t* and the y of a witness."""
+    """A margin LP's outcome: INFEASIBLE, or OPTIMAL with t* and a witness y, eta = A^T y."""
 
     status: str
     t_star: float | None = None
     y: np.ndarray | None = None
+    eta: np.ndarray | None = None
 
 
-def _margin_certificate(A: np.ndarray, S: IndexSet, margin: _Margin,
-                        tol: ToleranceConfig) -> RspCertificate:
+def _margin_certificate(S: IndexSet, margin: _Margin, tol: ToleranceConfig) -> RspCertificate:
     if margin.status == INFEASIBLE:
         return RspCertificate(Verdict.NO, S, None, None, None, INFEASIBLE)
     t_star = margin.t_star
@@ -282,11 +279,11 @@ def _margin_certificate(A: np.ndarray, S: IndexSet, margin: _Margin,
         holds = Verdict.MARGINAL
     if holds is Verdict.NO:
         return RspCertificate(holds, S, None, None, t_star, OPTIMAL)
-    return RspCertificate(holds, S, A.T @ margin.y, margin.y, t_star, OPTIMAL)
+    return RspCertificate(holds, S, margin.eta, margin.y, t_star, OPTIMAL)
 
 
-def _full_margin(sol: LpSolution | CertificateUnavailable,
-                 m: int) -> _Margin | CertificateUnavailable:
+def _full_margin(A: np.ndarray,
+                 sol: LpSolution | CertificateUnavailable) -> _Margin | CertificateUnavailable:
     # A full margin LP's outcome; the LP core re-checked its optimum.
     if isinstance(sol, CertificateUnavailable):
         return sol
@@ -296,7 +293,9 @@ def _full_margin(sol: LpSolution | CertificateUnavailable,
         # The shifted margin is bounded below by zero, so this cannot happen
         # unless the solve broke down numerically.
         return CertificateUnavailable(f"margin LP returned {sol.status}")
-    return _Margin(OPTIMAL, float(sol.objective_value) - 1.0, sol.x[:m] - sol.x[-m:])
+    m = A.shape[0]
+    y = sol.x[:m] - sol.x[-m:]
+    return _Margin(OPTIMAL, float(sol.objective_value) - 1.0, y, A.T @ y)
 
 
 def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps, solved: list,
@@ -327,7 +326,7 @@ def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps
         elif not passed[i]:
             margins.append(CertificateUnavailable("optimal solve failed its certificate re-check"))
         else:
-            margins.append(_Margin(OPTIMAL, float(t_star[i]), y[i]))
+            margins.append(_Margin(OPTIMAL, float(t_star[i]), y[i], eta[i]))
     return margins
 
 
@@ -348,7 +347,7 @@ def _margin_solves(A: np.ndarray, supports: list[IndexSet],
             results[i] = margin
     if full.size:
         for i, sol in zip(full, solve_batch(_margin_lps(A, block[full]), tol)):
-            results[i] = _full_margin(sol, A.shape[0])
+            results[i] = _full_margin(A, sol)
     return results
 
 
@@ -369,7 +368,7 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     if len({len(S) for S in supports}) > 1:
         raise ValueError("a margin LP batch takes supports of one size")
     for S, margin in zip(supports, _margin_solves(A, supports, tol)):
-        yield _margin_certificate(A, S, _raised(margin), tol)
+        yield _margin_certificate(S, _raised(margin), tol)
 
 
 def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -533,7 +532,7 @@ def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
         augmented |= zip(group, _block_ranks(with_ones, group, tol.rank_tol))
     for point in points:
         x, S = _raised(point)
-        cert = _margin_certificate(A, S, _raised(margin[S]), tol)
+        cert = _margin_certificate(S, _raised(margin[S]), tol)
         yield x, _combine(cert, ranks[S], augmented[S], len(S))
 
 

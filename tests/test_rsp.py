@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rspcert import (DEFAULT_TOLERANCES, INFEASIBLE, OPTIMAL, CertificateUnavailable,
-                     FailureReason, Infeasible,
-                     NonpositiveWeight, NotASolution, NotNonnegative, ToleranceConfig,
+                     FailureReason, Infeasible, NonpositiveWeight, NotASolution,
+                     NotNonnegative, ToleranceConfig,
                      Unbounded, Verdict, augmented_rank, certify_uniqueness, check_rsp_at,
                      lp_sparsest_pipeline, rank, rsp, simplex,
                      solve_and_certify, solve_and_certify_batch, solve_l1,
@@ -102,7 +102,7 @@ def test_empty_support_starts_at_y0_zero_with_mu_at_one():
     A = np.array(UNIQUE_A)
     basis, lps = _start(A, ())
     assert lps.constraints.shape == (1, 5, 7)
-    assert basis[0, 3:].tolist() == [4, 6] and sorted(basis[0, :3]) == sorted(set(basis[0, :3]))
+    assert basis[0, 3:].tolist() == [4, 6] and len(set(basis[0, :3].tolist())) == 3
     T, serves = simplex._started_tableaux(lps, basis)
     assert serves.all()
     x = np.zeros(7)
@@ -152,9 +152,9 @@ def test_a_null_space_optimum_that_fails_on_the_raw_matrix_is_not_a_verdict(monk
 def test_null_space_margins_do_not_see_the_scale_of_a():
     # The null-space LP scales each row of G to unit norm, and eta0 is
     # invariant under A -> s A, so t* stays put over 14 orders of magnitude
-    # wherever A_S passes the full-rank test (its threshold has an absolute
-    # floor, so at s = 1e-6 only because the columns are not that small).
-    # At s = 1e8 the full margin LP fails its re-check for these supports.
+    # wherever A_S passes the full-rank test.  That test's threshold has an
+    # absolute floor, which these columns still clear at s = 1e-6.  Solved as
+    # the full margin LP, these supports fail the LP core's re-check at 1e8.
     A = np.random.default_rng([2026, 70]).standard_normal((6, 12))
     for k in (0, 1, 2, 3):
         supports = list(combinations(range(12), k))
@@ -166,8 +166,9 @@ def test_null_space_margins_do_not_see_the_scale_of_a():
 
 def test_rank_deficient_support_runs_phase_1():
     # A duplicate column: A_S is singular, so the support gets the full
-    # margin LP, and the two-phase solve decides it.  Consistent equalities give an
-    # optimum, inconsistent ones (a column and its negation) "infeasible".
+    # margin LP, and the two-phase solve decides it.  Consistent equalities
+    # give an optimum, inconsistent ones (a column and its negation)
+    # "infeasible".
     A = np.random.default_rng([2026, 41]).standard_normal((4, 8))
     A[:, 6] = A[:, 1]
     A[:, 7] = -A[:, 2]

@@ -511,9 +511,9 @@ def test_negating_rows_negates_only_their_duals():
     # of nonzero right-hand side leaves its tableau, and with it the status,
     # pivots and x, bit for bit; the duals, solved on the raw rows, negate on
     # exactly the negated rows.  The same holds for a started LP, whose
-    # tableau M^-1 [B | p] does not see the signs of any of its rows.  Some stacks
-    # repeat their first row negated: it is redundant, so its artificial stays
-    # basic and pins its dual to zero.
+    # tableau M^-1 [B | p] does not see the signs of any of its rows.  Some
+    # stacks repeat their first row negated: it is redundant, so its
+    # artificial stays basic and pins its dual to zero.
     rng = np.random.default_rng([2026, 50])
     statuses, pinned, compared = set(), 0, 0
     for m, n, redundant in ((3, 7, False), (5, 10, False), (4, 9, True), (2, 6, True)):
