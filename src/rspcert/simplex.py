@@ -355,9 +355,9 @@ def _started_tableaux(lps: LpStack, basis: np.ndarray) -> tuple[np.ndarray, np.n
     T[every, :m, columns] = rhs[:, :, :-1].transpose(0, 2, 1)
     T[every, :m, basis] = np.eye(m)
     T[:, :m, n] = rhs[:, :, -1]
-    basic = T[:, :m, -1]
-    basic[(basic < 0.0) & (basic > -_CLEAN_EPS)] = 0.0
-    serves &= (basic >= 0.0).all(axis=1) & np.isfinite(T).all(axis=(1, 2))
+    values = T[:, :m, -1]
+    values[(values < 0.0) & (values > -_CLEAN_EPS)] = 0.0
+    serves &= (values >= 0.0).all(axis=1) & np.isfinite(T).all(axis=(1, 2))
     return T, serves
 
 
