@@ -22,7 +22,9 @@ support of size 1, 2 and 3, through the prsp certifier, with the pivots of
 each margin LP as the certifier solves it), one Gaussian 4x8 and one 6x12
 matrix for ``check_rsp_at`` called one support at a time (every support of
 size 2), two planted k*=4 10x20 systems for the feasibility LPs (through
-``sparsest_supports``), the size-3 supports of the 8x16 matrices for the
+``sparsest_supports``: µs per support checked, and the feasibility LPs it
+actually solves, which are fewer once supports are screened before any LP
+runs), the size-3 supports of the 8x16 matrices for the
 rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
 of the four properties.  The lockstep figures count the steps of the stacked engine on
 the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
@@ -32,6 +34,10 @@ thread.  The tree must have ``certify_order_k``, ``simplex.solve_batch`` and
 the stacked engine ``simplex._Tableaux``: the lockstep counts read the
 engine, and the margin-LP pivots, the LPs per pass and the l1 LPs per oracle
 window read the stacks the library passes to ``solve_batch`` (``_counting``).
+
+BENCH files up to ``BENCH_16.json`` carry ``feasibility_us_per_lp`` and
+``feasibility_lps`` instead: the same time and support count, from when
+every checked support was one feasibility LP.
 """
 
 from __future__ import annotations
@@ -93,10 +99,13 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
         x = np.zeros(20)
         x[rng.choice(20, size=4, replace=False)] = rng.uniform(0.1, 1.0, size=4)
         systems.append((A, A @ x))
-    checked = sum(rc.sparsest_supports(A, b).subsets_checked for A, b in systems)
+    solved = []
+    with _counting(lambda lps, results: solved.append(len(results))):
+        checked = sum(rc.sparsest_supports(A, b).subsets_checked for A, b in systems)
     t = _best(lambda: [rc.sparsest_supports(A, b) for A, b in systems], repeat)
-    out["feasibility_us_per_lp"] = 1e6 * t / checked
-    out["feasibility_lps"] = checked
+    out["feasibility_us_per_support"] = 1e6 * t / checked
+    out["feasibility_supports"] = checked
+    out["feasibility_lps_solved"] = sum(solved)
 
     supports = list(combinations(range(16), 3))
     t = _best(lambda: [list(linalg.SupportEnumeration(A, [3], 10**6, full_rank_only=True))

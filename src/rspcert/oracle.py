@@ -1,9 +1,12 @@
 """Brute-force ground truth for sparsest nonnegative solutions.
 
-Enumerates supports of increasing size, testing each candidate subsystem
-A_S z = b, z >= 0 for feasibility with the verified LP core.  Deliberately
+Enumerates supports of increasing size and decides, for every candidate
+subsystem A_S z = b, z >= 0, whether it is feasible.  Deliberately
 exhaustive and desk-scale: the enumeration is the oracle other certificates
-are checked against, so no pruning shortcuts are taken.
+are checked against, so every support is decided, none skipped.  A support
+whose b lies outside range(A_S) is ruled out by a least-squares Farkas
+witness re-checked on the raw data; every other support is decided by the
+verified LP core.
 """
 
 from __future__ import annotations
@@ -91,8 +94,13 @@ def sparsest_supports(A, b, max_k: int | None = None,
                       budget: int = DEFAULT_SUBSET_BUDGET) -> SparsestReport:
     """Enumerate every support of minimal size that solves A x = b, x >= 0.
 
-    Feasibility per support is decided by the LP core (phase 1 is an exact
-    feasibility certificate up to tolerances).  A representative whose exact
+    Each block of supports is first screened by ``_outside_range``: one
+    stacked QR gives, per support, a unit y with A_S^T y ~ 0 and b^T y > 0,
+    and a support whose y passes the re-check on the raw A_S and b is ruled
+    out, since no z of any sign solves A_S z = b.  Every other support is
+    decided by its feasibility LP in the LP core (phase 1 is an exact
+    feasibility certificate up to tolerances), so a ruled-out support's LP
+    is never solved and cannot break down.  A representative whose exact
     support turns out smaller than the enumerated subset is attributed to
     that smaller support and deduplicated, since the count of nonzeros is a
     property of the point, not of the enumeration set.
@@ -109,9 +117,11 @@ def sparsest_supports(A, b, max_k: int | None = None,
     supports = SupportEnumeration(A, range(1, max_k + 1), budget, lazy=True)
     found: dict[IndexSet, tuple[np.ndarray, bool]] = {}
     for k, block in supports:
-        lps = LpStack(np.zeros(k), A.T[block].transpose(0, 2, 1).copy(),
-                      np.broadcast_to(b, (len(block), m)))
-        for S, sol in zip(block, map(_raised, solve_batch(lps, tol))):
+        columns = A.T[block].transpose(0, 2, 1).copy()
+        todo = np.flatnonzero(~_outside_range(columns, b, tol))
+        lps = LpStack(np.zeros(k), columns[todo], np.broadcast_to(b, (todo.size, m)))
+        for i, sol in zip(todo, map(_raised, solve_batch(lps, tol))):
+            S = block[i]
             if sol.status != INFEASIBLE:
                 z = np.zeros(n)
                 z[list(S)] = np.maximum(sol.x, 0.0)
@@ -132,6 +142,48 @@ def sparsest_supports(A, b, max_k: int | None = None,
         representatives=[found[S][0] for S in keep],
         unique_within_support=[found[S][1] for S in keep],
         subsets_checked=supports.count)
+
+
+# How far b^T y must clear the largest residual the LP core accepts before
+# the screen of ``_outside_range`` rules a support out.
+_SCREEN_FACTOR = 1e3
+
+
+def _outside_range(columns: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Which stacked supports A_S (``columns``, (count, m, k)) have a checked Farkas witness.
+
+    One stacked QR gives r = b - Q Q^T b, the part of b outside the span of
+    Q, which holds range(A_S); y = r / |r| then has A_S^T y ~ 0 and
+    b^T y = |r| > 0, so no z, even one of any sign, solves A_S z = b.  A
+    support counts as ruled out only when y passes a re-check on the raw A_S
+    and b: |A_S^T y|_inf <= feas_tol * max(1, max|A_S|), and b^T y above
+    _SCREEN_FACTOR times beta = sqrt(m) * feas_tol * max(1, |b|_inf).
+
+    Why the LP would not have called such a support feasible: the LP core's
+    optimum re-check (``simplex._certified``) accepts a z only with every
+    entry of A_S z - b within feas_tol * max(1, |b|_inf), so with
+    |A_S z - b|_2 <= beta.  For that z, b^T y = y^T (b - A_S z) +
+    (A_S^T y)^T z <= beta + |A_S^T y|_inf |z|_1, which the witness refutes
+    unless |z|_1 >= (_SCREEN_FACTOR - 1) beta / |A_S^T y|_inf.  The first
+    check alone keeps that bound at 999 sqrt(m) max(1, |b|_inf) /
+    max(1, max|A_S|) or more; rounding leaves |A_S^T y| far below the
+    check (at most 5e-3 of it over the supports of the differential test in
+    tests/test_oracle.py), so only a solution hundreds of thousands of times
+    larger than |b| / |A_S| could escape it, one that exists only for a
+    nearly singular A_S.  Where b lies in the span of Q (always for
+    k >= m), r is rounding noise or zero: such a y fails the first check, or
+    the second, and the support goes to the LP.  A rank-deficient A_S only
+    makes r smaller.
+    """
+    m = columns.shape[1]
+    Q = np.linalg.qr(columns)[0]
+    r = b - np.matmul(Q, np.matmul(b, Q)[:, :, None])[:, :, 0]
+    norm = np.linalg.norm(r, axis=1)
+    y = r / np.where(norm > 0.0, norm, 1.0)[:, None]
+    slack = np.abs(np.matmul(y[:, None, :], columns)[:, 0]).max(axis=1)
+    scale = np.maximum(1.0, np.abs(columns).max(axis=(1, 2)))
+    beta = np.sqrt(m) * tol.feas_tol * max(1.0, np.abs(b).max())
+    return (slack <= tol.feas_tol * scale) & (y @ b > _SCREEN_FACTOR * beta)
 
 
 def classify_system(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES,

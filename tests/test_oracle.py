@@ -1,12 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from rspcert import (BudgetExceeded, EquivalenceStatus, Infeasible,
-                     NoSolutionWithin, SystemLabel, Verdict, augmented_rank,
-                     check_rsp_at, classify_system, equivalence_verdict,
+from rspcert import (DEFAULT_TOLERANCES, INFEASIBLE, BudgetExceeded,
+                     CertificateUnavailable, EquivalenceStatus, Infeasible,
+                     LpSolution, NoSolutionWithin, SparsestReport, StandardLp,
+                     SystemLabel, Verdict, augmented_rank, check_rsp_at,
+                     classify_system, equivalence_verdict, rank,
                      solve_and_certify, sparsest_supports, support_of)
+from rspcert.simplex import solve_batch
 
-from conftest import (COHERENT_A, COHERENT_B, COHERENT_X, DENSE_A, DENSE_B,
+from conftest import (ALL_SYSTEMS, COHERENT_A, COHERENT_B, COHERENT_X, DENSE_A, DENSE_B,
                       DENSE_SPARSEST, TIED_A, TIED_B, TRIPLE_A, TRIPLE_B,
                       TRIPLE_X1, TRIPLE_X2, TRIPLE_X3, UNIQUE_A, UNIQUE_B,
                       planted_system)
@@ -78,6 +83,8 @@ def test_budget_is_checked_lazily_per_size():
 
 def test_a_broken_feasibility_solve_is_raised(monkeypatch):
     # A feasibility LP that breaks down stops the search at that support.
+    # The screen rules out every singleton but (5,), so the one LP solved is
+    # the one that breaks down.
     import rspcert.oracle as oracle
     from rspcert import CertificateUnavailable, IterationLimit
 
@@ -85,12 +92,181 @@ def test_a_broken_feasibility_solve_is_raised(monkeypatch):
 
     def solve_batch(lps, *args, **kwargs):
         results = real(lps, *args, **kwargs)
-        results[1] = IterationLimit("injected breakdown")
+        results[0] = IterationLimit("injected breakdown")
         return results
     monkeypatch.setattr(oracle, "solve_batch", solve_batch)
     A = np.random.default_rng(33).standard_normal((3, 12))
     with pytest.raises(CertificateUnavailable, match="injected breakdown"):
         sparsest_supports(A, 2.0 * A[:, 5])
+
+
+# ------------------------------------------- the screen against LPs alone
+
+def lp_only_search(A, b, max_k=None):
+    """The sparsest search with no screen, and every enumerated support's LP outcome.
+
+    Solves the feasibility LP A_S z = b, z >= 0 of every support, size by
+    size, through ``solve_batch``, and stops after the first size with a
+    feasible one, as ``sparsest_supports`` does.  In place of the report
+    comes what the search raises: the first broken LP in enumeration order,
+    or ``NoSolutionWithin``.
+    """
+    n = A.shape[1]
+    max_k = n if max_k is None else max_k
+    if np.abs(b).max() <= DEFAULT_TOLERANCES.feas_tol:
+        return SparsestReport(0, [()], [np.zeros(n)], [True], 0), {}
+    found, outcomes, checked = {}, {}, 0
+    for k in range(1, max_k + 1):
+        supports = list(combinations(range(n), k))
+        sols = solve_batch([StandardLp(np.zeros(k), A[:, list(S)], b) for S in supports])
+        outcomes.update(zip(supports, sols))
+        checked += len(supports)
+        for S, sol in zip(supports, sols):
+            if isinstance(sol, Exception):
+                return sol, outcomes
+            if sol.status != INFEASIBLE:
+                z = np.zeros(n)
+                z[list(S)] = np.maximum(sol.x, 0.0)
+                found.setdefault(support_of(z), z)
+        if found:
+            break
+    if not found:
+        return NoSolutionWithin(max_k), outcomes
+    k_star = min(map(len, found))
+    keep = sorted(S for S in found if len(S) == k_star)
+    report = SparsestReport(k_star, keep, [found[S] for S in keep],
+                            [rank(A, S) == len(S) for S in keep], checked)
+    return report, outcomes
+
+
+def assert_same_report(report, expected):
+    """Equal reports, representatives bit for bit, or equal exceptions."""
+    if isinstance(expected, Exception):
+        assert (type(report), str(report)) == (type(expected), str(expected))
+        return
+    assert report.k_star == expected.k_star
+    assert report.supports == expected.supports
+    assert all(np.array_equal(x, y) for x, y in
+               zip(report.representatives, expected.representatives, strict=True))
+    assert report.unique_within_support == expected.unique_within_support
+    assert report.subsets_checked == expected.subsets_checked
+
+
+def screened_search(monkeypatch, A, b, max_k=None):
+    """``sparsest_supports`` (or what it raises), and the supports its screen ruled out."""
+    import rspcert.oracle as oracle
+
+    masks = []
+    real = oracle._outside_range
+
+    def recording(columns, *args):
+        masks.append(real(columns, *args))
+        return masks[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_outside_range", recording)
+        try:
+            report = sparsest_supports(A, b, max_k=max_k)
+        except (CertificateUnavailable, NoSolutionWithin) as exc:
+            report = exc
+    n = A.shape[1]
+    order = (S for k in range(1, n + 1) for S in combinations(range(n), k))
+    mask = np.concatenate(masks) if masks else []
+    return report, [S for S, out in zip(order, mask) if out]
+
+
+def _differential_systems():
+    """(A, b, max_k): fixtures, planted systems and the awkward cases of the screen."""
+    systems = [(A, b, None) for A, b in ALL_SYSTEMS]
+    rng = np.random.default_rng(35)
+    for i in range(40):
+        m, k = 3 + (i // 2) % 8, 1 + (i // 4) % 3
+        n = min(2 * m + 1, 20)
+        if i % 2:
+            A = rng.uniform(0.0, 1.0, (m, n))
+            x = np.zeros(n)
+            x[rng.choice(n, size=k, replace=False)] = rng.uniform(0.1, 1.0, size=k)
+            b = A @ x
+        else:
+            A, b, _ = planted_system(rng, m, n, k)
+        systems.append((A, b, None))
+    # Repeated integer columns: rank-deficient supports at every size above 1.
+    A = rng.integers(-3, 4, (4, 9)).astype(float)
+    A[:, 6], A[:, 7], A[:, 8] = A[:, 1], A[:, 2], A[:, 1]
+    systems.append((A, A @ np.array([0, 1, 0, 2, 0, 0, 1, 0, 0.0]), None))
+    # Row 7 copies row 0: b lies in a 7-dimensional subspace.
+    A, _, x = planted_system(rng, 8, 16, 3)
+    A[7] = A[0]
+    systems.append((A, A @ x, None))
+    # b nudged off range(A_S) by less than the LP's tolerance: the planted
+    # support is feasible to the LP core, and the screen must not rule it
+    # out.
+    A, b, _ = planted_system(rng, 6, 12, 2, low=1e-3, high=2e-3)
+    nudge = rng.standard_normal(6)
+    systems.append((A, b + 3e-9 * nudge / np.linalg.norm(nudge), None))
+    # max_k past m: a feasible search that may go there, and an infeasible
+    # one that enumerates supports of sizes 4 and 5 on 3 rows.
+    A, b, _ = planted_system(rng, 3, 7, 2)
+    systems.append((A, b, 7))
+    systems.append((np.abs(rng.standard_normal((3, 6))), -np.ones(3), 5))
+    return systems
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_the_screen_rules_out_only_supports_the_lp_finds_infeasible(monkeypatch, scale):
+    # Each ruled-out support's LP, solved anyway, says infeasible, and the
+    # report equals the LP-only search's, representatives bit for bit.
+    ruled_out = 0
+    for A, b, max_k in _differential_systems():
+        A, b = scale * A, scale * b
+        expected, outcomes = lp_only_search(A, b, max_k)
+        report, skipped = screened_search(monkeypatch, A, b, max_k)
+        ruled_out += len(skipped)
+        for S in skipped:
+            sol = outcomes[S]
+            assert isinstance(sol, LpSolution) and sol.status == INFEASIBLE, S
+        assert_same_report(report, expected)
+    if scale >= 1.0:
+        assert ruled_out > 0
+
+
+def test_a_support_that_needs_a_negative_coefficient_reaches_the_lp(monkeypatch):
+    # b = e0 - e1 lies in the range of every pair of these columns, and
+    # every pair solves it only with a negative coefficient.  The screen
+    # rules out the singletons alone; each pair, and the triple, gets its LP
+    # and comes back infeasible.
+    import rspcert.oracle as oracle
+
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, -1.0])
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert not oracle._outside_range(A.T[pairs].transpose(0, 2, 1), b,
+                                     DEFAULT_TOLERANCES).any()
+    report, skipped = screened_search(monkeypatch, A, b)
+    assert isinstance(report, NoSolutionWithin)
+    assert skipped == [(0,), (1,), (2,)]
+    _, outcomes = lp_only_search(A, b)
+    assert all(outcomes[S].status == INFEASIBLE for S in pairs + [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("spoil", ["scaled", "rotated"])
+def test_a_corrupted_witness_fails_the_recheck(monkeypatch, spoil):
+    # With the screen's Q scaled or reflected, its residual r is no longer
+    # orthogonal to range(A_S).  Every witness must fail the re-check on the
+    # raw A_S, so every support reaches its LP and the report stays as it was.
+    A, b, _ = planted_system(np.random.default_rng(36), 5, 10, 2)
+    expected, ruled_out = screened_search(monkeypatch, A, b)
+    assert ruled_out
+    u = np.full(5, 1.0 / np.sqrt(5.0))
+    reflect = np.eye(5) - 2.0 * np.outer(u, u)
+    real = np.linalg.qr
+
+    def spoiled(M, *args, **kwargs):
+        Q, R = real(M, *args, **kwargs)
+        return (1.1 * Q if spoil == "scaled" else reflect @ Q), R
+    monkeypatch.setattr(np.linalg, "qr", spoiled)
+    report, skipped = screened_search(monkeypatch, A, b)
+    assert skipped == []
+    assert_same_report(report, expected)
 
 
 def test_all_sparsest_supports_pass_the_augmented_rank_test():
