@@ -21,10 +21,12 @@ Inputs are seeded: four Gaussian 8x16 matrices for the margin LPs (every
 support of size 1, 2 and 3, through the prsp certifier, with the pivots of
 each margin LP as the certifier solves it), one Gaussian 4x8 and one 6x12
 matrix for ``check_rsp_at`` called one support at a time (every support of
-size 2), two planted k*=4 10x20 systems for the feasibility LPs (through
-``sparsest_supports``: µs per support checked, and the feasibility LPs it
-actually solves, which are fewer once supports are screened before any LP
-runs), the size-3 supports of the 8x16 matrices for the
+size 2), a rank-deficient 6x12 matrix for the same (every support of size 2
+and 3; the benchmark's commands reach no rank-deficient support, so this is
+the one measure of that path), two planted k*=4 10x20 systems for the
+feasibility LPs (through ``sparsest_supports``: µs per support checked,
+and the feasibility LPs it actually solves, which are fewer once supports
+are screened before any LP runs), the size-3 supports of the 8x16 matrices for the
 rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
 of the four properties.  The lockstep figures count the steps of the stacked engine on
 the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
@@ -159,13 +161,29 @@ def _solved(work) -> list[int]:
 
 
 def _batch_of_one(rc, np, repeat: int) -> dict:
-    """µs per ``check_rsp_at`` call, one support at a time, on every size-2 support."""
+    """µs per ``check_rsp_at`` call, one support at a time.
+
+    Every size-2 support of a Gaussian 4x8 and 6x12 matrix, and, under
+    ``deficient``, every size-2 and size-3 support of a 6x12 matrix whose
+    columns 6-8 repeat columns 0-2 and 9-11 negate columns 3-5, with the
+    count of those supports whose columns are dependent.
+    """
     out = {}
     for m, n in ((4, 8), (6, 12)):
         A = np.random.default_rng([4, 20 + m]).standard_normal((m, n))
         supports = list(combinations(range(n), 2))
         t = _best(lambda: [rc.check_rsp_at(A, S) for S in supports], repeat)
         out[f"{m}x{n}"] = 1e6 * t / len(supports)
+    A = np.random.default_rng([4, 30]).standard_normal((6, 12))
+    A[:, 6:9] = A[:, 0:3]
+    A[:, 9:] = -A[:, 3:6]
+    out["deficient"] = {}
+    for k in (2, 3):
+        supports = list(combinations(range(12), k))
+        t = _best(lambda: [rc.check_rsp_at(A, S) for S in supports], repeat)
+        out["deficient"][str(k)] = {
+            "us": 1e6 * t / len(supports), "supports": len(supports),
+            "dependent": sum(len({j % 6 for j in S}) < k for S in supports)}
     return out
 
 

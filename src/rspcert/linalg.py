@@ -22,8 +22,8 @@ DEFAULT_SUBSET_BUDGET = 10_000_000
 # Size cap of one stacked array of same-shape problems (simplex tableaux, rank
 # probes): batches of more problems are split into consecutive chunks.  The
 # cap sets how many tableaux pivot in one lockstep step (481 null-space
-# margin LPs at 8x16, K=3, started in phase 2, or 341 two-phase; 82 full
-# margin LPs two-phase); see bench/margin_batch.py --sweep.
+# margin LPs at 8x16, K=3, started in phase 2, or 341 two-phase); see
+# bench/margin_batch.py --sweep.
 _STACK_BYTES = 512 * 1024
 
 # Supports per block of an enumeration; bounds the memory a size of many

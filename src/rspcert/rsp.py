@@ -111,30 +111,6 @@ def _scaled_by_weights(A: np.ndarray, w) -> np.ndarray:
     return A / w
 
 
-def _margin_lps(A: np.ndarray, block: np.ndarray) -> LpStack:
-    # The full margin LP of each row of ``block`` (sorted supports of one
-    # size k), solved two-phase: the margin LP of a support without full
-    # column rank, whose equalities may be inconsistent.  Nonnegative
-    # variables y+, the shifted margin t + 1, one slack per column off the
-    # support and y-, where the free y is y+ - y- (the y- columns are the y+
-    # columns negated); rows A_S^T y = 1, then A_j^T y - (t + 1) + s_j = -1
-    # for each j off S, ascending.
-    m, n = A.shape
-    count, k = block.shape
-    kc = n - k
-    nv = 2 * m + 1 + kc
-    Bm = np.zeros((count, n, nv))
-    Bm[:, :k, :m] = A.T[block]
-    Bm[:, k:, :m] = A.T[_off_support(block, n)]
-    Bm[:, k:, m] = -1.0
-    Bm[:, k:, m + 1:-m] = np.eye(kc)
-    np.negative(Bm[:, :, :m], out=Bm[:, :, -m:])
-    rhs = np.concatenate([np.ones(k), -np.ones(kc)])
-    cost = np.zeros(nv)
-    cost[m] = 1.0
-    return LpStack(cost, Bm, np.broadcast_to(rhs, (count, n)))
-
-
 def _off_support(block: np.ndarray, n: int) -> np.ndarray:
     # The columns off each support of ``block``, ascending.
     count, k = block.shape
@@ -144,16 +120,19 @@ def _off_support(block: np.ndarray, n: int) -> np.ndarray:
 
 
 class _NullSpaceLps(NamedTuple):
-    """The null-space margin LPs of the full-rank supports of a block.
+    """The null-space margin LPs of the supports of a block that share k'.
 
-    With y0 the least-norm solution of A_S^T y = 1 and the columns of N a
-    basis of null(A_S^T), both in the range of A, every y with A_S^T y = 1
-    is y0 + N w up to a part outside that range, which moves no eta.  Off S,
-    eta is eta0 + G^T w, with eta0 = A_off^T y0 and G = N^T A_off.  The
-    margin LP is then the dual of max eta0.z - mu s.t. G z = 0,
-    1.z + mu = 1, z, mu >= 0; ``lps`` states that over [z, mu, v+, v-], with
-    the objective in the last row, eta0.z - mu - (v+ - v-) = 0, and cost
-    v- - v+.  So t* = -objective, and w is the dual of the G rows.
+    k' is the number of singular values of A_S that count (k' = k where A_S
+    has full column rank).  With y0 the least-norm solution of A_S^T y = 1 in
+    the k' directions they span and the columns of N a basis of the rest of
+    the range of A, every y with A_S^T y = 1 is y0 + N w up to a part outside
+    that range, which moves no eta.  Off S, eta is eta0 + G^T w, with
+    eta0 = A_off^T y0 and G = N^T A_off.  The margin LP is then the dual of
+    max eta0.z - mu s.t. G z = 0, 1.z + mu = 1, z, mu >= 0; ``lps`` states
+    that over [z, mu, v+, v-], with the objective in the last row,
+    eta0.z - mu - (v+ - v-) = 0, and cost v- - v+.  So t* = -objective, and
+    w is the dual of the G rows.  Where k' < k, y0 meets the equalities only
+    if they are consistent; the raw re-check of each optimum shows when not.
     """
 
     at: np.ndarray       # positions in the block
@@ -161,66 +140,110 @@ class _NullSpaceLps(NamedTuple):
     lps: LpStack
     basis: np.ndarray    # each LP's start, or a row of -1
     y0: np.ndarray       # (count, m)
-    N: np.ndarray        # (count, m, r - k)
+    N: np.ndarray        # (count, m, r - k')
 
 
 def _margin_stacks(A: np.ndarray, block: np.ndarray,
-                   rank_tol: float) -> tuple[_NullSpaceLps | None, np.ndarray]:
+                   tol: ToleranceConfig) -> tuple[list[_NullSpaceLps], np.ndarray]:
     # Every margin LP of the sorted supports of one size in ``block``: the
-    # null-space LPs of the supports with full column rank (None if there
-    # are none), and the positions of the others, whose full LPs
-    # ``_margin_lps`` builds.
+    # null-space LPs, one stack per k', and the positions of the supports
+    # whose equalities a checked witness shows to be inconsistent.
     # A is first reduced to r independent rows, A~ = U^T A with U from an
     # SVD (a singular value counts above rank_tol times the largest), so
     # that no row of G is zero up to rounding.  A support has full column
     # rank when k <= r and each diagonal entry of R in the QR A~_S = Q R
-    # exceeds rank_tol * max(1, largest |entry| of A_S).  Then y0 = Q_1 R^-T 1
-    # and N = Q_2, both mapped back by U, and each column of N scaled with its
-    # row of G.
+    # exceeds rank_tol * max(1, largest |entry| of A_S); then k' = k and
+    # u = R^-T 1.  Every other support takes an SVD A~_S = W Sigma V^T, whose
+    # k' singular values above the row reduction's threshold give Q = W and
+    # u = Sigma_1^-1 V_1^T 1, and the witness d = V_2 V_2^T 1 = 1 - A~_S^T W_1 u
+    # of ``_inconsistent``.  Either way y0 = Q_1 u and N = Q_2, both mapped
+    # back by U.
     count, k = block.shape
     U, sigma, _ = np.linalg.svd(A, full_matrices=False)
-    U = U[:, sigma > rank_tol * sigma[0]]
+    floor = tol.rank_tol * sigma[0]
+    U = U[:, sigma > floor]
     At = U.T @ A
-    r = U.shape[1]
-    if k > r:
-        return None, np.arange(count)
-    if k:
+    full = np.zeros(count, dtype=bool)
+    if k <= U.shape[1]:
         Q, R = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode="complete")
-        threshold = rank_tol * np.maximum(1.0, np.abs(A).max(axis=0)[block].max(axis=1))
+        largest = np.abs(A).max(axis=0)[block].max(axis=1, initial=0.0)
+        threshold = tol.rank_tol * np.maximum(1.0, largest)
         full = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > threshold[:, None]).all(axis=1)
-    else:
-        Q, R = np.broadcast_to(np.eye(r), (count, r, r)), np.zeros((count, r, 0))
-        full = np.ones(count, dtype=bool)
-    at = np.flatnonzero(full)
-    if not at.size:
-        return None, np.arange(count)
-    if at.size < count:
-        block, Q, R = block[at], Q[at], R[at]
-    off = _off_support(block, A.shape[1])
-    return _NullSpaceLps(at, off, *_null_space_lps(At, U, block, off, Q, R, rank_tol)), \
-        np.flatnonzero(~full)
+
+    def stack(at, Q, u):
+        off = _off_support(block[at], A.shape[1])
+        return _NullSpaceLps(at, off, *_null_space_lps(At, U, off, Q, u, tol.rank_tol))
+
+    stacks = []
+    at, rest = np.flatnonzero(full), np.flatnonzero(~full)
+    if at.size:
+        if rest.size:
+            Q, R = Q[at], R[at]
+        stacks.append(stack(at, Q, np.linalg.solve(R[:, :k].transpose(0, 2, 1),
+                                                   np.ones((at.size, k, 1)))))
+    if not rest.size:
+        return stacks, rest
+    W, s, Vt = np.linalg.svd(At.T[block[rest]].transpose(0, 2, 1))
+    kept = (s > floor).sum(axis=1)
+    vt1 = Vt.sum(axis=2)                              # V^T 1
+    d = np.matmul((vt1 * (np.arange(k) >= kept[:, None]))[:, None], Vt)[:, 0]
+    refuted = _inconsistent(A.T[block[rest]], d, tol)
+    for size in np.unique(kept[~refuted]):
+        pick = ~refuted & (kept == size)
+        stacks.append(stack(rest[pick], W[pick], (vt1[pick, :size] / s[pick, :size])[:, :, None]))
+    return stacks, rest[refuted]
 
 
-def _null_space_lps(At: np.ndarray, U: np.ndarray, block: np.ndarray, off: np.ndarray,
-                    Q: np.ndarray, R: np.ndarray, rank_tol: float):
-    # The null-space LPs of full-rank supports from their QRs, with y0, N and
-    # the start of each: z_J for r - k columns J with G_J nonsingular, picked
-    # by a partial-pivot elimination on G (pivots above rank_tol), then mu
-    # and v-.  The start's z_J = 0, mu = 1 and v- = 1 are feasible; an LP
-    # whose elimination falls to the threshold or below gets no start.
-    r, n = At.shape
-    count, k = block.shape
-    kc, rows = n - k, r - k
+def _inconsistent(columns: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Which supports have a checked witness that no y solves A_S^T y = 1.
+
+    ``columns`` stacks each A_S^T, (count, k, m), and ``d`` each witness,
+    (count, k), with A_S d ~ 0 and 1.d > 0.  With d^ = d / |d|_1, a support counts only when d^ passes a re-check on
+    the raw A_S: |A_S d^|_inf <= feas_tol * max|A_S| and 1.d^ > feas_tol.
+    Both bounds are relative to A_S, so the test does not see the scale of A.
+
+    Why a support so refuted has no margin optimum that the certifier would
+    accept: the raw re-check of an optimum (``_null_space_margins``) accepts
+    a y only with |A_S^T y - 1|_inf <= feas_tol.  For such a y,
+    1.d^ - feas_tol <= (A_S^T y).d^ = y.(A_S d^) <= |y|_1 feas_tol max|A_S|,
+    so |y|_1 max|A_S| >= 1.d^ / feas_tol - 1, where a y that solves the
+    equalities needs only |y|_1 max|A_S| >= 1.  Over the inconsistent
+    supports of the differential test in tests/test_golden_lp.py, 1.d^ is at
+    least 0.016 and |A_S d^|_inf at most 2e-8 of its bound, so only a y over
+    a million times larger than a solution needs could escape.  Such a y
+    exists only because the k - k' singular values of A_S that the
+    threshold drops are not exactly zero.  The support's own y0 could not
+    pass either: A_S^T y0 = 1 - d and 1.d^ = |d|_2^2 / |d|_1 <= |d|_inf, so
+    its LP would only have been refused.  Where k' = k, d is zero and
+    refutes nothing.
+    """
+    norm = np.abs(d).sum(axis=1)
+    d = d / np.where(norm > 0.0, norm, 1.0)[:, None]
+    residual = np.abs(np.matmul(d[:, None, :], columns)[:, 0]).max(axis=1)
+    scale = np.abs(columns).max(axis=(1, 2))
+    return (residual <= tol.feas_tol * scale) & (d.sum(axis=1) > tol.feas_tol)
+
+
+def _null_space_lps(At: np.ndarray, U: np.ndarray, off: np.ndarray, Q: np.ndarray,
+                    u: np.ndarray, rank_tol: float):
+    # The null-space LPs of supports with k' = len(u) equalities that count,
+    # from an orthogonal Q whose first k' columns span A~_S and u with
+    # y0 = U Q_1 u; with y0, N and the start of each: z_J for r - k' columns
+    # J with G_J nonsingular, picked by a partial-pivot elimination on G
+    # (pivots above rank_tol), then mu and v-.  The start's z_J = 0, mu = 1
+    # and v- = 1 are feasible; an LP whose elimination falls to the
+    # threshold or below gets no start.
+    r = At.shape[0]
+    count, k, _ = u.shape
+    kc, rows = off.shape[1], r - k
     every = np.arange(count)
-    u = np.zeros((count, 0, 1))                       # R^-T 1
-    if k:
-        u = np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((count, k, 1)))
     P = np.matmul(Q.transpose(0, 2, 1), At[:, off].transpose(1, 0, 2))   # Q^T A~_off
     UQ = np.matmul(U, Q)
     # Each row of G is scaled to unit norm, and its column of N with it:
     # G z = 0 does not see the scale of a row, and so the LP does not see
     # the scale of A (eta0 does not either).  No row is zero: A~ has full
-    # row rank, and N^T A~_S = 0.
+    # row rank, its singular values are above the row reduction's
+    # threshold, and those of N^T A~_S are zero, or below it where k' < k.
     norms = np.sqrt((P[:, k:] * P[:, k:]).sum(axis=2))
     G = P[:, k:] / norms[:, :, None]
     N = UQ[:, :, k:] / norms[:, None, :]
@@ -282,22 +305,6 @@ def _margin_certificate(S: IndexSet, margin: _Margin, tol: ToleranceConfig) -> R
     return RspCertificate(holds, S, margin.eta, margin.y, t_star, OPTIMAL)
 
 
-def _full_margin(A: np.ndarray,
-                 sol: LpSolution | CertificateUnavailable) -> _Margin | CertificateUnavailable:
-    # A full margin LP's outcome; the LP core re-checked its optimum.
-    if isinstance(sol, CertificateUnavailable):
-        return sol
-    if sol.status == INFEASIBLE:
-        return _Margin(INFEASIBLE)
-    if sol.status != OPTIMAL:
-        # The shifted margin is bounded below by zero, so this cannot happen
-        # unless the solve broke down numerically.
-        return CertificateUnavailable(f"margin LP returned {sol.status}")
-    m = A.shape[0]
-    y = sol.x[:m] - sol.x[-m:]
-    return _Margin(OPTIMAL, float(sol.objective_value) - 1.0, y, A.T @ y)
-
-
 def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps, solved: list,
                         tol: ToleranceConfig) -> list[_Margin | CertificateUnavailable]:
     # The null-space LPs' outcomes.  Each optimum is re-checked on the raw A
@@ -332,22 +339,22 @@ def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps
 
 def _margin_solves(A: np.ndarray, supports: list[IndexSet],
                    tol: ToleranceConfig) -> list[_Margin | CertificateUnavailable]:
-    # The margin LPs of sorted supports of one size, in order: one stack of
-    # null-space LPs, each started where it has a start, and one stack of
-    # full LPs, solved two-phase.
+    # The margin LPs of sorted supports of one size, in order: INFEASIBLE
+    # where a checked witness refutes the equalities, and otherwise the
+    # null-space LP, solved in lockstep with the others of its k' and
+    # started where it has a start.
     if not supports:
         return []
     block = np.array(supports, dtype=np.intp)
-    reduced, full = _margin_stacks(A, block, tol.rank_tol)
+    stacks, refuted = _margin_stacks(A, block, tol)
     results: list = [None] * len(supports)
-    if reduced is not None:
+    for i in refuted:
+        results[i] = _Margin(INFEASIBLE)
+    for reduced in stacks:
         solved = solve_batch(reduced.lps, tol, basis=reduced.basis)
         for i, margin in zip(reduced.at, _null_space_margins(A, block[reduced.at], reduced,
                                                               solved, tol)):
             results[i] = margin
-    if full.size:
-        for i, sol in zip(full, solve_batch(_margin_lps(A, block[full]), tol)):
-            results[i] = _full_margin(A, sol)
     return results
 
 
@@ -356,12 +363,12 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     """``check_rsp_at`` for several supports of one size, as stacked margin LPs.
 
     Yields one certificate per support, in order; each equals the one
-    ``check_rsp_at`` gives for its support.  The margin LPs are built as two
-    stacks, the null-space LPs of the full-rank supports and the full LPs of
-    the others, each solved in lockstep; ``solve_batch`` bounds the tableau
-    memory, and the caller bounds the stack (the enumerations pass blocks of
-    at most 256 supports).  A solve that breaks down or fails its re-check raises
-    its ``CertificateUnavailable`` at the first such support in the given order.
+    ``check_rsp_at`` gives for its support.  The null-space margin LPs are
+    built as one stack per number of independent equalities, each solved in
+    lockstep; ``solve_batch`` bounds the tableau memory, and the caller
+    bounds the stack (the enumerations pass blocks of at most 256 supports).
+    A solve that breaks down or fails its re-check raises its
+    ``CertificateUnavailable`` at the first such support in the given order.
     """
     A = as_matrix(A)
     supports = [normalize_support(S, A.shape[1]) for S in supports]
@@ -376,13 +383,15 @@ def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     """Certify the range space property at a support via the margin LP.
 
     The margin LP is min t s.t. A_S^T y = 1 on S, A_j^T y <= t off S,
-    t >= -1, with y free.  Where A_S has full column rank it is solved in
-    null-space coordinates: y = y0 + N w with y0 the least-norm solution of
-    the equalities and N a basis of null(A_S^T) in the range of A, through
-    the dual LP max eta0.z - mu s.t. (N^T A_off) z = 0, 1.z + mu = 1,
-    z, mu >= 0 (eta0 = A_off^T y0), whose optimum is t*; its optimum is
-    re-checked on A itself.  Elsewhere the LP is solved as stated, with
-    y = y+ - y-, and may be infeasible.  Yes iff t* <= 1 - rsp_margin; no
+    t >= -1, with y free.  It is solved in null-space coordinates:
+    y = y0 + N w with y0 the least-norm solution of the equalities and N a
+    basis of null(A_S^T) in the range of A, through the dual LP
+    max eta0.z - mu s.t. (N^T A_off) z = 0, 1.z + mu = 1, z, mu >= 0
+    (eta0 = A_off^T y0), whose optimum is t*; its optimum is re-checked on
+    A itself.  Where A_S lacks full column rank, y0 and N come from an SVD
+    of A_S, and the equalities may be inconsistent: the LP is then
+    infeasible, and that is reported only on a witness d with A_S d ~ 0 and
+    1.d > 0 that passed a re-check on A_S.  Yes iff t* <= 1 - rsp_margin; no
     iff the equalities are inconsistent or t* is within feas_tol of 1 or
     above; marginal in the band between.  The empty support is solved the
     same way: it has no equalities, so t* lies in [-1, 0] (eta = 0 is

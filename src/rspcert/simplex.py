@@ -2,19 +2,19 @@
 
 Solves min c.x subject to B x = p, x >= 0.  Every variable is nonnegative:
 a caller with an unrestricted variable splits it into the difference of two
-nonnegative ones (the margin LPs of ``rsp`` do so for their objective value
-or their y).
+nonnegative ones (the margin LPs of ``rsp`` do so for their objective
+value).
 
 An LP is solved two-phase: phase 1 drives out artificial columns to reach a
 feasible basis, phase 2 optimises from it.  A caller that knows a feasible
 basis passes it to ``solve_batch`` and the LP starts in phase 2 on a
 tableau with no artificial columns.  ``rsp`` does so for the null-space
-margin LP of every support with full column rank, (m - k + 2) x (n - k + 3)
-for A of full row rank.  These stay two-phase: the l1 LPs, the first LP of
-``lp-sparse``, the full margin LPs of rank-deficient supports, and the
-feasibility LPs of the sparsest search, solved only for the supports whose
-b its least-squares screen (``oracle._outside_range``) does not put outside
-range(A_S).
+margin LP of every support, (r - k' + 2) x (n - k + 3) for A of rank r and
+A_S of rank k'; one whose start falls to the pivot threshold runs
+two-phase.  These stay two-phase: the l1 LPs, the first LP of
+``lp-sparse``, and the feasibility LPs of the sparsest search, solved only
+for the supports whose b its least-squares screen
+(``oracle._outside_range``) does not put outside range(A_S).
 
 ``solve_batch`` solves LPs that share one objective and shape (an
 ``LpStack``) on stacked tableaux of shape (B, rows, cols) of at most

@@ -285,7 +285,7 @@ def _scipy_t_star(A, S) -> float | None:
 
 
 def _differential_cases():
-    """(name, matrix, supports) of the null-space and full margin LPs' differential test."""
+    """(name, matrix, supports) of the margin LPs' differential test."""
     rng = np.random.default_rng([2026, 60])
     gaussian = rng.standard_normal((8, 16))
     dependent = rng.standard_normal((8, 16))
@@ -297,23 +297,30 @@ def _differential_cases():
     deficient[:, 8] = 0.5 * (deficient[:, 6] + deficient[:, 7])
     square = rng.standard_normal((4, 8))
     low_rank = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 9))
+    degenerate = rng.standard_normal((5, 10))
+    degenerate[:, 0] = 0.0
+    degenerate[:, 9] = degenerate[:, 1] - degenerate[:, 2] + 1e-14 * rng.standard_normal(5)
 
     def every(n, k, step=1):
         return list(combinations(range(n), k))[::step]
-    # Sizes above the rank of A and supports with dependent columns get the
-    # full margin LP, which may be infeasible.
+    # Sizes above the rank of A and supports with dependent columns take
+    # their null-space LP from an SVD of A_S; their equalities may be
+    # inconsistent, and then a checked witness makes them infeasible.
     return [("gaussian", gaussian, every(16, 1) + every(16, 2, 2) + every(16, 3, 8)),
             ("dependent rows", dependent, every(16, 1) + every(16, 2, 4) + every(16, 3, 16)),
             ("rank deficient", deficient, [(3, 4, 11), (5, 10), (0, 5, 10), (2, 9), (0, 2, 9),
                                            (6, 7, 8), (3, 11), (1, 4, 11)] + every(12, 2, 3)),
             ("k = rank", square, every(8, 4, 2)),
-            ("k = rank < m", low_rank, every(9, 3, 3) + every(9, 4, 6))]
+            ("k = rank < m", low_rank, every(9, 3, 3) + every(9, 4, 6)),
+            ("zero and nearly dependent columns", degenerate,
+             every(10, 1) + every(10, 2) + every(10, 3, 2) + every(10, 4, 4) + every(10, 5, 4)
+             + every(10, 6, 3))]
 
 
-_INFEASIBLE_SOME = ("rank deficient", "k = rank < m")
+_INFEASIBLE_SOME = ("rank deficient", "k = rank < m", "zero and nearly dependent columns")
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(6))
 def test_margin_t_star_matches_scipy(case):
     # t* of every support, batched as the enumerations batch them, against
     # HiGHS on the margin LP as the paper states it, to 1e-9; "infeasible"

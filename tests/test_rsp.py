@@ -17,6 +17,7 @@ from conftest import (DENSE_A, DENSE_B, DENSE_X, TIED_A, TIED_B, TIED_X_FULL,
                       TRIPLE_WITNESS_Y, TRIPLE_X3, UNIQUE_A, UNIQUE_B,
                       UNIQUE_WITNESS_ETA, UNIQUE_WITNESS_Y, UNIQUE_X,
                       planted_system)
+from test_golden_lp import margin_lp
 
 
 # ---------------------------------------------------------------- support_of
@@ -86,12 +87,10 @@ def test_empty_support_holds_vacuously():
 
 
 def _start(A, S):
-    """The certifier's margin LP at S and its start: the null-space LP and its
-    starting basis, or None and the full LP where S lacks full column rank."""
+    """The certifier's null-space margin LP at S and its starting basis."""
     block = np.array([S], dtype=np.intp).reshape(1, len(S))
-    reduced, full = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES.rank_tol)
-    if full.size:
-        return None, rsp._margin_lps(A, block)
+    (reduced,), refuted = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
+    assert not refuted.size
     return reduced.basis, reduced.lps
 
 
@@ -145,46 +144,78 @@ def test_a_null_space_optimum_that_fails_on_the_raw_matrix_is_not_a_verdict(monk
     A, b, _ = planted_system(np.random.default_rng([2026, 62]), 4, 8, 2)
     with pytest.raises(CertificateUnavailable, match=message):
         solve_and_certify(A, b)
-    # A support without full column rank takes the full LP, which y0 does not touch.
-    assert check_rsp_at(np.hstack([A, A[:, :1]]), (0, 8)).lp_status == OPTIMAL
+    # A support without full column rank takes its y0 from an SVD of A_S,
+    # and the same re-check refuses it.
+    with pytest.raises(CertificateUnavailable, match=message):
+        check_rsp_at(np.hstack([A, A[:, :1]]), (0, 8))
 
 
 def test_null_space_margins_do_not_see_the_scale_of_a():
     # The null-space LP scales each row of G to unit norm, and eta0 is
-    # invariant under A -> s A, so t* stays put over 14 orders of magnitude
-    # wherever A_S passes the full-rank test.  That test's threshold has an
-    # absolute floor, which these columns still clear at s = 1e-6.  Solved as
-    # the full margin LP, these supports fail the LP core's re-check at 1e8.
+    # invariant under A -> s A, so t* stays put over 18 orders of magnitude.
+    # The R-diagonal test that picks a support's QR has an absolute floor,
+    # rank_tol * max(1, max|A_S|), which these columns fall below at 1e-8;
+    # there each support takes its LP from an SVD of A_S instead, whose rank
+    # threshold is relative to the largest singular value of A.
     A = np.random.default_rng([2026, 70]).standard_normal((6, 12))
     for k in (0, 1, 2, 3):
         supports = list(combinations(range(12), k))
         want = [cert.t_star for cert in rsp.check_rsp_batch(A, supports)]
-        for scale in (1e-6, 1e-3, 1e3, 1e6, 1e8):
+        for scale in (1e-10, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8):
             got = [cert.t_star for cert in rsp.check_rsp_batch(scale * A, supports)]
             assert np.abs(np.subtract(got, want)).max() <= 1e-12, (k, scale)
 
 
-def test_rank_deficient_support_runs_phase_1():
-    # A duplicate column: A_S is singular, so the support gets the full
-    # margin LP, and the two-phase solve decides it.  Consistent equalities
-    # give an optimum, inconsistent ones (a column and its negation)
-    # "infeasible".
+def _duplicated_and_negated():
     A = np.random.default_rng([2026, 41]).standard_normal((4, 8))
     A[:, 6] = A[:, 1]
     A[:, 7] = -A[:, 2]
-    for S, status in (((1, 6), OPTIMAL), ((0, 1, 6), OPTIMAL), ((2, 7), INFEASIBLE),
-                      ((2, 5, 7), INFEASIBLE)):
-        basis, lps = _start(A, S)
-        assert basis is None
+    return A
+
+
+def test_rank_deficient_supports_match_the_full_margin_lp():
+    # A duplicate column and a negated one: A_S is singular, so the support
+    # takes its null-space LP from an SVD of A_S, with one G row per
+    # direction of the range of A that A_S does not span.  Consistent
+    # equalities give an optimum, and inconsistent ones (a column and its
+    # negation) a checked witness and "infeasible", as the full margin LP of
+    # tests/test_golden_lp.py, solved two-phase, decides them.  Consistent
+    # equalities stay consistent at any scale: no witness may refute them.
+    A = _duplicated_and_negated()
+    for S, status in (((1, 6), OPTIMAL), ((0, 1, 6), OPTIMAL), ((1, 3, 6), OPTIMAL),
+                      ((2, 7), INFEASIBLE), ((2, 5, 7), INFEASIBLE)):
         cert = check_rsp_at(A, S)
-        sol = simplex.solve_batch(lps)[0]
+        sol = simplex.solve(margin_lp(A, S))
         assert cert.lp_status == sol.status == status
         if status == OPTIMAL:
-            assert cert.t_star == sol.objective_value - 1.0
+            assert abs(cert.t_star - (sol.objective_value - 1.0)) <= 1e-9
+            assert _start(A, S)[1].constraints.shape[1:] == (4 - (len(S) - 1) + 2, 8 - len(S) + 3)
+            for scale in (1e-8, 1e8):
+                scaled = check_rsp_at(scale * A, S)
+                assert scaled.lp_status == OPTIMAL, (S, scale)
+                assert abs(scaled.t_star - cert.t_star) <= 1e-12, (S, scale)
         else:
             assert cert.holds is Verdict.NO and cert.t_star is None
     # Full-rank supports of the same matrix do start.
     assert _start(A, (1, 2))[0][0, 0] >= 0 and _start(A, (0, 3, 5))[0][0, 0] >= 0
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: np.stack([-d[:, 1], d[:, 0], *d[:, 2:].T], axis=1),
+    lambda d: d * np.arange(1, d.shape[1] + 1),
+    np.negative], ids=["rotated", "scaled", "negated"])
+def test_an_inconsistency_witness_that_fails_its_recheck_is_not_a_verdict(monkeypatch, corrupt):
+    # A witness d rotated or scaled on its way into the re-check no longer has
+    # A_S d ~ 0 and 1.d > 0, so the re-check must reject it.  The support then
+    # runs its LP, whose y0 misses the equalities, and the re-check of the
+    # optimum refuses it: no "infeasible" comes without a witness.
+    inconsistent = rsp._inconsistent
+    monkeypatch.setattr(rsp, "_inconsistent", lambda columns, d, tol: inconsistent(
+        columns, corrupt(d), tol))
+    A = _duplicated_and_negated()
+    for S in ((2, 7), (2, 5, 7)):
+        with pytest.raises(CertificateUnavailable, match="certificate re-check"):
+            check_rsp_at(A, S)
 
 
 def test_exact_unit_margin_is_a_hard_no():

@@ -414,8 +414,8 @@ def _margin_stack(matrices, k):
     stacks = []
     for A in matrices:
         block = np.array(list(combinations(range(A.shape[1]), k)), dtype=np.intp)
-        reduced, full = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES.rank_tol)
-        assert not full.size
+        (reduced,), refuted = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
+        assert reduced.at.size == len(block) and not refuted.size
         stacks.append(reduced)
     lps = LpStack(stacks[0].lps.objective, np.concatenate([r.lps.constraints for r in stacks]),
                   np.concatenate([r.lps.rhs for r in stacks]))
