@@ -28,7 +28,12 @@ feasibility LPs (through ``sparsest_supports``: µs per support checked,
 and the feasibility LPs it actually solves, which are fewer once supports
 are screened before any LP runs), the size-3 supports of the 8x16 matrices for the
 rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
-of the four properties.  The lockstep figures count the steps of the stacked engine on
+of the four properties and on the matrices and properties of the
+benchmark's ``orderk_enum`` commands for seed 1 (with its l1 pivots per LP,
+and its margin LPs and rank probes per checked support).
+``solve_and_certify_batch`` gets a digest of its outputs on planted
+right-hand sides of the 8x16 matrices, and its l1 pivots per LP, so that
+two trees can be shown to agree on it.  The lockstep figures count the steps of the stacked engine on
 the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
 commands for seed 1 (``perfbench/workloads.py``, run in-process through
 ``rspcert.cli.main``).  Times are the fastest of ``--repeat`` runs, on one
@@ -118,7 +123,10 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
 
     out["lockstep"] = _lockstep(rc, mats, repeat)
     if cap_kib is None:
-        out["oracle"] = _oracle(rc, np, mats, repeat)
+        props = ("rsp", "wrsp", "prsp", "pwrsp")
+        out["oracle"] = _oracle(rc, np, [(A, prop) for A in mats for prop in props], repeat)
+        out["oracle_orderk_enum_seed1"] = _oracle(rc, np, _orderk_runs(np), repeat)
+        out["solve_and_certify_batch"] = _public_batch(rc, np, mats)
     return out
 
 
@@ -187,26 +195,95 @@ def _batch_of_one(rc, np, repeat: int) -> dict:
     return out
 
 
-def _oracle(rc, np, mats, repeat: int) -> dict:
-    """µs per support the recovery oracle checks, and its l1 LPs per window."""
-    from rspcert import simplex
-    runs = [(A, prop) for A in mats for prop in ("rsp", "wrsp", "prsp", "pwrsp")]
+def _oracle(rc, np, runs, repeat: int) -> dict:
+    """The recovery oracle at K=3 over ``runs``, pairs of a matrix and a property.
+
+    µs per support it checks; its l1 LPs per stack (a window's stack, or the
+    two-phase re-solve of started LPs that failed) and per checked support,
+    and the pivots of each l1 LP; the margin LPs and margin-LP stacks it
+    solves, and the matrices its rank probes take, per checked support.
+    """
+    from rspcert import linalg, simplex
 
     def oracle():
         return [rc.uniform_recovery_oracle(A, 3, property=prop) for A, prop in runs]
     checked = sum(r.supports_checked for r in oracle())
     t = _best(oracle, repeat)
-    stacks = []
+    stacks, l1_pivots, margin = [], [], []
+    probes = [0]
 
     def record(lps, results):
-        # The l1 LPs: stacks with objective all ones.
+        # The l1 LPs are the stacks with objective all ones; the rest are
+        # margin LPs.
         if isinstance(lps, simplex.LpStack) and np.all(lps.objective == 1.0):
             stacks.append(len(results))
-    with _counting(record):
-        oracle()
+            l1_pivots.extend(r.pivots for r in results if not isinstance(r, Exception))
+        else:
+            margin.append(len(results))
+    real = linalg._pivoted_rank
+
+    def counted(M, rank_tol):
+        probes[0] += len(M)
+        return real(M, rank_tol)
+    linalg._pivoted_rank = counted
+    try:
+        with _counting(record):
+            oracle()
+    finally:
+        linalg._pivoted_rank = real
     return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
             "l1_lps_per_window": statistics.fmean(stacks),
-            "l1_lps_per_support": sum(stacks) / checked}
+            "l1_lps_per_support": sum(stacks) / checked,
+            "l1_pivots_per_lp": statistics.fmean(l1_pivots),
+            "margin_lps": sum(margin), "margin_stacks": len(margin),
+            "margin_lps_per_support": sum(margin) / checked,
+            "rank_probes": probes[0], "rank_probes_per_support": probes[0] / checked}
+
+
+def _orderk_runs(np) -> list:
+    """(A, property) of each orderk_enum command of seed 1."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            commands = workloads.WORKLOADS["orderk_enum"].commands(1)
+        finally:
+            os.chdir(here)
+    return [(command.A, command.argv[command.argv.index("--property") + 1])
+            for command in commands]
+
+
+def _public_batch(rc, np, mats) -> dict:
+    """A digest of ``solve_and_certify_batch`` outputs, and its l1 pivots per LP.
+
+    Forty right-hand sides planted on random supports of sizes 1 to 4 of each
+    8x16 matrix; the digest covers x, the verdicts, t* and the witnesses.
+    """
+    import hashlib
+    digest = hashlib.sha256()
+    pivots = []
+    for i, A in enumerate(mats):
+        rng = np.random.default_rng([4, 40 + i])
+        planted = np.zeros((40, 16))
+        for row in planted:
+            S = rng.choice(16, size=int(rng.integers(1, 5)), replace=False)
+            row[S] = rng.uniform(0.1, 1.0, size=S.size)
+        with _counting(lambda lps, results: pivots.extend(
+                r.pivots for r in results
+                if not isinstance(r, Exception) and np.all(lps.objective == 1.0))):
+            results = list(rc.solve_and_certify_batch(A, [A @ p for p in planted]))
+        for x, verdict in results:
+            cert = verdict.rsp
+            digest.update(x.tobytes())
+            digest.update(repr((verdict.unique, verdict.reason, verdict.rank_found,
+                                verdict.augmented_full_column_rank, verdict.rank_marginal,
+                                cert.holds, cert.support, cert.t_star)).encode())
+            for witness in (cert.witness_eta, cert.witness_y):
+                if witness is not None:
+                    digest.update(witness.tobytes())
+    return {"sha256": digest.hexdigest(), "l1_pivots_per_lp": statistics.fmean(pivots)}
 
 
 def _steps(simplex, work) -> dict:

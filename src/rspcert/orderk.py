@@ -25,7 +25,7 @@ import numpy as np
 
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
                      ToleranceConfig, as_matrix, rank)
-from .rsp import Verdict, check_rsp_batch, solve_and_certify_batch
+from .rsp import Verdict, _certified_points, _l1_points, check_rsp_batch
 
 # Enumeration cap for LP-backed subset certification.  Each subset costs one
 # LP solve, far more than the rank probes behind the spark search, so the
@@ -35,6 +35,10 @@ DEFAULT_CHECK_BUDGET = 1_000_000
 # Supports in the first window of each block the recovery oracle solves as
 # one batch; each further window of the block is twice as long.
 _FIRST_WINDOW = 8
+
+# The largest |x - planted x| at which the recovery oracle counts a planted
+# vector as recovered.
+_RECOVERY_TOL = 1e-6
 
 
 class Quantifier(NamedTuple):
@@ -152,6 +156,32 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                           no_full_rank_subset=q.full_rank_only and supports.count == 0)
 
 
+def _l1_walk(A: np.ndarray, block: list[IndexSet], k: int, trials: int,
+             rng: np.random.Generator, tol: ToleranceConfig) -> tuple[list, list]:
+    # The planted vectors and l1 points of a block's trials, window by
+    # window, up to and including the first trial whose l1 step fails or
+    # misses its planted vector; no window is drawn after it.
+    n = A.shape[1]
+    plants: list[np.ndarray] = []
+    points: list = []
+    start, width = 0, _FIRST_WINDOW
+    while start < len(block):
+        window = block[start:start + width]
+        start, width = start + len(window), 2 * width
+        rows = len(window) * trials
+        planted = np.zeros((rows, n))
+        columns = np.repeat(np.array(window, dtype=np.intp), trials, axis=0)
+        planted[np.arange(rows)[:, None], columns] = rng.uniform(0.1, 1.0, size=(rows, k))
+        # One product per trial, as each trial's own call computed it.
+        rhs = np.array([A @ p for p in planted])
+        for p, point in zip(planted, _l1_points(A, rhs, tol, columns)):
+            plants.append(p)
+            points.append(point)
+            if isinstance(point, Exception) or np.abs(point[0] - p).max() > _RECOVERY_TOL:
+                return plants, points
+    return plants, points
+
+
 def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
                             tol: ToleranceConfig = DEFAULT_TOLERANCES,
                             seed: int = 0, budget: int = DEFAULT_CHECK_BUDGET,
@@ -169,41 +199,35 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     taken from the certifiers.
 
     Supports are visited in enumeration order, and the first that fails is
-    reported.  Each block of the enumeration is walked in windows of 8,
-    16, 32, ... supports, and one window's trials are one
-    ``solve_and_certify_batch`` call.  That gives each trial exactly what a
-    ``solve_and_certify`` call of its own gives, and raises an exception
-    only on reaching the trial that raises it, so reading the results in
-    order and stopping at the first failure reports what a one-by-one walk
-    reports.  A window's planted values are one draw of W * trials rows of
-    k values, the same stream as W * trials draws of k values each, so the
-    values planted on a support do not depend on the windows.
+    reported.  Each trial gets what a ``solve_and_certify`` call of its own
+    gives, and an exception is raised only on reaching the trial that
+    raises it, so the report is what a one-by-one walk reports.  Each block
+    of the enumeration is walked in windows of 8, 16, 32, ... supports; one
+    window's l1 LPs are one stack, each started at its planted vertex (S
+    and m - k columns that make the basis nonsingular, or two-phase where
+    none is found).  Phase 2 still decides optimality by reduced costs and
+    every optimum is re-checked on the raw data, and a started LP whose
+    re-check fails is solved once more, two-phase.  The walk stops at the
+    first trial whose l1 step fails or misses the planted vector; the
+    block's trials up to and including it are then certified in one call,
+    so no margin LP is solved past the first failure.  A window's planted
+    values are one draw of W * trials rows of k values, the same stream as
+    W * trials draws of k values each, so the values planted on a support
+    do not depend on the windows.
     """
     if trials_per_support < 1:
         raise ValueError(f"trials_per_support={trials_per_support} must be at least 1")
     A = as_matrix(A)
     supports = _supports(A, K, property, tol, budget)
-    n = A.shape[1]
     rng = np.random.default_rng(seed)
     checked = 0
     for k, block in supports:
-        start, width = 0, _FIRST_WINDOW
-        while start < len(block):
-            window = block[start:start + width]
-            start, width = start + len(window), 2 * width
-            rows = len(window) * trials_per_support
-            planted = np.zeros((rows, n))
-            columns = np.repeat(np.array(window, dtype=np.intp), trials_per_support, axis=0)
-            planted[np.arange(rows)[:, None], columns] = rng.uniform(0.1, 1.0, size=(rows, k))
-            # One product per trial, as each trial's own call computed it.
-            rhs = np.array([A @ p for p in planted])
-            results = solve_and_certify_batch(A, rhs, tol)
-            for i, (recovered, verdict) in enumerate(results):
-                ok = (verdict.unique is Verdict.YES
-                      and np.abs(recovered - planted[i]).max() <= 1e-6)
-                if not ok:
-                    S = window[i // trials_per_support]
-                    return RecoveryOracleReport(False, S, checked + 1 + i // trials_per_support,
-                                                trials_per_support, seed)
-            checked += len(window)
+        plants, points = _l1_walk(A, block, k, trials_per_support, rng, tol)
+        for i, (recovered, verdict) in enumerate(_certified_points(A, points, tol)):
+            if not (verdict.unique is Verdict.YES
+                    and np.abs(recovered - plants[i]).max() <= _RECOVERY_TOL):
+                return RecoveryOracleReport(False, block[i // trials_per_support],
+                                            checked + 1 + i // trials_per_support,
+                                            trials_per_support, seed)
+        checked += len(block)
     return RecoveryOracleReport(True, None, checked, trials_per_support, seed)

@@ -236,7 +236,6 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, off: np.ndarray, Q: np.ndarra
     r = At.shape[0]
     count, k, _ = u.shape
     kc, rows = off.shape[1], r - k
-    every = np.arange(count)
     P = np.matmul(Q.transpose(0, 2, 1), At[:, off].transpose(1, 0, 2))   # Q^T A~_off
     UQ = np.matmul(U, Q)
     # Each row of G is scaled to unit norm, and its column of N with it:
@@ -260,25 +259,37 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, off: np.ndarray, Q: np.ndarra
     cost[kc + 1:] = (-1.0, 1.0)
     lps = LpStack(cost, B, np.broadcast_to(rhs, (count, rows + 2)))
 
-    # Row c of G picks its column of largest |entry| once the rows above are
+    basis = np.empty((count, rows + 2), dtype=np.intp)
+    basis[:, :rows] = _pivot_columns(G, rank_tol)
+    basis[:, rows:] = (kc, kc + 2)
+    basis[(basis[:, :rows] < 0).any(axis=1)] = -1
+    return lps, basis, y0, N
+
+
+def _pivot_columns(E: np.ndarray, rank_tol: float) -> np.ndarray:
+    # One column per row of each matrix of the stack E (count, rows, cols),
+    # such that those columns of E are nonsingular, or a row of -1.  Row c
+    # picks its column of largest |entry| once the rows above are
     # eliminated; the pivot stays in row c.  A picked column is left at
     # rounding level in the rows below, so a pick repeats only at a pivot
-    # below the threshold.
-    E = G.copy()
-    basis = np.empty((count, rows + 2), dtype=np.intp)
-    basis[:, rows:] = (kc, kc + 2)
+    # below the threshold.  A matrix with a pivot at rank_tol or below gets
+    # the row of -1.
+    count, rows, _ = E.shape
+    E = E.copy()
+    every = np.arange(count)
+    picks = np.empty((count, rows), dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # A zero pivot fills the rest of its LP with inf and nan, and the
-        # LP has no start.
+        # A zero pivot fills the rest of its matrix with inf and nan, and
+        # the matrix gets no columns.
         for c in range(rows - 1):
-            basis[:, c] = j = np.abs(E[:, c]).argmax(axis=1)
+            picks[:, c] = j = np.abs(E[:, c]).argmax(axis=1)
             factor = E[every, c + 1:, j] / E[every, c, j][:, None]
             E[:, c + 1:] -= factor[:, :, None] * E[:, c, None, :]
     if rows:
-        basis[:, rows - 1] = np.abs(E[:, rows - 1]).argmax(axis=1)
-    pivots = E[every[:, None], np.arange(rows), basis[:, :rows]]
-    basis[~(np.abs(pivots) > rank_tol).all(axis=1)] = -1
-    return lps, basis, y0, N
+        picks[:, rows - 1] = np.abs(E[:, rows - 1]).argmax(axis=1)
+    pivots = E[every[:, None], np.arange(rows), picks]
+    picks[~(np.abs(pivots) > rank_tol).all(axis=1)] = -1
+    return picks
 
 
 class _Margin(NamedTuple):
@@ -505,6 +516,87 @@ def _l1_point(sol: LpSolution) -> np.ndarray:
     return sol.x
 
 
+def _l1_starts(A: np.ndarray, block: np.ndarray, rank_tol: float) -> np.ndarray:
+    # A starting basis of the l1 LP of each right-hand side A x with x
+    # planted on the support in its row of ``block`` (count, k): S and
+    # m - k columns J off S with [A_S A_J] nonsingular, so that the basic
+    # solution is x itself.  With Q from a complete QR A_S = Q R, J is
+    # picked by ``_pivot_columns`` on Q_2^T A_off.  A is scaled to largest
+    # |entry| 1 first, and a support gets a row of -1 where k > m, or where
+    # a diagonal entry of R or a pivot is at rank_tol or below.
+    count, k = block.shape
+    m, n = A.shape
+    basis = np.full((count, m), -1, dtype=np.intp)
+    scale = np.abs(A).max()
+    if k > m or not scale > 0.0:
+        return basis
+    At = A.T / scale
+    Q, R = np.linalg.qr(At[block].transpose(0, 2, 1), mode="complete")
+    off = _off_support(block, n)
+    picks = _pivot_columns(np.matmul(Q[:, :, k:].transpose(0, 2, 1),
+                                     At[off].transpose(0, 2, 1)), rank_tol)
+    ok = ((np.abs(np.diagonal(R, axis1=1, axis2=2)) > rank_tol).all(axis=1)
+          & (picks >= 0).all(axis=1))
+    basis[ok, :k] = block[ok]
+    basis[ok, k:] = np.take_along_axis(off[ok], picks[ok], axis=1)
+    return basis
+
+
+def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
+               planted_on: np.ndarray | None = None
+               ) -> list[tuple[np.ndarray, IndexSet] | RspcertError]:
+    # The l1 step of ``solve_and_certify`` for each right-hand side: the
+    # optimal x and its support, or the error raised for it.  The LPs are one
+    # stack, solved two-phase.  With ``planted_on`` (one row of a support per
+    # right-hand side A x, x positive on it), each LP starts at its planted
+    # vertex where ``_l1_starts`` finds a basis; phase 2 still decides
+    # optimality by reduced costs and every optimum is re-checked, and a
+    # started LP that comes back ``CertificateUnavailable`` is solved once
+    # more, two-phase.
+    m, n = A.shape
+    lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs)
+    if planted_on is None:
+        solved = solve_batch(lps, tol)
+    else:
+        basis = _l1_starts(A, planted_on, tol.rank_tol)
+        solved = solve_batch(lps, tol, basis=basis)
+        again = [i for i, sol in enumerate(solved)
+                 if basis[i, 0] >= 0 and isinstance(sol, CertificateUnavailable)]
+        if again:
+            for i, sol in zip(again, solve_batch(lps[again], tol)):
+                solved[i] = sol
+    points: list = []
+    for b, sol in zip(rhs, solved):
+        try:
+            x = _l1_point(_raised(sol))
+            points.append((x, _solution_support(A, b, x, tol)))
+        except RspcertError as error:
+            points.append(error)
+    return points
+
+
+def _certified_points(A: np.ndarray, points: list, tol: ToleranceConfig
+                      ) -> Iterator[tuple[np.ndarray, UniquenessVerdict]]:
+    # The certification step of ``solve_and_certify`` for each entry of
+    # ``points``: ``(x, verdict)``, or a raise on reaching an error.  The
+    # margin LPs at the supports reached (each distinct support once) are
+    # one stack per support size, and the rank tests stacked probes.
+    n = A.shape[1]
+    by_size: dict[int, list[IndexSet]] = {}
+    for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
+        by_size.setdefault(len(S), []).append(S)
+    with_ones = np.vstack([A, np.ones(n)])
+    margin, ranks, augmented = {}, {}, {}
+    for group in by_size.values():
+        margin |= zip(group, _margin_solves(A, group, tol))
+        ranks |= zip(group, _block_ranks(A, group, tol.rank_tol))
+        augmented |= zip(group, _block_ranks(with_ones, group, tol.rank_tol))
+    for point in points:
+        x, S = _raised(point)
+        cert = _margin_certificate(S, _raised(margin[S]), tol)
+        yield x, _combine(cert, ranks[S], augmented[S], len(S))
+
+
 def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
                             ) -> Iterator[tuple[np.ndarray, UniquenessVerdict]]:
     """``solve_and_certify`` for several right-hand sides of one matrix, as stacked LPs.
@@ -520,29 +612,9 @@ def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
     before: a consumer that stops at an earlier one never sees it.
     """
     A = as_matrix(A)
-    m, n = A.shape
+    m = A.shape[0]
     rhs = np.array([as_vector(b, m) for b in rhs]).reshape(-1, m)
-    lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs)
-    points: list[tuple[np.ndarray, IndexSet] | RspcertError] = []
-    for b, sol in zip(rhs, solve_batch(lps, tol)):
-        try:
-            x = _l1_point(_raised(sol))
-            points.append((x, _solution_support(A, b, x, tol)))
-        except RspcertError as error:
-            points.append(error)
-    by_size: dict[int, list[IndexSet]] = {}
-    for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
-        by_size.setdefault(len(S), []).append(S)
-    with_ones = np.vstack([A, np.ones(n)])
-    margin, ranks, augmented = {}, {}, {}
-    for group in by_size.values():
-        margin |= zip(group, _margin_solves(A, group, tol))
-        ranks |= zip(group, _block_ranks(A, group, tol.rank_tol))
-        augmented |= zip(group, _block_ranks(with_ones, group, tol.rank_tol))
-    for point in points:
-        x, S = _raised(point)
-        cert = _margin_certificate(S, _raised(margin[S]), tol)
-        yield x, _combine(cert, ranks[S], augmented[S], len(S))
+    yield from _certified_points(A, _l1_points(A, rhs, tol), tol)
 
 
 def solve_and_certify(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES):

@@ -10,11 +10,15 @@ feasible basis, phase 2 optimises from it.  A caller that knows a feasible
 basis passes it to ``solve_batch`` and the LP starts in phase 2 on a
 tableau with no artificial columns.  ``rsp`` does so for the null-space
 margin LP of every support, (r - k' + 2) x (n - k + 3) for A of rank r and
-A_S of rank k'; one whose start falls to the pivot threshold runs
-two-phase.  These stay two-phase: the l1 LPs, the first LP of
-``lp-sparse``, and the feasibility LPs of the sparsest search, solved only
-for the supports whose b its least-squares screen
-(``oracle._outside_range``) does not put outside range(A_S).
+A_S of rank k', and for the recovery oracle's l1 LPs, each at its planted
+vertex (S and m - k columns that make the basis nonsingular); a margin LP
+or an l1 LP whose start falls to the pivot threshold runs two-phase, and
+an l1 LP whose started solve is refused is solved once more, two-phase.
+These stay two-phase: the l1 LPs of ``solve_l1``, ``solve_and_certify``
+and ``solve_and_certify_batch``, the first LP of ``lp-sparse``, and the
+feasibility LPs of the sparsest search, solved only for the supports whose
+b its least-squares screen (``oracle._outside_range``) does not put outside
+range(A_S).
 
 ``solve_batch`` solves LPs that share one objective and shape (an
 ``LpStack``) on stacked tableaux of shape (B, rows, cols) of at most

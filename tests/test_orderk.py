@@ -3,9 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rspcert import (BudgetExceeded, CertificateUnavailable, IterationLimit,
-                     Verdict, certify_order_k, check_rsp_at, spark,
-                     sparsest_supports, uniform_recovery_oracle)
+from rspcert import (DEFAULT_TOLERANCES, BudgetExceeded, CertificateUnavailable,
+                     IterationLimit, RspcertError, Verdict, certify_order_k, check_rsp_at,
+                     spark, sparsest_supports, uniform_recovery_oracle)
 from rspcert.orderk import QUANTIFIERS
 
 from conftest import COHERENT_A
@@ -114,7 +114,8 @@ def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
     # every LP solve of either goes through rsp.solve_batch.
     calls = []
     monkeypatch.setattr(orderk, "check_rsp_batch", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(orderk, "solve_and_certify_batch", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "_l1_points", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "_certified_points", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
     A = np.random.default_rng(40).standard_normal((4, 30))
     for prop in QUANTIFIERS:
@@ -144,18 +145,26 @@ def test_unknown_property_is_refused_before_any_solve(monkeypatch, run):
 
 
 def _break_first_l1_stack(monkeypatch, at):
-    """Make the first stack of l1 LPs return a breakdown for its LP ``at``."""
+    """Make LP ``at`` of the first stack of l1 LPs break down, each time it is solved.
+
+    The oracle solves a started l1 LP that breaks down once more, two-phase;
+    that solve of the same right-hand side breaks down as well.
+    """
     import rspcert.rsp as rsp
 
     real = rsp.solve_batch
     stacks = []
+    broken = []
 
     def solve_batch(lps, *args, **kwargs):
         results = real(lps, *args, **kwargs)
         if np.all(lps.objective == 1.0):     # the l1 LPs
             stacks.append(len(results))
             if len(stacks) == 1:
-                results[at] = IterationLimit("injected breakdown")
+                broken.append(lps.rhs[at].copy())
+            for i, rhs in enumerate(lps.rhs):
+                if np.array_equal(rhs, broken[0]):
+                    results[i] = IterationLimit("injected breakdown")
         return results
     monkeypatch.setattr(rsp, "solve_batch", solve_batch)
     return stacks
@@ -164,19 +173,21 @@ def _break_first_l1_stack(monkeypatch, at):
 def test_oracle_breakdown_after_the_first_failure_is_not_raised(monkeypatch):
     # Three trials per support: the first window holds supports 0-7, 24 l1
     # LPs, and support 6 fails recovery.  A breakdown at support 7's last
-    # trial comes after it and is never reached.
+    # trial comes after it; its two-phase re-solve (the stack of 1) breaks
+    # down too, and neither is reached.
     A = np.random.default_rng([2027, 0]).standard_normal((5, 10))
     stacks = _break_first_l1_stack(monkeypatch, 23)
     report = uniform_recovery_oracle(A, 2, trials_per_support=3, property="prsp")
-    assert stacks == [24]
+    assert stacks == [24, 1]
     assert (report.recovers, report.failing_support, report.supports_checked) == (False, (0, 7), 7)
 
 
 def test_oracle_breakdown_before_the_first_failure_is_raised(monkeypatch):
     A = np.random.default_rng([2027, 0]).standard_normal((5, 10))
-    _break_first_l1_stack(monkeypatch, 4)
+    stacks = _break_first_l1_stack(monkeypatch, 4)
     with pytest.raises(CertificateUnavailable, match="injected breakdown"):
         uniform_recovery_oracle(A, 2, trials_per_support=3, property="prsp")
+    assert stacks == [24, 1]
 
 
 
@@ -186,16 +197,18 @@ def test_oracle_draws_follow_the_one_by_one_stream(monkeypatch):
     import rspcert.orderk as orderk
 
     A = np.random.default_rng([2027, 25]).standard_normal((5, 10))
-    seen = []
-    real = orderk.solve_and_certify_batch
+    seen, planted_on = [], []
+    real = orderk._l1_points
 
-    def recording(A, rhs, tol):
+    def recording(A, rhs, tol, supports):
         seen.append(rhs)
-        return real(A, rhs, tol)
-    monkeypatch.setattr(orderk, "solve_and_certify_batch", recording)
+        planted_on.extend(map(tuple, supports))
+        return real(A, rhs, tol, supports)
+    monkeypatch.setattr(orderk, "_l1_points", recording)
     report = uniform_recovery_oracle(A, 2, trials_per_support=3, seed=5)
     assert report.recovers and report.supports_checked == 55
     assert [len(rhs) for rhs in seen] == [24, 6, 24, 48, 63]   # 8, 2 | 8, 16, 21 supports
+    assert planted_on == [S for k in (1, 2) for S in combinations(range(10), k) for _ in range(3)]
     rng = np.random.default_rng(5)
     expected = []
     for k in (1, 2):
@@ -205,6 +218,140 @@ def test_oracle_draws_follow_the_one_by_one_stream(monkeypatch):
                 planted[list(S)] = rng.uniform(0.1, 1.0, size=k)
                 expected.append(A @ planted)
     assert np.array_equal(np.concatenate(seen), np.array(expected))
+
+
+def _oracle_outcome(A, K, prop, trials, seed=3):
+    """The oracle's report, or the type and message of the error it raises."""
+    try:
+        return uniform_recovery_oracle(A, K, trials_per_support=trials, property=prop, seed=seed)
+    except RspcertError as error:
+        return type(error), str(error)
+
+
+def _oracle_with_and_without_starts(monkeypatch, A, K, prop, trials, seed=3):
+    """The oracle's outcome with every l1 LP solved two-phase, then with planted starts."""
+    import rspcert.rsp as rsp
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rsp, "_l1_starts",
+                      lambda A, block, rank_tol: np.full((len(block), A.shape[0]), -1))
+        unstarted = _oracle_outcome(A, K, prop, trials, seed)
+    return unstarted, _oracle_outcome(A, K, prop, trials, seed)
+
+
+def _start_cases():
+    rng = np.random.default_rng([2027, 40])
+    cases = []
+    for shape, K in (((7, 10), 2), ((5, 10), 3)):
+        duplicated = rng.standard_normal(shape)
+        duplicated[:, 7] = duplicated[:, 2]
+        duplicated[:, 9] = 2.0 * duplicated[:, 4]
+        cases += [pytest.param(rng.standard_normal(shape), K, id=f"gaussian {shape}"),
+                  pytest.param(rng.integers(-2, 3, size=shape).astype(float), K,
+                               id=f"small integer {shape}"),
+                  pytest.param(duplicated, K, id=f"duplicated columns {shape}")]
+    return cases + [pytest.param(rng.standard_normal((3, 6)), 4, id="3x6, K > m")]
+
+
+@pytest.mark.parametrize("A, K", _start_cases())
+def test_oracle_reports_do_not_depend_on_the_l1_start(monkeypatch, A, K):
+    # Starting each l1 LP at its planted vertex changes no report: phase 2
+    # decides optimality and every optimum is re-checked.
+    for prop in QUANTIFIERS:
+        for trials in (1, 3):
+            unstarted, started = _oracle_with_and_without_starts(monkeypatch, A, K, prop, trials)
+            assert started == unstarted, (prop, trials)
+
+
+def _planted_vectors(A, K, prop, trials, seed):
+    """(S, planted x of each trial) of every support, in the oracle's order and draws."""
+    import rspcert.orderk as orderk
+
+    rng = np.random.default_rng(seed)
+    for k, block in orderk._supports(A, K, prop, DEFAULT_TOLERANCES, 10**6):
+        for S in block:
+            planted = np.zeros((trials, A.shape[1]))
+            planted[:, list(S)] = rng.uniform(0.1, 1.0, size=(trials, k))
+            yield S, planted
+
+
+def _highs_confirms_failure(A, report, K, prop):
+    """Whether scipy's HiGHS, which shares no code with rspcert, confirms a failing report.
+
+    Some trial of the failing support S must have a planted x that is not
+    the unique l1 optimum: HiGHS finds a smaller l1 norm, or a point of the
+    optimal face with mass off S.
+    """
+    from scipy.optimize import linprog
+
+    n = A.shape[1]
+    off = np.ones(n)
+    off[list(report.failing_support)] = 0.0
+    for S, planted in _planted_vectors(A, K, prop, report.trials_per_support, report.seed):
+        if S != report.failing_support:
+            continue
+        for x in planted:
+            b = A @ x
+            best = linprog(np.ones(n), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+            assert best.status == 0
+            face = linprog(-off, A_ub=np.ones((1, n)), b_ub=[x.sum() + 1e-9], A_eq=A, b_eq=b,
+                           bounds=(0, None), method="highs")
+            if best.fun < x.sum() - 1e-9 or (face.status == 0 and -face.fun > 1e-7):
+                return True
+        return False
+
+
+def test_oracle_start_answers_agree_on_nearly_dependent_columns(monkeypatch):
+    # Column 0 is zero and column 9 is column 1 - column 2 up to 1e-9, so
+    # the margin LPs of several supports are refused (the matrix of a FOUND
+    # line in CHANGES.md).  Wherever the two-phase oracle answers, the started
+    # one gives the same answer.  Every answer of the started one is a
+    # failure that HiGHS confirms, so a refusal that the start turns into an
+    # answer is confirmed too.
+    rng = np.random.default_rng([2026, 61])
+    A = rng.standard_normal((5, 10))
+    A[:, 0] = 0.0
+    A[:, 9] = A[:, 1] - A[:, 2] + 1e-9 * rng.standard_normal(5)
+    answers = refusals = 0
+    for K in (1, 2, 3):
+        for prop in QUANTIFIERS:
+            for trials in (1, 3):
+                unstarted, started = _oracle_with_and_without_starts(
+                    monkeypatch, A, K, prop, trials, seed=0)
+                if not isinstance(unstarted, tuple):
+                    assert started == unstarted, (K, prop, trials)
+                if isinstance(started, tuple):
+                    refusals += 1
+                else:
+                    answers += 1
+                    assert not started.recovers
+                    assert _highs_confirms_failure(A, started, K, prop), (K, prop, trials)
+    assert answers and refusals
+
+
+@pytest.mark.parametrize("A, K, prop, checked", [
+    (np.random.default_rng([2027, 0]).standard_normal((5, 10)), 2, "prsp", 7),
+    (np.random.default_rng([2027, 40]).standard_normal((7, 10)), 2, "rsp", 55),
+    (COHERENT_A, 2, "rsp", 7),
+])
+def test_oracle_solves_no_margin_lp_after_the_first_failure(monkeypatch, A, K, prop, checked):
+    # One trial per support: each checked support reaches one margin LP at
+    # the support of its l1 optimum, the failing one included, and no
+    # support after it reaches any.
+    import rspcert.rsp as rsp
+
+    real = rsp.solve_batch
+    margin = []
+
+    def solve_batch(lps, *args, **kwargs):
+        results = real(lps, *args, **kwargs)
+        if not np.all(lps.objective == 1.0):     # not the l1 LPs
+            margin.append(len(results))
+        return results
+    monkeypatch.setattr(rsp, "solve_batch", solve_batch)
+    report = uniform_recovery_oracle(A, K, property=prop)
+    assert report.supports_checked == checked
+    assert sum(margin) == checked
 
 
 # ------------------------------------------------- weak / partial properties

@@ -405,6 +405,30 @@ def test_solve_and_certify_batch_raises_on_reaching_the_item():
     assert np.array_equal(first[0], x)
 
 
+def test_l1_start_is_the_planted_vertex():
+    # The start holds S, and its basic solution for b = A x is x itself.
+    # Columns 10 and 11 are equal, so a support holding both gets no start;
+    # neither does any support once k > m or A loses a row's rank.
+    from rspcert.rsp import _l1_starts
+
+    rng = np.random.default_rng([2027, 41])
+    A = rng.standard_normal((6, 12))
+    A[:, 11] = A[:, 10]
+    block = np.array(list(combinations(range(12), 3)))
+    basis = _l1_starts(A, block, DEFAULT_TOLERANCES.rank_tol)
+    dependent = np.isin(block, (10, 11)).sum(axis=1) == 2
+    assert (basis[dependent] == -1).all() and (basis[~dependent] >= 0).all()
+    for S, row in zip(block[~dependent], basis[~dependent]):
+        assert list(row[:3]) == list(S) and len(set(row)) == 6
+        x = np.zeros(12)
+        x[S] = rng.uniform(0.1, 1.0, size=3)
+        z = np.linalg.solve(A[:, row], A @ x)
+        assert np.abs(z - x[row]).max() <= 1e-12
+    assert (_l1_starts(A[:2], block, DEFAULT_TOLERANCES.rank_tol) == -1).all()
+    A[5] = A[4]
+    assert (_l1_starts(A, block, DEFAULT_TOLERANCES.rank_tol) == -1).all()
+
+
 # ---------------------------------------------------------- weighted variant
 
 def test_unit_weights_reduce_to_plain_check():
