@@ -18,8 +18,12 @@ each metric over perfbench result files (the last JSON line of
 ``end_to_end.<workload>.<label>``.
 
 Inputs are seeded: four Gaussian 8x16 matrices for the margin LPs (every
-support of size 1, 2 and 3, through the prsp certifier, with the pivots of
-each margin LP as the certifier solves it), one Gaussian 4x8 and one 6x12
+support of size 1, 2 and 3, through ``check_rsp_batch``, which solves one
+margin LP per support, with the pivots of each), the same matrices for the
+order-K certifier at K=3 under each of the four properties, and the
+matrices and properties of the benchmark's ``orderk_enum`` commands for
+seed 1 (µs per support, and by support size the share of supports settled
+by a least-squares witness without a margin LP), one Gaussian 4x8 and one 6x12
 matrix for ``check_rsp_at`` called one support at a time (every support of
 size 2), a rank-deficient 6x12 matrix for the same (every support of size 2
 and 3; the benchmark's commands reach no rank-deficient support, so this is
@@ -44,7 +48,10 @@ window read the stacks the library passes to ``solve_batch`` (``_counting``).
 
 BENCH files up to ``BENCH_16.json`` carry ``feasibility_us_per_lp`` and
 ``feasibility_lps`` instead: the same time and support count, from when
-every checked support was one feasibility LP.
+every checked support was one feasibility LP.  Up to ``BENCH_19.json``,
+``margin_us_per_lp``, ``margin_pivots_per_lp`` and the ``margin_k3``
+lockstep figures were taken through the prsp certifier, which then solved
+one margin LP per support as ``check_rsp_batch`` does.
 """
 
 from __future__ import annotations
@@ -84,19 +91,24 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
     import rspcert as rc
-    from rspcert import linalg
+    from rspcert import linalg, rsp
 
     if cap_kib is not None:
         linalg._STACK_BYTES = cap_kib * 1024
     mats = [np.random.default_rng([4, i]).standard_normal((8, 16)) for i in range(4)]
     out: dict = {"margin_us_per_lp": {}, "margin_pivots_per_lp": {}}
     for k in (1, 2, 3):
-        count = math.comb(16, k) * len(mats)
-        t = _best(lambda: [rc.certify_order_k(A, k, property="prsp") for A in mats], repeat)
+        supports = list(combinations(range(16), k))
+        count = len(supports) * len(mats)
+        t = _best(lambda: [list(rsp.check_rsp_batch(A, supports)) for A in mats], repeat)
         out["margin_us_per_lp"][str(k)] = 1e6 * t / count
-        pivots = _solved(lambda: [rc.certify_order_k(A, k, property="prsp") for A in mats])
+        pivots = _solved(lambda: [list(rsp.check_rsp_batch(A, supports)) for A in mats])
         assert len(pivots) == count
         out["margin_pivots_per_lp"][str(k)] = statistics.fmean(pivots)
+    props = ("rsp", "wrsp", "prsp", "pwrsp")
+    if cap_kib is None:
+        out["certifier"] = _certifier(rc, [(A, prop) for A in mats for prop in props], repeat)
+        out["certifier_orderk_enum_seed1"] = _certifier(rc, _orderk_runs(np), repeat)
     out["check_rsp_at_us"] = _batch_of_one(rc, np, repeat)
 
     systems = []
@@ -123,7 +135,6 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
 
     out["lockstep"] = _lockstep(rc, mats, repeat)
     if cap_kib is None:
-        props = ("rsp", "wrsp", "prsp", "pwrsp")
         out["oracle"] = _oracle(rc, np, [(A, prop) for A in mats for prop in props], repeat)
         out["oracle_orderk_enum_seed1"] = _oracle(rc, np, _orderk_runs(np), repeat)
         out["solve_and_certify_batch"] = _public_batch(rc, np, mats)
@@ -193,6 +204,43 @@ def _batch_of_one(rc, np, repeat: int) -> dict:
             "us": 1e6 * t / len(supports), "supports": len(supports),
             "dependent": sum(len({j % 6 for j in S}) < k for S in supports)}
     return out
+
+
+def _certifier(rc, runs, repeat: int) -> dict:
+    """``certify_order_k`` at K=3 over ``runs``, pairs of a matrix and a property.
+
+    µs per support it checks, and by support size the supports it reaches
+    and the share of them settled by a least-squares witness, with no
+    margin LP: the entries that ``rsp._margin_solves`` returns as
+    ``rsp._SETTLED`` (0 on a tree without that screen).
+    """
+    from rspcert import rsp
+
+    def certify():
+        return [rc.certify_order_k(A, 3, property=prop) for A, prop in runs]
+    checked = sum(r.subsets_checked for r in certify())
+    t = _best(certify, repeat)
+    status = getattr(rsp, "_SETTLED", None)
+    supports: dict = {}
+    real = rsp._margin_solves
+
+    def recording(A, block, *args, **kwargs):
+        margins = real(A, block, *args, **kwargs)
+        if len(block):
+            counts = supports.setdefault(str(len(block[0])), [0, 0])
+            counts[0] += len(block)
+            counts[1] += sum(isinstance(margin, tuple) and margin.status == status
+                             for margin in margins)
+        return margins
+    rsp._margin_solves = recording
+    try:
+        certify()
+    finally:
+        rsp._margin_solves = real
+    return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
+            "settled_frac": sum(c[1] for c in supports.values()) / checked,
+            "by_size": {k: {"supports": c[0], "settled_frac": c[1] / c[0]}
+                        for k, c in sorted(supports.items())}}
 
 
 def _oracle(rc, np, runs, repeat: int) -> dict:
@@ -341,9 +389,10 @@ def _orderk_pass(work: Path):
 
 def _lockstep(rc, mats, repeat: int) -> dict:
     """Steps, occupancy and time of the stacked engine on the size-3 margin LPs and on a pass."""
-    from rspcert import simplex
-    margin = _steps(simplex, lambda: [rc.certify_order_k(A, 3, property="prsp") for A in mats])
-    count = math.comb(16, 3) * len(mats)
+    from rspcert import rsp, simplex
+    supports = list(combinations(range(16), 3))
+    margin = _steps(simplex, lambda: [list(rsp.check_rsp_batch(A, supports)) for A in mats])
+    count = len(supports) * len(mats)
     with tempfile.TemporaryDirectory() as work:
         one_pass, lps = _orderk_pass(Path(work))
         orderk = _steps(simplex, one_pass)

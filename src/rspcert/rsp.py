@@ -5,6 +5,14 @@ solution iff (a) some eta in the range of A^T equals 1 on the support of x and
 stays strictly below 1 elsewhere, and (b) the support columns of A are
 linearly independent.  Condition (a) reduces to one small LP per support; this
 module certifies both conditions with re-checkable witnesses.
+
+``check_rsp_at``, ``check_rsp_batch`` and ``solve_and_certify_batch`` solve
+every margin LP and report its exact t*.  The order-K certifier, which needs
+only the verdict, first tries a least-squares witness at each full-rank
+support (``_settled``); where its eta passes ``verify_rsp_witness``'s
+conditions on the raw A, the support is a yes with no LP and no t*, and
+that yes is the LP's too, since the witness is a feasible point of the
+margin LP with max eta_off <= 1 - rsp_margin.
 """
 
 from __future__ import annotations
@@ -143,26 +151,47 @@ class _NullSpaceLps(NamedTuple):
     N: np.ndarray        # (count, m, r - k')
 
 
-def _margin_stacks(A: np.ndarray, block: np.ndarray,
-                   tol: ToleranceConfig) -> tuple[list[_NullSpaceLps], np.ndarray]:
-    # Every margin LP of the sorted supports of one size in ``block``: the
-    # null-space LPs, one stack per k', and the positions of the supports
-    # whose equalities a checked witness shows to be inconsistent.
-    # A is first reduced to r independent rows, A~ = U^T A with U from an
-    # SVD (a singular value counts above rank_tol times the largest), so
-    # that no row of G is zero up to rounding.  A support has full column
-    # rank when k <= r and each diagonal entry of R in the QR A~_S = Q R
-    # exceeds rank_tol * max(1, largest |entry| of A_S); then k' = k and
-    # u = R^-T 1.  Every other support takes an SVD A~_S = W Sigma V^T, whose
-    # k' singular values above the row reduction's threshold give Q = W and
-    # u = Sigma_1^-1 V_1^T 1, and the witness d = V_2 V_2^T 1 = 1 - A~_S^T W_1 u
-    # of ``_inconsistent``.  Either way y0 = Q_1 u and N = Q_2, both mapped
-    # back by U.
-    count, k = block.shape
+# Where ``_least_squares_witness`` aims eta off the support.  The re-check
+# of ``_settled`` makes any target sound; of the targets from 0 to -2 that
+# were tried, -1/2 settled the most supports of Gaussian 6x12 and 8x16
+# matrices at K = 3 (BENCH_20.json, ``ls_target_sweep``).
+_LS_TARGET = -0.5
+
+# The status of a margin outcome that no LP decided: a least-squares
+# witness that passed ``verify_rsp_witness``'s conditions settles the
+# support as a yes, with no t*.
+_SETTLED = "settled"
+
+
+def _row_reduction(A: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    # A reduced to its r independent rows: U, whose columns are the left
+    # singular vectors of A with singular values above rank_tol times the
+    # largest, A~ = U^T A, and that threshold.
     U, sigma, _ = np.linalg.svd(A, full_matrices=False)
     floor = tol.rank_tol * sigma[0]
     U = U[:, sigma > floor]
-    At = U.T @ A
+    return U, U.T @ A, floor
+
+
+def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
+                   rows: tuple | None = None, screen: bool = False) -> tuple[list[_NullSpaceLps], np.ndarray, np.ndarray]:
+    # Every margin LP of the sorted supports of one size in ``block``: the
+    # null-space LPs, one stack per k', the positions of the supports
+    # whose equalities a checked witness shows to be inconsistent, and,
+    # with ``screen``, the positions of those that ``_settled`` settles.
+    # A is first reduced to r independent rows (``_row_reduction``, or
+    # ``rows`` where the caller has it already), so that no row of G is zero
+    # up to rounding.  A support has full column rank when k <= r and each
+    # diagonal entry of R in the QR A~_S = Q R exceeds rank_tol *
+    # max(1, largest |entry| of A_S); then k' = k and u = R^-T 1.  Every
+    # other support takes an SVD A~_S = W Sigma V^T, whose k' singular values
+    # above the row reduction's threshold give Q = W and
+    # u = Sigma_1^-1 V_1^T 1, and the witness d = V_2 V_2^T 1 = 1 - A~_S^T W_1 u
+    # of ``_inconsistent``.  Either way y0 = Q_1 u and N = Q_2, both mapped
+    # back by U.  Only the supports of the QR path are screened, and one
+    # that is settled gets no LP.
+    count, k = block.shape
+    U, At, floor = _row_reduction(A, tol) if rows is None else rows
     full = np.zeros(count, dtype=bool)
     if k <= U.shape[1]:
         Q, R = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode="complete")
@@ -170,19 +199,27 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray,
         threshold = tol.rank_tol * np.maximum(1.0, largest)
         full = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > threshold[:, None]).all(axis=1)
 
-    def stack(at, Q, u):
-        off = _off_support(block[at], A.shape[1])
-        return _NullSpaceLps(at, off, *_null_space_lps(At, U, off, Q, u, tol.rank_tol))
+    stacks, settled = [], np.empty(0, dtype=np.intp)
 
-    stacks = []
+    def stack(at, Q, u, screened=False):
+        nonlocal settled
+        off = _off_support(block[at], A.shape[1])
+        space = _null_space(At, U, off, Q, u)
+        if screened:
+            passed = _settled(A, block[at], off, space, tol)[0]
+            settled, at, off = at[passed], at[~passed], off[~passed]
+            space = [a[~passed] for a in space]
+        if at.size:
+            stacks.append(_NullSpaceLps(at, off, *_null_space_lps(*space, tol.rank_tol)))
+
     at, rest = np.flatnonzero(full), np.flatnonzero(~full)
     if at.size:
         if rest.size:
             Q, R = Q[at], R[at]
-        stacks.append(stack(at, Q, np.linalg.solve(R[:, :k].transpose(0, 2, 1),
-                                                   np.ones((at.size, k, 1)))))
+        stack(at, Q, np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((at.size, k, 1))),
+              screen)
     if not rest.size:
-        return stacks, rest
+        return stacks, rest, settled
     W, s, Vt = np.linalg.svd(At.T[block[rest]].transpose(0, 2, 1))
     kept = (s > floor).sum(axis=1)
     vt1 = Vt.sum(axis=2)                              # V^T 1
@@ -190,8 +227,8 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray,
     refuted = _inconsistent(A.T[block[rest]], d, tol)
     for size in np.unique(kept[~refuted]):
         pick = ~refuted & (kept == size)
-        stacks.append(stack(rest[pick], W[pick], (vt1[pick, :size] / s[pick, :size])[:, :, None]))
-    return stacks, rest[refuted]
+        stack(rest[pick], W[pick], (vt1[pick, :size] / s[pick, :size])[:, :, None])
+    return stacks, rest[refuted], settled
 
 
 def _inconsistent(columns: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -224,18 +261,12 @@ def _inconsistent(columns: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> n
     return (residual <= tol.feas_tol * scale) & (d.sum(axis=1) > tol.feas_tol)
 
 
-def _null_space_lps(At: np.ndarray, U: np.ndarray, off: np.ndarray, Q: np.ndarray,
-                    u: np.ndarray, rank_tol: float):
-    # The null-space LPs of supports with k' = len(u) equalities that count,
+def _null_space(At: np.ndarray, U: np.ndarray, off: np.ndarray, Q: np.ndarray,
+                u: np.ndarray) -> list[np.ndarray]:
+    # G, eta0, y0 and N of supports with k' = len(u) equalities that count,
     # from an orthogonal Q whose first k' columns span A~_S and u with
-    # y0 = U Q_1 u; with y0, N and the start of each: z_J for r - k' columns
-    # J with G_J nonsingular, picked by a partial-pivot elimination on G
-    # (pivots above rank_tol), then mu and v-.  The start's z_J = 0, mu = 1
-    # and v- = 1 are feasible; an LP whose elimination falls to the
-    # threshold or below gets no start.
-    r = At.shape[0]
-    count, k, _ = u.shape
-    kc, rows = off.shape[1], r - k
+    # y0 = U Q_1 u.
+    k = u.shape[1]
     P = np.matmul(Q.transpose(0, 2, 1), At[:, off].transpose(1, 0, 2))   # Q^T A~_off
     UQ = np.matmul(U, Q)
     # Each row of G is scaled to unit norm, and its column of N with it:
@@ -245,13 +276,22 @@ def _null_space_lps(At: np.ndarray, U: np.ndarray, off: np.ndarray, Q: np.ndarra
     # threshold, and those of N^T A~_S are zero, or below it where k' < k.
     norms = np.sqrt((P[:, k:] * P[:, k:]).sum(axis=2))
     G = P[:, k:] / norms[:, :, None]
-    N = UQ[:, :, k:] / norms[:, None, :]
-    y0 = np.matmul(UQ[:, :, :k], u)[:, :, 0]
+    eta0 = np.matmul(u.transpose(0, 2, 1), P[:, :k])[:, 0]
+    return [G, eta0, np.matmul(UQ[:, :, :k], u)[:, :, 0], UQ[:, :, k:] / norms[:, None, :]]
 
+
+def _null_space_lps(G: np.ndarray, eta0: np.ndarray, y0: np.ndarray, N: np.ndarray,
+                    rank_tol: float):
+    # The null-space LPs of ``_null_space``'s G and eta0, with y0, N and the
+    # start of each: z_J for r - k' columns J with G_J nonsingular, picked by
+    # a partial-pivot elimination on G (pivots above rank_tol), then mu and
+    # v-.  The start's z_J = 0, mu = 1 and v- = 1 are feasible; an LP whose
+    # elimination falls to the threshold or below gets no start.
+    count, rows, kc = G.shape
     B = np.zeros((count, rows + 2, kc + 3))
     B[:, :rows, :kc] = G
     B[:, rows, :kc + 1] = 1.0
-    B[:, rows + 1, :kc] = np.matmul(u.transpose(0, 2, 1), P[:, :k])[:, 0]   # eta0
+    B[:, rows + 1, :kc] = eta0
     B[:, rows + 1, kc:] = (-1.0, -1.0, 1.0)
     rhs = np.zeros(rows + 2)
     rhs[rows] = 1.0
@@ -292,8 +332,55 @@ def _pivot_columns(E: np.ndarray, rank_tol: float) -> np.ndarray:
     return picks
 
 
+def _least_squares_witness(G: np.ndarray, eta0: np.ndarray, y0: np.ndarray,
+                           N: np.ndarray) -> np.ndarray:
+    # The y = y0 + N w of each support whose eta = eta0 + G^T w off it is
+    # nearest _LS_TARGET in the 2-norm: G G^T w = G (_LS_TARGET - eta0), one
+    # stacked (r - k) x (r - k) solve.  G has full row rank (see
+    # ``_null_space``); should a stack still be singular to the solver, its
+    # witnesses are NaN and settle nothing.
+    try:
+        w = np.linalg.solve(np.matmul(G, G.transpose(0, 2, 1)),
+                            np.matmul(G, (_LS_TARGET - eta0)[:, :, None]))
+    except np.linalg.LinAlgError:
+        return np.full_like(y0, np.nan)
+    return y0 + np.matmul(N, w)[:, :, 0]
+
+
+def _settled(A: np.ndarray, block: np.ndarray, off: np.ndarray, space: list,
+             tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which supports a least-squares witness settles as yes, with each witness y and eta.
+
+    The witness y of ``_least_squares_witness`` settles S once eta = A^T y
+    passes ``verify_rsp_witness``'s conditions on the raw A:
+    |eta_S - 1|_inf <= feas_tol and max eta_off <= 1 - rsp_margin.  That is
+    a complete yes certificate of the range space property by itself, and
+    tighter than the margin LP's own yes, whose witness needs only
+    eta_off <= t* + feas_tol.  Its verdict is the LP's too: y0 + N w solves
+    A_S^T y = 1 up to rounding for every w, so it is a feasible point of the
+    margin LP and t* <= max eta_off <= 1 - rsp_margin.  A witness that
+    misses either bound settles nothing, and its support runs its LP.
+    """
+    y = _least_squares_witness(*space)
+    eta, on, worst = _raw_eta(A, block, off, y)
+    return (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin), y, eta
+
+
+def _raw_eta(A: np.ndarray, block: np.ndarray, off: np.ndarray, y: np.ndarray):
+    # eta = A^T y of each support's witness y on the raw A, with
+    # |eta_S - 1|_inf and max eta_off.
+    eta = np.matmul(y[:, None, :], A)[:, 0]
+    every = np.arange(len(y))[:, None]
+    return (eta, np.abs(eta[every, block] - 1.0).max(axis=1, initial=0.0),
+            eta[every, off].max(axis=1, initial=-np.inf))
+
+
 class _Margin(NamedTuple):
-    """A margin LP's outcome: INFEASIBLE, or OPTIMAL with t* and a witness y, eta = A^T y."""
+    """A margin LP's outcome: INFEASIBLE, or OPTIMAL with t* and a witness y, eta = A^T y.
+
+    Or _SETTLED, where no LP ran and a checked least-squares witness settled
+    the support as a yes.
+    """
 
     status: str
     t_star: float | None = None
@@ -330,10 +417,7 @@ def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps
         w[i] = solved[i].y[:rows]
         t_star[i] = 0.0 - solved[i].objective_value
     y = reduced.y0 + np.matmul(reduced.N, w[:, :, None])[:, :, 0]
-    eta = np.matmul(y[:, None, :], A)[:, 0]
-    every = np.arange(len(solved))[:, None]
-    on = np.abs(eta[every, block] - 1.0).max(axis=1, initial=0.0)
-    off = eta[every, reduced.off].max(axis=1, initial=-np.inf)
+    eta, on, off = _raw_eta(A, block, reduced.off, y)
     passed = (on <= tol.feas_tol) & (off <= t_star + tol.feas_tol)
     margins: list = []
     for i, sol in enumerate(solved):
@@ -348,25 +432,47 @@ def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps
     return margins
 
 
-def _margin_solves(A: np.ndarray, supports: list[IndexSet],
-                   tol: ToleranceConfig) -> list[_Margin | CertificateUnavailable]:
+def _margin_solves(A: np.ndarray, supports: list[IndexSet], tol: ToleranceConfig,
+                   rows: tuple | None = None, screen: bool = False) -> list[_Margin | CertificateUnavailable]:
     # The margin LPs of sorted supports of one size, in order: INFEASIBLE
-    # where a checked witness refutes the equalities, and otherwise the
-    # null-space LP, solved in lockstep with the others of its k' and
-    # started where it has a start.
+    # where a checked witness refutes the equalities, with ``screen``
+    # _SETTLED where a checked least-squares witness settles the support,
+    # and otherwise the null-space LP, solved in lockstep with the others of
+    # its k' and started where it has a start.  ``rows`` is A's
+    # ``_row_reduction`` where the caller shares one over several calls.
     if not supports:
         return []
     block = np.array(supports, dtype=np.intp)
-    stacks, refuted = _margin_stacks(A, block, tol)
+    stacks, refuted, settled = _margin_stacks(A, block, tol, rows, screen)
     results: list = [None] * len(supports)
     for i in refuted:
         results[i] = _Margin(INFEASIBLE)
+    for i in settled:
+        results[i] = _Margin(_SETTLED)
     for reduced in stacks:
         solved = solve_batch(reduced.lps, tol, basis=reduced.basis)
         for i, margin in zip(reduced.at, _null_space_margins(A, block[reduced.at], reduced,
                                                               solved, tol)):
             results[i] = margin
     return results
+
+
+def _rsp_holds(A: np.ndarray, block: list[IndexSet], tol: ToleranceConfig,
+               rows: tuple) -> list[Verdict]:
+    """The range space property's verdict at each support of one size, for ``certify_order_k``.
+
+    ``block`` is a ``SupportEnumeration`` block as it comes (sorted supports
+    of valid indices), and ``rows`` A's ``_row_reduction``, shared by every
+    block of a call.  Unlike ``check_rsp_batch``, a full-rank support whose
+    least-squares witness passes its re-check (``_settled``) is a yes
+    without its margin LP: that verdict is the LP's, but it rests on the
+    witness and has no t*.  Every other support's verdict is its LP's, and
+    the first support in order whose LP breaks down or fails its re-check
+    raises, as in ``check_rsp_batch``.
+    """
+    margins = map(_raised, _margin_solves(A, block, tol, rows, screen=True))
+    return [Verdict.YES if margin.status == _SETTLED else _margin_certificate(S, margin, tol).holds
+            for S, margin in zip(block, margins)]
 
 
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],
@@ -487,11 +593,30 @@ def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES,
 def _solution_support(A: np.ndarray, b: np.ndarray, x: np.ndarray,
                       tol: ToleranceConfig) -> IndexSet:
     # The support of a candidate x, or a raise unless it solves A x = b, x >= 0.
-    S = support_of(x, tol)
-    residual = np.abs(A @ x - b).max(initial=0.0)
-    if residual > tol.feas_tol * max(1.0, float(np.abs(b).max(initial=0.0))):
-        raise NotASolution(f"candidate violates the system by {residual:.3g}")
-    return S
+    return _raised(_solution_supports(A, b[None], x[None], tol)[0])
+
+
+def _solution_supports(A: np.ndarray, rhs: np.ndarray, X: np.ndarray,
+                       tol: ToleranceConfig) -> list[IndexSet | RspcertError]:
+    # ``support_of`` each row x of X, or the error it raises, and then
+    # NotASolution unless x solves A x = b for its row b of ``rhs``, as
+    # array operations over the rows.
+    low = X.min(axis=1)
+    residual = np.abs(np.matmul(X, A.T) - rhs).max(axis=1, initial=0.0)
+    bound = tol.feas_tol * np.maximum(1.0, np.abs(rhs).max(axis=1, initial=0.0))
+    rows, columns = np.nonzero(X > tol.zero_tol)
+    ends = np.cumsum(np.bincount(rows, minlength=len(X))).tolist()
+    columns = columns.tolist()
+    supports: list = []
+    for i, start in enumerate([0] + ends[:-1]):
+        if low[i] < -tol.zero_tol:
+            j = int(np.argmin(X[i]))
+            supports.append(NotNonnegative(f"entry {j} is {X[i, j]:.3g} < -zero_tol"))
+        elif residual[i] > bound[i]:
+            supports.append(NotASolution(f"candidate violates the system by {residual[i]:.3g}"))
+        else:
+            supports.append(tuple(columns[start:ends[i]]))
+    return supports
 
 
 def solve_l1(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -566,12 +691,16 @@ def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
             for i, sol in zip(again, solve_batch(lps[again], tol)):
                 solved[i] = sol
     points: list = []
-    for b, sol in zip(rhs, solved):
+    for sol in solved:
         try:
-            x = _l1_point(_raised(sol))
-            points.append((x, _solution_support(A, b, x, tol)))
+            points.append(_l1_point(_raised(sol)))
         except RspcertError as error:
             points.append(error)
+    at = [i for i, point in enumerate(points) if not isinstance(point, Exception)]
+    if at:
+        X = np.array([points[i] for i in at])
+        for i, S in zip(at, _solution_supports(A, rhs[at], X, tol)):
+            points[i] = S if isinstance(S, Exception) else (points[i], S)
     return points
 
 
@@ -586,9 +715,10 @@ def _certified_points(A: np.ndarray, points: list, tol: ToleranceConfig
     for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
         by_size.setdefault(len(S), []).append(S)
     with_ones = np.vstack([A, np.ones(n)])
+    rows = _row_reduction(A, tol) if by_size else None
     margin, ranks, augmented = {}, {}, {}
     for group in by_size.values():
-        margin |= zip(group, _margin_solves(A, group, tol))
+        margin |= zip(group, _margin_solves(A, group, tol, rows))
         ranks |= zip(group, _block_ranks(A, group, tol.rank_tol))
         augmented |= zip(group, _block_ranks(with_ones, group, tol.rank_tol))
     for point in points:

@@ -370,9 +370,9 @@ def test_classify_runs_check_rsp_at_once_at_the_l1_support(tmp_path, monkeypatch
     built = []
     margin_stacks = rsp._margin_stacks
 
-    def recording(A, block, tol):
+    def recording(A, block, *args):
         built.extend(tuple(S) for S in block.tolist())
-        return margin_stacks(A, block, tol)
+        return margin_stacks(A, block, *args)
 
     monkeypatch.setattr(rsp, "_margin_stacks", recording)
     a_path, b_path, report = tmp_path / "A.csv", tmp_path / "b.csv", tmp_path / "r.json"

@@ -5,7 +5,7 @@ import pytest
 
 from rspcert import (DEFAULT_TOLERANCES, BudgetExceeded, CertificateUnavailable,
                      IterationLimit, RspcertError, Verdict, certify_order_k, check_rsp_at,
-                     spark, sparsest_supports, uniform_recovery_oracle)
+                     spark, sparsest_supports, uniform_recovery_oracle, verify_rsp_witness)
 from rspcert.orderk import QUANTIFIERS
 
 from conftest import COHERENT_A
@@ -113,7 +113,7 @@ def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
     # The certifier and the oracle reach the LP core through these names;
     # every LP solve of either goes through rsp.solve_batch.
     calls = []
-    monkeypatch.setattr(orderk, "check_rsp_batch", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "_rsp_holds", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(orderk, "_l1_points", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(orderk, "_certified_points", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
@@ -141,6 +141,164 @@ def test_unknown_property_is_refused_before_any_solve(monkeypatch, run):
         run(np.random.default_rng(40).standard_normal((4, 8)))
     assert all(prop in str(info.value) for prop in QUANTIFIERS)
     assert calls == []
+
+
+def _certified(A, K, prop):
+    """certify_order_k's report, or the type and message of the error it raises."""
+    try:
+        return certify_order_k(A, K, property=prop)
+    except RspcertError as error:
+        return type(error), str(error)
+
+
+def _unscreened(monkeypatch, A, K, prop, corrupt=None):
+    """_certified with the least-squares screen's witnesses NaN, or put through ``corrupt``.
+
+    A NaN witness fails its re-check, so the screen settles nothing and
+    every support runs its margin LP.
+    """
+    import rspcert.rsp as rsp
+
+    witness = rsp._least_squares_witness
+    if corrupt is None:
+        def corrupt(y):
+            return np.full_like(y, np.nan)
+    with monkeypatch.context() as patch:
+        patch.setattr(rsp, "_least_squares_witness", lambda *space: corrupt(witness(*space)))
+        return _certified(A, K, prop)
+
+
+def _screen_cases():
+    rng = np.random.default_rng([2027, 50])
+    duplicated = rng.standard_normal((4, 8))
+    duplicated[:, 5] = duplicated[:, 1]
+    duplicated[:, 7] = 2.0 * duplicated[:, 3]
+    return [pytest.param(rng.standard_normal((8, 16)), id="gaussian 8x16"),
+            pytest.param(rng.standard_normal((5, 10)), id="gaussian 5x10"),
+            pytest.param(rng.integers(-2, 3, size=(6, 12)).astype(float), id="small integer 6x12"),
+            pytest.param(duplicated, id="duplicated columns 4x8")]
+
+
+@pytest.mark.parametrize("A", _screen_cases())
+def test_the_least_squares_screen_changes_no_report(monkeypatch, A):
+    # certify_order_k settles a full-rank support as yes, without its margin
+    # LP, where a least-squares witness passes verify_rsp_witness's
+    # conditions on the raw A.  Its reports are those of the same call with
+    # the screen settling nothing, at every scale, and every settled witness
+    # passes verify_rsp_witness itself.
+    import rspcert.rsp as rsp
+
+    real = rsp._settled
+    settled = []
+
+    def recording(A, block, *args):
+        passed, y, eta = real(A, block, *args)
+        for i in np.flatnonzero(passed):
+            assert verify_rsp_witness(A, block[i], eta[i], y[i]), block[i]
+            settled.append(block[i])
+        return passed, y, eta
+    monkeypatch.setattr(rsp, "_settled", recording)
+    counts = []
+    for scale in (1e-8, 1.0, 1e8):
+        settled.clear()
+        for K in (1, 2, 3):
+            for prop in QUANTIFIERS:
+                screened = _certified(scale * A, K, prop)
+                assert screened == _unscreened(monkeypatch, scale * A, K, prop), (scale, K, prop)
+        counts.append(len(settled))
+    assert all(counts), counts
+
+
+def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(monkeypatch):
+    # The matrix of a FOUND line in CHANGES.md: column 0 is zero and column
+    # 9 is column 1 - column 2 up to 1e-9, so the margin LPs of supports
+    # such as (1,) fail their re-check and the LP path refuses.  Where the
+    # screen settles those supports, certify_order_k answers; every such
+    # answer must be the report that HiGHS's t* gives at every support.
+    from test_golden_lp import _scipy_t_star
+
+    import rspcert.orderk as orderk
+
+    rng = np.random.default_rng([2026, 61])
+    A = rng.standard_normal((5, 10))
+    A[:, 0] = 0.0
+    A[:, 9] = A[:, 1] - A[:, 2] + 1e-9 * rng.standard_normal(5)
+    tol = DEFAULT_TOLERANCES
+    answered = 0
+    for K in (1, 2, 3):
+        for prop in QUANTIFIERS:
+            screened, unscreened = _certified(A, K, prop), _unscreened(monkeypatch, A, K, prop)
+            if screened == unscreened:
+                continue
+            assert isinstance(unscreened, tuple) and not isinstance(screened, tuple), (K, prop)
+            answered += 1
+            supports = orderk._supports(A, K, prop, tol, 10**6)
+            failures, marginal = {}, []
+            for k, block in supports:
+                for S in block:
+                    t_star = _scipy_t_star(A, S)
+                    if t_star is None or t_star >= 1.0 - tol.feas_tol:
+                        failures.setdefault(k, []).append(S)
+                    elif t_star > 1.0 - tol.rsp_margin:
+                        marginal.append(S)
+            first = min((S for block in failures.values() for S in block[:1]),
+                        key=lambda S: (len(S), S), default=None)
+            assert screened.counterexample == first, (K, prop)
+            assert screened.failures_per_size == {k: len(v) for k, v in failures.items()}
+            assert screened.marginal_subsets == marginal
+            assert screened.subsets_checked == supports.count
+    assert answered
+
+
+def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
+    # Every block of one call shares A's row reduction: the SVD of A is
+    # computed once, not once per block (rsp at K=3 on 8x16 is 5 blocks).
+    import rspcert.orderk as orderk
+
+    svd, rsp_holds = np.linalg.svd, orderk._rsp_holds
+    shapes, blocks = [], []
+
+    def recording(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return svd(M, *args, **kwargs)
+
+    def counting(A, block, *args):
+        blocks.append(len(block))
+        return rsp_holds(A, block, *args)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(orderk, "_rsp_holds", counting)
+    A = _gaussian(5, (8, 16))
+    certify_order_k(A, 3)
+    assert blocks == [16, 120, 256, 256, 48] and shapes.count(A.shape) == 1
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda y: np.stack([-y[:, 1], y[:, 0], *y[:, 2:].T], axis=1),
+    lambda y: y * np.arange(1, y.shape[1] + 1),
+    lambda y: y + 1e-3], ids=["rotated", "scaled", "shifted"])
+def test_a_least_squares_witness_that_fails_its_recheck_settles_nothing(monkeypatch, corrupt):
+    # A witness y rotated, scaled per entry or shifted on its way into the
+    # re-check no longer gives eta = 1 on S: no support may be settled, so
+    # each reaches its margin LP, and the report is the unscreened one.
+    import rspcert.rsp as rsp
+
+    solve_batch = rsp.solve_batch
+    solved = []
+
+    def counting(lps, *args, **kwargs):
+        results = solve_batch(lps, *args, **kwargs)
+        solved.append(len(results))
+        return results
+    monkeypatch.setattr(rsp, "solve_batch", counting)
+    for A in (_gaussian(3, (8, 16)), _gaussian(4, (5, 10))):
+        for prop in QUANTIFIERS:
+            solved.clear()
+            screened = certify_order_k(A, 3, property=prop)
+            assert sum(solved) < screened.subsets_checked
+            solved.clear()
+            corrupted = _unscreened(monkeypatch, A, 3, prop, corrupt)
+            assert sum(solved) == corrupted.subsets_checked
+            assert corrupted == screened == _unscreened(monkeypatch, A, 3, prop), prop
 
 
 

@@ -89,8 +89,8 @@ def test_empty_support_holds_vacuously():
 def _start(A, S):
     """The certifier's null-space margin LP at S and its starting basis."""
     block = np.array([S], dtype=np.intp).reshape(1, len(S))
-    (reduced,), refuted = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
-    assert not refuted.size
+    (reduced,), refuted, settled = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
+    assert not refuted.size and not settled.size
     return reduced.basis, reduced.lps
 
 

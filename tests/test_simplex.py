@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import rspcert
 from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, CertificateUnavailable,
-                     IterationLimit, LpSolution, StandardLp, certify_order_k,
-                     check_rsp_at, linalg, rsp, simplex, solve, verify_certificate)
+                     IterationLimit, LpSolution, StandardLp, check_rsp_at, linalg, rsp,
+                     simplex, solve, verify_certificate)
 from rspcert.linalg import DEFAULT_TOLERANCES
 from rspcert.simplex import LpStack, solve_batch
 
@@ -414,8 +415,8 @@ def _margin_stack(matrices, k):
     stacks = []
     for A in matrices:
         block = np.array(list(combinations(range(A.shape[1]), k)), dtype=np.intp)
-        (reduced,), refuted = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
-        assert reduced.at.size == len(block) and not refuted.size
+        (reduced,), refuted, settled = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
+        assert reduced.at.size == len(block) and not refuted.size and not settled.size
         stacks.append(reduced)
     lps = LpStack(stacks[0].lps.objective, np.concatenate([r.lps.constraints for r in stacks]),
                   np.concatenate([r.lps.rhs for r in stacks]))
@@ -580,7 +581,13 @@ def test_the_bench_tool_still_binds_the_engine():
     pivot = simplex._Tableaux.pivot
 
     def work():
-        certify_order_k(A, 2, property="prsp")
+        list(rsp.check_rsp_batch(A, list(combinations(range(8), 2))))
     assert bench._steps(simplex, work)["steps"] > 0
     assert len(bench._solved(work)) == math.comb(8, 2)
     assert simplex._Tableaux.pivot is pivot and rsp.solve_batch is solve_batch
+    # Its certifier figures read the screen's settled margins through
+    # rsp._margin_solves and rsp._SETTLED.
+    margin_solves = rsp._margin_solves
+    figures = bench._certifier(rspcert, [(A, "prsp")], 1)
+    assert figures["by_size"]["3"]["supports"] == math.comb(8, 3)
+    assert 0.0 < figures["settled_frac"] < 1.0 and rsp._margin_solves is margin_solves
