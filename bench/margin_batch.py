@@ -22,8 +22,10 @@ support of size 1, 2 and 3, through ``check_rsp_batch``, which solves one
 margin LP per support, with the pivots of each), the same matrices for the
 order-K certifier at K=3 under each of the four properties, and the
 matrices and properties of the benchmark's ``orderk_enum`` commands for
-seed 1 (µs per support, and by support size the share of supports settled
-by a least-squares witness without a margin LP), one Gaussian 4x8 and one 6x12
+seed 1 (µs per support, the margin LPs, ``solve_batch`` calls, lockstep
+steps and blocks of the certifier alone, and by support size the share of
+supports settled by a least-squares witness without a margin LP, split into
+the first witness and the reweighted ones), one Gaussian 4x8 and one 6x12
 matrix for ``check_rsp_at`` called one support at a time (every support of
 size 2), a rank-deficient 6x12 matrix for the same (every support of size 2
 and 3; the benchmark's commands reach no rank-deficient support, so this is
@@ -209,17 +211,45 @@ def _batch_of_one(rc, np, repeat: int) -> dict:
 def _certifier(rc, runs, repeat: int) -> dict:
     """``certify_order_k`` at K=3 over ``runs``, pairs of a matrix and a property.
 
-    µs per support it checks, and by support size the supports it reaches
-    and the share of them settled by a least-squares witness, with no
-    margin LP: the entries that ``rsp._margin_solves`` returns as
-    ``rsp._SETTLED`` (0 on a tree without that screen).
+    µs per support it checks; the margin LPs it solves, its ``solve_batch``
+    calls, the lockstep steps of those solves and the blocks it certifies;
+    and by support size the supports it reaches and the share of them
+    settled by a least-squares witness, with no margin LP: the entries that
+    ``rsp._margin_solves`` returns as ``rsp._SETTLED`` (0 on a tree without
+    that screen).  That share is split into the first witness's, counted on
+    a run with ``rsp._REWEIGHTS`` set to 0, and the reweighted witnesses'
+    (0 on a tree without them).
     """
-    from rspcert import rsp
+    from rspcert import rsp, simplex
 
     def certify():
         return [rc.certify_order_k(A, 3, property=prop) for A, prop in runs]
     checked = sum(r.subsets_checked for r in certify())
     t = _best(certify, repeat)
+    calls: list[int] = []
+    settled: dict = {}
+    with _counting(lambda lps, results: calls.append(len(results))):
+        lockstep = _steps(simplex, lambda: settled.update(_settled_by_size(rsp, certify)))
+    first = settled
+    if hasattr(rsp, "_REWEIGHTS"):
+        reweights, rsp._REWEIGHTS = rsp._REWEIGHTS, 0
+        try:
+            first = _settled_by_size(rsp, certify)
+        finally:
+            rsp._REWEIGHTS = reweights
+    return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
+            "lps": sum(calls), "solve_batch_calls": len(calls), "steps": lockstep["steps"],
+            "blocks": sum(c[2] for c in settled.values()),
+            "settled_frac": sum(c[1] for c in settled.values()) / checked,
+            "first_witness_frac": sum(c[1] for c in first.values()) / checked,
+            "by_size": {k: {"supports": c[0], "settled_frac": c[1] / c[0],
+                            "first_witness_frac": first[k][1] / c[0],
+                            "reweighted_frac": (c[1] - first[k][1]) / c[0]}
+                        for k, c in sorted(settled.items())}}
+
+
+def _settled_by_size(rsp, certify) -> dict:
+    """By support size, the supports, settled supports and blocks of one ``certify()``."""
     status = getattr(rsp, "_SETTLED", None)
     supports: dict = {}
     real = rsp._margin_solves
@@ -227,26 +257,25 @@ def _certifier(rc, runs, repeat: int) -> dict:
     def recording(A, block, *args, **kwargs):
         margins = real(A, block, *args, **kwargs)
         if len(block):
-            counts = supports.setdefault(str(len(block[0])), [0, 0])
+            counts = supports.setdefault(str(len(block[0])), [0, 0, 0])
             counts[0] += len(block)
             counts[1] += sum(isinstance(margin, tuple) and margin.status == status
                              for margin in margins)
+            counts[2] += 1
         return margins
     rsp._margin_solves = recording
     try:
         certify()
     finally:
         rsp._margin_solves = real
-    return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
-            "settled_frac": sum(c[1] for c in supports.values()) / checked,
-            "by_size": {k: {"supports": c[0], "settled_frac": c[1] / c[0]}
-                        for k, c in sorted(supports.items())}}
+    return supports
 
 
 def _oracle(rc, np, runs, repeat: int) -> dict:
     """The recovery oracle at K=3 over ``runs``, pairs of a matrix and a property.
 
-    µs per support it checks; its l1 LPs per stack (a window's stack, or the
+    µs per support it checks; its LPs, ``solve_batch`` calls and lockstep
+    steps; its l1 LPs per stack (a window's stack, or the
     two-phase re-solve of started LPs that failed) and per checked support,
     and the pivots of each l1 LP; the margin LPs and margin-LP stacks it
     solves, and the matrices its rank probes take, per checked support.
@@ -276,10 +305,12 @@ def _oracle(rc, np, runs, repeat: int) -> dict:
     linalg._pivoted_rank = counted
     try:
         with _counting(record):
-            oracle()
+            lockstep = _steps(simplex, oracle)
     finally:
         linalg._pivoted_rank = real
     return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
+            "lps": sum(stacks) + sum(margin), "solve_batch_calls": len(stacks) + len(margin),
+            "steps": lockstep["steps"],
             "l1_lps_per_window": statistics.fmean(stacks),
             "l1_lps_per_support": sum(stacks) / checked,
             "l1_pivots_per_lp": statistics.fmean(l1_pivots),

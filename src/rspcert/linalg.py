@@ -27,8 +27,12 @@ DEFAULT_SUBSET_BUDGET = 10_000_000
 _STACK_BYTES = 512 * 1024
 
 # Supports per block of an enumeration; bounds the memory a size of many
-# supports takes at once.
-_BLOCK_LEN = 256
+# supports takes at once.  C(16, 3) = 560 fits, so each size of an order-K
+# run at 8x16, K=3 is one block and its remaining margin LPs pivot as one
+# lockstep stack.  Raising it from 256 cost 0.9 MB of peak RSS (+2.2%,
+# medians of 10 perfbench runs) on the orderk_enum and sparsest_search
+# workloads and nothing on oneshot_small (BENCH_21.json).
+_BLOCK_LEN = 1024
 
 IndexSet = tuple[int, ...]
 

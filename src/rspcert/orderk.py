@@ -128,13 +128,16 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     the property holds vacuously; the report flags that case too.
 
     A full-rank support is a yes without its margin LP where a least-squares
-    witness y passes ``verify_rsp_witness``'s conditions on A (about 64% of
-    the supports of a Gaussian 8x16 matrix at K=3).  Such a y is a yes
+    witness y, the first or a reweighted one, passes ``verify_rsp_witness``'s
+    conditions on A (about 91% of the supports of a Gaussian 8x16 matrix at
+    K=3, 64% by the first witness).  Such a y is a yes
     certificate by itself and a feasible point of the margin LP whose
     max eta_off is at most 1 - rsp_margin, so the LP would say yes too; it
     just gives no t*, which ``check_rsp_at`` still computes exactly.  Every
     other support's verdict comes from its margin LP, and A's row reduction
-    is computed once per call for all of them.
+    is computed once per call for all of them.  Each size of the
+    enumeration is one block, up to ``linalg._BLOCK_LEN`` supports, so its
+    remaining margin LPs pivot as one lockstep stack.
     """
     A = as_matrix(A)
     supports = _supports(A, K, property, tol, budget)

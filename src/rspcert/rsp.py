@@ -12,7 +12,12 @@ only the verdict, first tries a least-squares witness at each full-rank
 support (``_settled``); where its eta passes ``verify_rsp_witness``'s
 conditions on the raw A, the support is a yes with no LP and no t*, and
 that yes is the LP's too, since the witness is a feasible point of the
-margin LP with max eta_off <= 1 - rsp_margin.
+margin LP with max eta_off <= 1 - rsp_margin.  Where the first witness
+fails its re-check, a few reweighted least-squares solves follow, one-sided
+in the manner of Lawson's minimax iteration: an off-support column whose
+eta is already below the target gets a small weight, and one above it a
+weight that grows with its excess, so that the next witness pushes down the
+largest eta_off.  Every iterate passes the same re-check on the raw A.
 """
 
 from __future__ import annotations
@@ -157,6 +162,14 @@ class _NullSpaceLps(NamedTuple):
 # matrices at K = 3 (BENCH_20.json, ``ls_target_sweep``).
 _LS_TARGET = -0.5
 
+# Reweighted solves that ``_settled`` tries after the first witness fails
+# its re-check, and the weight it gives an off-support column whose eta is
+# already below _LS_TARGET.  Six solves settled 2,680 of the 3,601
+# orderk_enum seed-1 supports that the first witness leaves to an LP
+# (BENCH_21.json).
+_REWEIGHTS = 6
+_WEIGHT_FLOOR = 1e-3
+
 # The status of a margin outcome that no LP decided: a least-squares
 # witness that passed ``verify_rsp_witness``'s conditions settles the
 # support as a yes, with no t*.
@@ -188,8 +201,8 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
     # above the row reduction's threshold give Q = W and
     # u = Sigma_1^-1 V_1^T 1, and the witness d = V_2 V_2^T 1 = 1 - A~_S^T W_1 u
     # of ``_inconsistent``.  Either way y0 = Q_1 u and N = Q_2, both mapped
-    # back by U.  Only the supports of the QR path are screened, and one
-    # that is settled gets no LP.
+    # back by U.  With ``screen``, the supports with k' = k, on either path,
+    # are screened, and one that is settled gets no LP.
     count, k = block.shape
     U, At, floor = _row_reduction(A, tol) if rows is None else rows
     full = np.zeros(count, dtype=bool)
@@ -207,7 +220,8 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
         space = _null_space(At, U, off, Q, u)
         if screened:
             passed = _settled(A, block[at], off, space, tol)[0]
-            settled, at, off = at[passed], at[~passed], off[~passed]
+            settled = np.concatenate([settled, at[passed]])
+            at, off = at[~passed], off[~passed]
             space = [a[~passed] for a in space]
         if at.size:
             stacks.append(_NullSpaceLps(at, off, *_null_space_lps(*space, tol.rank_tol)))
@@ -227,7 +241,8 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
     refuted = _inconsistent(A.T[block[rest]], d, tol)
     for size in np.unique(kept[~refuted]):
         pick = ~refuted & (kept == size)
-        stack(rest[pick], W[pick], (vt1[pick, :size] / s[pick, :size])[:, :, None])
+        stack(rest[pick], W[pick], (vt1[pick, :size] / s[pick, :size])[:, :, None],
+              screen and size == k)
     return stacks, rest[refuted], settled
 
 
@@ -333,15 +348,17 @@ def _pivot_columns(E: np.ndarray, rank_tol: float) -> np.ndarray:
 
 
 def _least_squares_witness(G: np.ndarray, eta0: np.ndarray, y0: np.ndarray,
-                           N: np.ndarray) -> np.ndarray:
+                           N: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     # The y = y0 + N w of each support whose eta = eta0 + G^T w off it is
-    # nearest _LS_TARGET in the 2-norm: G G^T w = G (_LS_TARGET - eta0), one
-    # stacked (r - k) x (r - k) solve.  G has full row rank (see
-    # ``_null_space``); should a stack still be singular to the solver, its
-    # witnesses are NaN and settle nothing.
+    # nearest _LS_TARGET in the 2-norm, weighted per off-support column by
+    # ``weights`` (count, n - k) where given: G W G^T w = G W (_LS_TARGET -
+    # eta0), one stacked (r - k) x (r - k) solve.  G has full row rank (see
+    # ``_null_space``) and the weights are positive; should a stack still be
+    # singular to the solver, its witnesses are NaN and settle nothing.
+    GW = G if weights is None else G * weights[:, None, :]
     try:
-        w = np.linalg.solve(np.matmul(G, G.transpose(0, 2, 1)),
-                            np.matmul(G, (_LS_TARGET - eta0)[:, :, None]))
+        w = np.linalg.solve(np.matmul(GW, G.transpose(0, 2, 1)),
+                            np.matmul(GW, (_LS_TARGET - eta0)[:, :, None]))
     except np.linalg.LinAlgError:
         return np.full_like(y0, np.nan)
     return y0 + np.matmul(N, w)[:, :, 0]
@@ -351,19 +368,41 @@ def _settled(A: np.ndarray, block: np.ndarray, off: np.ndarray, space: list,
              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which supports a least-squares witness settles as yes, with each witness y and eta.
 
-    The witness y of ``_least_squares_witness`` settles S once eta = A^T y
+    A witness y of ``_least_squares_witness`` settles S once eta = A^T y
     passes ``verify_rsp_witness``'s conditions on the raw A:
     |eta_S - 1|_inf <= feas_tol and max eta_off <= 1 - rsp_margin.  That is
     a complete yes certificate of the range space property by itself, and
     tighter than the margin LP's own yes, whose witness needs only
     eta_off <= t* + feas_tol.  Its verdict is the LP's too: y0 + N w solves
     A_S^T y = 1 up to rounding for every w, so it is a feasible point of the
-    margin LP and t* <= max eta_off <= 1 - rsp_margin.  A witness that
-    misses either bound settles nothing, and its support runs its LP.
+    margin LP and t* <= max eta_off <= 1 - rsp_margin.
+
+    The first witness is unweighted.  A support whose witness misses either
+    bound gets up to _REWEIGHTS more, each from the eta_off of the last:
+    a column with eta_j below _LS_TARGET gets weight _WEIGHT_FLOOR, every
+    other column's weight is multiplied by (1 + eta_j - _LS_TARGET)^2, and
+    the weights are divided by their largest.  Each iterate passes the same
+    re-check; a support none settles runs its LP.
     """
     y = _least_squares_witness(*space)
     eta, on, worst = _raw_eta(A, block, off, y)
-    return (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin), y, eta
+    passed = (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin)
+    # A witness of a singular stack is NaN, and one with no column off S
+    # has max eta_off = -inf; weights change neither.
+    todo = np.flatnonzero(~passed & np.isfinite(worst))
+    weights = np.ones(off.shape)
+    for _ in range(_REWEIGHTS):
+        if not todo.size:
+            break
+        over = eta[todo[:, None], off[todo]] - _LS_TARGET
+        grown = np.where(over < 0.0, _WEIGHT_FLOOR, weights[todo] * (1.0 + over) ** 2)
+        weights[todo] = grown / grown.max(axis=1, keepdims=True)
+        y[todo] = _least_squares_witness(*(a[todo] for a in space), weights[todo])
+        eta[todo], on, worst = _raw_eta(A, block[todo], off[todo], y[todo])
+        ok = (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin)
+        passed[todo] = ok
+        todo = todo[~ok & np.isfinite(worst)]
+    return passed, y, eta
 
 
 def _raw_eta(A: np.ndarray, block: np.ndarray, off: np.ndarray, y: np.ndarray):
@@ -483,7 +522,7 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     ``check_rsp_at`` gives for its support.  The null-space margin LPs are
     built as one stack per number of independent equalities, each solved in
     lockstep; ``solve_batch`` bounds the tableau memory, and the caller
-    bounds the stack (the enumerations pass blocks of at most 256 supports).
+    bounds the stack (the enumerations pass blocks of at most 1,024 supports).
     A solve that breaks down or fails its re-check raises its
     ``CertificateUnavailable`` at the first such support in the given order.
     """

@@ -38,7 +38,7 @@ fails comes back as ``CertificateUnavailable``, and so does a breakdown (its
 subclass ``IterationLimit``).  ``verify_certificate`` runs the same check on
 one LP.  An "infeasible" status and an unbounded ray leave the core
 unchecked, and at large scale the "infeasible" status can be wrong (ROADMAP
-item 2 holds the Farkas check that would catch it).
+item 3 holds the Farkas check that would catch it).
 """
 
 from __future__ import annotations

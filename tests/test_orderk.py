@@ -198,15 +198,24 @@ def test_the_least_squares_screen_changes_no_report(monkeypatch, A):
             settled.append(block[i])
         return passed, y, eta
     monkeypatch.setattr(rsp, "_settled", recording)
-    counts = []
+    counts, every = [], []
     for scale in (1e-8, 1.0, 1e8):
         settled.clear()
+        every.append(0)
         for K in (1, 2, 3):
             for prop in QUANTIFIERS:
+                before = len(settled)
                 screened = _certified(scale * A, K, prop)
                 assert screened == _unscreened(monkeypatch, scale * A, K, prop), (scale, K, prop)
+                if not QUANTIFIERS[prop].full_rank_only:
+                    every[-1] += len(settled) - before
         counts.append(len(settled))
     assert all(counts), counts
+    # rsp and prsp range over every support at every scale, and a support
+    # whose QR falls to the R-diagonal test's absolute floor at small scale
+    # (k' = k on the SVD path) is screened as well, so they settle the same
+    # number of supports at every scale.
+    assert every[0] == every[1] == every[2], every
 
 
 def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(monkeypatch):
@@ -252,7 +261,8 @@ def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(
 
 def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
     # Every block of one call shares A's row reduction: the SVD of A is
-    # computed once, not once per block (rsp at K=3 on 8x16 is 5 blocks).
+    # computed once, not once per block.  rsp at K=3 on 8x16 is 3 blocks,
+    # one per size, so each size's margin LPs are one lockstep stack.
     import rspcert.orderk as orderk
 
     svd, rsp_holds = np.linalg.svd, orderk._rsp_holds
@@ -269,7 +279,46 @@ def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
     monkeypatch.setattr(orderk, "_rsp_holds", counting)
     A = _gaussian(5, (8, 16))
     certify_order_k(A, 3)
-    assert blocks == [16, 120, 256, 256, 48] and shapes.count(A.shape) == 1
+    assert blocks == [16, 120, 560] and shapes.count(A.shape) == 1
+
+
+def test_every_support_a_least_squares_witness_settles_is_a_yes_of_highs(monkeypatch):
+    # A support settled by the first witness or by a reweighted one must be
+    # a yes by HiGHS's t*, which the witness bounds from above: its y is a
+    # feasible point of the margin LP.
+    from test_golden_lp import _scipy_t_star
+
+    import rspcert.rsp as rsp
+
+    real = rsp._settled
+    settled = {}
+
+    def recording(A, block, *args):
+        passed, y, eta = real(A, block, *args)
+        for i in np.flatnonzero(passed):
+            settled[tuple(int(j) for j in block[i])] = np.delete(eta[i], block[i]).max()
+        return passed, y, eta
+    monkeypatch.setattr(rsp, "_settled", recording)
+    rng = np.random.default_rng([2027, 80])
+    tol = DEFAULT_TOLERANCES
+    first = reweighted = 0
+    for shape in [(6, 12)] * 3 + [(8, 16)] * 3:
+        A = rng.standard_normal(shape)
+        settled.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(rsp, "_REWEIGHTS", 0)
+            certify_order_k(A, 3)
+        once = set(settled)
+        settled.clear()
+        certify_order_k(A, 3)
+        assert once <= set(settled)
+        first += len(once)
+        reweighted += len(settled) - len(once)
+        for S, worst in settled.items():
+            t_star = _scipy_t_star(A, S)
+            assert t_star is not None and t_star <= worst + 1e-9, (S, t_star, worst)
+            assert t_star <= 1.0 - tol.rsp_margin, (S, t_star)
+    assert first and reweighted, (first, reweighted)
 
 
 @pytest.mark.parametrize("corrupt", [

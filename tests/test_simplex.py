@@ -586,8 +586,13 @@ def test_the_bench_tool_still_binds_the_engine():
     assert len(bench._solved(work)) == math.comb(8, 2)
     assert simplex._Tableaux.pivot is pivot and rsp.solve_batch is solve_batch
     # Its certifier figures read the screen's settled margins through
-    # rsp._margin_solves and rsp._SETTLED.
-    margin_solves = rsp._margin_solves
+    # rsp._margin_solves and rsp._SETTLED, split off the first witness's
+    # share with rsp._REWEIGHTS set to 0, and count the LPs left.
+    margin_solves, reweights = rsp._margin_solves, rsp._REWEIGHTS
     figures = bench._certifier(rspcert, [(A, "prsp")], 1)
     assert figures["by_size"]["3"]["supports"] == math.comb(8, 3)
     assert 0.0 < figures["settled_frac"] < 1.0 and rsp._margin_solves is margin_solves
+    assert 0.0 < figures["first_witness_frac"] <= figures["settled_frac"]
+    assert figures["lps"] == round((1.0 - figures["settled_frac"]) * math.comb(8, 3))
+    assert figures["steps"] > 0 and figures["blocks"] == figures["solve_batch_calls"] == 1
+    assert rsp._REWEIGHTS == reweights
