@@ -297,17 +297,17 @@ def _oracle(rc, np, runs, repeat: int) -> dict:
             l1_pivots.extend(r.pivots for r in results if not isinstance(r, Exception))
         else:
             margin.append(len(results))
-    real = linalg._pivoted_rank
+    real = linalg._stacked_ranks
 
     def counted(M, rank_tol):
         probes[0] += len(M)
         return real(M, rank_tol)
-    linalg._pivoted_rank = counted
+    linalg._stacked_ranks = counted
     try:
         with _counting(record):
             lockstep = _steps(simplex, oracle)
     finally:
-        linalg._pivoted_rank = real
+        linalg._stacked_ranks = real
     return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
             "lps": sum(stacks) + sum(margin), "solve_batch_calls": len(stacks) + len(margin),
             "steps": lockstep["steps"],

@@ -47,7 +47,7 @@ class ToleranceConfig:
     """
 
     feas_tol: float = 1e-8    # LP feasibility residual
-    rank_tol: float = 1e-8    # relative pivot threshold for numerical rank
+    rank_tol: float = 1e-8    # singular value threshold for rank, times max(1, max|entry|)
     rsp_margin: float = 1e-7  # strictness gap required below 1 for a firm yes
     gap_tol: float = 1e-7     # duality gap and complementary slackness
     zero_tol: float = 1e-9    # support detection threshold
@@ -121,8 +121,8 @@ def submatrix(A: np.ndarray, support: Iterable[int]) -> np.ndarray:
 @dataclass(frozen=True)
 class RankResult:
     rank: int
-    marginal: bool          # some pivot fell within 10x of the accept threshold
-    pivots: tuple[float, ...]
+    marginal: bool             # a pivot (singular value) fell within 10x of the rank threshold
+    pivots: tuple[float, ...]  # singular values, descending, through the first one rejected
 
 
 def stack_chunks(count: int, item_bytes: int) -> Iterator[slice]:
@@ -132,47 +132,24 @@ def stack_chunks(count: int, item_bytes: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, count))
 
 
-def _pivoted_rank(M: np.ndarray, rank_tol: float) -> list[RankResult]:
-    # Householder QR with greedy column pivoting, on a stack of same-shape
-    # matrices at once.  The pivot magnitude at step k is the residual norm of
-    # the selected column; a pivot counts toward the rank iff it exceeds
-    # rank_tol * max(1, largest absolute entry of that matrix).  A matrix's
-    # pivots end at its first one at or below the threshold (column
-    # pivoting: the remaining pivots are no larger); the stack runs on, and
-    # later steps of such a matrix are never read.
+def _stacked_ranks(M: np.ndarray, rank_tol: float) -> list[RankResult]:
+    # Numerical rank of each matrix of a stack of same-shape matrices, from
+    # its singular values (LAPACK, one stacked call).  A singular value counts
+    # toward the rank iff it exceeds rank_tol * max(1, largest absolute entry
+    # of that matrix); a matrix's pivots are its singular values in
+    # descending order, through the first one at or below that threshold.
     count, m, n = M.shape
-    steps = min(m, n)
-    if steps == 0:
+    values = min(m, n)
+    if values == 0:
         return [RankResult(0, False, ())] * count
-    R = np.array(M, dtype=float, order="C")
-    threshold = rank_tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
-    every = np.arange(count)
-    pivots = np.empty((count, steps))
-    for k in range(steps):
-        norms = np.sqrt((R[:, k:, k:] ** 2).sum(axis=1))
-        j = norms.argmax(axis=1)  # first maximum: deterministic
-        pivots[:, k] = norms[every, j]
-        if k == steps - 1:
-            break
-        if np.count_nonzero(j):
-            jj = k + j
-            R[every, :, k], R[every, :, jj] = R[every, :, jj], R[every, :, k]
-        x = R[:, k:, k].copy()
-        # copysign of x0 + 0.0 treats -0.0 as +0.0, the sign a zero x0 takes.
-        alpha = -np.copysign(np.sqrt((x * x).sum(axis=1)), x[:, 0] + 0.0)
-        x[:, 0] -= alpha
-        vn = np.sqrt((x * x).sum(axis=1))
-        x /= np.where(vn > 0.0, vn, 1.0)[:, None]
-        R[:, k:, k:] -= 2.0 * x[:, :, None] * np.einsum("br,brc->bc", x, R[:, k:, k:])[:, None, :]
-        R[:, k, k] = alpha
-    above = pivots > threshold[:, None]
-    ranks = np.logical_and.accumulate(above, axis=1).sum(axis=1)
-    kept = np.minimum(ranks + 1, steps)
-    near = (0.1 * threshold[:, None] <= pivots) & (pivots <= 10.0 * threshold[:, None])
-    near &= np.arange(steps) < kept[:, None]
-    marginal = near.any(axis=1)
-    return [RankResult(int(r), bool(f), tuple(p[:s]))
-            for r, f, p, s in zip(ranks, marginal, pivots.tolist(), kept)]
+    sigma = np.linalg.svd(M, compute_uv=False)
+    threshold = rank_tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))[:, None]
+    ranks = (sigma > threshold).sum(axis=1)
+    kept = np.minimum(ranks + 1, values)
+    near = (0.1 * threshold <= sigma) & (sigma <= 10.0 * threshold)
+    marginal = (near & (np.arange(values) < kept[:, None])).any(axis=1)
+    return [RankResult(int(r), bool(f), tuple(s[:k]))
+            for r, f, s, k in zip(ranks, marginal, sigma.tolist(), kept)]
 
 
 def _block_ranks(A: np.ndarray, block: list[IndexSet], rank_tol: float) -> list[RankResult]:
@@ -182,17 +159,17 @@ def _block_ranks(A: np.ndarray, block: list[IndexSet], rank_tol: float) -> list[
     index = np.array(block, dtype=np.intp)
     results: list[RankResult] = []
     for part in stack_chunks(len(block), 8 * A.shape[0] * index.shape[1]):
-        results += _pivoted_rank(A[:, index[part]].transpose(1, 0, 2), rank_tol)
+        results += _stacked_ranks(A[:, index[part]].transpose(1, 0, 2), rank_tol)
     return results
 
 
 def rank_details(A: np.ndarray, support: Iterable[int] | None = None,
                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> RankResult:
-    """Numerical rank of the column submatrix, with a marginal-pivot flag."""
+    """Numerical rank of the column submatrix, with its singular values and a marginal flag."""
     A = as_matrix(A)
     if support is not None:
         A = A[:, list(normalize_support(support, A.shape[1]))]
-    return _pivoted_rank(A[None], tol.rank_tol)[0]
+    return _stacked_ranks(A[None], tol.rank_tol)[0]
 
 
 def rank(A: np.ndarray, support: Iterable[int] | None = None,
@@ -220,12 +197,14 @@ def mutual_coherence(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
     Maximum over distinct columns i != j of a_i . a_j / (|a_i| |a_j|).  The
     correlation is signed, not absolute: under nonnegativity only positively
     aligned column pairs weaken recovery, so antiparallel pairs do not count.
+    A column whose norm is at most ``rank_tol`` times the largest column norm
+    raises ``ZeroColumn``.
     """
     A = as_matrix(A)
     if A.shape[1] < 2:
         raise ValueError("mutual coherence needs at least two columns")
     norms = np.linalg.norm(A, axis=0)
-    small = np.flatnonzero(norms <= tol.rank_tol)
+    small = np.flatnonzero(norms <= tol.rank_tol * norms.max())
     if small.size:
         raise ZeroColumn(f"column {int(small[0])} has numerically zero norm")
     G = (A / norms).T @ (A / norms)

@@ -79,6 +79,12 @@ def test_mutual_coherence_invariant_under_scaling_and_permutation():
     scales = rng.uniform(0.2, 5.0, size=6)
     perm = rng.permutation(6)
     assert mutual_coherence((A * scales)[:, perm]) == pytest.approx(mu, abs=1e-12)
+    # A column is zero only relative to the largest one, at any global scale.
+    B = np.random.default_rng([0, 7]).standard_normal((6, 12))
+    for s in (1e-9, 1e9):
+        assert mutual_coherence(s * A) == pytest.approx(mu, abs=1e-12)
+        assert mutual_coherence(s * B) == pytest.approx(mutual_coherence(B), abs=1e-12)
+    assert mutual_coherence(B) == pytest.approx(0.851, abs=1e-3)
 
 
 def test_coherence_bound_fails_for_coherent_pair():
@@ -194,7 +200,8 @@ def test_rank_marginal_flag_near_threshold():
 
 def test_stacked_rank_probe_matches_each_probe_alone():
     # One stacked probe per block must give every support the rank, marginal
-    # flag and pivots of its probe alone, at any position in the stack.
+    # flag and pivots of its probe alone, at any position in the stack and at
+    # any scale of the data.
     from itertools import combinations
 
     from rspcert.linalg import SupportEnumeration, _block_ranks
@@ -205,18 +212,23 @@ def test_stacked_rank_probe_matches_each_probe_alone():
     A[:, 10] = 2.0 * A[:, 3]                  # a dependent pair
     A[:, 9] = A[:, 4] + 3e-8 * A[:, 5]        # a nearly dependent pair (marginal)
     tol = ToleranceConfig(rank_tol=1e-8)
-    for k in (1, 2, 3, 4):
-        block = list(combinations(range(12), k))
-        stacked = _block_ranks(A, block, tol.rank_tol)
-        for S, got in zip(block, stacked):
-            assert got == rank_details(A, S, tol), S
-            if not got.marginal:
-                assert got.rank == np.linalg.matrix_rank(A[:, list(S)], tol=1e-6), S
-        assert any(r.marginal for r in stacked) == (k >= 2)
-    kept = [S for _, part in SupportEnumeration(A, [3], 10**6, tol, full_rank_only=True)
-            for S in part]
-    assert kept == [S for S in combinations(range(12), 3) if rank_details(A, S, tol).rank == 3]
-    assert (0, 1, 11) not in kept and (3, 5, 10) not in kept
+    for scale in (1e-4, 1.0, 1e4, 1e8):
+        sA = scale * A
+        for k in (1, 2, 3, 4):
+            block = list(combinations(range(12), k))
+            stacked = _block_ranks(sA, block, tol.rank_tol)
+            for S, got in zip(block, stacked):
+                assert got == rank_details(sA, S, tol), (scale, S)
+                if not got.marginal:
+                    assert got.rank == np.linalg.matrix_rank(sA[:, list(S)], tol=1e-6 * scale), \
+                        (scale, S)
+            if scale == 1.0:
+                assert any(r.marginal for r in stacked) == (k >= 2)
+        kept = [S for _, part in SupportEnumeration(sA, [3], 10**6, tol, full_rank_only=True)
+                for S in part]
+        assert kept == [S for S in combinations(range(12), 3)
+                        if rank_details(sA, S, tol).rank == 3]
+        assert (0, 1, 11) not in kept and (3, 5, 10) not in kept
 
 
 def test_support_enumeration_yields_blocks_in_order():

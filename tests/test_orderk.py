@@ -5,7 +5,7 @@ import pytest
 
 from rspcert import (DEFAULT_TOLERANCES, BudgetExceeded, CertificateUnavailable,
                      IterationLimit, RspcertError, Verdict, certify_order_k, check_rsp_at,
-                     spark, sparsest_supports, uniform_recovery_oracle, verify_rsp_witness)
+                     rank, spark, sparsest_supports, uniform_recovery_oracle, verify_rsp_witness)
 from rspcert.orderk import QUANTIFIERS
 
 from conftest import COHERENT_A
@@ -136,7 +136,7 @@ def test_unknown_property_is_refused_before_any_solve(monkeypatch, run):
     calls = []
     monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(orderk, "rank", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(linalg, "_pivoted_rank", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(linalg, "_stacked_ranks", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="unknown property 'RSP'") as info:
         run(np.random.default_rng(40).standard_normal((4, 8)))
     assert all(prop in str(info.value) for prop in QUANTIFIERS)
@@ -656,6 +656,51 @@ def test_partial_property_bounds_the_order_by_spark():
         for K in (1, 2, 3):
             if certify_order_k(A, K, property="prsp").holds is Verdict.YES:
                 assert K < spark(A)
+
+
+def _neighborly(rng, m):
+    # 2m points on the trigonometric moment curve (cos t, sin t, cos 2t, ...)
+    # span a floor(m/2)-neighborly polytope; where it holds the origin inside,
+    # every support of that size or less has the range space property.  An
+    # odd m gets one Gaussian row, and a random rotation mixes the rows.
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 2 * m))
+    rows = [f(j * t) for j in range(1, m // 2 + 1) for f in (np.cos, np.sin)]
+    if m % 2:
+        rows.append(rng.standard_normal(2 * m))
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return Q @ np.array(rows)
+
+
+def test_weak_and_plain_properties_follow_from_the_partial_ones():
+    # In exact arithmetic wrsp_K <=> pwrsp_K and rank(A) >= K, and
+    # rsp_K <=> prsp_K and spark(A) > K.  The matrices: a neighborly one
+    # (yes up to K = floor(m/2)), a Gaussian one with a dependent pair, a
+    # neighborly one with a column at the midpoint of two others (a dependent
+    # triple) and one of rank 2 (pwrsp vacuously yes for K = 3, wrsp no).
+    matrices = []
+    for m in (4, 5, 6):
+        rng = np.random.default_rng([79, m])
+        matrices.append(_neighborly(rng, m))
+        A = rng.standard_normal((m, 2 * m))
+        A[:, -1] = -1.5 * A[:, 1]
+        matrices.append(A)
+        A = _neighborly(rng, m)
+        A[:, -1] = 0.5 * (A[:, 0] + A[:, 3])
+        matrices.append(A)
+        matrices.append(rng.standard_normal((m, 2)) @ _neighborly(rng, m)[:2])
+    seen = []
+    for A in matrices:
+        r, s = rank(A), spark(A)
+        for K in (1, 2, 3):
+            verdicts = {prop: certify_order_k(A, K, property=prop).holds for prop in QUANTIFIERS}
+            if Verdict.MARGINAL in verdicts.values():
+                continue
+            holds = {prop: verdict is Verdict.YES for prop, verdict in verdicts.items()}
+            assert holds["wrsp"] == (holds["pwrsp"] and r >= K), (A.shape, K)
+            assert holds["rsp"] == (holds["prsp"] and s > K), (A.shape, K)
+            seen.append((K, holds["rsp"], holds["pwrsp"] and r < K))
+    assert any(K >= 2 and rsp for K, rsp, _ in seen)
+    assert any(vacuous for _, _, vacuous in seen)
 
 
 # ------------------------------------------------------------ oracle duality

@@ -596,3 +596,7 @@ def test_the_bench_tool_still_binds_the_engine():
     assert figures["lps"] == round((1.0 - figures["settled_frac"]) * math.comb(8, 3))
     assert figures["steps"] > 0 and figures["blocks"] == figures["solve_batch_calls"] == 1
     assert rsp._REWEIGHTS == reweights
+    # Its oracle figures count rank probes by patching linalg._stacked_ranks.
+    kernel = rspcert.linalg._stacked_ranks
+    assert bench._oracle(rspcert, np, [(A, "prsp")], 1)["rank_probes"] > 0
+    assert rspcert.linalg._stacked_ranks is kernel
