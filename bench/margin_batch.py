@@ -214,11 +214,11 @@ def _certifier(rc, runs, repeat: int) -> dict:
     µs per support it checks; the margin LPs it solves, its ``solve_batch``
     calls, the lockstep steps of those solves and the blocks it certifies;
     and by support size the supports it reaches and the share of them
-    settled by a least-squares witness, with no margin LP: the entries that
-    ``rsp._margin_solves`` returns as ``rsp._SETTLED`` (0 on a tree without
-    that screen).  That share is split into the first witness's, counted on
-    a run with ``rsp._REWEIGHTS`` set to 0, and the reweighted witnesses'
-    (0 on a tree without them).
+    settled by a least-squares witness, with no margin LP: the certificates
+    with ``lp_status`` "settled" that ``_margin_solves`` returns to the
+    certifier (0 on a tree without that screen).  That share is split into
+    the first witness's, counted on a run with ``rsp._REWEIGHTS`` set to 0,
+    and the reweighted witnesses' (0 on a tree without them).
     """
     from rspcert import rsp, simplex
 
@@ -249,25 +249,33 @@ def _certifier(rc, runs, repeat: int) -> dict:
 
 
 def _settled_by_size(rsp, certify) -> dict:
-    """By support size, the supports, settled supports and blocks of one ``certify()``."""
-    status = getattr(rsp, "_SETTLED", None)
+    """By support size, the supports, settled supports and blocks of one ``certify()``.
+
+    Patches ``_margin_solves`` where ``orderk`` imports it; a tree whose
+    ``orderk`` reaches it through ``rsp`` instead, and whose settled entries
+    carry ``status`` rather than ``lp_status``, is counted as well.
+    """
+    from rspcert import orderk
+    module = orderk if hasattr(orderk, "_margin_solves") else rsp
     supports: dict = {}
-    real = rsp._margin_solves
+    real = module._margin_solves
+
+    def settled(entry) -> bool:
+        return getattr(entry, "lp_status", getattr(entry, "status", None)) == "settled"
 
     def recording(A, block, *args, **kwargs):
         margins = real(A, block, *args, **kwargs)
         if len(block):
             counts = supports.setdefault(str(len(block[0])), [0, 0, 0])
             counts[0] += len(block)
-            counts[1] += sum(isinstance(margin, tuple) and margin.status == status
-                             for margin in margins)
+            counts[1] += sum(map(settled, margins))
             counts[2] += 1
         return margins
-    rsp._margin_solves = recording
+    module._margin_solves = recording
     try:
         certify()
     finally:
-        rsp._margin_solves = real
+        module._margin_solves = real
     return supports
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -132,35 +132,30 @@ def stack_chunks(count: int, item_bytes: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, count))
 
 
-def _stacked_ranks(M: np.ndarray, rank_tol: float) -> list[RankResult]:
-    # Numerical rank of each matrix of a stack of same-shape matrices, from
-    # its singular values (LAPACK, one stacked call).  A singular value counts
-    # toward the rank iff it exceeds rank_tol * max(1, largest absolute entry
-    # of that matrix); a matrix's pivots are its singular values in
-    # descending order, through the first one at or below that threshold.
-    count, m, n = M.shape
-    values = min(m, n)
-    if values == 0:
-        return [RankResult(0, False, ())] * count
+def _stacked_ranks(M: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Numerical rank, marginal flag and singular values (descending) of each
+    # matrix of a stack of same-shape matrices, from one stacked LAPACK
+    # call.  A singular value counts toward the rank iff it exceeds
+    # rank_tol * max(1, largest absolute entry of that matrix); a rank is
+    # marginal when a singular value lies within 10x of that threshold,
+    # either side.
     sigma = np.linalg.svd(M, compute_uv=False)
-    threshold = rank_tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))[:, None]
-    ranks = (sigma > threshold).sum(axis=1)
-    kept = np.minimum(ranks + 1, values)
+    threshold = rank_tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2), initial=0.0))[:, None]
     near = (0.1 * threshold <= sigma) & (sigma <= 10.0 * threshold)
-    marginal = (near & (np.arange(values) < kept[:, None])).any(axis=1)
-    return [RankResult(int(r), bool(f), tuple(s[:k]))
-            for r, f, s, k in zip(ranks, marginal, sigma.tolist(), kept)]
+    return (sigma > threshold).sum(axis=1), near.any(axis=1), sigma
 
 
-def _block_ranks(A: np.ndarray, block: list[IndexSet], rank_tol: float) -> list[RankResult]:
-    # The probes of sorted supports of one size, stacked chunk by chunk.
-    if not block or not block[0]:
-        return [RankResult(0, False, ())] * len(block)
-    index = np.array(block, dtype=np.intp)
-    results: list[RankResult] = []
-    for part in stack_chunks(len(block), 8 * A.shape[0] * index.shape[1]):
-        results += _stacked_ranks(A[:, index[part]].transpose(1, 0, 2), rank_tol)
-    return results
+def _block_ranks(A: np.ndarray, block: list[IndexSet],
+                 rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # The rank and marginal flag of each sorted support of one size, stacked
+    # chunk by chunk.
+    ranks, marginal = np.zeros(len(block), dtype=np.intp), np.zeros(len(block), dtype=bool)
+    if block and block[0]:
+        index = np.array(block, dtype=np.intp)
+        for part in stack_chunks(len(block), 8 * A.shape[0] * index.shape[1]):
+            M = A[:, index[part]].transpose(1, 0, 2)
+            ranks[part], marginal[part], _ = _stacked_ranks(M, rank_tol)
+    return ranks, marginal
 
 
 def rank_details(A: np.ndarray, support: Iterable[int] | None = None,
@@ -169,7 +164,8 @@ def rank_details(A: np.ndarray, support: Iterable[int] | None = None,
     A = as_matrix(A)
     if support is not None:
         A = A[:, list(normalize_support(support, A.shape[1]))]
-    return _stacked_ranks(A[None], tol.rank_tol)[0]
+    (found,), (marginal,), (sigma,) = _stacked_ranks(A[None], tol.rank_tol)
+    return RankResult(int(found), bool(marginal), tuple(sigma[:found + 1].tolist()))
 
 
 def rank(A: np.ndarray, support: Iterable[int] | None = None,
@@ -268,8 +264,8 @@ class SupportEnumeration:
             supports = combinations(range(n), k)
             while block := list(islice(supports, _BLOCK_LEN)):
                 if self.full_rank_only:
-                    ranks = _block_ranks(self.A, block, self.tol.rank_tol)
-                    block = [S for S, r in zip(block, ranks) if r.rank == k]
+                    full = _block_ranks(self.A, block, self.tol.rank_tol)[0] == k
+                    block = list(compress(block, full.tolist()))
                 self.count += len(block)
                 yield k, block
 
@@ -284,6 +280,6 @@ def spark(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     A = as_matrix(A)
     n = A.shape[1]
     for k, block in SupportEnumeration(A, range(1, n + 1), budget, lazy=True):
-        if any(r.rank < k for r in _block_ranks(A, block, tol.rank_tol)):
+        if (_block_ranks(A, block, tol.rank_tol)[0] < k).any():
             return k
     return n + 1

@@ -27,7 +27,8 @@ import numpy as np
 
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
                      ToleranceConfig, as_matrix, rank)
-from .rsp import Verdict, _certified_points, _l1_points, _row_reduction, _rsp_holds
+from .rsp import (Verdict, _certified_points, _l1_points, _margin_solves, _raised,
+                  _row_reduction)
 
 # Enumeration cap for LP-backed subset certification.  Each subset costs one
 # LP solve, far more than the rank probes behind the spark search, so the
@@ -151,12 +152,14 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     failures: dict[int, int] = {}
     rows = _row_reduction(A, tol)
     for k, block in supports:
-        for S, holds in zip(block, _rsp_holds(A, block, tol, rows)):
-            if holds is Verdict.NO:
+        # A block's first support in order whose LP breaks down or fails its
+        # re-check raises, as in ``check_rsp_batch``.
+        for S, cert in zip(block, map(_raised, _margin_solves(A, block, tol, rows, screen=True))):
+            if cert.holds is Verdict.NO:
                 failures[k] = failures.get(k, 0) + 1
                 if counterexample is None:
                     counterexample = S
-            elif holds is Verdict.MARGINAL:
+            elif cert.holds is Verdict.MARGINAL:
                 marginal.append(S)
     if counterexample is not None:
         holds = Verdict.NO

@@ -12,12 +12,15 @@ only the verdict, first tries a least-squares witness at each full-rank
 support (``_settled``); where its eta passes ``verify_rsp_witness``'s
 conditions on the raw A, the support is a yes with no LP and no t*, and
 that yes is the LP's too, since the witness is a feasible point of the
-margin LP with max eta_off <= 1 - rsp_margin.  Where the first witness
-fails its re-check, a few reweighted least-squares solves follow, one-sided
-in the manner of Lawson's minimax iteration: an off-support column whose
-eta is already below the target gets a small weight, and one above it a
-weight that grows with its excess, so that the next witness pushes down the
-largest eta_off.  Every iterate passes the same re-check on the raw A.
+margin LP with max eta_off <= 1 - rsp_margin.  Such a settled yes has
+lp_status "settled" and no t*, and carries its witness (eta, y), which
+passes ``verify_rsp_witness``; max eta_off bounds t* from above.  The first
+witness has all weights 1; where it fails its re-check, a few reweighted
+least-squares solves follow, one-sided in the manner of Lawson's minimax
+iteration: an off-support column whose eta is already below the target gets
+a small weight, and one above it a weight that grows with its excess, so
+that the next witness pushes down the largest eta_off.  Every iterate passes
+the same re-check on the raw A.
 """
 
 from __future__ import annotations
@@ -52,16 +55,19 @@ class FailureReason(str, Enum):
 
 @dataclass
 class RspCertificate:
-    """Outcome of the margin LP at one support.
+    """Outcome of the range space check at one support.
 
-    t_star is the optimal margin: the smallest ceiling t such that some
-    eta = A^T y equals 1 on the support and stays at or below t off it
-    (t clamped below at -1 to keep the LP bounded).  The property holds
-    strictly iff t_star < 1; verdicts leave a tolerance band around 1.
+    t_star is the optimal margin of the margin LP: the smallest ceiling t
+    such that some eta = A^T y equals 1 on the support and stays at or below
+    t off it (t clamped below at -1 to keep the LP bounded).  The property
+    holds strictly iff t_star < 1; verdicts leave a tolerance band around 1.
     Witnesses are present for yes/marginal verdicts and satisfy eta = A^T y,
     eta = 1 on the support and eta <= t_star off it, the last two up to the
     LP's feasibility tolerance.  Only a yes witness, whose t_star is at most
     1 - rsp_margin, passes ``verify_rsp_witness``; a marginal one does not.
+    A yes of the order-K certifier may have lp_status "settled": no LP ran,
+    so t_star is None, and its witness, a checked least-squares one, passes
+    ``verify_rsp_witness`` with max eta_off an upper bound on t*.
     """
 
     holds: Verdict
@@ -132,26 +138,24 @@ def _off_support(block: np.ndarray, n: int) -> np.ndarray:
     return np.nonzero(outside)[1].reshape(count, n - k)
 
 
-class _NullSpaceLps(NamedTuple):
-    """The null-space margin LPs of the supports of a block that share k'.
+class _NullSpace(NamedTuple):
+    """The null-space coordinates of the supports of a block that share k'.
 
     k' is the number of singular values of A_S that count (k' = k where A_S
     has full column rank).  With y0 the least-norm solution of A_S^T y = 1 in
     the k' directions they span and the columns of N a basis of the rest of
     the range of A, every y with A_S^T y = 1 is y0 + N w up to a part outside
     that range, which moves no eta.  Off S, eta is eta0 + G^T w, with
-    eta0 = A_off^T y0 and G = N^T A_off.  The margin LP is then the dual of
-    max eta0.z - mu s.t. G z = 0, 1.z + mu = 1, z, mu >= 0; ``lps`` states
-    that over [z, mu, v+, v-], with the objective in the last row,
-    eta0.z - mu - (v+ - v-) = 0, and cost v- - v+.  So t* = -objective, and
-    w is the dual of the G rows.  Where k' < k, y0 meets the equalities only
-    if they are consistent; the raw re-check of each optimum shows when not.
+    eta0 = A_off^T y0 and G = N^T A_off.  Where k' < k, y0 meets the
+    equalities only if they are consistent; the raw re-check of each
+    optimum shows when not.
     """
 
+    rank: int            # k'
     at: np.ndarray       # positions in the block
     off: np.ndarray      # the columns off each support, ascending
-    lps: LpStack
-    basis: np.ndarray    # each LP's start, or a row of -1
+    G: np.ndarray        # (count, r - k', n - k)
+    eta0: np.ndarray     # (count, n - k)
     y0: np.ndarray       # (count, m)
     N: np.ndarray        # (count, m, r - k')
 
@@ -170,9 +174,9 @@ _LS_TARGET = -0.5
 _REWEIGHTS = 6
 _WEIGHT_FLOOR = 1e-3
 
-# The status of a margin outcome that no LP decided: a least-squares
+# The lp_status of a certificate that no LP decided: a least-squares
 # witness that passed ``verify_rsp_witness``'s conditions settles the
-# support as a yes, with no t*.
+# support as a yes, with that witness and no t*.
 _SETTLED = "settled"
 
 
@@ -187,22 +191,20 @@ def _row_reduction(A: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.
 
 
 def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
-                   rows: tuple | None = None, screen: bool = False) -> tuple[list[_NullSpaceLps], np.ndarray, np.ndarray]:
-    # Every margin LP of the sorted supports of one size in ``block``: the
-    # null-space LPs, one stack per k', the positions of the supports
-    # whose equalities a checked witness shows to be inconsistent, and,
-    # with ``screen``, the positions of those that ``_settled`` settles.
-    # A is first reduced to r independent rows (``_row_reduction``, or
-    # ``rows`` where the caller has it already), so that no row of G is zero
-    # up to rounding.  A support has full column rank when k <= r and each
+                   rows: tuple | None = None) -> tuple[list[_NullSpace], np.ndarray]:
+    # The null-space coordinates of the sorted supports of one size in
+    # ``block``, one stack per k', and the positions of the supports whose
+    # equalities a checked witness shows to be inconsistent.  A is first
+    # reduced to r independent rows (``_row_reduction``, or ``rows`` where
+    # the caller has it already), so that no row of G is zero up to
+    # rounding.  A support has full column rank when k <= r and each
     # diagonal entry of R in the QR A~_S = Q R exceeds rank_tol *
     # max(1, largest |entry| of A_S); then k' = k and u = R^-T 1.  Every
     # other support takes an SVD A~_S = W Sigma V^T, whose k' singular values
     # above the row reduction's threshold give Q = W and
     # u = Sigma_1^-1 V_1^T 1, and the witness d = V_2 V_2^T 1 = 1 - A~_S^T W_1 u
     # of ``_inconsistent``.  Either way y0 = Q_1 u and N = Q_2, both mapped
-    # back by U.  With ``screen``, the supports with k' = k, on either path,
-    # are screened, and one that is settled gets no LP.
+    # back by U.
     count, k = block.shape
     U, At, floor = _row_reduction(A, tol) if rows is None else rows
     full = np.zeros(count, dtype=bool)
@@ -212,28 +214,15 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
         threshold = tol.rank_tol * np.maximum(1.0, largest)
         full = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > threshold[:, None]).all(axis=1)
 
-    stacks, settled = [], np.empty(0, dtype=np.intp)
-
-    def stack(at, Q, u, screened=False):
-        nonlocal settled
-        off = _off_support(block[at], A.shape[1])
-        space = _null_space(At, U, off, Q, u)
-        if screened:
-            passed = _settled(A, block[at], off, space, tol)[0]
-            settled = np.concatenate([settled, at[passed]])
-            at, off = at[~passed], off[~passed]
-            space = [a[~passed] for a in space]
-        if at.size:
-            stacks.append(_NullSpaceLps(at, off, *_null_space_lps(*space, tol.rank_tol)))
-
+    stacks = []
     at, rest = np.flatnonzero(full), np.flatnonzero(~full)
     if at.size:
         if rest.size:
             Q, R = Q[at], R[at]
-        stack(at, Q, np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((at.size, k, 1))),
-              screen)
+        u = np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((at.size, k, 1)))
+        stacks.append(_null_space(At, U, block, at, Q, u))
     if not rest.size:
-        return stacks, rest, settled
+        return stacks, rest
     W, s, Vt = np.linalg.svd(At.T[block[rest]].transpose(0, 2, 1))
     kept = (s > floor).sum(axis=1)
     vt1 = Vt.sum(axis=2)                              # V^T 1
@@ -241,9 +230,9 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
     refuted = _inconsistent(A.T[block[rest]], d, tol)
     for size in np.unique(kept[~refuted]):
         pick = ~refuted & (kept == size)
-        stack(rest[pick], W[pick], (vt1[pick, :size] / s[pick, :size])[:, :, None],
-              screen and size == k)
-    return stacks, rest[refuted], settled
+        stacks.append(_null_space(At, U, block, rest[pick], W[pick],
+                                  (vt1[pick, :size] / s[pick, :size])[:, :, None]))
+    return stacks, rest[refuted]
 
 
 def _inconsistent(columns: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -276,12 +265,13 @@ def _inconsistent(columns: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> n
     return (residual <= tol.feas_tol * scale) & (d.sum(axis=1) > tol.feas_tol)
 
 
-def _null_space(At: np.ndarray, U: np.ndarray, off: np.ndarray, Q: np.ndarray,
-                u: np.ndarray) -> list[np.ndarray]:
-    # G, eta0, y0 and N of supports with k' = len(u) equalities that count,
-    # from an orthogonal Q whose first k' columns span A~_S and u with
-    # y0 = U Q_1 u.
+def _null_space(At: np.ndarray, U: np.ndarray, block: np.ndarray, at: np.ndarray,
+                Q: np.ndarray, u: np.ndarray) -> _NullSpace:
+    # The null-space coordinates of the supports at positions ``at`` of
+    # ``block``, with k' = len(u) equalities that count, from an orthogonal
+    # Q whose first k' columns span A~_S and u with y0 = U Q_1 u.
     k = u.shape[1]
+    off = _off_support(block[at], At.shape[1])
     P = np.matmul(Q.transpose(0, 2, 1), At[:, off].transpose(1, 0, 2))   # Q^T A~_off
     UQ = np.matmul(U, Q)
     # Each row of G is scaled to unit norm, and its column of N with it:
@@ -292,16 +282,20 @@ def _null_space(At: np.ndarray, U: np.ndarray, off: np.ndarray, Q: np.ndarray,
     norms = np.sqrt((P[:, k:] * P[:, k:]).sum(axis=2))
     G = P[:, k:] / norms[:, :, None]
     eta0 = np.matmul(u.transpose(0, 2, 1), P[:, :k])[:, 0]
-    return [G, eta0, np.matmul(UQ[:, :, :k], u)[:, :, 0], UQ[:, :, k:] / norms[:, None, :]]
+    return _NullSpace(k, at, off, G, eta0, np.matmul(UQ[:, :, :k], u)[:, :, 0],
+                      UQ[:, :, k:] / norms[:, None, :])
 
 
-def _null_space_lps(G: np.ndarray, eta0: np.ndarray, y0: np.ndarray, N: np.ndarray,
-                    rank_tol: float):
-    # The null-space LPs of ``_null_space``'s G and eta0, with y0, N and the
-    # start of each: z_J for r - k' columns J with G_J nonsingular, picked by
+def _null_space_lps(G: np.ndarray, eta0: np.ndarray, rank_tol: float) -> tuple[LpStack, np.ndarray]:
+    # The margin LPs of ``_null_space``'s G and eta0, and the start of each.
+    # The margin LP is the dual of max eta0.z - mu s.t. G z = 0,
+    # 1.z + mu = 1, z, mu >= 0; each LP states that over [z, mu, v+, v-],
+    # with the objective in the last row, eta0.z - mu - (v+ - v-) = 0, and
+    # cost v- - v+.  So t* = -objective, and w is the dual of the G rows.
+    # The start is z_J for r - k' columns J with G_J nonsingular, picked by
     # a partial-pivot elimination on G (pivots above rank_tol), then mu and
-    # v-.  The start's z_J = 0, mu = 1 and v- = 1 are feasible; an LP whose
-    # elimination falls to the threshold or below gets no start.
+    # v-.  Its z_J = 0, mu = 1 and v- = 1 are feasible; an LP whose
+    # elimination falls to the threshold or below gets a row of -1, no start.
     count, rows, kc = G.shape
     B = np.zeros((count, rows + 2, kc + 3))
     B[:, :rows, :kc] = G
@@ -318,7 +312,7 @@ def _null_space_lps(G: np.ndarray, eta0: np.ndarray, y0: np.ndarray, N: np.ndarr
     basis[:, :rows] = _pivot_columns(G, rank_tol)
     basis[:, rows:] = (kc, kc + 2)
     basis[(basis[:, :rows] < 0).any(axis=1)] = -1
-    return lps, basis, y0, N
+    return lps, basis
 
 
 def _pivot_columns(E: np.ndarray, rank_tol: float) -> np.ndarray:
@@ -348,14 +342,14 @@ def _pivot_columns(E: np.ndarray, rank_tol: float) -> np.ndarray:
 
 
 def _least_squares_witness(G: np.ndarray, eta0: np.ndarray, y0: np.ndarray,
-                           N: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+                           N: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # The y = y0 + N w of each support whose eta = eta0 + G^T w off it is
     # nearest _LS_TARGET in the 2-norm, weighted per off-support column by
-    # ``weights`` (count, n - k) where given: G W G^T w = G W (_LS_TARGET -
-    # eta0), one stacked (r - k) x (r - k) solve.  G has full row rank (see
+    # ``weights`` (count, n - k): G W G^T w = G W (_LS_TARGET - eta0), one
+    # stacked (r - k) x (r - k) solve.  G has full row rank (see
     # ``_null_space``) and the weights are positive; should a stack still be
     # singular to the solver, its witnesses are NaN and settle nothing.
-    GW = G if weights is None else G * weights[:, None, :]
+    GW = G * weights[:, None, :]
     try:
         w = np.linalg.solve(np.matmul(GW, G.transpose(0, 2, 1)),
                             np.matmul(GW, (_LS_TARGET - eta0)[:, :, None]))
@@ -364,7 +358,7 @@ def _least_squares_witness(G: np.ndarray, eta0: np.ndarray, y0: np.ndarray,
     return y0 + np.matmul(N, w)[:, :, 0]
 
 
-def _settled(A: np.ndarray, block: np.ndarray, off: np.ndarray, space: list,
+def _settled(A: np.ndarray, block: np.ndarray, off: np.ndarray, space: tuple,
              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which supports a least-squares witness settles as yes, with each witness y and eta.
 
@@ -377,31 +371,32 @@ def _settled(A: np.ndarray, block: np.ndarray, off: np.ndarray, space: list,
     A_S^T y = 1 up to rounding for every w, so it is a feasible point of the
     margin LP and t* <= max eta_off <= 1 - rsp_margin.
 
-    The first witness is unweighted.  A support whose witness misses either
-    bound gets up to _REWEIGHTS more, each from the eta_off of the last:
-    a column with eta_j below _LS_TARGET gets weight _WEIGHT_FLOOR, every
-    other column's weight is multiplied by (1 + eta_j - _LS_TARGET)^2, and
-    the weights are divided by their largest.  Each iterate passes the same
-    re-check; a support none settles runs its LP.
+    The first witness has every weight 1.  A support whose witness misses
+    either bound gets up to _REWEIGHTS more, each from the eta_off of the
+    last: a column with eta_j below _LS_TARGET gets weight _WEIGHT_FLOOR,
+    every other column's weight is multiplied by (1 + eta_j - _LS_TARGET)^2,
+    and the weights are divided by their largest.  Each iterate passes the
+    same re-check; a support none settles runs its LP.
     """
-    y = _least_squares_witness(*space)
-    eta, on, worst = _raw_eta(A, block, off, y)
-    passed = (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin)
-    # A witness of a singular stack is NaN, and one with no column off S
-    # has max eta_off = -inf; weights change neither.
-    todo = np.flatnonzero(~passed & np.isfinite(worst))
+    count = len(block)
+    y, eta = np.empty((count, A.shape[0])), np.empty((count, A.shape[1]))
+    passed = np.zeros(count, dtype=bool)
     weights = np.ones(off.shape)
-    for _ in range(_REWEIGHTS):
-        if not todo.size:
-            break
-        over = eta[todo[:, None], off[todo]] - _LS_TARGET
-        grown = np.where(over < 0.0, _WEIGHT_FLOOR, weights[todo] * (1.0 + over) ** 2)
-        weights[todo] = grown / grown.max(axis=1, keepdims=True)
+    todo = np.arange(count)
+    for step in range(_REWEIGHTS + 1):
+        if step:
+            over = eta[todo[:, None], off[todo]] - _LS_TARGET
+            grown = np.where(over < 0.0, _WEIGHT_FLOOR, weights[todo] * (1.0 + over) ** 2)
+            weights[todo] = grown / grown.max(axis=1, keepdims=True)
         y[todo] = _least_squares_witness(*(a[todo] for a in space), weights[todo])
         eta[todo], on, worst = _raw_eta(A, block[todo], off[todo], y[todo])
         ok = (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin)
         passed[todo] = ok
+        # A witness of a singular stack is NaN, and one with no column off S
+        # has max eta_off = -inf; weights change neither.
         todo = todo[~ok & np.isfinite(worst)]
+        if not todo.size:
+            break
     return passed, y, eta
 
 
@@ -414,52 +409,36 @@ def _raw_eta(A: np.ndarray, block: np.ndarray, off: np.ndarray, y: np.ndarray):
             eta[every, off].max(axis=1, initial=-np.inf))
 
 
-class _Margin(NamedTuple):
-    """A margin LP's outcome: INFEASIBLE, or OPTIMAL with t* and a witness y, eta = A^T y.
-
-    Or _SETTLED, where no LP ran and a checked least-squares witness settled
-    the support as a yes.
-    """
-
-    status: str
-    t_star: float | None = None
-    y: np.ndarray | None = None
-    eta: np.ndarray | None = None
-
-
-def _margin_certificate(S: IndexSet, margin: _Margin, tol: ToleranceConfig) -> RspCertificate:
-    if margin.status == INFEASIBLE:
-        return RspCertificate(Verdict.NO, S, None, None, None, INFEASIBLE)
-    t_star = margin.t_star
+def _margin_certificate(S: IndexSet, t_star: float, y: np.ndarray, eta: np.ndarray,
+                        tol: ToleranceConfig) -> RspCertificate:
+    # The certificate of a margin LP's checked optimum t* with witness y, eta.
     if t_star <= 1.0 - tol.rsp_margin:
-        holds = Verdict.YES
-    elif t_star >= 1.0 - tol.feas_tol:
-        holds = Verdict.NO
-    else:
-        holds = Verdict.MARGINAL
-    if holds is Verdict.NO:
-        return RspCertificate(holds, S, None, None, t_star, OPTIMAL)
-    return RspCertificate(holds, S, margin.eta, margin.y, t_star, OPTIMAL)
+        return RspCertificate(Verdict.YES, S, eta, y, t_star, OPTIMAL)
+    if t_star >= 1.0 - tol.feas_tol:
+        return RspCertificate(Verdict.NO, S, None, None, t_star, OPTIMAL)
+    return RspCertificate(Verdict.MARGINAL, S, eta, y, t_star, OPTIMAL)
 
 
-def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps, solved: list,
-                        tol: ToleranceConfig) -> list[_Margin | CertificateUnavailable]:
-    # The null-space LPs' outcomes.  Each optimum is re-checked on the raw A
-    # as well, not only on the reduced LP: eta = A^T y must be 1 on S and at
-    # most t* off S, each to feas_tol, so that an error in U, Q or R shows.
-    # The LP is feasible and bounded, so any other status is a breakdown.
-    rows = reduced.N.shape[2]
+def _null_space_margins(A: np.ndarray, supports: list[IndexSet], block: np.ndarray,
+                        space: _NullSpace, solved: list,
+                        tol: ToleranceConfig) -> list[RspCertificate | CertificateUnavailable]:
+    # The certificates of the null-space LPs ``solved`` at the supports of
+    # ``space``.  Each optimum is re-checked on the raw A as well, not only
+    # on the reduced LP: eta = A^T y must be 1 on S and at most t* off S,
+    # each to feas_tol, so that an error in U, Q or R shows.  The LP is
+    # feasible and bounded, so any other status is a breakdown.
+    rows = space.N.shape[2]
     optimal = np.array([isinstance(sol, LpSolution) and sol.status == OPTIMAL for sol in solved])
     w = np.zeros((len(solved), rows))
     t_star = np.zeros(len(solved))
     for i in np.flatnonzero(optimal):
         w[i] = solved[i].y[:rows]
         t_star[i] = 0.0 - solved[i].objective_value
-    y = reduced.y0 + np.matmul(reduced.N, w[:, :, None])[:, :, 0]
-    eta, on, off = _raw_eta(A, block, reduced.off, y)
+    y = space.y0 + np.matmul(space.N, w[:, :, None])[:, :, 0]
+    eta, on, off = _raw_eta(A, block[space.at], space.off, y)
     passed = (on <= tol.feas_tol) & (off <= t_star + tol.feas_tol)
     margins: list = []
-    for i, sol in enumerate(solved):
+    for i, (at, sol) in enumerate(zip(space.at.tolist(), solved)):
         if isinstance(sol, CertificateUnavailable):
             margins.append(sol)
         elif not optimal[i]:
@@ -467,51 +446,42 @@ def _null_space_margins(A: np.ndarray, block: np.ndarray, reduced: _NullSpaceLps
         elif not passed[i]:
             margins.append(CertificateUnavailable("optimal solve failed its certificate re-check"))
         else:
-            margins.append(_Margin(OPTIMAL, float(t_star[i]), y[i], eta[i]))
+            margins.append(_margin_certificate(supports[at], float(t_star[i]), y[i], eta[i], tol))
     return margins
 
 
 def _margin_solves(A: np.ndarray, supports: list[IndexSet], tol: ToleranceConfig,
-                   rows: tuple | None = None, screen: bool = False) -> list[_Margin | CertificateUnavailable]:
-    # The margin LPs of sorted supports of one size, in order: INFEASIBLE
-    # where a checked witness refutes the equalities, with ``screen``
-    # _SETTLED where a checked least-squares witness settles the support,
-    # and otherwise the null-space LP, solved in lockstep with the others of
-    # its k' and started where it has a start.  ``rows`` is A's
-    # ``_row_reduction`` where the caller shares one over several calls.
+                   rows: tuple | None = None,
+                   screen: bool = False) -> list[RspCertificate | CertificateUnavailable]:
+    # The certificate of each sorted support of one size, in order, or the
+    # CertificateUnavailable of its solve: a no with lp_status INFEASIBLE
+    # where a checked witness refutes the equalities; with ``screen``, a yes
+    # with lp_status _SETTLED, its witness and no t* where a checked
+    # least-squares witness settles a support with k' = k; and otherwise
+    # its null-space LP's,
+    # solved in lockstep with the others of its k' and started where it has
+    # a start.  ``rows`` is A's ``_row_reduction`` where the caller shares
+    # one over several calls.
     if not supports:
         return []
     block = np.array(supports, dtype=np.intp)
-    stacks, refuted, settled = _margin_stacks(A, block, tol, rows, screen)
+    stacks, refuted = _margin_stacks(A, block, tol, rows)
     results: list = [None] * len(supports)
-    for i in refuted:
-        results[i] = _Margin(INFEASIBLE)
-    for i in settled:
-        results[i] = _Margin(_SETTLED)
-    for reduced in stacks:
-        solved = solve_batch(reduced.lps, tol, basis=reduced.basis)
-        for i, margin in zip(reduced.at, _null_space_margins(A, block[reduced.at], reduced,
-                                                              solved, tol)):
-            results[i] = margin
+    for i in refuted.tolist():
+        results[i] = RspCertificate(Verdict.NO, supports[i], None, None, None, INFEASIBLE)
+    for space in stacks:
+        if screen and space.rank == block.shape[1]:
+            passed, y, eta = _settled(A, block[space.at], space.off, space[3:], tol)
+            for i, j in zip(space.at[passed].tolist(), np.flatnonzero(passed).tolist()):
+                results[i] = RspCertificate(Verdict.YES, supports[i], eta[j], y[j], None, _SETTLED)
+            space = _NullSpace(space.rank, *(a[~passed] for a in space[1:]))
+        if space.at.size:
+            lps, basis = _null_space_lps(space.G, space.eta0, tol.rank_tol)
+            solved = solve_batch(lps, tol, basis=basis)
+            for i, cert in zip(space.at.tolist(),
+                               _null_space_margins(A, supports, block, space, solved, tol)):
+                results[i] = cert
     return results
-
-
-def _rsp_holds(A: np.ndarray, block: list[IndexSet], tol: ToleranceConfig,
-               rows: tuple) -> list[Verdict]:
-    """The range space property's verdict at each support of one size, for ``certify_order_k``.
-
-    ``block`` is a ``SupportEnumeration`` block as it comes (sorted supports
-    of valid indices), and ``rows`` A's ``_row_reduction``, shared by every
-    block of a call.  Unlike ``check_rsp_batch``, a full-rank support whose
-    least-squares witness passes its re-check (``_settled``) is a yes
-    without its margin LP: that verdict is the LP's, but it rests on the
-    witness and has no t*.  Every other support's verdict is its LP's, and
-    the first support in order whose LP breaks down or fails its re-check
-    raises, as in ``check_rsp_batch``.
-    """
-    margins = map(_raised, _margin_solves(A, block, tol, rows, screen=True))
-    return [Verdict.YES if margin.status == _SETTLED else _margin_certificate(S, margin, tol).holds
-            for S, margin in zip(block, margins)]
 
 
 def check_rsp_batch(A, supports: Sequence[Iterable[int]],
@@ -530,8 +500,7 @@ def check_rsp_batch(A, supports: Sequence[Iterable[int]],
     supports = [normalize_support(S, A.shape[1]) for S in supports]
     if len({len(S) for S in supports}) > 1:
         raise ValueError("a margin LP batch takes supports of one size")
-    for S, margin in zip(supports, _margin_solves(A, supports, tol)):
-        yield _margin_certificate(S, _raised(margin), tol)
+    yield from map(_raised, _margin_solves(A, supports, tol))
 
 
 def check_rsp_at(A, support, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -581,9 +550,9 @@ def verify_rsp_witness(A, support, eta, y,
     return True
 
 
-def _combine(rsp_cert: RspCertificate, rank_res, aug_res, k: int) -> UniquenessVerdict:
-    full = rank_res.rank == k
-    aug_full = aug_res.rank == k
+def _combine(rsp_cert: RspCertificate, rank_found: int, augmented_rank: int,
+             rank_marginal: bool, k: int) -> UniquenessVerdict:
+    full = rank_found == k
     rsp_no = rsp_cert.holds is Verdict.NO
     if rsp_no and not full:
         reason = FailureReason.BOTH
@@ -600,10 +569,9 @@ def _combine(rsp_cert: RspCertificate, rank_res, aug_res, k: int) -> UniquenessV
     else:
         unique = Verdict.NO
     return UniquenessVerdict(unique=unique, rsp=rsp_cert,
-                             full_column_rank=full, rank_found=rank_res.rank,
-                             augmented_full_column_rank=aug_full,
-                             rank_marginal=rank_res.marginal or aug_res.marginal,
-                             reason=reason)
+                             full_column_rank=full, rank_found=rank_found,
+                             augmented_full_column_rank=augmented_rank == k,
+                             rank_marginal=rank_marginal, reason=reason)
 
 
 def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -624,9 +592,9 @@ def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     x = as_vector(x, A.shape[1])
     scaled = A if weights is None else _scaled_by_weights(A, weights)
     S = _solution_support(A, b, x, tol)
-    cert = check_rsp_at(scaled, S, tol)
-    return _combine(cert, rank_details(A, S, tol),
-                    augmented_rank_details(A, S, tol), len(S))
+    ranks, augmented = rank_details(A, S, tol), augmented_rank_details(A, S, tol)
+    return _combine(check_rsp_at(scaled, S, tol), ranks.rank, augmented.rank,
+                    ranks.marginal or augmented.marginal, len(S))
 
 
 def _solution_support(A: np.ndarray, b: np.ndarray, x: np.ndarray,
@@ -748,22 +716,26 @@ def _certified_points(A: np.ndarray, points: list, tol: ToleranceConfig
     # The certification step of ``solve_and_certify`` for each entry of
     # ``points``: ``(x, verdict)``, or a raise on reaching an error.  The
     # margin LPs at the supports reached (each distinct support once) are
-    # one stack per support size, and the rank tests stacked probes.
+    # one stack per support size, and the rank tests stacked probes.  Each
+    # point gets a certificate of its own.
     n = A.shape[1]
     by_size: dict[int, list[IndexSet]] = {}
     for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
         by_size.setdefault(len(S), []).append(S)
     with_ones = np.vstack([A, np.ones(n)])
     rows = _row_reduction(A, tol) if by_size else None
-    margin, ranks, augmented = {}, {}, {}
+    margin, ranks = {}, {}
     for group in by_size.values():
         margin |= zip(group, _margin_solves(A, group, tol, rows))
-        ranks |= zip(group, _block_ranks(A, group, tol.rank_tol))
-        augmented |= zip(group, _block_ranks(with_ones, group, tol.rank_tol))
+        found, near = _block_ranks(A, group, tol.rank_tol)
+        augmented, augmented_near = _block_ranks(with_ones, group, tol.rank_tol)
+        near |= augmented_near
+        ranks |= zip(group, zip(found.tolist(), augmented.tolist(), near.tolist()))
     for point in points:
         x, S = _raised(point)
-        cert = _margin_certificate(S, _raised(margin[S]), tol)
-        yield x, _combine(cert, ranks[S], augmented[S], len(S))
+        c = _raised(margin[S])
+        cert = RspCertificate(c.holds, S, c.witness_eta, c.witness_y, c.t_star, c.lp_status)
+        yield x, _combine(cert, *ranks[S], len(S))
 
 
 def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES

@@ -341,10 +341,45 @@ def test_negative_budget_env_exit_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RSPCERT_BUDGET", "-1")
     assert main(["order-k", str(a_path), "--k", "1"]) == 1
     assert "RSPCERT_BUDGET must be at least 0" in capsys.readouterr().err
+    monkeypatch.setenv("RSPCERT_BUDGET", "abc")
+    assert main(["order-k", str(a_path), "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RSPCERT_BUDGET must be an integer, got 'abc'" in captured.err
     monkeypatch.setenv("RSPCERT_BUDGET", "0")
     assert main(["order-k", str(a_path), "--k", "1"]) == 6
     monkeypatch.delenv("RSPCERT_BUDGET")
     assert main(["order-k", str(a_path), "--k", "1", "--budget", "0"]) == 6
+
+
+def test_a_margin_in_the_tolerance_band_exits_four(tmp_path, capsys):
+    # With --rsp-margin 0.9 a yes needs t* <= 0.1; the planted support's t*
+    # is near 0.43, so each verdict command exits 4 and classify says
+    # indeterminate.
+    from conftest import planted_system
+
+    A, b, x = planted_system(np.random.default_rng([2027, 91, 1]), 6, 12, 2)
+    args = _write_system(tmp_path, A, b, x)
+    margin = ["--rsp-margin", "0.9"]
+    assert main(["certify", *args, *margin]) == 4
+    assert main(["solve-l1", *args[:2], *margin]) == 4
+    assert main(["order-k", args[0], "--k", "1", "--oracle", *margin]) == 4
+    capsys.readouterr()
+    assert main(["classify", *args[:2], *margin]) == 0
+    out = capsys.readouterr().out
+    assert "class: indeterminate" in out and "l0/l1 equivalence: indeterminate" in out
+
+
+def test_a_nearly_dependent_support_prints_the_rank_note(tmp_path, capsys):
+    # Column 9 is column 4 plus 3e-8 of column 5: A_S at (4, 9) has a
+    # singular value within 10x of the rank threshold.
+    A = np.random.default_rng(71).standard_normal((6, 12))
+    A[:, 9] = A[:, 4] + 3e-8 * A[:, 5]
+    x = np.zeros(12)
+    x[[4, 9]] = 0.5
+    main(["certify", *_write_system(tmp_path, A, A @ x, x)])
+    note = "note: a rank pivot fell near the threshold; rank verdict is marginal"
+    assert note in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("flag, value, field", [
@@ -488,6 +523,19 @@ def test_random_batch_agreement_summary(capsys):
     records = [json.loads(line) for line in lines[:-1]]
     assert len(records) == 2
     assert all(record["agree"] in (True, None) for record in records)
+
+
+def test_random_batch_lists_marginal_verdicts(capsys):
+    # With --rsp-margin 0.9 every order-1 verdict of these 2x4 matrices is
+    # marginal: the oracle cannot test one, so none is a hard case.
+    argv = ["random-batch", "--m", "2", "--n", "4", "--k", "1",
+            "--count", "3", "--seed", "9", "--rsp-margin", "0.9"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    records = [json.loads(line) for line in lines[:-1]]
+    assert [(r["verdict"], r["agree"]) for r in records] == [("marginal", None)] * 3
+    summary = json.loads(lines[-1])
+    assert summary["marginal_indices"] == [0, 1, 2] and summary["hard_cases"] == 0
 
 
 def test_random_batch_count_zero_emits_summary_only(capsys):

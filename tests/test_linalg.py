@@ -198,9 +198,32 @@ def test_rank_marginal_flag_near_threshold():
     assert details.marginal is True
 
 
+@pytest.mark.parametrize("largest", [0.5, 4.0], ids=["floor", "largest entry"])
+def test_rank_threshold_and_marginal_band(largest):
+    # M = diag(B, sigma) has the singular values of B and sigma.  A singular
+    # value counts iff it exceeds rank_tol * max(1, max|M|): rank_tol under
+    # the floor (max|B| = 0.5), 4 rank_tol above it.  Both differ from
+    # rank_tol * sigma_max(M) = sqrt(2) rank_tol max|B|.  A rank is marginal
+    # iff a singular value lies within 10x of the threshold, either side.
+    from rspcert.linalg import _block_ranks
+
+    tol = ToleranceConfig()
+    threshold = tol.rank_tol * max(1.0, largest)
+    for factor, found, marginal in [(0.09, 2, False), (0.11, 2, True), (0.9, 2, True),
+                                    (1.1, 3, True), (9.0, 3, True), (11.0, 3, False)]:
+        M = np.zeros((3, 3))
+        M[:2, :2] = largest * np.array([[1.0, 1.0], [1.0, -1.0]])
+        M[2, 2] = factor * threshold
+        details = rank_details(M, None, tol)
+        assert (details.rank, details.marginal) == (found, marginal), factor
+        assert rank(M, None, tol) == found
+        ranks, near = _block_ranks(M, [(0, 1, 2)], tol.rank_tol)
+        assert (ranks.tolist(), near.tolist()) == ([found], [marginal]), factor
+
+
 def test_stacked_rank_probe_matches_each_probe_alone():
-    # One stacked probe per block must give every support the rank, marginal
-    # flag and pivots of its probe alone, at any position in the stack and at
+    # One stacked probe per block must give every support the rank and
+    # marginal flag of its probe alone, at any position in the stack and at
     # any scale of the data.
     from itertools import combinations
 
@@ -216,14 +239,15 @@ def test_stacked_rank_probe_matches_each_probe_alone():
         sA = scale * A
         for k in (1, 2, 3, 4):
             block = list(combinations(range(12), k))
-            stacked = _block_ranks(sA, block, tol.rank_tol)
-            for S, got in zip(block, stacked):
-                assert got == rank_details(sA, S, tol), (scale, S)
-                if not got.marginal:
-                    assert got.rank == np.linalg.matrix_rank(sA[:, list(S)], tol=1e-6 * scale), \
+            ranks, marginal = _block_ranks(sA, block, tol.rank_tol)
+            for S, found, near in zip(block, ranks.tolist(), marginal.tolist()):
+                alone = rank_details(sA, S, tol)
+                assert (found, near) == (alone.rank, alone.marginal), (scale, S)
+                if not near:
+                    assert found == np.linalg.matrix_rank(sA[:, list(S)], tol=1e-6 * scale), \
                         (scale, S)
             if scale == 1.0:
-                assert any(r.marginal for r in stacked) == (k >= 2)
+                assert marginal.any() == (k >= 2)
         kept = [S for _, part in SupportEnumeration(sA, [3], 10**6, tol, full_rank_only=True)
                 for S in part]
         assert kept == [S for S in combinations(range(12), 3)

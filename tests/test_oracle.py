@@ -6,7 +6,7 @@ import pytest
 from rspcert import (DEFAULT_TOLERANCES, INFEASIBLE, BudgetExceeded,
                      CertificateUnavailable, EquivalenceStatus, Infeasible,
                      LpSolution, NoSolutionWithin, SparsestReport, StandardLp,
-                     SystemLabel, Verdict, augmented_rank, check_rsp_at,
+                     SystemLabel, ToleranceConfig, Verdict, augmented_rank, check_rsp_at,
                      classify_system, equivalence_verdict, rank,
                      solve_and_certify, sparsest_supports, support_of)
 from rspcert.simplex import solve_batch
@@ -385,6 +385,21 @@ def test_classify_runs_check_rsp_at_once_at_the_l1_support(tmp_path, monkeypatch
     verdict = equivalence_verdict(COHERENT_A, COHERENT_B, system=system)
     assert verdict.certificates == [system.l1_verdict.rsp]
     assert verdict.status is EquivalenceStatus.STRONGLY_EQUIVALENT
+
+
+def test_a_marginal_l1_verdict_leaves_class_and_equivalence_indeterminate():
+    # With rsp_margin = 0.9 the l1 optimum's support, which is also the one
+    # sparsest support, has t* inside the band: neither the class nor the
+    # equivalence is guessed.
+    tol = ToleranceConfig(rsp_margin=0.9)
+    A, b, _ = planted_system(np.random.default_rng([2027, 91, 1]), 6, 12, 2)
+    system = classify_system(A, b, tol)
+    assert system.l1_verdict.unique is Verdict.MARGINAL
+    assert system.label is SystemLabel.INDETERMINATE and system.l1_unique is None
+    for verdict in (equivalence_verdict(A, b, tol), equivalence_verdict(A, b, tol, system=system)):
+        assert verdict.status is EquivalenceStatus.INDETERMINATE
+        assert verdict.passing_support is None and not verdict.equivalent
+        assert [c.holds for c in verdict.certificates] == [Verdict.MARGINAL]
 
 
 def test_equivalence_with_a_system_matches_a_fresh_search():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rspcert import (DEFAULT_TOLERANCES, BudgetExceeded, CertificateUnavailable,
-                     IterationLimit, RspcertError, Verdict, certify_order_k, check_rsp_at,
-                     rank, spark, sparsest_supports, uniform_recovery_oracle, verify_rsp_witness)
+                     IterationLimit, RspcertError, ToleranceConfig, Verdict, certify_order_k,
+                     check_rsp_at, rank, spark, sparsest_supports, uniform_recovery_oracle,
+                     verify_rsp_witness)
 from rspcert.orderk import QUANTIFIERS
 
 from conftest import COHERENT_A
@@ -113,7 +114,7 @@ def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
     # The certifier and the oracle reach the LP core through these names;
     # every LP solve of either goes through rsp.solve_batch.
     calls = []
-    monkeypatch.setattr(orderk, "_rsp_holds", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "_margin_solves", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(orderk, "_l1_points", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(orderk, "_certified_points", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
@@ -141,6 +142,21 @@ def test_unknown_property_is_refused_before_any_solve(monkeypatch, run):
         run(np.random.default_rng(40).standard_normal((4, 8)))
     assert all(prop in str(info.value) for prop in QUANTIFIERS)
     assert calls == []
+
+
+def test_supports_in_the_tolerance_band_make_the_order_k_verdict_marginal():
+    # With rsp_margin = 0.9 a yes needs t* <= 0.1.  No column of this
+    # Gaussian fails, and those with t* in the band are the report's
+    # marginal supports, in order; the oracle cannot test a marginal verdict.
+    tol = ToleranceConfig(rsp_margin=0.9)
+    A = np.random.default_rng([2027, 90, 0]).standard_normal((6, 12))
+    report = certify_order_k(A, 1, tol)
+    certs = [check_rsp_at(A, (j,), tol) for j in range(12)]
+    assert report.holds is Verdict.MARGINAL and report.counterexample is None
+    assert report.failures_per_size == {}
+    assert report.marginal_subsets == [c.support for c in certs if c.holds is Verdict.MARGINAL]
+    assert report.marginal_subsets
+    assert report.agrees_with(uniform_recovery_oracle(A, 1, tol=tol)) is None
 
 
 def _certified(A, K, prop):
@@ -184,20 +200,24 @@ def test_the_least_squares_screen_changes_no_report(monkeypatch, A):
     # certify_order_k settles a full-rank support as yes, without its margin
     # LP, where a least-squares witness passes verify_rsp_witness's
     # conditions on the raw A.  Its reports are those of the same call with
-    # the screen settling nothing, at every scale, and every settled witness
-    # passes verify_rsp_witness itself.
-    import rspcert.rsp as rsp
+    # the screen settling nothing, at every scale, and every certificate
+    # with lp_status "settled" is a yes with no t* whose witness passes
+    # verify_rsp_witness on the raw A.
+    import rspcert.orderk as orderk
 
-    real = rsp._settled
+    real = orderk._margin_solves
     settled = []
 
-    def recording(A, block, *args):
-        passed, y, eta = real(A, block, *args)
-        for i in np.flatnonzero(passed):
-            assert verify_rsp_witness(A, block[i], eta[i], y[i]), block[i]
-            settled.append(block[i])
-        return passed, y, eta
-    monkeypatch.setattr(rsp, "_settled", recording)
+    def recording(A, block, *args, **kwargs):
+        certs = real(A, block, *args, **kwargs)
+        for cert in certs:
+            if getattr(cert, "lp_status", None) == "settled":
+                assert cert.holds is Verdict.YES and cert.t_star is None, cert.support
+                assert verify_rsp_witness(A, cert.support, cert.witness_eta, cert.witness_y), \
+                    cert.support
+                settled.append(cert.support)
+        return certs
+    monkeypatch.setattr(orderk, "_margin_solves", recording)
     counts, every = [], []
     for scale in (1e-8, 1.0, 1e8):
         settled.clear()
@@ -265,18 +285,18 @@ def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
     # one per size, so each size's margin LPs are one lockstep stack.
     import rspcert.orderk as orderk
 
-    svd, rsp_holds = np.linalg.svd, orderk._rsp_holds
+    svd, margin_solves = np.linalg.svd, orderk._margin_solves
     shapes, blocks = [], []
 
     def recording(M, *args, **kwargs):
         shapes.append(M.shape)
         return svd(M, *args, **kwargs)
 
-    def counting(A, block, *args):
+    def counting(A, block, *args, **kwargs):
         blocks.append(len(block))
-        return rsp_holds(A, block, *args)
+        return margin_solves(A, block, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", recording)
-    monkeypatch.setattr(orderk, "_rsp_holds", counting)
+    monkeypatch.setattr(orderk, "_margin_solves", counting)
     A = _gaussian(5, (8, 16))
     certify_order_k(A, 3)
     assert blocks == [16, 120, 560] and shapes.count(A.shape) == 1

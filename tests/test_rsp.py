@@ -51,6 +51,15 @@ def test_certifying_support_yields_valid_witness():
 def test_analytic_witness_passes_the_witness_check():
     # Hand-computed witness for the certifying support of the unique system.
     assert verify_rsp_witness(UNIQUE_A, (0, 1), UNIQUE_WITNESS_ETA, UNIQUE_WITNESS_Y)
+    # eta 1e-6 off A^T y: one column off S moved down, which the bound on
+    # eta off S does not see.
+    eta = UNIQUE_WITNESS_ETA.copy()
+    eta[2] -= 1e-6
+    assert not verify_rsp_witness(UNIQUE_A, (0, 1), eta, UNIQUE_WITNESS_Y)
+    # eta_S 1e-6 off 1 with eta = A^T y still: the witness scaled by 1 + 1e-6,
+    # which keeps eta off S far below 1.
+    y = (1.0 + 1e-6) * UNIQUE_WITNESS_Y
+    assert not verify_rsp_witness(UNIQUE_A, (0, 1), UNIQUE_A.T @ y, y)
 
 
 def test_failing_support_of_multi_sparsest_system():
@@ -89,9 +98,10 @@ def test_empty_support_holds_vacuously():
 def _start(A, S):
     """The certifier's null-space margin LP at S and its starting basis."""
     block = np.array([S], dtype=np.intp).reshape(1, len(S))
-    (reduced,), refuted, settled = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
-    assert not refuted.size and not settled.size
-    return reduced.basis, reduced.lps
+    (space,), refuted = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
+    assert not refuted.size
+    lps, basis = rsp._null_space_lps(space.G, space.eta0, DEFAULT_TOLERANCES.rank_tol)
+    return basis, lps
 
 
 def test_empty_support_starts_at_y0_zero_with_mu_at_one():
@@ -125,16 +135,16 @@ def test_dependent_rows_leave_no_zero_row_in_the_null_space_lp():
 
 
 def test_a_null_space_optimum_that_fails_on_the_raw_matrix_is_not_a_verdict(monkeypatch):
-    # Corrupt y0 after the LPs are built: each LP still solves and passes the
-    # LP core's re-check, but eta = A^T y misses 1 on S, so the re-check on
-    # the raw A must refuse every verdict.
-    null_space_lps = rsp._null_space_lps
+    # Corrupt y0 after G and eta0 are built: each LP still solves and passes
+    # the LP core's re-check, but eta = A^T y misses 1 on S, so the re-check
+    # on the raw A must refuse every verdict.
+    margin_stacks = rsp._margin_stacks
 
     def corrupted(*args):
-        lps, basis, y0, N = null_space_lps(*args)
-        return lps, basis, y0 + 1e-3, N
+        stacks, refuted = margin_stacks(*args)
+        return [space._replace(y0=space.y0 + 1e-3) for space in stacks], refuted
 
-    monkeypatch.setattr(rsp, "_null_space_lps", corrupted)
+    monkeypatch.setattr(rsp, "_margin_stacks", corrupted)
     A = np.random.default_rng([2026, 61]).standard_normal((6, 12))
     message = "^optimal solve failed its certificate re-check$"
     with pytest.raises(CertificateUnavailable, match=message):
@@ -580,6 +590,32 @@ def test_certified_optima_survive_perturbation_search():
         checked += 1
         assert _perturbation_screen(rng, A, b, x)
     assert checked == 40
+
+
+def test_a_dependent_support_that_fails_the_range_space_check_fails_for_both_reasons():
+    # Column 1 is -column 0: no eta = A^T y is 1 at both, so the equalities
+    # are inconsistent, and A_S is singular as well.
+    A = np.random.default_rng([2027, 92]).standard_normal((4, 8))
+    A[:, 1] = -A[:, 0]
+    x = np.zeros(8)
+    x[[0, 1]] = (0.7, 0.3)
+    verdict = certify_uniqueness(A, A @ x, x)
+    assert verdict.rsp.holds is Verdict.NO and verdict.rsp.lp_status == INFEASIBLE
+    assert not verdict.full_column_rank and verdict.rank_found == 1
+    assert verdict.unique is Verdict.NO and verdict.reason is FailureReason.BOTH
+
+
+def test_a_margin_in_the_tolerance_band_is_a_marginal_uniqueness_verdict():
+    # With rsp_margin = 0.9 a yes needs t* <= 0.1; this planted support has
+    # full column rank and t* near 0.43, so uniqueness is marginal, with no
+    # reason to fail.
+    tol = ToleranceConfig(rsp_margin=0.9)
+    A, b, x = planted_system(np.random.default_rng([2027, 91, 1]), 6, 12, 2)
+    for verdict in (certify_uniqueness(A, b, x, tol), solve_and_certify(A, b, tol)[1]):
+        assert verdict.rsp.holds is Verdict.MARGINAL
+        assert 1.0 - tol.rsp_margin < verdict.rsp.t_star < 1.0 - tol.feas_tol
+        assert verdict.full_column_rank and verdict.rank_found == 2
+        assert verdict.unique is Verdict.MARGINAL and verdict.reason is FailureReason.NONE
 
 
 def test_rank_tests_agree_whenever_rsp_holds():

@@ -415,12 +415,12 @@ def _margin_stack(matrices, k):
     stacks = []
     for A in matrices:
         block = np.array(list(combinations(range(A.shape[1]), k)), dtype=np.intp)
-        (reduced,), refuted, settled = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
-        assert reduced.at.size == len(block) and not refuted.size and not settled.size
-        stacks.append(reduced)
-    lps = LpStack(stacks[0].lps.objective, np.concatenate([r.lps.constraints for r in stacks]),
-                  np.concatenate([r.lps.rhs for r in stacks]))
-    return lps, np.concatenate([r.basis for r in stacks])
+        (space,), refuted = rsp._margin_stacks(A, block, DEFAULT_TOLERANCES)
+        assert space.at.size == len(block) and not refuted.size
+        stacks.append(rsp._null_space_lps(space.G, space.eta0, DEFAULT_TOLERANCES.rank_tol))
+    lps = LpStack(stacks[0][0].objective, np.concatenate([s.constraints for s, _ in stacks]),
+                  np.concatenate([s.rhs for s, _ in stacks]))
+    return lps, np.concatenate([basis for _, basis in stacks])
 
 
 def _started_chunk_len(lps) -> int:
@@ -585,13 +585,14 @@ def test_the_bench_tool_still_binds_the_engine():
     assert bench._steps(simplex, work)["steps"] > 0
     assert len(bench._solved(work)) == math.comb(8, 2)
     assert simplex._Tableaux.pivot is pivot and rsp.solve_batch is solve_batch
-    # Its certifier figures read the screen's settled margins through
-    # rsp._margin_solves and rsp._SETTLED, split off the first witness's
-    # share with rsp._REWEIGHTS set to 0, and count the LPs left.
-    margin_solves, reweights = rsp._margin_solves, rsp._REWEIGHTS
+    # Its certifier figures count the settled certificates that
+    # orderk._margin_solves returns, split off the first witness's share
+    # with rsp._REWEIGHTS set to 0, and count the LPs left.
+    margin_solves, reweights = rspcert.orderk._margin_solves, rsp._REWEIGHTS
     figures = bench._certifier(rspcert, [(A, "prsp")], 1)
     assert figures["by_size"]["3"]["supports"] == math.comb(8, 3)
-    assert 0.0 < figures["settled_frac"] < 1.0 and rsp._margin_solves is margin_solves
+    assert 0.0 < figures["settled_frac"] < 1.0
+    assert rspcert.orderk._margin_solves is margin_solves
     assert 0.0 < figures["first_witness_frac"] <= figures["settled_frac"]
     assert figures["lps"] == round((1.0 - figures["settled_frac"]) * math.comb(8, 3))
     assert figures["steps"] > 0 and figures["blocks"] == figures["solve_batch_calls"] == 1
