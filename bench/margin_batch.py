@@ -42,9 +42,13 @@ right-hand sides of the 8x16 matrices, and its l1 pivots per LP, so that
 two trees can be shown to agree on it.  The lockstep figures count the steps of the stacked engine on
 the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
 commands for seed 1 (``perfbench/workloads.py``, run in-process through
-``rspcert.cli.main``).  Times are the fastest of ``--repeat`` runs, on one
-thread.  The tree must have ``certify_order_k``, ``simplex.solve_batch`` and
-the stacked engine ``simplex._Tableaux``: the lockstep counts read the
+``rspcert.cli.main``).  The started LPs that the LP core solved two-phase
+(a start that does not serve, or a started solve that came back
+``CertificateUnavailable``) are counted per LP kind, margin or l1, on that
+pass and on the near-dependent 5x10 matrix of CHANGES.md line 47.  Times
+are the fastest of ``--repeat`` runs, on one thread.  The tree must have
+``certify_order_k``, ``simplex.solve_batch`` and the stacked engine
+``simplex._Tableaux``: the lockstep counts read the
 engine, and the margin-LP pivots, the LPs per pass and the l1 LPs per oracle
 window read the stacks the library passes to ``solve_batch`` (``_counting``).
 
@@ -140,6 +144,8 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
         out["oracle"] = _oracle(rc, np, [(A, prop) for A in mats for prop in props], repeat)
         out["oracle_orderk_enum_seed1"] = _oracle(rc, np, _orderk_runs(np), repeat)
         out["solve_and_certify_batch"] = _public_batch(rc, np, mats)
+        from rspcert import simplex
+        out["fallbacks_near_dependent"] = _fallbacks(simplex, _near_dependent_work(rc, np))
     return out
 
 
@@ -283,8 +289,7 @@ def _oracle(rc, np, runs, repeat: int) -> dict:
     """The recovery oracle at K=3 over ``runs``, pairs of a matrix and a property.
 
     µs per support it checks; its LPs, ``solve_batch`` calls and lockstep
-    steps; its l1 LPs per stack (a window's stack, or the
-    two-phase re-solve of started LPs that failed) and per checked support,
+    steps; its l1 LPs per stack (a window's stack) and per checked support,
     and the pivots of each l1 LP; the margin LPs and margin-LP stacks it
     solves, and the matrices its rank probes take, per checked support.
     """
@@ -325,6 +330,67 @@ def _oracle(rc, np, runs, repeat: int) -> dict:
             "margin_lps": sum(margin), "margin_stacks": len(margin),
             "margin_lps_per_support": sum(margin) / checked,
             "rank_probes": probes[0], "rank_probes_per_support": probes[0] / checked}
+
+
+def _fallbacks(simplex, work) -> dict:
+    """Started LPs that the LP core solved two-phase while ``work()`` runs, by kind.
+
+    A started LP falls back when its start does not serve
+    (``simplex._started_tableaux``) or its started solve comes back
+    ``CertificateUnavailable`` (``simplex._solve_chunk`` on a tableau with no
+    artificial columns).  The l1 LPs are those with objective all ones; the
+    rest are margin LPs.
+    """
+    import numpy as np
+    started, solve_chunk = simplex._started_tableaux, simplex._solve_chunk
+    counts = {"margin": 0, "l1": 0}
+
+    def kind(lps) -> str:
+        return "l1" if np.all(lps.objective == 1.0) else "margin"
+
+    def serving(lps, basis):
+        T, serves = started(lps, basis)
+        counts[kind(lps)] += int(np.count_nonzero(~serves))
+        return T, serves
+
+    def solving(lps, tab, *args):
+        results = solve_chunk(lps, tab, *args)
+        if tab.T.shape[2] == lps.constraints.shape[2] + 1:
+            counts[kind(lps)] += sum(isinstance(r, simplex.CertificateUnavailable)
+                                     for r in results)
+        return results
+    simplex._started_tableaux, simplex._solve_chunk = serving, solving
+    try:
+        work()
+    finally:
+        simplex._started_tableaux, simplex._solve_chunk = started, solve_chunk
+    return counts
+
+
+def _near_dependent_work(rc, np):
+    """Work on the near-dependent 5x10 matrix of CHANGES.md line 47.
+
+    Column 0 is zero and column 9 is column 1 - column 2 up to 1e-9.  The
+    work is ``check_rsp_batch`` at every support of size 1 to 3, and the
+    certifier and the recovery oracle at K = 1 to 3 under each property,
+    the oracle with 1 and 3 trials and seeds 0 to 2 (72 runs).
+    """
+    from rspcert import rsp
+    rng = np.random.default_rng([2026, 61])
+    A = rng.standard_normal((5, 10))
+    A[:, 0] = 0.0
+    A[:, 9] = A[:, 1] - A[:, 2] + 1e-9 * rng.standard_normal(5)
+
+    def work():
+        for k in (1, 2, 3):
+            list(rsp.check_rsp_batch(A, list(combinations(range(10), k))))
+            for prop in ("rsp", "wrsp", "prsp", "pwrsp"):
+                rc.certify_order_k(A, k, property=prop)
+                for trials in (1, 3):
+                    for seed in (0, 1, 2):
+                        rc.uniform_recovery_oracle(A, k, trials_per_support=trials,
+                                                   property=prop, seed=seed)
+    return work
 
 
 def _orderk_runs(np) -> list:
@@ -436,9 +502,10 @@ def _lockstep(rc, mats, repeat: int) -> dict:
         one_pass, lps = _orderk_pass(Path(work))
         orderk = _steps(simplex, one_pass)
         pass_s = _best(one_pass, repeat)
+        fallbacks = _fallbacks(simplex, one_pass)
     return {"margin_k3": {**margin, "lps": count, "steps_per_lp": margin["steps"] / count},
             "orderk_enum_pass": {**orderk, "lps": lps, "steps_per_lp": orderk["steps"] / lps,
-                                 "pass_s": pass_s}}
+                                 "pass_s": pass_s, "fallbacks": fallbacks}}
 
 
 def sweep(tree: Path, caps: list[int], repeat: int) -> dict:

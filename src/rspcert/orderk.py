@@ -224,14 +224,14 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     window's l1 LPs are one stack, each started at its planted vertex (S
     and m - k columns that make the basis nonsingular, or two-phase where
     none is found).  Phase 2 still decides optimality by reduced costs and
-    every optimum is re-checked on the raw data, and a started LP whose
-    re-check fails is solved once more, two-phase.  The walk stops at the
-    first trial whose l1 step fails or misses the planted vector; the
-    block's trials up to and including it are then certified in one call,
-    so no margin LP is solved past the first failure.  A window's planted
-    values are one draw of W * trials rows of k values, the same stream as
-    W * trials draws of k values each, so the values planted on a support
-    do not depend on the windows.
+    every optimum is re-checked on the raw data; the LP core solves
+    two-phase, in the same call, any started LP whose solve fails.  The
+    walk stops at the first trial whose l1 step fails or misses the planted
+    vector; the block's trials up to and including it are then certified
+    in one call, so no margin LP is solved past the first failure.  A
+    window's planted values are one draw of W * trials rows of k values,
+    the same stream as W * trials draws of k values each, so the values
+    planted on a support do not depend on the windows.
     """
     if trials_per_support < 1:
         raise ValueError(f"trials_per_support={trials_per_support} must be at least 1")

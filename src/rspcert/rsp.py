@@ -7,12 +7,14 @@ linearly independent.  Condition (a) reduces to one small LP per support; this
 module certifies both conditions with re-checkable witnesses.
 
 ``check_rsp_at``, ``check_rsp_batch`` and ``solve_and_certify_batch`` solve
-every margin LP and report its exact t*.  The order-K certifier, which needs
-only the verdict, first tries a least-squares witness at each full-rank
-support (``_settled``); where its eta passes ``verify_rsp_witness``'s
-conditions on the raw A, the support is a yes with no LP and no t*, and
-that yes is the LP's too, since the witness is a feasible point of the
-margin LP with max eta_off <= 1 - rsp_margin.  Such a settled yes has
+every margin LP and report its exact t*; a margin LP or an l1 LP whose
+start fails is solved two-phase by the LP core, not here.  The order-K
+certifier, which needs only the verdict, first tries a least-squares
+witness at each support with k' = k, the QR path (``_settled``); where its
+eta passes ``verify_rsp_witness``'s conditions on the raw A, the support
+is a yes with no LP and no t*, and that yes is the LP's too, since the
+witness is a feasible point of the margin LP with
+max eta_off <= 1 - rsp_margin.  Such a settled yes has
 lp_status "settled" and no t*, and carries its witness (eta, y), which
 passes ``verify_rsp_witness``; max eta_off bounds t* from above.  The first
 witness has all weights 1; where it fails its re-check, a few reweighted
@@ -198,10 +200,10 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
     # reduced to r independent rows (``_row_reduction``, or ``rows`` where
     # the caller has it already), so that no row of G is zero up to
     # rounding.  A support has full column rank when k <= r and each
-    # diagonal entry of R in the QR A~_S = Q R exceeds rank_tol *
-    # max(1, largest |entry| of A_S); then k' = k and u = R^-T 1.  Every
-    # other support takes an SVD A~_S = W Sigma V^T, whose k' singular values
-    # above the row reduction's threshold give Q = W and
+    # diagonal entry of R in the QR A~_S = Q R exceeds the row reduction's
+    # threshold; then k' = k and u = R^-T 1.  Every other support takes an
+    # SVD A~_S = W Sigma V^T, whose k' singular values above that threshold
+    # give Q = W and
     # u = Sigma_1^-1 V_1^T 1, and the witness d = V_2 V_2^T 1 = 1 - A~_S^T W_1 u
     # of ``_inconsistent``.  Either way y0 = Q_1 u and N = Q_2, both mapped
     # back by U.
@@ -210,9 +212,7 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
     full = np.zeros(count, dtype=bool)
     if k <= U.shape[1]:
         Q, R = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode="complete")
-        largest = np.abs(A).max(axis=0)[block].max(axis=1, initial=0.0)
-        threshold = tol.rank_tol * np.maximum(1.0, largest)
-        full = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > threshold[:, None]).all(axis=1)
+        full = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > floor).all(axis=1)
 
     stacks = []
     at, rest = np.flatnonzero(full), np.flatnonzero(~full)
@@ -311,7 +311,6 @@ def _null_space_lps(G: np.ndarray, eta0: np.ndarray, rank_tol: float) -> tuple[L
     basis = np.empty((count, rows + 2), dtype=np.intp)
     basis[:, :rows] = _pivot_columns(G, rank_tol)
     basis[:, rows:] = (kc, kc + 2)
-    basis[(basis[:, :rows] < 0).any(axis=1)] = -1
     return lps, basis
 
 
@@ -681,24 +680,15 @@ def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
     # optimal x and its support, or the error raised for it.  The LPs are one
     # stack, solved two-phase.  With ``planted_on`` (one row of a support per
     # right-hand side A x, x positive on it), each LP starts at its planted
-    # vertex where ``_l1_starts`` finds a basis; phase 2 still decides
-    # optimality by reduced costs and every optimum is re-checked, and a
-    # started LP that comes back ``CertificateUnavailable`` is solved once
-    # more, two-phase.
+    # vertex where ``_l1_starts`` finds a basis, and phase 2 still decides
+    # optimality by reduced costs.  The core's re-check accepts entries of x
+    # down to -feas_tol; the support test takes them as 0, and x is returned
+    # as the LP gave it.
     m, n = A.shape
     lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs)
-    if planted_on is None:
-        solved = solve_batch(lps, tol)
-    else:
-        basis = _l1_starts(A, planted_on, tol.rank_tol)
-        solved = solve_batch(lps, tol, basis=basis)
-        again = [i for i, sol in enumerate(solved)
-                 if basis[i, 0] >= 0 and isinstance(sol, CertificateUnavailable)]
-        if again:
-            for i, sol in zip(again, solve_batch(lps[again], tol)):
-                solved[i] = sol
+    basis = None if planted_on is None else _l1_starts(A, planted_on, tol.rank_tol)
     points: list = []
-    for sol in solved:
+    for sol in solve_batch(lps, tol, basis=basis):
         try:
             points.append(_l1_point(_raised(sol)))
         except RspcertError as error:
@@ -706,6 +696,7 @@ def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
     at = [i for i, point in enumerate(points) if not isinstance(point, Exception)]
     if at:
         X = np.array([points[i] for i in at])
+        X[(X < 0.0) & (X >= -tol.feas_tol)] = 0.0
         for i, S in zip(at, _solution_supports(A, rhs[at], X, tol)):
             points[i] = S if isinstance(S, Exception) else (points[i], S)
     return points

@@ -11,14 +11,14 @@ basis passes it to ``solve_batch`` and the LP starts in phase 2 on a
 tableau with no artificial columns.  ``rsp`` does so for the null-space
 margin LP of every support, (r - k' + 2) x (n - k + 3) for A of rank r and
 A_S of rank k', and for the recovery oracle's l1 LPs, each at its planted
-vertex (S and m - k columns that make the basis nonsingular); a margin LP
-or an l1 LP whose start falls to the pivot threshold runs two-phase, and
-an l1 LP whose started solve is refused is solved once more, two-phase.
-These stay two-phase: the l1 LPs of ``solve_l1``, ``solve_and_certify``
-and ``solve_and_certify_batch``, the first LP of ``lp-sparse``, and the
-feasibility LPs of the sparsest search, solved only for the supports whose
-b its least-squares screen (``oracle._outside_range``) does not put outside
-range(A_S).
+vertex (S and m - k columns that make the basis nonsingular).  The one
+fallback from a start is the core's: in the same call it solves two-phase
+every LP with no start, whose start does not serve or whose started solve
+fails.  These stay two-phase: the l1 LPs of ``solve_l1``,
+``solve_and_certify`` and ``solve_and_certify_batch``, the first LP of
+``lp-sparse``, and the feasibility LPs of the sparsest search, solved only
+for the supports whose b its least-squares screen
+(``oracle._outside_range``) does not put outside range(A_S).
 
 ``solve_batch`` solves LPs that share one objective and shape (an
 ``LpStack``) on stacked tableaux of shape (B, rows, cols) of at most
@@ -496,9 +496,11 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
     M^-1 [B | p], built per chunk with no artificial columns, and phase 2
     runs from it.  An LP whose row starts with -1 has no start and is solved
     two-phase, as is one whose M is singular or whose basic solution M^-1 p
-    has an entry below -_CLEAN_EPS.  A started LP, too, gets the same
-    result whether it is solved alone, mid-chunk or across a chunk boundary,
-    and among started and unstarted LPs alike.
+    has an entry below -_CLEAN_EPS, or whose started solve comes back
+    ``CertificateUnavailable``; callers keep no fallback of their own.  A
+    started LP, too, gets the same result whether it is solved alone,
+    mid-chunk or across a chunk boundary, and among started and unstarted
+    LPs alike.
     """
     if not isinstance(lps, LpStack):
         if not lps:
@@ -511,18 +513,20 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
     two_phase = np.arange(count)
     if basis is not None:
         started = np.flatnonzero(basis[:, 0] >= 0)
-        two_phase = np.flatnonzero(basis[:, 0] < 0)
+        fallback = [np.flatnonzero(basis[:, 0] < 0)]
         for part in stack_chunks(started.size, tableau_bytes(m, n, phase1=False)):
             at = started[part]
             chunk = _rows(lps, at)
             T, serves = _started_tableaux(chunk, basis[at])
             if not serves.all():
-                two_phase = np.union1d(two_phase, at[~serves])
+                fallback.append(at[~serves])
                 at, chunk, T = at[serves], chunk[serves], T[serves]
             if at.size:
                 solved = _solve_chunk(chunk, _Tableaux(T, basis[at]), tol, max_pivots)
+                fallback.append(at[[isinstance(r, CertificateUnavailable) for r in solved]])
                 for i, result in zip(at, solved):
                     results[i] = result
+        two_phase = np.sort(np.concatenate(fallback))
     for part in stack_chunks(two_phase.size, tableau_bytes(m, n)):
         at = two_phase[part]
         chunk = _rows(lps, at)

@@ -231,36 +231,54 @@ def test_the_least_squares_screen_changes_no_report(monkeypatch, A):
                     every[-1] += len(settled) - before
         counts.append(len(settled))
     assert all(counts), counts
-    # rsp and prsp range over every support at every scale, and a support
-    # whose QR falls to the R-diagonal test's absolute floor at small scale
-    # (k' = k on the SVD path) is screened as well, so they settle the same
-    # number of supports at every scale.
+    # rsp and prsp range over every support at every scale, and the margin
+    # build's one threshold scales with A, so they settle the same number of
+    # supports at every scale.
     assert every[0] == every[1] == every[2], every
 
 
-def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(monkeypatch):
-    # The matrix of a FOUND line in CHANGES.md: column 0 is zero and column
-    # 9 is column 1 - column 2 up to 1e-9, so the margin LPs of supports
-    # such as (1,) fail their re-check and the LP path refuses.  Where the
-    # screen settles those supports, certify_order_k answers; every such
-    # answer must be the report that HiGHS's t* gives at every support.
-    from test_golden_lp import _scipy_t_star
+def _near_dependent():
+    """The 5x10 matrix of CHANGES.md line 47: column 0 is zero and column 9
+    is column 1 - column 2 up to 1e-9.
 
-    import rspcert.orderk as orderk
-
+    Off S = (1,), G's columns 2 and 9 are opposite to about 1e-9, and the
+    started margin LPs of supports such as (1,) end at an optimum that the
+    LP core's re-check refuses; the core then solves them two-phase.
+    """
     rng = np.random.default_rng([2026, 61])
     A = rng.standard_normal((5, 10))
     A[:, 0] = 0.0
     A[:, 9] = A[:, 1] - A[:, 2] + 1e-9 * rng.standard_normal(5)
+    return A
+
+
+def test_margin_lps_whose_started_solve_is_refused_answer_as_highs_does():
+    # The supports whose started margin LP the core refuses: each now
+    # answers yes, with HiGHS's t*.
+    from test_golden_lp import _scipy_t_star
+
+    A = _near_dependent()
+    for S in [(1,), (1, 3), (1, 5), (1, 8), (1, 3, 7), (1, 5, 8)]:
+        cert = check_rsp_at(A, S)
+        assert cert.holds is Verdict.YES, S
+        assert abs(cert.t_star - _scipy_t_star(A, S)) <= 1e-9, S
+
+
+def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(monkeypatch):
+    # On the near-dependent matrix every case answers with and without the
+    # least-squares screen, the two reports are equal, and each is the
+    # report that HiGHS's t* gives at every support.
+    from test_golden_lp import _scipy_t_star
+
+    import rspcert.orderk as orderk
+
+    A = _near_dependent()
     tol = DEFAULT_TOLERANCES
-    answered = 0
     for K in (1, 2, 3):
         for prop in QUANTIFIERS:
             screened, unscreened = _certified(A, K, prop), _unscreened(monkeypatch, A, K, prop)
-            if screened == unscreened:
-                continue
-            assert isinstance(unscreened, tuple) and not isinstance(screened, tuple), (K, prop)
-            answered += 1
+            assert not isinstance(screened, tuple), (K, prop, screened)
+            assert screened == unscreened, (K, prop)
             supports = orderk._supports(A, K, prop, tol, 10**6)
             failures, marginal = {}, []
             for k, block in supports:
@@ -276,7 +294,6 @@ def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(
             assert screened.failures_per_size == {k: len(v) for k, v in failures.items()}
             assert screened.marginal_subsets == marginal
             assert screened.subsets_checked == supports.count
-    assert answered
 
 
 def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
@@ -372,49 +389,51 @@ def test_a_least_squares_witness_that_fails_its_recheck_settles_nothing(monkeypa
 
 
 def _break_first_l1_stack(monkeypatch, at):
-    """Make LP ``at`` of the first stack of l1 LPs break down, each time it is solved.
+    """Make LP ``at`` of the first chunk of l1 LPs break down, each time the core solves it.
 
-    The oracle solves a started l1 LP that breaks down once more, two-phase;
-    that solve of the same right-hand side breaks down as well.
+    The breakdown is injected where the LP core solves a chunk, so the core
+    solves the broken started LP once more, two-phase, and that solve of the
+    same right-hand side breaks down as well.  Returns the sizes of the l1
+    chunks the core solves.
     """
-    import rspcert.rsp as rsp
+    import rspcert.simplex as simplex
 
-    real = rsp.solve_batch
-    stacks = []
+    real = simplex._solve_chunk
+    chunks = []
     broken = []
 
-    def solve_batch(lps, *args, **kwargs):
-        results = real(lps, *args, **kwargs)
+    def solve_chunk(lps, *args):
+        results = real(lps, *args)
         if np.all(lps.objective == 1.0):     # the l1 LPs
-            stacks.append(len(results))
-            if len(stacks) == 1:
+            chunks.append(len(results))
+            if len(chunks) == 1:
                 broken.append(lps.rhs[at].copy())
             for i, rhs in enumerate(lps.rhs):
                 if np.array_equal(rhs, broken[0]):
                     results[i] = IterationLimit("injected breakdown")
         return results
-    monkeypatch.setattr(rsp, "solve_batch", solve_batch)
-    return stacks
+    monkeypatch.setattr(simplex, "_solve_chunk", solve_chunk)
+    return chunks
 
 
 def test_oracle_breakdown_after_the_first_failure_is_not_raised(monkeypatch):
     # Three trials per support: the first window holds supports 0-7, 24 l1
     # LPs, and support 6 fails recovery.  A breakdown at support 7's last
-    # trial comes after it; its two-phase re-solve (the stack of 1) breaks
-    # down too, and neither is reached.
+    # trial comes after it; the core's two-phase re-solve of it (the chunk
+    # of 1) breaks down too, and neither is reached.
     A = np.random.default_rng([2027, 0]).standard_normal((5, 10))
-    stacks = _break_first_l1_stack(monkeypatch, 23)
+    chunks = _break_first_l1_stack(monkeypatch, 23)
     report = uniform_recovery_oracle(A, 2, trials_per_support=3, property="prsp")
-    assert stacks == [24, 1]
+    assert chunks == [24, 1]
     assert (report.recovers, report.failing_support, report.supports_checked) == (False, (0, 7), 7)
 
 
 def test_oracle_breakdown_before_the_first_failure_is_raised(monkeypatch):
     A = np.random.default_rng([2027, 0]).standard_normal((5, 10))
-    stacks = _break_first_l1_stack(monkeypatch, 4)
+    chunks = _break_first_l1_stack(monkeypatch, 4)
     with pytest.raises(CertificateUnavailable, match="injected breakdown"):
         uniform_recovery_oracle(A, 2, trials_per_support=3, property="prsp")
-    assert stacks == [24, 1]
+    assert chunks == [24, 1]
 
 
 
@@ -502,58 +521,72 @@ def _planted_vectors(A, K, prop, trials, seed):
             yield S, planted
 
 
-def _highs_confirms_failure(A, report, K, prop):
-    """Whether scipy's HiGHS, which shares no code with rspcert, confirms a failing report.
+def _highs_unique(A, S, x) -> bool:
+    """Whether scipy's HiGHS, which shares no code with rspcert, finds x the unique l1 optimum.
 
-    Some trial of the failing support S must have a planted x that is not
-    the unique l1 optimum: HiGHS finds a smaller l1 norm, or a point of the
-    optimal face with mass off S.
+    It is not when HiGHS finds a smaller l1 norm, or a point of the optimal
+    face with mass off S.
     """
     from scipy.optimize import linprog
 
     n = A.shape[1]
     off = np.ones(n)
-    off[list(report.failing_support)] = 0.0
+    off[list(S)] = 0.0
+    b = A @ x
+    best = linprog(np.ones(n), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert best.status == 0
+    face = linprog(-off, A_ub=np.ones((1, n)), b_ub=[x.sum() + 1e-9], A_eq=A, b_eq=b,
+                   bounds=(0, None), method="highs")
+    return not (best.fun < x.sum() - 1e-9 or (face.status == 0 and -face.fun > 1e-7))
+
+
+def _highs_confirms(A, report, K, prop):
+    """Whether HiGHS confirms an oracle report, on the report's own planted vectors.
+
+    A failing report: some trial of the failing support is not the unique
+    l1 optimum.  A recovering one: every trial of every support is.
+    """
     for S, planted in _planted_vectors(A, K, prop, report.trials_per_support, report.seed):
-        if S != report.failing_support:
-            continue
-        for x in planted:
-            b = A @ x
-            best = linprog(np.ones(n), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-            assert best.status == 0
-            face = linprog(-off, A_ub=np.ones((1, n)), b_ub=[x.sum() + 1e-9], A_eq=A, b_eq=b,
-                           bounds=(0, None), method="highs")
-            if best.fun < x.sum() - 1e-9 or (face.status == 0 and -face.fun > 1e-7):
-                return True
-        return False
+        if report.recovers:
+            if not all(_highs_unique(A, S, x) for x in planted):
+                return False
+        elif S == report.failing_support:
+            return not all(_highs_unique(A, S, x) for x in planted)
+    return report.recovers
 
 
 def test_oracle_start_answers_agree_on_nearly_dependent_columns(monkeypatch):
-    # Column 0 is zero and column 9 is column 1 - column 2 up to 1e-9, so
-    # the margin LPs of several supports are refused (the matrix of a FOUND
-    # line in CHANGES.md).  Wherever the two-phase oracle answers, the started
-    # one gives the same answer.  Every answer of the started one is a
-    # failure that HiGHS confirms, so a refusal that the start turns into an
-    # answer is confirmed too.
-    rng = np.random.default_rng([2026, 61])
-    A = rng.standard_normal((5, 10))
-    A[:, 0] = 0.0
-    A[:, 9] = A[:, 1] - A[:, 2] + 1e-9 * rng.standard_normal(5)
-    answers = refusals = 0
+    # On the near-dependent matrix the started and the two-phase oracle give
+    # the same report and neither refuses.  Every report agrees with the
+    # certifier, and HiGHS confirms every failure and every recovery.
+    A = _near_dependent()
+    outcomes = {True: 0, False: 0}
     for K in (1, 2, 3):
         for prop in QUANTIFIERS:
+            cert = certify_order_k(A, K, property=prop)
             for trials in (1, 3):
                 unstarted, started = _oracle_with_and_without_starts(
                     monkeypatch, A, K, prop, trials, seed=0)
-                if not isinstance(unstarted, tuple):
-                    assert started == unstarted, (K, prop, trials)
-                if isinstance(started, tuple):
-                    refusals += 1
-                else:
-                    answers += 1
-                    assert not started.recovers
-                    assert _highs_confirms_failure(A, started, K, prop), (K, prop, trials)
-    assert answers and refusals
+                assert not isinstance(started, tuple), (K, prop, trials, started)
+                assert started == unstarted, (K, prop, trials)
+                assert cert.agrees_with(started) is True, (K, prop, trials)
+                assert _highs_confirms(A, started, K, prop), (K, prop, trials)
+                outcomes[started.recovers] += 1
+    assert outcomes == {True: 4, False: 20}, outcomes
+
+
+def test_the_oracle_answers_on_nearly_dependent_columns():
+    # K 1-3, the four properties, 1 and 3 trials and seeds 0-2: no run
+    # refuses, and each agrees with the certifier.
+    A = _near_dependent()
+    for K in (1, 2, 3):
+        for prop in QUANTIFIERS:
+            cert = certify_order_k(A, K, property=prop)
+            for trials in (1, 3):
+                for seed in (0, 1, 2):
+                    report = _oracle_outcome(A, K, prop, trials, seed)
+                    assert not isinstance(report, tuple), (K, prop, trials, seed, report)
+                    assert cert.agrees_with(report) is True, (K, prop, trials, seed)
 
 
 @pytest.mark.parametrize("A, K, prop, checked", [

@@ -428,13 +428,16 @@ def _started_chunk_len(lps) -> int:
     return linalg._STACK_BYTES // simplex.tableau_bytes(m, n, phase1=False)
 
 
-def test_started_and_unstarted_lps_keep_each_result_in_one_stack():
+def test_started_and_unstarted_lps_keep_each_result_in_one_stack(monkeypatch):
     # Two and a half chunks' worth of started margin LPs of size 3, with
     # every fourth LP given no start, one start that is not feasible (LP 1:
-    # v+ in place of v-, at -1) and one whose basis matrix is singular
-    # (LP 2: a column twice).  Each LP must come out bit for bit as when
-    # solved alone with its own row of the bases, and in any order; LPs 1
-    # and 2 and the unstarted ones come out as the two-phase solve gives them.
+    # v+ in place of v-, at -1), one whose basis matrix is singular (LP 2: a
+    # column twice), one whose started solve the re-check refuses (LP 3) and
+    # one whose started solve breaks down (LP 5); the last two are injected
+    # into the started chunks' results.  Each LP must come out bit for bit as
+    # when solved alone with its own row of the bases, and in any order; LPs
+    # 1, 2, 3 and 5 and the unstarted ones come out as the two-phase solve
+    # gives them.
     lps, basis = _margin_stack(_margin_matrices() + _margin_matrices(2, 3), 3)
     chunk = _started_chunk_len(lps)
     count = 2 * chunk + chunk // 2 + (2 * chunk + chunk // 2) // 3
@@ -445,16 +448,35 @@ def test_started_and_unstarted_lps_keep_each_result_in_one_stack():
     basis[2, 1] = basis[2, 0]
     assert not simplex._started_tableaux(lps[1:3], basis[1:3])[1].any()
     started = basis[:, 0] >= 0
-    assert started.sum() > 2 * chunk
-    alone = [solve_batch(lps[i:i + 1], basis=basis[i:i + 1])[0] for i in range(count)]
+    assert started.sum() > 2 * chunk and started[[3, 5]].all()
     two_phase = solve_batch(lps)
-    for i in (1, 2, *np.flatnonzero(~started)):
+    refused, broken = lps.constraints[3], lps.constraints[5]
+    real = simplex._solve_chunk
+    failed = []
+
+    def solve_chunk(chunk, tab, *args):
+        results = real(chunk, tab, *args)
+        if tab.T.shape[2] == chunk.constraints.shape[2] + 1:     # started, no artificials
+            for i, B in enumerate(chunk.constraints):
+                if np.array_equal(B, refused):
+                    results[i] = CertificateUnavailable("injected refusal")
+                elif np.array_equal(B, broken):
+                    results[i] = IterationLimit("injected breakdown")
+                else:
+                    continue
+                failed.append(i)
+        return results
+    monkeypatch.setattr(simplex, "_solve_chunk", solve_chunk)
+    alone = [solve_batch(lps[i:i + 1], basis=basis[i:i + 1])[0] for i in range(count)]
+    assert len(failed) == 2
+    for i in (1, 2, 3, 5, *np.flatnonzero(~started)):
         assert _same(alone[i], two_phase[i]), i
     assert {sol.status for sol in alone} == {OPTIMAL}
-    assert (np.mean([alone[i].pivots for i in np.flatnonzero(started)[2:]])
+    assert (np.mean([alone[i].pivots for i in np.flatnonzero(started)[4:]])
             < np.mean([sol.pivots for sol in two_phase]) / 2)
     forward = solve_batch(lps, basis=basis)
     backward = solve_batch(lps[::-1], basis=basis[::-1])[::-1]
+    assert len(failed) == 6
     assert all(_same(f, a) and _same(b, a) for f, a, b in zip(forward, alone, backward))
 
 
@@ -601,3 +623,16 @@ def test_the_bench_tool_still_binds_the_engine():
     kernel = rspcert.linalg._stacked_ranks
     assert bench._oracle(rspcert, np, [(A, "prsp")], 1)["rank_probes"] > 0
     assert rspcert.linalg._stacked_ranks is kernel
+    # Its fallback figures count the started LPs that the core solved
+    # two-phase, by patching simplex._started_tableaux and _solve_chunk: none
+    # on the Gaussian, and one at each support of the near-dependent matrix
+    # whose started margin LP the re-check refuses.
+    from test_orderk import _near_dependent
+
+    started, solve_chunk = simplex._started_tableaux, simplex._solve_chunk
+    assert bench._fallbacks(simplex, work) == {"margin": 0, "l1": 0}
+    near = _near_dependent()
+    refused = [(1,), (1, 3), (1, 5), (1, 8), (1, 3, 7), (1, 5, 8)]
+    assert bench._fallbacks(simplex, lambda: [check_rsp_at(near, S) for S in refused]) \
+        == {"margin": 6, "l1": 0}
+    assert simplex._started_tableaux is started and simplex._solve_chunk is solve_chunk
