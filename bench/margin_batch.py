@@ -36,7 +36,8 @@ are screened before any LP runs), the size-3 supports of the 8x16 matrices for t
 rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
 of the four properties and on the matrices and properties of the
 benchmark's ``orderk_enum`` commands for seed 1 (with its l1 pivots per LP,
-and its margin LPs and rank probes per checked support).
+its margin LPs and rank probes per checked support, and the trials its l1
+LPs' duals decide and the trials it sends to margin LPs).
 ``solve_and_certify_batch`` gets a digest of its outputs on planted
 right-hand sides of the 8x16 matrices, and its l1 pivots per LP, so that
 two trees can be shown to agree on it.  The lockstep figures count the steps of the stacked engine on
@@ -291,9 +292,13 @@ def _oracle(rc, np, runs, repeat: int) -> dict:
     µs per support it checks; its LPs, ``solve_batch`` calls and lockstep
     steps; its l1 LPs per stack (a window's stack) and per checked support,
     and the pivots of each l1 LP; the margin LPs and margin-LP stacks it
-    solves, and the matrices its rank probes take, per checked support.
+    solves, and the matrices its rank probes take, per checked support; and
+    the trials whose uniqueness the l1 LP's own dual decides
+    (``orderk._pinned``, absent from trees before it, which count 0) and
+    the trials it sends to the margin-LP certification
+    (``orderk._certified_points``).
     """
-    from rspcert import linalg, simplex
+    from rspcert import linalg, orderk, simplex
 
     def oracle():
         return [rc.uniform_recovery_oracle(A, 3, property=prop) for A, prop in runs]
@@ -301,6 +306,7 @@ def _oracle(rc, np, runs, repeat: int) -> dict:
     t = _best(oracle, repeat)
     stacks, l1_pivots, margin = [], [], []
     probes = [0]
+    trials = {"dual": 0, "margin": 0}
 
     def record(lps, results):
         # The l1 LPs are the stacks with objective all ones; the rest are
@@ -311,16 +317,31 @@ def _oracle(rc, np, runs, repeat: int) -> dict:
         else:
             margin.append(len(results))
     real = linalg._stacked_ranks
+    real_pinned = getattr(orderk, "_pinned", None)
+    real_certified = orderk._certified_points
 
     def counted(M, rank_tol):
         probes[0] += len(M)
         return real(M, rank_tol)
-    linalg._stacked_ranks = counted
+
+    def pinned(A, points, tol):
+        decided = real_pinned(A, points, tol)
+        trials["dual"] += int(np.count_nonzero(decided))
+        return decided
+
+    def certified(A, points, tol):
+        trials["margin"] += sum(not isinstance(p, Exception) for p in points)
+        return real_certified(A, points, tol)
+    linalg._stacked_ranks, orderk._certified_points = counted, certified
+    if real_pinned is not None:
+        orderk._pinned = pinned
     try:
         with _counting(record):
             lockstep = _steps(simplex, oracle)
     finally:
-        linalg._stacked_ranks = real
+        linalg._stacked_ranks, orderk._certified_points = real, real_certified
+        if real_pinned is not None:
+            orderk._pinned = real_pinned
     return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
             "lps": sum(stacks) + sum(margin), "solve_batch_calls": len(stacks) + len(margin),
             "steps": lockstep["steps"],
@@ -329,6 +350,7 @@ def _oracle(rc, np, runs, repeat: int) -> dict:
             "l1_pivots_per_lp": statistics.fmean(l1_pivots),
             "margin_lps": sum(margin), "margin_stacks": len(margin),
             "margin_lps_per_support": sum(margin) / checked,
+            "trials_dual_decided": trials["dual"], "trials_to_margin_lps": trials["margin"],
             "rank_probes": probes[0], "rank_probes_per_support": probes[0] / checked}
 
 

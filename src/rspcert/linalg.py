@@ -158,6 +158,16 @@ def _block_ranks(A: np.ndarray, block: list[IndexSet],
     return ranks, marginal
 
 
+def _full_rank_supports(A: np.ndarray, block: list[IndexSet], rank_tol: float) -> list[IndexSet]:
+    # The supports of a block of one size whose columns have full column
+    # rank, in order: the one full-rank filter rule, of ``SupportEnumeration``
+    # and of the recovery oracle's windows.
+    if not block:
+        return []
+    full = _block_ranks(A, block, rank_tol)[0] == len(block[0])
+    return list(compress(block, full.tolist()))
+
+
 def rank_details(A: np.ndarray, support: Iterable[int] | None = None,
                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> RankResult:
     """Numerical rank of the column submatrix, with its singular values and a marginal flag."""
@@ -264,8 +274,7 @@ class SupportEnumeration:
             supports = combinations(range(n), k)
             while block := list(islice(supports, _BLOCK_LEN)):
                 if self.full_rank_only:
-                    full = _block_ranks(self.A, block, self.tol.rank_tol)[0] == k
-                    block = list(compress(block, full.tolist()))
+                    block = _full_rank_supports(self.A, block, self.tol.rank_tol)
                 self.count += len(block)
                 yield k, block
 

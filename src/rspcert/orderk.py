@@ -14,19 +14,24 @@ sensing matrix recovers through l1 minimization.  They are the keys of
 ``certify_order_k`` certifies any of them; its "yes" at a support may rest on
 a checked least-squares witness instead of a margin LP, and so carry no t*.
 Every verdict is cross-checkable against a brute-force recovery oracle that
-actually plants a random positive vector on each support and re-solves,
-with margin LPs of its own.
+actually plants a random positive vector on each support and re-solves.
+The oracle reads each trial's uniqueness off its own l1 LP: every optimum
+vanishes off the columns Z of zero reduced cost, so x is unique when Z
+holds its support and A_Z has full column rank.  Only a trial that this
+leaves open is certified as ``solve_and_certify`` certifies it, with a
+margin LP and rank tests at its support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
-                     ToleranceConfig, as_matrix, rank)
+                     ToleranceConfig, _full_rank_supports, as_matrix, rank)
 from .rsp import (Verdict, _certified_points, _l1_points, _margin_solves, _raised,
                   _row_reduction)
 
@@ -106,14 +111,17 @@ class RecoveryOracleReport:
 
 
 def _supports(A: np.ndarray, K: int, prop: str, tol: ToleranceConfig,
-              budget: int) -> SupportEnumeration:
+              budget: int, filtered: bool = True) -> SupportEnumeration:
+    # The supports ``prop`` ranges over; without ``filtered``, rank-deficient
+    # ones too, for a caller that applies the full-rank filter itself.
     if prop not in QUANTIFIERS:
         raise ValueError(f"unknown property {prop!r}; expected one of {sorted(QUANTIFIERS)}")
     if not 1 <= K <= A.shape[1]:
         raise ValueError(f"order K={K} must lie in [1, {A.shape[1]}]")
     q = QUANTIFIERS[prop]
     sizes = [K] if q.exact_size else range(1, K + 1)
-    return SupportEnumeration(A, sizes, budget, tol, full_rank_only=q.full_rank_only)
+    return SupportEnumeration(A, sizes, budget, tol,
+                              full_rank_only=filtered and q.full_rank_only)
 
 
 def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -175,17 +183,27 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
 
 
 def _l1_walk(A: np.ndarray, block: list[IndexSet], k: int, trials: int,
-             rng: np.random.Generator, tol: ToleranceConfig) -> tuple[list, list]:
-    # The planted vectors and l1 points of a block's trials, window by
-    # window, up to and including the first trial whose l1 step fails or
-    # misses its planted vector; no window is drawn after it.
+             rng: np.random.Generator, tol: ToleranceConfig,
+             full_rank_only: bool) -> tuple[list[IndexSet], list, bool]:
+    # The supports a block's walk reaches and the l1 points of their trials,
+    # window by window, up to and including the first trial whose l1 step
+    # fails or misses its planted vector, and whether one did; no window is
+    # drawn after it.  With ``full_rank_only`` a window of W supports is the
+    # next W of the block with full column rank, ranked as it is filled.
     n = A.shape[1]
-    plants: list[np.ndarray] = []
+    walked: list[IndexSet] = []
     points: list = []
     start, width = 0, _FIRST_WINDOW
     while start < len(block):
-        window = block[start:start + width]
-        start, width = start + len(window), 2 * width
+        window: list[IndexSet] = []
+        while len(window) < width and start < len(block):
+            more = block[start:start + width - len(window)]
+            start += len(more)
+            window += _full_rank_supports(A, more, tol.rank_tol) if full_rank_only else more
+        if not window:
+            break
+        walked += window
+        width *= 2
         rows = len(window) * trials
         planted = np.zeros((rows, n))
         columns = np.repeat(np.array(window, dtype=np.intp), trials, axis=0)
@@ -193,11 +211,39 @@ def _l1_walk(A: np.ndarray, block: list[IndexSet], k: int, trials: int,
         # One product per trial, as each trial's own call computed it.
         rhs = np.array([A @ p for p in planted])
         for p, point in zip(planted, _l1_points(A, rhs, tol, columns)):
-            plants.append(p)
             points.append(point)
             if isinstance(point, Exception) or np.abs(point[0] - p).max() > _RECOVERY_TOL:
-                return plants, points
-    return plants, points
+                return walked, points, True
+    return walked, points, False
+
+
+def _pinned(A: np.ndarray, points: list, tol: ToleranceConfig) -> np.ndarray:
+    # Which l1 optima (x, S, s) of ``_l1_points`` their own LP proves
+    # unique.  For every feasible x', 1.x' = b.y + s.x', with s >= 0 the
+    # reduced costs checked on the raw A, so every optimum vanishes off
+    # Z = {j : s_j <= rsp_margin}; x is the only one where S lies in Z and
+    # A_Z has full column rank (so |Z| <= m).  A_S then has full column rank
+    # too under the same threshold rule, as sigma_min(A_S) >= sigma_min(A_Z).
+    pinned = np.zeros(len(points), dtype=bool)
+    if not points:
+        return pinned
+    Z = np.array([s for _, _, s in points]) <= tol.rsp_margin
+    trial = np.repeat(np.arange(len(points)), [len(S) for _, S, _ in points])
+    off = trial[~Z[trial, [j for _, S, _ in points for j in S]]]
+    at = np.flatnonzero((np.bincount(off, minlength=len(points)) == 0)
+                        & (Z.sum(axis=1) <= A.shape[0]))
+    candidates = Z[at]
+    columns = np.nonzero(candidates)[1].tolist()
+    ends = np.cumsum(candidates.sum(axis=1)).tolist()
+    faces = [tuple(columns[i:j]) for i, j in zip([0] + ends[:-1], ends)]
+    # One rank probe per distinct Z, stacked by size.
+    by_size: dict[int, list[IndexSet]] = {}
+    for F in dict.fromkeys(faces):
+        by_size.setdefault(len(F), []).append(F)
+    full = {F for group in by_size.values()
+            for F in _full_rank_supports(A, group, tol.rank_tol)}
+    pinned[at] = [F in full for F in faces]
+    return pinned
 
 
 def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
@@ -209,43 +255,65 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     For each support S that the named order-K ``property`` ranges over
     (sizes up to K, or exactly K for the partial properties; only
     full-column-rank supports for the weak ones) draw vectors positive on S,
-    take their measurements, and re-solve: recovery holds iff the solve
-    certifies unique and reproduces the planted vector to 1e-6.  One trial
-    per support decides, because the certificate conditions depend only on
-    the support; extra trials guard against tolerance noise.  Each trial
-    gets its own l1 solve and its own uniqueness certificate; nothing is
+    take their measurements, and re-solve: recovery holds iff the l1 LP
+    returns the planted vector to 1e-6 and that vector is its unique
+    optimum.  One trial per support decides, because uniqueness depends
+    only on the support; extra trials guard against tolerance noise.  Each
+    trial gets its own l1 solve and its own uniqueness proof; nothing is
     taken from the certifiers.
 
+    Uniqueness is read off the trial's own l1 LP where it can be.  With s
+    the reduced costs 1 - A^T y that the LP core checked on the raw A and
+    Z = {j : s_j <= rsp_margin}, every optimum vanishes off Z, since
+    1.x' = b.y + s.x' for every feasible x'; so x is the unique optimum
+    when its support lies in Z and A_Z has full column rank (the rank rule
+    of ``rank``, one stacked probe per distinct Z).  Z is usually the m
+    columns of the LP's optimal basis, the support and m - k at zero.  Only
+    a trial that this leaves open, where Z is larger than m or A_Z is rank
+    deficient, gets what a
+    ``solve_and_certify`` call of its own gives: the range-space margin LP
+    and the rank tests at its support, in one call for the block's open
+    trials.
+
     Supports are visited in enumeration order, and the first that fails is
-    reported.  Each trial gets what a ``solve_and_certify`` call of its own
-    gives, and an exception is raised only on reaching the trial that
-    raises it, so the report is what a one-by-one walk reports.  Each block
-    of the enumeration is walked in windows of 8, 16, 32, ... supports; one
-    window's l1 LPs are one stack, each started at its planted vertex (S
-    and m - k columns that make the basis nonsingular, or two-phase where
-    none is found).  Phase 2 still decides optimality by reduced costs and
-    every optimum is re-checked on the raw data; the LP core solves
-    two-phase, in the same call, any started LP whose solve fails.  The
-    walk stops at the first trial whose l1 step fails or misses the planted
-    vector; the block's trials up to and including it are then certified
-    in one call, so no margin LP is solved past the first failure.  A
-    window's planted values are one draw of W * trials rows of k values,
-    the same stream as W * trials draws of k values each, so the values
-    planted on a support do not depend on the windows.
+    reported; an exception is raised only on reaching the trial that raises
+    it, so the report is what a one-by-one walk reports.  Each block of the
+    enumeration is walked in windows of 8, 16, 32, ... supports (for the
+    weak properties, the next supports with full column rank, ranked as a
+    window is filled); one window's l1 LPs are one stack, each started at
+    its planted vertex (S and m - k columns that make the basis
+    nonsingular, or two-phase where none is found).  Phase 2 still decides
+    optimality by reduced costs and every optimum is re-checked on the raw
+    data; the LP core solves two-phase, in the same call, any started LP
+    whose solve fails.  The walk stops at the first trial whose l1 step
+    fails or misses the planted vector.  That trial has failed already and
+    is not certified, and no window is drawn after it.  A window's planted
+    values are one draw of W * trials rows of k values, the same stream as
+    W * trials draws of k values each, so the values planted on a support
+    do not depend on the windows.
     """
     if trials_per_support < 1:
         raise ValueError(f"trials_per_support={trials_per_support} must be at least 1")
     A = as_matrix(A)
-    supports = _supports(A, K, property, tol, budget)
+    supports = _supports(A, K, property, tol, budget, filtered=False)
+    full_rank_only = QUANTIFIERS[property].full_rank_only
     rng = np.random.default_rng(seed)
     checked = 0
     for k, block in supports:
-        plants, points = _l1_walk(A, block, k, trials_per_support, rng, tol)
-        for i, (recovered, verdict) in enumerate(_certified_points(A, points, tol)):
-            if not (verdict.unique is Verdict.YES
-                    and np.abs(recovered - plants[i]).max() <= _RECOVERY_TOL):
-                return RecoveryOracleReport(False, block[i // trials_per_support],
-                                            checked + 1 + i // trials_per_support,
-                                            trials_per_support, seed)
-        checked += len(block)
+        walked, points, missed = _l1_walk(A, block, k, trials_per_support, rng, tol,
+                                          full_rank_only)
+        recovered = points[:-1] if missed else points
+        open_ = ~_pinned(A, recovered, tol)
+        verdicts = _certified_points(A, list(compress(recovered, open_)), tol)
+        failed = next((i for i in np.flatnonzero(open_).tolist()
+                       if next(verdicts)[1].unique is not Verdict.YES), None)
+        if failed is None and missed:
+            if isinstance(points[-1], Exception):
+                raise points[-1]
+            failed = len(recovered)
+        if failed is not None:
+            trial = failed // trials_per_support
+            return RecoveryOracleReport(False, walked[trial], checked + 1 + trial,
+                                        trials_per_support, seed)
+        checked += len(walked)
     return RecoveryOracleReport(True, None, checked, trials_per_support, seed)

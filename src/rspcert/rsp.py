@@ -675,20 +675,22 @@ def _l1_starts(A: np.ndarray, block: np.ndarray, rank_tol: float) -> np.ndarray:
 
 def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
                planted_on: np.ndarray | None = None
-               ) -> list[tuple[np.ndarray, IndexSet] | RspcertError]:
+               ) -> list[tuple[np.ndarray, IndexSet, np.ndarray] | RspcertError]:
     # The l1 step of ``solve_and_certify`` for each right-hand side: the
-    # optimal x and its support, or the error raised for it.  The LPs are one
-    # stack, solved two-phase.  With ``planted_on`` (one row of a support per
-    # right-hand side A x, x positive on it), each LP starts at its planted
-    # vertex where ``_l1_starts`` finds a basis, and phase 2 still decides
-    # optimality by reduced costs.  The core's re-check accepts entries of x
-    # down to -feas_tol; the support test takes them as 0, and x is returned
-    # as the LP gave it.
+    # optimal x, its support and the reduced costs s = 1 - A^T y that the
+    # LP core's re-check computed on the raw A, or the error raised for it.
+    # The LPs are one stack, solved two-phase.  With ``planted_on`` (one row
+    # of a support per right-hand side A x, x positive on it), each LP starts
+    # at its planted vertex where ``_l1_starts`` finds a basis, and phase 2
+    # still decides optimality by reduced costs.  The core's re-check accepts
+    # entries of x down to -feas_tol; the support test takes them as 0, and
+    # x is returned as the LP gave it.
     m, n = A.shape
     lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs)
     basis = None if planted_on is None else _l1_starts(A, planted_on, tol.rank_tol)
+    solved = solve_batch(lps, tol, basis=basis)
     points: list = []
-    for sol in solve_batch(lps, tol, basis=basis):
+    for sol in solved:
         try:
             points.append(_l1_point(_raised(sol)))
         except RspcertError as error:
@@ -698,7 +700,7 @@ def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
         X = np.array([points[i] for i in at])
         X[(X < 0.0) & (X >= -tol.feas_tol)] = 0.0
         for i, S in zip(at, _solution_supports(A, rhs[at], X, tol)):
-            points[i] = S if isinstance(S, Exception) else (points[i], S)
+            points[i] = S if isinstance(S, Exception) else (points[i], S, solved[i].reduced_costs)
     return points
 
 
@@ -723,7 +725,7 @@ def _certified_points(A: np.ndarray, points: list, tol: ToleranceConfig
         near |= augmented_near
         ranks |= zip(group, zip(found.tolist(), augmented.tolist(), near.tolist()))
     for point in points:
-        x, S = _raised(point)
+        x, S, _ = _raised(point)
         c = _raised(margin[S])
         cert = RspCertificate(c.holds, S, c.witness_eta, c.witness_y, c.t_star, c.lp_status)
         yield x, _combine(cert, *ranks[S], len(S))

@@ -5,8 +5,8 @@ import pytest
 
 from rspcert import (DEFAULT_TOLERANCES, BudgetExceeded, CertificateUnavailable,
                      IterationLimit, RspcertError, ToleranceConfig, Verdict, certify_order_k,
-                     check_rsp_at, rank, spark, sparsest_supports, uniform_recovery_oracle,
-                     verify_rsp_witness)
+                     check_rsp_at, rank, solve_and_certify, spark, sparsest_supports,
+                     uniform_recovery_oracle, verify_rsp_witness)
 from rspcert.orderk import QUANTIFIERS
 
 from conftest import COHERENT_A
@@ -589,29 +589,133 @@ def test_the_oracle_answers_on_nearly_dependent_columns():
                     assert cert.agrees_with(report) is True, (K, prop, trials, seed)
 
 
-@pytest.mark.parametrize("A, K, prop, checked", [
-    (np.random.default_rng([2027, 0]).standard_normal((5, 10)), 2, "prsp", 7),
-    (np.random.default_rng([2027, 40]).standard_normal((7, 10)), 2, "rsp", 55),
-    (COHERENT_A, 2, "rsp", 7),
+def _duplicated_gaussian():
+    """A 6x12 Gaussian whose column 9 repeats column 4."""
+    A = np.random.default_rng([2027, 41]).standard_normal((6, 12))
+    A[:, 9] = A[:, 4]
+    return A
+
+
+def _left_open(A, x, S, s, tol=DEFAULT_TOLERANCES):
+    """Whether the l1 LP's own dual leaves the optimum x open.
+
+    It does not where the columns of zero reduced cost, Z, hold the support
+    S and have full column rank: every optimum then vanishes off Z, and A_Z
+    pins it to x.
+    """
+    Z = np.flatnonzero(s <= tol.rsp_margin)
+    return not (set(S) <= set(Z.tolist()) and Z.size <= A.shape[0]
+                and rank(A, Z, tol) == Z.size)
+
+
+@pytest.mark.parametrize("A, K, prop, checked, any_margin_lp", [
+    (np.random.default_rng([2027, 0]).standard_normal((5, 10)), 2, "prsp", 7, False),
+    (np.random.default_rng([2027, 40]).standard_normal((7, 10)), 2, "rsp", 55, False),
+    (COHERENT_A, 2, "rsp", 7, False),
+    (_duplicated_gaussian(), 2, "rsp", 5, True),
 ])
-def test_oracle_solves_no_margin_lp_after_the_first_failure(monkeypatch, A, K, prop, checked):
-    # One trial per support: each checked support reaches one margin LP at
-    # the support of its l1 optimum, the failing one included, and no
-    # support after it reaches any.
+def test_oracle_solves_margin_lps_only_for_the_trials_its_l1_dual_leaves_open(
+        monkeypatch, A, K, prop, checked, any_margin_lp):
+    # One trial per support.  The walk reaches every trial up to the first
+    # that misses its planted vector.  Of those, a trial whose l1 LP's dual
+    # proves its optimum unique solves no margin LP, and each one left open
+    # solves one at its support; the trial that missed solves none.
+    import rspcert.orderk as orderk
     import rspcert.rsp as rsp
 
-    real = rsp.solve_batch
-    margin = []
+    real_solve, real_points = rsp.solve_batch, orderk._l1_points
+    margin, points = [], []
 
     def solve_batch(lps, *args, **kwargs):
-        results = real(lps, *args, **kwargs)
+        results = real_solve(lps, *args, **kwargs)
         if not np.all(lps.objective == 1.0):     # not the l1 LPs
             margin.append(len(results))
         return results
+
+    def l1_points(*args):
+        found = real_points(*args)
+        points.extend(found)
+        return found
     monkeypatch.setattr(rsp, "solve_batch", solve_batch)
+    monkeypatch.setattr(orderk, "_l1_points", l1_points)
     report = uniform_recovery_oracle(A, K, property=prop)
     assert report.supports_checked == checked
-    assert sum(margin) == checked
+    open_supports = set()
+    for point, (S, planted) in zip(points, _planted_vectors(A, K, prop, 1, 0)):
+        if isinstance(point, Exception) or np.abs(point[0] - planted[0]).max() > 1e-6:
+            break
+        if _left_open(A, *point):
+            open_supports.add(point[1])
+    assert sum(margin) == len(open_supports)
+    assert (sum(margin) > 0) is any_margin_lp
+
+
+def test_the_oracle_does_not_certify_a_trial_that_missed_its_plant(monkeypatch):
+    # Under prsp at K = 2 the near-dependent matrix's first trial, planted
+    # on (0, 1), comes back as x_1 e_1 (column 0 is zero), so it has failed
+    # already.  A refused margin LP at its recovered support (1,) makes its
+    # own solve_and_certify raise, and leaves the oracle's report as it is.
+    import rspcert.rsp as rsp
+
+    real = rsp._margin_solves
+
+    def refusing(A, supports, *args, **kwargs):
+        return [CertificateUnavailable("injected refusal") if S == (1,) else cert
+                for S, cert in zip(supports, real(A, supports, *args, **kwargs))]
+    A = _near_dependent()
+    (S, planted), = list(_planted_vectors(A, 2, "prsp", 1, 0))[:1]
+    monkeypatch.setattr(rsp, "_margin_solves", refusing)
+    with pytest.raises(CertificateUnavailable, match="injected refusal"):
+        solve_and_certify(A, A @ planted[0])
+    report = uniform_recovery_oracle(A, 2, property="prsp")
+    assert (report.recovers, report.failing_support, report.supports_checked) == (False, S, 1)
+    assert S == (0, 1)
+
+
+def _zero_one(seed):
+    """A 0/1 6x12 matrix of density 0.4."""
+    return (np.random.default_rng([seed, 9]).random((6, 12)) < 0.4).astype(float)
+
+
+def _duplicated_and_midpoint(seed):
+    """A 6x12 Gaussian whose column 10 repeats column 3 and whose column 11
+    is the midpoint of columns 0 and 5."""
+    A = np.random.default_rng([seed, 10]).standard_normal((6, 12))
+    A[:, 10] = A[:, 3]
+    A[:, 11] = 0.5 * (A[:, 0] + A[:, 5])
+    return A
+
+
+@pytest.mark.parametrize("family", [_zero_one, _duplicated_and_midpoint])
+def test_the_l1_dual_changes_no_oracle_report(monkeypatch, family):
+    # Each report equals the one given when every trial that recovers its
+    # planted vector is certified through the margin LP and rank tests at
+    # its support, as solve_and_certify certifies it; and in each family
+    # some trials are left open to that certification.
+    import rspcert.orderk as orderk
+
+    real = orderk._certified_points
+    sent = []
+
+    def certified(A, points, tol):
+        sent.append(len(points))
+        return real(A, points, tol)
+    monkeypatch.setattr(orderk, "_certified_points", certified)
+    left_open = 0
+    for seed in range(4):
+        A = family(seed)
+        for K in (1, 2, 3):
+            for prop in QUANTIFIERS:
+                for trials in (1, 3):
+                    read = _oracle_outcome(A, K, prop, trials, seed)
+                    left_open += sum(sent)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(orderk, "_pinned",
+                                      lambda A, points, tol: np.zeros(len(points), dtype=bool))
+                        every = _oracle_outcome(A, K, prop, trials, seed)
+                    sent.clear()
+                    assert read == every, (seed, K, prop, trials)
+    assert left_open > 0
 
 
 # ------------------------------------------------- weak / partial properties

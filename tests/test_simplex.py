@@ -619,10 +619,17 @@ def test_the_bench_tool_still_binds_the_engine():
     assert figures["lps"] == round((1.0 - figures["settled_frac"]) * math.comb(8, 3))
     assert figures["steps"] > 0 and figures["blocks"] == figures["solve_batch_calls"] == 1
     assert rsp._REWEIGHTS == reweights
-    # Its oracle figures count rank probes by patching linalg._stacked_ranks.
+    # Its oracle figures count rank probes by patching linalg._stacked_ranks,
+    # and the trials the l1 dual decides and those sent to margin LPs by
+    # patching orderk._pinned and orderk._certified_points.  Under rsp the
+    # size-1 trials are decided by the dual, each with a rank probe.
     kernel = rspcert.linalg._stacked_ranks
-    assert bench._oracle(rspcert, np, [(A, "prsp")], 1)["rank_probes"] > 0
+    pinned, certified = rspcert.orderk._pinned, rspcert.orderk._certified_points
+    figures = bench._oracle(rspcert, np, [(A, "rsp")], 1)
+    assert figures["rank_probes"] > 0 and figures["trials_dual_decided"] > 0
+    assert figures["trials_to_margin_lps"] == figures["margin_lps"] == 0
     assert rspcert.linalg._stacked_ranks is kernel
+    assert rspcert.orderk._pinned is pinned and rspcert.orderk._certified_points is certified
     # Its fallback figures count the started LPs that the core solved
     # two-phase, by patching simplex._started_tableaux and _solve_chunk: none
     # on the Gaussian, and one at each support of the near-dependent matrix
