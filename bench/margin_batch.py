@@ -40,25 +40,31 @@ its margin LPs and rank probes per checked support, and the trials its l1
 LPs' duals decide and the trials it sends to margin LPs).
 ``solve_and_certify_batch`` gets a digest of its outputs on planted
 right-hand sides of the 8x16 matrices, and its l1 pivots per LP, so that
-two trees can be shown to agree on it.  The lockstep figures count the steps of the stacked engine on
-the size-3 margin LPs and on one pass of the benchmark's ``orderk_enum``
-commands for seed 1 (``perfbench/workloads.py``, run in-process through
-``rspcert.cli.main``).  The started LPs that the LP core solved two-phase
-(a start that does not serve, or a started solve that came back
-``CertificateUnavailable``) are counted per LP kind, margin or l1, on that
-pass and on the near-dependent 5x10 matrix of CHANGES.md line 47.  Times
-are the fastest of ``--repeat`` runs, on one thread.  The tree must have
-``certify_order_k``, ``simplex.solve_batch`` and the stacked engine
-``simplex._Tableaux``: the lockstep counts read the
-engine, and the margin-LP pivots, the LPs per pass and the l1 LPs per oracle
-window read the stacks the library passes to ``solve_batch`` (``_counting``).
+two trees can be shown to agree on it.  The lockstep figures count the
+steps of the stacked engine on the size-3 margin LPs and on one pass of the
+benchmark's ``orderk_enum`` commands for seed 1 (``perfbench/workloads.py``,
+run in-process through ``rspcert.cli.main``).  The started LPs that the LP
+core solved two-phase (a start that does not serve, or a started solve
+that came back ``CertificateUnavailable``) are counted on that pass and on
+the near-dependent 5x10 matrix of CHANGES.md line 47.  Times are the
+fastest of ``--repeat`` runs, on one thread.
+
+Every count is read from the library's own run statistics: each measured
+call runs inside ``rspcert.stats.collect()``, and the figures are its
+counters (``simplex.*``, ``margin.*``, ``l1.*``, ``feasibility.lps``,
+``linalg.ranked``, ``oracle.*``).  The tool sets no library name but
+``linalg._STACK_BYTES`` for ``--sweep``, and the tree must have
+``rspcert.stats``.
 
 BENCH files up to ``BENCH_16.json`` carry ``feasibility_us_per_lp`` and
 ``feasibility_lps`` instead: the same time and support count, from when
 every checked support was one feasibility LP.  Up to ``BENCH_19.json``,
 ``margin_us_per_lp``, ``margin_pivots_per_lp`` and the ``margin_k3``
 lockstep figures were taken through the prsp certifier, which then solved
-one margin LP per support as ``check_rsp_batch`` does.
+one margin LP per support as ``check_rsp_batch`` does.  Up to
+``BENCH_26.json``, ``fallbacks`` and ``fallbacks_near_dependent`` were split
+by LP kind (``margin``, ``l1``); the LP core, which counts them, does not
+know an LP's kind, so they are one total now.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
     import rspcert as rc
-    from rspcert import linalg, rsp
+    from rspcert import linalg, rsp, stats
 
     if cap_kib is not None:
         linalg._STACK_BYTES = cap_kib * 1024
@@ -109,9 +115,10 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
         count = len(supports) * len(mats)
         t = _best(lambda: [list(rsp.check_rsp_batch(A, supports)) for A in mats], repeat)
         out["margin_us_per_lp"][str(k)] = 1e6 * t / count
-        pivots = _solved(lambda: [list(rsp.check_rsp_batch(A, supports)) for A in mats])
-        assert len(pivots) == count
-        out["margin_pivots_per_lp"][str(k)] = statistics.fmean(pivots)
+        with stats.collect() as counts:
+            [list(rsp.check_rsp_batch(A, supports)) for A in mats]
+        assert counts["margin.lps"] == counts["simplex.lps"] == count
+        out["margin_pivots_per_lp"][str(k)] = counts["simplex.pivots"] / count
     props = ("rsp", "wrsp", "prsp", "pwrsp")
     if cap_kib is None:
         out["certifier"] = _certifier(rc, [(A, prop) for A in mats for prop in props], repeat)
@@ -125,13 +132,12 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
         x = np.zeros(20)
         x[rng.choice(20, size=4, replace=False)] = rng.uniform(0.1, 1.0, size=4)
         systems.append((A, A @ x))
-    solved = []
-    with _counting(lambda lps, results: solved.append(len(results))):
+    with stats.collect() as counts:
         checked = sum(rc.sparsest_supports(A, b).subsets_checked for A, b in systems)
     t = _best(lambda: [rc.sparsest_supports(A, b) for A, b in systems], repeat)
     out["feasibility_us_per_support"] = 1e6 * t / checked
     out["feasibility_supports"] = checked
-    out["feasibility_lps_solved"] = sum(solved)
+    out["feasibility_lps_solved"] = counts["feasibility.lps"]
 
     supports = list(combinations(range(16), 3))
     t = _best(lambda: [list(linalg.SupportEnumeration(A, [3], 10**6, full_rank_only=True))
@@ -142,50 +148,13 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
 
     out["lockstep"] = _lockstep(rc, mats, repeat)
     if cap_kib is None:
-        out["oracle"] = _oracle(rc, np, [(A, prop) for A in mats for prop in props], repeat)
-        out["oracle_orderk_enum_seed1"] = _oracle(rc, np, _orderk_runs(np), repeat)
+        out["oracle"] = _oracle(rc, [(A, prop) for A in mats for prop in props], repeat)
+        out["oracle_orderk_enum_seed1"] = _oracle(rc, _orderk_runs(np), repeat)
         out["solve_and_certify_batch"] = _public_batch(rc, np, mats)
-        from rspcert import simplex
-        out["fallbacks_near_dependent"] = _fallbacks(simplex, _near_dependent_work(rc, np))
+        with stats.collect() as counts:
+            _near_dependent_work(rc, np)
+        out["fallbacks_near_dependent"] = counts["simplex.two_phase"]
     return out
-
-
-@contextlib.contextmanager
-def _counting(record):
-    """Call ``record(lps, results)`` on every stack the library passes to ``solve_batch``.
-
-    Each module that binds ``simplex.solve_batch`` is patched: ``simplex``
-    itself (for ``solve``), ``rsp``, and ``oracle``, whose sparsest search
-    solves its feasibility LPs itself.
-    """
-    from rspcert import oracle, rsp, simplex
-    real = simplex.solve_batch
-    modules = (simplex, rsp, oracle)
-
-    def counting(lps, *args, **kwargs):
-        results = real(lps, *args, **kwargs)
-        record(lps, results)
-        return results
-    for module in modules:
-        module.solve_batch = counting
-    try:
-        yield
-    finally:
-        for module in modules:
-            module.solve_batch = real
-
-
-def _solved(work) -> list[int]:
-    """Pivots of each LP the library solves while ``work()`` runs.
-
-    Entries that are no solution (a breakdown, or an optimum that failed its
-    certificate re-check) are skipped.
-    """
-    pivots = []
-    with _counting(lambda lps, results: pivots.extend(
-            r.pivots for r in results if not isinstance(r, Exception))):
-        work()
-    return pivots
 
 
 def _batch_of_one(rc, np, repeat: int) -> dict:
@@ -219,178 +188,70 @@ def _certifier(rc, runs, repeat: int) -> dict:
     """``certify_order_k`` at K=3 over ``runs``, pairs of a matrix and a property.
 
     µs per support it checks; the margin LPs it solves, its ``solve_batch``
-    calls, the lockstep steps of those solves and the blocks it certifies;
-    and by support size the supports it reaches and the share of them
-    settled by a least-squares witness, with no margin LP: the certificates
-    with ``lp_status`` "settled" that ``_margin_solves`` returns to the
-    certifier (0 on a tree without that screen).  That share is split into
-    the first witness's, counted on a run with ``rsp._REWEIGHTS`` set to 0,
-    and the reweighted witnesses' (0 on a tree without them).
+    calls, the lockstep steps of those solves and the blocks it certifies
+    (calls of ``rsp._margin_solves``); and by support size the supports it
+    reaches and the share of them settled by a least-squares witness, with
+    no margin LP, split into the first witness's share and the reweighted
+    witnesses'.
     """
-    from rspcert import rsp, simplex
+    from rspcert import stats
 
     def certify():
         return [rc.certify_order_k(A, 3, property=prop) for A, prop in runs]
-    checked = sum(r.subsets_checked for r in certify())
+    with stats.collect() as counts:
+        checked = sum(r.subsets_checked for r in certify())
     t = _best(certify, repeat)
-    calls: list[int] = []
-    settled: dict = {}
-    with _counting(lambda lps, results: calls.append(len(results))):
-        lockstep = _steps(simplex, lambda: settled.update(_settled_by_size(rsp, certify)))
-    first = settled
-    if hasattr(rsp, "_REWEIGHTS"):
-        reweights, rsp._REWEIGHTS = rsp._REWEIGHTS, 0
-        try:
-            first = _settled_by_size(rsp, certify)
-        finally:
-            rsp._REWEIGHTS = reweights
+    sizes = sorted(int(name.rsplit(".", 1)[1]) for name in counts
+                   if name.startswith("margin.supports."))
+    supports = {k: counts[f"margin.supports.{k}"] for k in sizes}
+    first = {k: counts[f"margin.settled_first.{k}"] for k in sizes}
+    reweighted = {k: counts[f"margin.settled_reweighted.{k}"] for k in sizes}
     return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
-            "lps": sum(calls), "solve_batch_calls": len(calls), "steps": lockstep["steps"],
-            "blocks": sum(c[2] for c in settled.values()),
-            "settled_frac": sum(c[1] for c in settled.values()) / checked,
-            "first_witness_frac": sum(c[1] for c in first.values()) / checked,
-            "by_size": {k: {"supports": c[0], "settled_frac": c[1] / c[0],
-                            "first_witness_frac": first[k][1] / c[0],
-                            "reweighted_frac": (c[1] - first[k][1]) / c[0]}
-                        for k, c in sorted(settled.items())}}
+            "lps": counts["simplex.lps"], "solve_batch_calls": counts["simplex.batches"],
+            "steps": counts["simplex.steps"], "blocks": counts["margin.blocks"],
+            "settled_frac": (sum(first.values()) + sum(reweighted.values())) / checked,
+            "first_witness_frac": sum(first.values()) / checked,
+            "by_size": {str(k): {"supports": supports[k],
+                                 "settled_frac": (first[k] + reweighted[k]) / supports[k],
+                                 "first_witness_frac": first[k] / supports[k],
+                                 "reweighted_frac": reweighted[k] / supports[k]}
+                        for k in sizes}}
 
 
-def _settled_by_size(rsp, certify) -> dict:
-    """By support size, the supports, settled supports and blocks of one ``certify()``.
-
-    Patches ``_margin_solves`` where ``orderk`` imports it; a tree whose
-    ``orderk`` reaches it through ``rsp`` instead, and whose settled entries
-    carry ``status`` rather than ``lp_status``, is counted as well.
-    """
-    from rspcert import orderk
-    module = orderk if hasattr(orderk, "_margin_solves") else rsp
-    supports: dict = {}
-    real = module._margin_solves
-
-    def settled(entry) -> bool:
-        return getattr(entry, "lp_status", getattr(entry, "status", None)) == "settled"
-
-    def recording(A, block, *args, **kwargs):
-        margins = real(A, block, *args, **kwargs)
-        if len(block):
-            counts = supports.setdefault(str(len(block[0])), [0, 0, 0])
-            counts[0] += len(block)
-            counts[1] += sum(map(settled, margins))
-            counts[2] += 1
-        return margins
-    module._margin_solves = recording
-    try:
-        certify()
-    finally:
-        module._margin_solves = real
-    return supports
-
-
-def _oracle(rc, np, runs, repeat: int) -> dict:
+def _oracle(rc, runs, repeat: int) -> dict:
     """The recovery oracle at K=3 over ``runs``, pairs of a matrix and a property.
 
     µs per support it checks; its LPs, ``solve_batch`` calls and lockstep
     steps; its l1 LPs per stack (a window's stack) and per checked support,
     and the pivots of each l1 LP; the margin LPs and margin-LP stacks it
     solves, and the matrices its rank probes take, per checked support; and
-    the trials whose uniqueness the l1 LP's own dual decides
-    (``orderk._pinned``, absent from trees before it, which count 0) and
-    the trials it sends to the margin-LP certification
-    (``orderk._certified_points``).
+    the trials whose uniqueness the l1 LP's own dual decides and the trials
+    it sends to the margin-LP certification.
     """
-    from rspcert import linalg, orderk, simplex
+    from rspcert import stats
 
     def oracle():
         return [rc.uniform_recovery_oracle(A, 3, property=prop) for A, prop in runs]
-    checked = sum(r.supports_checked for r in oracle())
+    with stats.collect() as counts:
+        checked = sum(r.supports_checked for r in oracle())
     t = _best(oracle, repeat)
-    stacks, l1_pivots, margin = [], [], []
-    probes = [0]
-    trials = {"dual": 0, "margin": 0}
-
-    def record(lps, results):
-        # The l1 LPs are the stacks with objective all ones; the rest are
-        # margin LPs.
-        if isinstance(lps, simplex.LpStack) and np.all(lps.objective == 1.0):
-            stacks.append(len(results))
-            l1_pivots.extend(r.pivots for r in results if not isinstance(r, Exception))
-        else:
-            margin.append(len(results))
-    real = linalg._stacked_ranks
-    real_pinned = getattr(orderk, "_pinned", None)
-    real_certified = orderk._certified_points
-
-    def counted(M, rank_tol):
-        probes[0] += len(M)
-        return real(M, rank_tol)
-
-    def pinned(A, points, tol):
-        decided = real_pinned(A, points, tol)
-        trials["dual"] += int(np.count_nonzero(decided))
-        return decided
-
-    def certified(A, points, tol):
-        trials["margin"] += sum(not isinstance(p, Exception) for p in points)
-        return real_certified(A, points, tol)
-    linalg._stacked_ranks, orderk._certified_points = counted, certified
-    if real_pinned is not None:
-        orderk._pinned = pinned
-    try:
-        with _counting(record):
-            lockstep = _steps(simplex, oracle)
-    finally:
-        linalg._stacked_ranks, orderk._certified_points = real, real_certified
-        if real_pinned is not None:
-            orderk._pinned = real_pinned
+    l1, margin = counts["l1.lps"], counts["margin.lps"]
     return {"supports_checked": checked, "us_per_support": 1e6 * t / checked,
-            "lps": sum(stacks) + sum(margin), "solve_batch_calls": len(stacks) + len(margin),
-            "steps": lockstep["steps"],
-            "l1_lps_per_window": statistics.fmean(stacks),
-            "l1_lps_per_support": sum(stacks) / checked,
-            "l1_pivots_per_lp": statistics.fmean(l1_pivots),
-            "margin_lps": sum(margin), "margin_stacks": len(margin),
-            "margin_lps_per_support": sum(margin) / checked,
-            "trials_dual_decided": trials["dual"], "trials_to_margin_lps": trials["margin"],
-            "rank_probes": probes[0], "rank_probes_per_support": probes[0] / checked}
+            "lps": counts["simplex.lps"], "solve_batch_calls": counts["simplex.batches"],
+            "steps": counts["simplex.steps"],
+            "l1_lps_per_window": l1 / counts["l1.batches"],
+            "l1_lps_per_support": l1 / checked,
+            "l1_pivots_per_lp": counts["l1.pivots"] / l1,
+            "margin_lps": margin, "margin_stacks": counts["simplex.batches"] - counts["l1.batches"],
+            "margin_lps_per_support": margin / checked,
+            "trials_dual_decided": counts["oracle.trials_decided"],
+            "trials_to_margin_lps": counts["oracle.trials_to_margin"],
+            "rank_probes": counts["linalg.ranked"],
+            "rank_probes_per_support": counts["linalg.ranked"] / checked}
 
 
-def _fallbacks(simplex, work) -> dict:
-    """Started LPs that the LP core solved two-phase while ``work()`` runs, by kind.
-
-    A started LP falls back when its start does not serve
-    (``simplex._started_tableaux``) or its started solve comes back
-    ``CertificateUnavailable`` (``simplex._solve_chunk`` on a tableau with no
-    artificial columns).  The l1 LPs are those with objective all ones; the
-    rest are margin LPs.
-    """
-    import numpy as np
-    started, solve_chunk = simplex._started_tableaux, simplex._solve_chunk
-    counts = {"margin": 0, "l1": 0}
-
-    def kind(lps) -> str:
-        return "l1" if np.all(lps.objective == 1.0) else "margin"
-
-    def serving(lps, basis):
-        T, serves = started(lps, basis)
-        counts[kind(lps)] += int(np.count_nonzero(~serves))
-        return T, serves
-
-    def solving(lps, tab, *args):
-        results = solve_chunk(lps, tab, *args)
-        if tab.T.shape[2] == lps.constraints.shape[2] + 1:
-            counts[kind(lps)] += sum(isinstance(r, simplex.CertificateUnavailable)
-                                     for r in results)
-        return results
-    simplex._started_tableaux, simplex._solve_chunk = serving, solving
-    try:
-        work()
-    finally:
-        simplex._started_tableaux, simplex._solve_chunk = started, solve_chunk
-    return counts
-
-
-def _near_dependent_work(rc, np):
-    """Work on the near-dependent 5x10 matrix of CHANGES.md line 47.
+def _near_dependent_work(rc, np) -> None:
+    """Run work on the near-dependent 5x10 matrix of CHANGES.md line 47.
 
     Column 0 is zero and column 9 is column 1 - column 2 up to 1e-9.  The
     work is ``check_rsp_batch`` at every support of size 1 to 3, and the
@@ -403,16 +264,14 @@ def _near_dependent_work(rc, np):
     A[:, 0] = 0.0
     A[:, 9] = A[:, 1] - A[:, 2] + 1e-9 * rng.standard_normal(5)
 
-    def work():
-        for k in (1, 2, 3):
-            list(rsp.check_rsp_batch(A, list(combinations(range(10), k))))
-            for prop in ("rsp", "wrsp", "prsp", "pwrsp"):
-                rc.certify_order_k(A, k, property=prop)
-                for trials in (1, 3):
-                    for seed in (0, 1, 2):
-                        rc.uniform_recovery_oracle(A, k, trials_per_support=trials,
-                                                   property=prop, seed=seed)
-    return work
+    for k in (1, 2, 3):
+        list(rsp.check_rsp_batch(A, list(combinations(range(10), k))))
+        for prop in ("rsp", "wrsp", "prsp", "pwrsp"):
+            rc.certify_order_k(A, k, property=prop)
+            for trials in (1, 3):
+                for seed in (0, 1, 2):
+                    rc.uniform_recovery_oracle(A, k, trials_per_support=trials,
+                                               property=prop, seed=seed)
 
 
 def _orderk_runs(np) -> list:
@@ -437,55 +296,41 @@ def _public_batch(rc, np, mats) -> dict:
     8x16 matrix; the digest covers x, the verdicts, t* and the witnesses.
     """
     import hashlib
+    from rspcert import stats
     digest = hashlib.sha256()
-    pivots = []
-    for i, A in enumerate(mats):
-        rng = np.random.default_rng([4, 40 + i])
-        planted = np.zeros((40, 16))
-        for row in planted:
-            S = rng.choice(16, size=int(rng.integers(1, 5)), replace=False)
-            row[S] = rng.uniform(0.1, 1.0, size=S.size)
-        with _counting(lambda lps, results: pivots.extend(
-                r.pivots for r in results
-                if not isinstance(r, Exception) and np.all(lps.objective == 1.0))):
-            results = list(rc.solve_and_certify_batch(A, [A @ p for p in planted]))
-        for x, verdict in results:
-            cert = verdict.rsp
-            digest.update(x.tobytes())
-            digest.update(repr((verdict.unique, verdict.reason, verdict.rank_found,
-                                verdict.augmented_full_column_rank, verdict.rank_marginal,
-                                cert.holds, cert.support, cert.t_star)).encode())
-            for witness in (cert.witness_eta, cert.witness_y):
-                if witness is not None:
-                    digest.update(witness.tobytes())
-    return {"sha256": digest.hexdigest(), "l1_pivots_per_lp": statistics.fmean(pivots)}
+    results = []
+    with stats.collect() as counts:
+        for i, A in enumerate(mats):
+            rng = np.random.default_rng([4, 40 + i])
+            planted = np.zeros((40, 16))
+            for row in planted:
+                S = rng.choice(16, size=int(rng.integers(1, 5)), replace=False)
+                row[S] = rng.uniform(0.1, 1.0, size=S.size)
+            results += rc.solve_and_certify_batch(A, [A @ p for p in planted])
+    for x, verdict in results:
+        cert = verdict.rsp
+        digest.update(x.tobytes())
+        digest.update(repr((verdict.unique, verdict.reason, verdict.rank_found,
+                            verdict.augmented_full_column_rank, verdict.rank_marginal,
+                            cert.holds, cert.support, cert.t_star)).encode())
+        for witness in (cert.witness_eta, cert.witness_y):
+            if witness is not None:
+                digest.update(witness.tobytes())
+    return {"sha256": digest.hexdigest(), "l1_pivots_per_lp": counts["l1.pivots"] / counts["l1.lps"]}
 
 
-def _steps(simplex, work) -> dict:
-    """Lockstep steps of the stacked engine while ``work()`` runs.
+def _steps(counts) -> dict:
+    """Lockstep steps of the stacked engine, and their occupancy, from a ``stats`` scope.
 
     A step is one stacked pivot of the LPs still pivoting in a chunk; the
     occupancy is their share of the chunk's tableaux, over all steps.
     """
-    engine = simplex._Tableaux
-    pivot = engine.pivot
-    steps, occupied, allocated = [0], [0], [0]
-
-    def counted(self, active, *args):
-        steps[0] += 1
-        occupied[0] += active
-        allocated[0] += len(self.T)
-        return pivot(self, active, *args)
-    engine.pivot = counted
-    try:
-        work()
-    finally:
-        engine.pivot = pivot
-    return {"steps": steps[0], "occupancy": occupied[0] / max(1, allocated[0])}
+    return {"steps": counts["simplex.steps"],
+            "occupancy": counts["simplex.step_lps"] / max(1, counts["simplex.step_slots"])}
 
 
 def _orderk_pass(work: Path):
-    """One pass of the orderk_enum commands of seed 1 with inputs in ``work``, and its LP count."""
+    """One pass of the orderk_enum commands of seed 1 with inputs in ``work``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from rspcert import cli
@@ -505,29 +350,31 @@ def _orderk_pass(work: Path):
                     cli.main(command.argv)
         finally:
             os.chdir(here)
-    lps = [0]
-
-    def record(stack, results):
-        lps[0] += len(results)
-    with _counting(record):
-        one_pass()
-    return one_pass, lps[0]
+    return one_pass
 
 
 def _lockstep(rc, mats, repeat: int) -> dict:
-    """Steps, occupancy and time of the stacked engine on the size-3 margin LPs and on a pass."""
-    from rspcert import rsp, simplex
+    """Steps, occupancy and time of the stacked engine on the size-3 margin LPs and on a pass.
+
+    The pass also gives its LPs and the started LPs that the LP core
+    re-solved two-phase (``fallbacks``).
+    """
+    from rspcert import rsp, stats
     supports = list(combinations(range(16), 3))
-    margin = _steps(simplex, lambda: [list(rsp.check_rsp_batch(A, supports)) for A in mats])
+    with stats.collect() as margin:
+        [list(rsp.check_rsp_batch(A, supports)) for A in mats]
     count = len(supports) * len(mats)
     with tempfile.TemporaryDirectory() as work:
-        one_pass, lps = _orderk_pass(Path(work))
-        orderk = _steps(simplex, one_pass)
+        one_pass = _orderk_pass(Path(work))
+        with stats.collect() as orderk:
+            one_pass()
         pass_s = _best(one_pass, repeat)
-        fallbacks = _fallbacks(simplex, one_pass)
-    return {"margin_k3": {**margin, "lps": count, "steps_per_lp": margin["steps"] / count},
-            "orderk_enum_pass": {**orderk, "lps": lps, "steps_per_lp": orderk["steps"] / lps,
-                                 "pass_s": pass_s, "fallbacks": fallbacks}}
+    lps = orderk["simplex.lps"]
+    return {"margin_k3": {**_steps(margin), "lps": count,
+                          "steps_per_lp": margin["simplex.steps"] / count},
+            "orderk_enum_pass": {**_steps(orderk), "lps": lps,
+                                 "steps_per_lp": orderk["simplex.steps"] / lps,
+                                 "pass_s": pass_s, "fallbacks": orderk["simplex.two_phase"]}}
 
 
 def sweep(tree: Path, caps: list[int], repeat: int) -> dict:

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import stats
 from .errors import BudgetExceeded, ZeroColumn
 
 # Enumeration cap for rank-based subset searches (spark).
@@ -139,6 +140,7 @@ def _stacked_ranks(M: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarr
     # rank_tol * max(1, largest absolute entry of that matrix); a rank is
     # marginal when a singular value lies within 10x of that threshold,
     # either side.
+    stats.add("linalg.ranked", len(M))
     sigma = np.linalg.svd(M, compute_uv=False)
     threshold = rank_tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2), initial=0.0))[:, None]
     near = (0.1 * threshold <= sigma) & (sigma <= 10.0 * threshold)

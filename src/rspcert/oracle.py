@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import stats
 from .errors import NoSolutionWithin
 from .linalg import (DEFAULT_SUBSET_BUDGET, DEFAULT_TOLERANCES, IndexSet,
                      SupportEnumeration, ToleranceConfig, as_matrix, as_vector,
@@ -120,6 +121,7 @@ def sparsest_supports(A, b, max_k: int | None = None,
         columns = A.T[block].transpose(0, 2, 1).copy()
         todo = np.flatnonzero(~_outside_range(columns, b, tol))
         lps = LpStack(np.zeros(k), columns[todo], np.broadcast_to(b, (todo.size, m)))
+        stats.add("feasibility.lps", todo.size)
         for i, sol in zip(todo, map(_raised, solve_batch(lps, tol))):
             S = block[i]
             if sol.status != INFEASIBLE:

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import stats
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
                      ToleranceConfig, _full_rank_supports, as_matrix, rank)
 from .rsp import (Verdict, _certified_points, _l1_points, _margin_solves, _raised,
@@ -304,6 +305,10 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
                                           full_rank_only)
         recovered = points[:-1] if missed else points
         open_ = ~_pinned(A, recovered, tol)
+        counts = stats.current()
+        if counts is not None:
+            counts["oracle.trials_decided"] += int(np.count_nonzero(~open_))
+            counts["oracle.trials_to_margin"] += int(np.count_nonzero(open_))
         verdicts = _certified_points(A, list(compress(recovered, open_)), tol)
         failed = next((i for i in np.flatnonzero(open_).tolist()
                        if next(verdicts)[1].unique is not Verdict.YES), None)

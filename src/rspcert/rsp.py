@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import stats
 from .errors import (CertificateUnavailable, Infeasible, NonpositiveWeight,
                      NotASolution, NotNonnegative, RspcertError, Unbounded)
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig, _block_ranks,
@@ -375,7 +376,8 @@ def _settled(A: np.ndarray, block: np.ndarray, off: np.ndarray, space: tuple,
     last: a column with eta_j below _LS_TARGET gets weight _WEIGHT_FLOOR,
     every other column's weight is multiplied by (1 + eta_j - _LS_TARGET)^2,
     and the weights are divided by their largest.  Each iterate passes the
-    same re-check; a support none settles runs its LP.
+    same re-check; a support none settles runs its LP.  The supports settled
+    by the first witness and by a reweighted one are counted into ``stats``.
     """
     count = len(block)
     y, eta = np.empty((count, A.shape[0])), np.empty((count, A.shape[1]))
@@ -391,11 +393,18 @@ def _settled(A: np.ndarray, block: np.ndarray, off: np.ndarray, space: tuple,
         eta[todo], on, worst = _raw_eta(A, block[todo], off[todo], y[todo])
         ok = (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin)
         passed[todo] = ok
+        if not step:
+            first = ok
         # A witness of a singular stack is NaN, and one with no column off S
         # has max eta_off = -inf; weights change neither.
         todo = todo[~ok & np.isfinite(worst)]
         if not todo.size:
             break
+    counts = stats.current()
+    if counts is not None:
+        k = block.shape[1]
+        counts[f"margin.settled_first.{k}"] += int(np.count_nonzero(first))
+        counts[f"margin.settled_reweighted.{k}"] += int(np.count_nonzero(passed & ~first))
     return passed, y, eta
 
 
@@ -464,6 +473,10 @@ def _margin_solves(A: np.ndarray, supports: list[IndexSet], tol: ToleranceConfig
     if not supports:
         return []
     block = np.array(supports, dtype=np.intp)
+    counts = stats.current()
+    if counts is not None:
+        counts["margin.blocks"] += 1
+        counts[f"margin.supports.{block.shape[1]}"] += len(supports)
     stacks, refuted = _margin_stacks(A, block, tol, rows)
     results: list = [None] * len(supports)
     for i in refuted.tolist():
@@ -477,6 +490,7 @@ def _margin_solves(A: np.ndarray, supports: list[IndexSet], tol: ToleranceConfig
         if space.at.size:
             lps, basis = _null_space_lps(space.G, space.eta0, tol.rank_tol)
             solved = solve_batch(lps, tol, basis=basis)
+            stats.add("margin.lps", len(solved))
             for i, cert in zip(space.at.tolist(),
                                _null_space_margins(A, supports, block, space, solved, tol)):
                 results[i] = cert
@@ -653,13 +667,14 @@ def _l1_starts(A: np.ndarray, block: np.ndarray, rank_tol: float) -> np.ndarray:
     # m - k columns J off S with [A_S A_J] nonsingular, so that the basic
     # solution is x itself.  With Q from a complete QR A_S = Q R, J is
     # picked by ``_pivot_columns`` on Q_2^T A_off.  A is scaled to largest
-    # |entry| 1 first, and a support gets a row of -1 where k > m, or where
-    # a diagonal entry of R or a pivot is at rank_tol or below.
+    # |entry| 1 first, and a support gets a row of -1 where k > m or n < m
+    # (no m columns to make a basis), or where a diagonal entry of R or a
+    # pivot is at rank_tol or below.
     count, k = block.shape
     m, n = A.shape
     basis = np.full((count, m), -1, dtype=np.intp)
     scale = np.abs(A).max()
-    if k > m or not scale > 0.0:
+    if k > m or n < m or not scale > 0.0:
         return basis
     At = A.T / scale
     Q, R = np.linalg.qr(At[block].transpose(0, 2, 1), mode="complete")
@@ -689,6 +704,11 @@ def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
     lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs)
     basis = None if planted_on is None else _l1_starts(A, planted_on, tol.rank_tol)
     solved = solve_batch(lps, tol, basis=basis)
+    counts = stats.current()
+    if counts is not None:
+        counts["l1.batches"] += 1
+        counts["l1.lps"] += len(solved)
+        counts["l1.pivots"] += sum(r.pivots for r in solved if isinstance(r, LpSolution))
     points: list = []
     for sol in solved:
         try:

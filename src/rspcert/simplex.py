@@ -48,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import stats
 from .errors import CertificateUnavailable, IterationLimit
 from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, as_vector,
                      stack_chunks)
@@ -141,6 +142,8 @@ class _Tableaux:
     ``ints`` holds each slot's basis followed by its LP, so that basis entry r
     sits at the same flat index.  ``status`` holds each LP's outcome: OPTIMAL
     while it pivots, then UNBOUNDED, INFEASIBLE or a breakdown's message.
+    ``steps`` counts the calls of ``pivot`` and ``step_lps`` the LPs they
+    pivoted, for ``stats``.
     """
 
     def __init__(self, T: np.ndarray, basis: np.ndarray):
@@ -163,6 +166,7 @@ class _Tableaux:
         self.pivots = np.zeros(count, dtype=np.int64)
         self.status = np.full(count, OPTIMAL, dtype=object)
         self.entering = np.full(count, -1)    # by LP: the ray's column when unbounded
+        self.steps = self.step_lps = 0
 
     def slots(self) -> np.ndarray:
         """The slot of each LP."""
@@ -216,6 +220,8 @@ class _Tableaux:
         ``col`` holds column j of each tableau and is overwritten; the caller
         counts the pivot.
         """
+        self.steps += 1
+        self.step_lps += active
         T = self.T[:active]
         at = self.row0[:active] + r
         prow = self.rows.take(at, axis=0)
@@ -418,6 +424,11 @@ def _solve_chunk(lps: LpStack, tab: _Tableaux, tol: ToleranceConfig,
     c_ext[:n] = c
     tab.set_costs(active, c_ext)
     tab.run(active, n, max_pivots)
+    counts = stats.current()
+    if counts is not None:
+        counts["simplex.steps"] += tab.steps
+        counts["simplex.step_lps"] += tab.step_lps
+        counts["simplex.step_slots"] += tab.steps * len(tab.T)
 
     at = tab.slots()
     results: list = [None] * count
@@ -501,6 +512,8 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
     started LP, too, gets the same result whether it is solved alone,
     mid-chunk or across a chunk boundary, and among started and unstarted
     LPs alike.
+
+    Its work is counted into the open ``stats`` scope, if any.
     """
     if not isinstance(lps, LpStack):
         if not lps:
@@ -511,8 +524,10 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
         max_pivots = 50 * (m + n)
     results: list = [None] * count
     two_phase = np.arange(count)
+    unstarted = count
     if basis is not None:
         started = np.flatnonzero(basis[:, 0] >= 0)
+        unstarted = count - started.size
         fallback = [np.flatnonzero(basis[:, 0] < 0)]
         for part in stack_chunks(started.size, tableau_bytes(m, n, phase1=False)):
             at = started[part]
@@ -533,6 +548,12 @@ def solve_batch(lps: LpStack | Sequence[StandardLp], tol: ToleranceConfig = DEFA
         solved = _solve_chunk(chunk, _artificial_tableaux(chunk), tol, max_pivots)
         for i, result in zip(at, solved):
             results[i] = result
+    counts = stats.current()
+    if counts is not None:
+        counts["simplex.batches"] += 1
+        counts["simplex.lps"] += count
+        counts["simplex.pivots"] += sum(r.pivots for r in results if isinstance(r, LpSolution))
+        counts["simplex.two_phase"] += two_phase.size - unstarted
     return results
 
 

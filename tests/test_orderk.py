@@ -6,7 +6,7 @@ import pytest
 from rspcert import (DEFAULT_TOLERANCES, BudgetExceeded, CertificateUnavailable,
                      IterationLimit, RspcertError, ToleranceConfig, Verdict, certify_order_k,
                      check_rsp_at, rank, solve_and_certify, spark, sparsest_supports,
-                     uniform_recovery_oracle, verify_rsp_witness)
+                     stats, uniform_recovery_oracle, verify_rsp_witness)
 from rspcert.orderk import QUANTIFIERS
 
 from conftest import COHERENT_A
@@ -300,23 +300,18 @@ def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
     # Every block of one call shares A's row reduction: the SVD of A is
     # computed once, not once per block.  rsp at K=3 on 8x16 is 3 blocks,
     # one per size, so each size's margin LPs are one lockstep stack.
-    import rspcert.orderk as orderk
-
-    svd, margin_solves = np.linalg.svd, orderk._margin_solves
-    shapes, blocks = [], []
+    svd = np.linalg.svd
+    shapes = []
 
     def recording(M, *args, **kwargs):
         shapes.append(M.shape)
         return svd(M, *args, **kwargs)
-
-    def counting(A, block, *args, **kwargs):
-        blocks.append(len(block))
-        return margin_solves(A, block, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", recording)
-    monkeypatch.setattr(orderk, "_margin_solves", counting)
     A = _gaussian(5, (8, 16))
-    certify_order_k(A, 3)
-    assert blocks == [16, 120, 560] and shapes.count(A.shape) == 1
+    with stats.collect() as counts:
+        certify_order_k(A, 3)
+    assert counts["margin.blocks"] == 3 and shapes.count(A.shape) == 1
+    assert [counts[f"margin.supports.{k}"] for k in (1, 2, 3)] == [16, 120, 560]
 
 
 def test_every_support_a_least_squares_witness_settles_is_a_yes_of_highs(monkeypatch):
@@ -366,24 +361,14 @@ def test_a_least_squares_witness_that_fails_its_recheck_settles_nothing(monkeypa
     # A witness y rotated, scaled per entry or shifted on its way into the
     # re-check no longer gives eta = 1 on S: no support may be settled, so
     # each reaches its margin LP, and the report is the unscreened one.
-    import rspcert.rsp as rsp
-
-    solve_batch = rsp.solve_batch
-    solved = []
-
-    def counting(lps, *args, **kwargs):
-        results = solve_batch(lps, *args, **kwargs)
-        solved.append(len(results))
-        return results
-    monkeypatch.setattr(rsp, "solve_batch", counting)
     for A in (_gaussian(3, (8, 16)), _gaussian(4, (5, 10))):
         for prop in QUANTIFIERS:
-            solved.clear()
-            screened = certify_order_k(A, 3, property=prop)
-            assert sum(solved) < screened.subsets_checked
-            solved.clear()
-            corrupted = _unscreened(monkeypatch, A, 3, prop, corrupt)
-            assert sum(solved) == corrupted.subsets_checked
+            with stats.collect() as counts:
+                screened = certify_order_k(A, 3, property=prop)
+            assert counts["margin.lps"] < screened.subsets_checked
+            with stats.collect() as counts:
+                corrupted = _unscreened(monkeypatch, A, 3, prop, corrupt)
+            assert counts["margin.lps"] == corrupted.subsets_checked
             assert corrupted == screened == _unscreened(monkeypatch, A, 3, prop), prop
 
 
@@ -496,7 +481,8 @@ def _start_cases():
                   pytest.param(rng.integers(-2, 3, size=shape).astype(float), K,
                                id=f"small integer {shape}"),
                   pytest.param(duplicated, K, id=f"duplicated columns {shape}")]
-    return cases + [pytest.param(rng.standard_normal((3, 6)), 4, id="3x6, K > m")]
+    return cases + [pytest.param(rng.standard_normal((3, 6)), 4, id="3x6, K > m"),
+                    pytest.param(rng.standard_normal((5, 4)), 4, id="5x4, K = n < m")]
 
 
 @pytest.mark.parametrize("A, K", _start_cases())
@@ -621,33 +607,29 @@ def test_oracle_solves_margin_lps_only_for_the_trials_its_l1_dual_leaves_open(
     # proves its optimum unique solves no margin LP, and each one left open
     # solves one at its support; the trial that missed solves none.
     import rspcert.orderk as orderk
-    import rspcert.rsp as rsp
 
-    real_solve, real_points = rsp.solve_batch, orderk._l1_points
-    margin, points = [], []
-
-    def solve_batch(lps, *args, **kwargs):
-        results = real_solve(lps, *args, **kwargs)
-        if not np.all(lps.objective == 1.0):     # not the l1 LPs
-            margin.append(len(results))
-        return results
+    real_points = orderk._l1_points
+    points = []
 
     def l1_points(*args):
         found = real_points(*args)
         points.extend(found)
         return found
-    monkeypatch.setattr(rsp, "solve_batch", solve_batch)
     monkeypatch.setattr(orderk, "_l1_points", l1_points)
-    report = uniform_recovery_oracle(A, K, property=prop)
+    with stats.collect() as counts:
+        report = uniform_recovery_oracle(A, K, property=prop)
     assert report.supports_checked == checked
-    open_supports = set()
+    open_supports, recovered = [], 0
     for point, (S, planted) in zip(points, _planted_vectors(A, K, prop, 1, 0)):
         if isinstance(point, Exception) or np.abs(point[0] - planted[0]).max() > 1e-6:
             break
+        recovered += 1
         if _left_open(A, *point):
-            open_supports.add(point[1])
-    assert sum(margin) == len(open_supports)
-    assert (sum(margin) > 0) is any_margin_lp
+            open_supports.append(point[1])
+    assert counts["margin.lps"] == len(set(open_supports))
+    assert counts["oracle.trials_to_margin"] == len(open_supports)
+    assert counts["oracle.trials_decided"] == recovered - len(open_supports)
+    assert (counts["margin.lps"] > 0) is any_margin_lp
 
 
 def test_the_oracle_does_not_certify_a_trial_that_missed_its_plant(monkeypatch):

@@ -1,13 +1,9 @@
-import importlib.util
-import math
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-import rspcert
 from rspcert import (INFEASIBLE, OPTIMAL, UNBOUNDED, CertificateUnavailable,
                      IterationLimit, LpSolution, StandardLp, check_rsp_at, linalg, rsp,
                      simplex, solve, verify_certificate)
@@ -589,57 +585,3 @@ def test_a_started_lp_can_be_unbounded_optimal_at_its_start_or_stop_at_the_limit
             assert (last.status, last.pivots, last.x.tolist()) == (OPTIMAL, 1, [1.0, 0.0])
         else:
             assert type(last) is IterationLimit and str(last) == "pivot limit 0 reached"
-
-
-def test_the_bench_tool_still_binds_the_engine():
-    # bench/margin_batch.py counts lockstep steps by patching
-    # _Tableaux.pivot and LPs by patching solve_batch where it is bound; its
-    # figures read 0 or fail if the engine's names move.
-    path = Path(__file__).resolve().parent.parent / "bench" / "margin_batch.py"
-    spec = importlib.util.spec_from_file_location("margin_batch", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    A = np.random.default_rng([4, 0]).standard_normal((4, 8))
-    pivot = simplex._Tableaux.pivot
-
-    def work():
-        list(rsp.check_rsp_batch(A, list(combinations(range(8), 2))))
-    assert bench._steps(simplex, work)["steps"] > 0
-    assert len(bench._solved(work)) == math.comb(8, 2)
-    assert simplex._Tableaux.pivot is pivot and rsp.solve_batch is solve_batch
-    # Its certifier figures count the settled certificates that
-    # orderk._margin_solves returns, split off the first witness's share
-    # with rsp._REWEIGHTS set to 0, and count the LPs left.
-    margin_solves, reweights = rspcert.orderk._margin_solves, rsp._REWEIGHTS
-    figures = bench._certifier(rspcert, [(A, "prsp")], 1)
-    assert figures["by_size"]["3"]["supports"] == math.comb(8, 3)
-    assert 0.0 < figures["settled_frac"] < 1.0
-    assert rspcert.orderk._margin_solves is margin_solves
-    assert 0.0 < figures["first_witness_frac"] <= figures["settled_frac"]
-    assert figures["lps"] == round((1.0 - figures["settled_frac"]) * math.comb(8, 3))
-    assert figures["steps"] > 0 and figures["blocks"] == figures["solve_batch_calls"] == 1
-    assert rsp._REWEIGHTS == reweights
-    # Its oracle figures count rank probes by patching linalg._stacked_ranks,
-    # and the trials the l1 dual decides and those sent to margin LPs by
-    # patching orderk._pinned and orderk._certified_points.  Under rsp the
-    # size-1 trials are decided by the dual, each with a rank probe.
-    kernel = rspcert.linalg._stacked_ranks
-    pinned, certified = rspcert.orderk._pinned, rspcert.orderk._certified_points
-    figures = bench._oracle(rspcert, np, [(A, "rsp")], 1)
-    assert figures["rank_probes"] > 0 and figures["trials_dual_decided"] > 0
-    assert figures["trials_to_margin_lps"] == figures["margin_lps"] == 0
-    assert rspcert.linalg._stacked_ranks is kernel
-    assert rspcert.orderk._pinned is pinned and rspcert.orderk._certified_points is certified
-    # Its fallback figures count the started LPs that the core solved
-    # two-phase, by patching simplex._started_tableaux and _solve_chunk: none
-    # on the Gaussian, and one at each support of the near-dependent matrix
-    # whose started margin LP the re-check refuses.
-    from test_orderk import _near_dependent
-
-    started, solve_chunk = simplex._started_tableaux, simplex._solve_chunk
-    assert bench._fallbacks(simplex, work) == {"margin": 0, "l1": 0}
-    near = _near_dependent()
-    refused = [(1,), (1, 3), (1, 5), (1, 8), (1, 3, 7), (1, 5, 8)]
-    assert bench._fallbacks(simplex, lambda: [check_rsp_at(near, S) for S in refused]) \
-        == {"margin": 6, "l1": 0}
-    assert simplex._started_tableaux is started and simplex._solve_chunk is solve_chunk
