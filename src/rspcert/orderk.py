@@ -34,7 +34,7 @@ from . import stats
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
                      ToleranceConfig, _full_rank_supports, as_matrix, rank)
 from .rsp import (Verdict, _certified_points, _l1_points, _margin_solves, _raised,
-                  _row_reduction)
+                  _row_reduction, _settled)
 
 # Enumeration cap for LP-backed subset certification.  Each subset costs one
 # LP solve, far more than the rank probes behind the spark search, so the
@@ -140,14 +140,16 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     A full-rank support is a yes without its margin LP where a least-squares
     witness y, the first or a reweighted one, passes ``verify_rsp_witness``'s
     conditions on A (about 91% of the supports of a Gaussian 8x16 matrix at
-    K=3, 64% by the first witness).  Such a y is a yes
-    certificate by itself and a feasible point of the margin LP whose
-    max eta_off is at most 1 - rsp_margin, so the LP would say yes too; it
-    just gives no t*, which ``check_rsp_at`` still computes exactly.  Every
-    other support's verdict comes from its margin LP, and A's row reduction
-    is computed once per call for all of them.  Each size of the
-    enumeration is one block, up to ``linalg._BLOCK_LEN`` supports, so its
-    remaining margin LPs pivot as one lockstep stack.
+    K=3, 64% by the first witness).  Such a y is a yes certificate by
+    itself and a feasible point of the margin LP whose max eta_off is at
+    most 1 - rsp_margin, so the LP would say yes too; it just gives no t*,
+    which ``check_rsp_at`` still computes exactly.  The witnesses come from
+    a basis of null(A) and the pseudo-inverse of A^T, and the margin LPs
+    from A's row reduction, all from one SVD of A per call; a settled
+    support gets no certificate object and no null-space coordinates.
+    Every other support's verdict comes from its margin LP.  Each size of
+    the enumeration is one block, up to ``linalg._BLOCK_LEN`` supports, so
+    its remaining margin LPs pivot as one lockstep stack.
     """
     A = as_matrix(A)
     supports = _supports(A, K, property, tol, budget)
@@ -161,9 +163,11 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     failures: dict[int, int] = {}
     rows = _row_reduction(A, tol)
     for k, block in supports:
+        settled = _settled(A, np.array(block, dtype=np.intp).reshape(-1, k), rows, tol)[0]
         # A block's first support in order whose LP breaks down or fails its
         # re-check raises, as in ``check_rsp_batch``.
-        for S, cert in zip(block, map(_raised, _margin_solves(A, block, tol, rows, screen=True))):
+        for S, cert in zip(compress(block, ~settled),
+                           map(_raised, _margin_solves(A, block, tol, rows, settled))):
             if cert.holds is Verdict.NO:
                 failures[k] = failures.get(k, 0) + 1
                 if counterexample is None:

@@ -10,25 +10,29 @@ module certifies both conditions with re-checkable witnesses.
 every margin LP and report its exact t*; a margin LP or an l1 LP whose
 start fails is solved two-phase by the LP core, not here.  The order-K
 certifier, which needs only the verdict, first tries a least-squares
-witness at each support with k' = k, the QR path (``_settled``); where its
-eta passes ``verify_rsp_witness``'s conditions on the raw A, the support
-is a yes with no LP and no t*, and that yes is the LP's too, since the
-witness is a feasible point of the margin LP with
-max eta_off <= 1 - rsp_margin.  Such a settled yes has
-lp_status "settled" and no t*, and carries its witness (eta, y), which
-passes ``verify_rsp_witness``; max eta_off bounds t* from above.  The first
-witness has all weights 1; where it fails its re-check, a few reweighted
-least-squares solves follow, one-sided in the manner of Lawson's minimax
-iteration: an off-support column whose eta is already below the target gets
-a small weight, and one above it a weight that grows with its excess, so
-that the next witness pushes down the largest eta_off.  Every iterate passes
-the same re-check on the raw A.
+witness at each support with full column rank (``_settled``).  The witness
+comes from Z, an orthonormal basis of null(A) taken from the one SVD of A
+per call: eta is in the range of A^T iff Z^T eta = 0, so the eta that is 1
+on S and nearest the target off S is one small solve on rows of Z, and
+y = P eta with P the pseudo-inverse of A^T.  Where eta = A^T y passes
+``verify_rsp_witness``'s conditions on the raw A, the support is a yes with
+no LP, no t* and no certificate object, and that yes is the LP's too, since
+the witness is a feasible point of the margin LP with
+max eta_off <= 1 - rsp_margin.  The first witness has all weights 1; where
+it fails its re-check, a few reweighted least-squares solves follow,
+one-sided in the manner of Lawson's minimax iteration: an off-support
+column whose eta is already below the target gets a small weight, and one
+above it a weight that grows with its excess, so that the next witness
+pushes down the largest eta_off.  Every iterate passes the same re-check on
+the raw A.  Only the supports that no witness settles get null-space
+coordinates and a margin LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -68,9 +72,6 @@ class RspCertificate:
     eta = 1 on the support and eta <= t_star off it, the last two up to the
     LP's feasibility tolerance.  Only a yes witness, whose t_star is at most
     1 - rsp_margin, passes ``verify_rsp_witness``; a marginal one does not.
-    A yes of the order-K certifier may have lp_status "settled": no LP ran,
-    so t_star is None, and its witness, a checked least-squares one, passes
-    ``verify_rsp_witness`` with max eta_off an upper bound on t*.
     """
 
     holds: Verdict
@@ -151,7 +152,9 @@ class _NullSpace(NamedTuple):
     that range, which moves no eta.  Off S, eta is eta0 + G^T w, with
     eta0 = A_off^T y0 and G = N^T A_off.  Where k' < k, y0 meets the
     equalities only if they are consistent; the raw re-check of each
-    optimum shows when not.
+    optimum shows when not.  The order-K certifier builds these coordinates
+    only for the supports that no least-squares witness settles
+    (``_settled``, which needs none of them).
     """
 
     rank: int            # k'
@@ -177,24 +180,37 @@ _LS_TARGET = -0.5
 _REWEIGHTS = 6
 _WEIGHT_FLOOR = 1e-3
 
-# The lp_status of a certificate that no LP decided: a least-squares
-# witness that passed ``verify_rsp_witness``'s conditions settles the
-# support as a yes, with that witness and no t*.
-_SETTLED = "settled"
+
+class _Rows(NamedTuple):
+    """A's row reduction and null space, from one SVD A = W Sigma V^T.
+
+    r counts the singular values above ``floor``, rank_tol times the
+    largest.  P is the pseudo-inverse of A^T: y = P eta has A^T y = eta for
+    every eta in the range of A^T.
+    """
+
+    U: np.ndarray        # (m, r) the columns of W with singular values above floor
+    At: np.ndarray       # (r, n) A~ = U^T A, A reduced to r independent rows
+    floor: float
+    Z: np.ndarray        # (n, n - r) the rest of V, an orthonormal basis of null(A)
+    P: np.ndarray        # (m, n) U Sigma_r^-1 V_r^T
 
 
-def _row_reduction(A: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    # A reduced to its r independent rows: U, whose columns are the left
-    # singular vectors of A with singular values above rank_tol times the
-    # largest, A~ = U^T A, and that threshold.
-    U, sigma, _ = np.linalg.svd(A, full_matrices=False)
+def _row_reduction(A: np.ndarray, tol: ToleranceConfig) -> _Rows:
+    # The SVD is complete in V, for Z; it is complete in W only where A is
+    # wide, so that W has no column past the singular values.
+    m, n = A.shape
+    W, sigma, Vt = np.linalg.svd(A, full_matrices=m < n)
     floor = tol.rank_tol * sigma[0]
-    U = U[:, sigma > floor]
-    return U, U.T @ A, floor
+    kept = sigma > floor
+    r = int(np.count_nonzero(kept))
+    U = W[:, kept]
+    # Z is copied to row order, since the witnesses gather its rows.
+    return _Rows(U, U.T @ A, floor, Vt[r:].T.copy(), (U / sigma[kept]) @ Vt[:r])
 
 
 def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
-                   rows: tuple | None = None) -> tuple[list[_NullSpace], np.ndarray]:
+                   rows: _Rows | None = None) -> tuple[list[_NullSpace], np.ndarray]:
     # The null-space coordinates of the sorted supports of one size in
     # ``block``, one stack per k', and the positions of the supports whose
     # equalities a checked witness shows to be inconsistent.  A is first
@@ -209,7 +225,7 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
     # of ``_inconsistent``.  Either way y0 = Q_1 u and N = Q_2, both mapped
     # back by U.
     count, k = block.shape
-    U, At, floor = _row_reduction(A, tol) if rows is None else rows
+    U, At, floor = (_row_reduction(A, tol) if rows is None else rows)[:3]
     full = np.zeros(count, dtype=bool)
     if k <= U.shape[1]:
         Q, R = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode="complete")
@@ -240,8 +256,9 @@ def _inconsistent(columns: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> n
     """Which supports have a checked witness that no y solves A_S^T y = 1.
 
     ``columns`` stacks each A_S^T, (count, k, m), and ``d`` each witness,
-    (count, k), with A_S d ~ 0 and 1.d > 0.  With d^ = d / |d|_1, a support counts only when d^ passes a re-check on
-    the raw A_S: |A_S d^|_inf <= feas_tol * max|A_S| and 1.d^ > feas_tol.
+    (count, k), with A_S d ~ 0 and 1.d > 0.  A support counts only when
+    d^ = d / |d|_1 passes a re-check on the raw A_S:
+    |A_S d^|_inf <= feas_tol * max|A_S| and 1.d^ > feas_tol.
     Both bounds are relative to A_S, so the test does not see the scale of A.
 
     Why a support so refuted has no margin optimum that the certifier would
@@ -341,68 +358,98 @@ def _pivot_columns(E: np.ndarray, rank_tol: float) -> np.ndarray:
     return picks
 
 
-def _least_squares_witness(G: np.ndarray, eta0: np.ndarray, y0: np.ndarray,
-                           N: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # The y = y0 + N w of each support whose eta = eta0 + G^T w off it is
-    # nearest _LS_TARGET in the 2-norm, weighted per off-support column by
-    # ``weights`` (count, n - k): G W G^T w = G W (_LS_TARGET - eta0), one
-    # stacked (r - k) x (r - k) solve.  G has full row rank (see
-    # ``_null_space``) and the weights are positive; should a stack still be
-    # singular to the solver, its witnesses are NaN and settle nothing.
-    GW = G * weights[:, None, :]
+def _least_squares_witness(Z: np.ndarray, P: np.ndarray, block: np.ndarray, off: np.ndarray,
+                           weights: np.ndarray | None = None) -> np.ndarray:
+    # The y = P eta of each support whose eta, in the range of A^T and 1 on
+    # S, is nearest _LS_TARGET off S in the 2-norm, weighted per
+    # off-support column by ``weights`` (count, n - k), all 1 where None.
+    # In the range of A^T means Z^T eta = 0, so with
+    # h = _LS_TARGET Z^T 1 + (1 - _LS_TARGET) Z_S^T 1 the optimum is
+    # eta_off = _LS_TARGET - D Z_off l, D = weights^-1, where
+    # (Z_off^T D Z_off) l = h: one stacked (n - r) x (n - r) solve, whose
+    # matrices are one product of D, zero on S, with the outer products of
+    # the rows of Z.  With every weight 1, Z_off^T Z_off = I - Z_S^T Z_S,
+    # and Woodbury's l = h + Z_S^T (I - Z_S Z_S^T)^-1 Z_S h is one k x k
+    # solve.  Both matrices are nonsingular where A_S has full column rank;
+    # should a stack still be singular to the solver, its witnesses are NaN
+    # and settle nothing.
+    count, k = block.shape
+    n, p = Z.shape
+    every = np.arange(count)[:, None]
+    ZS = Z[block]
+    h = _LS_TARGET * Z.sum(axis=0) + (1.0 - _LS_TARGET) * ZS.sum(axis=1)
     try:
-        w = np.linalg.solve(np.matmul(GW, G.transpose(0, 2, 1)),
-                            np.matmul(GW, (_LS_TARGET - eta0)[:, :, None]))
+        if weights is None:
+            ZSt = ZS.transpose(0, 2, 1)
+            v = np.linalg.solve(np.eye(k) - np.matmul(ZS, ZSt), np.matmul(ZS, h[:, :, None]))
+            eta = _LS_TARGET - np.matmul(h + np.matmul(ZSt, v)[:, :, 0], Z.T)
+        else:
+            D = np.zeros((count, n))
+            D[every, off] = 1.0 / weights
+            outer = (Z[:, :, None] * Z[:, None, :]).reshape(n, p * p)
+            l = np.linalg.solve(np.matmul(D, outer).reshape(count, p, p), h[:, :, None])
+            eta = _LS_TARGET - D * np.matmul(l[:, :, 0], Z.T)
     except np.linalg.LinAlgError:
-        return np.full_like(y0, np.nan)
-    return y0 + np.matmul(N, w)[:, :, 0]
+        return np.full((count, len(P)), np.nan)
+    eta[every, block] = 1.0
+    return np.matmul(eta, P.T)
 
 
-def _settled(A: np.ndarray, block: np.ndarray, off: np.ndarray, space: tuple,
+def _settled(A: np.ndarray, block: np.ndarray, rows: _Rows,
              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which supports a least-squares witness settles as yes, with each witness y and eta.
 
-    A witness y of ``_least_squares_witness`` settles S once eta = A^T y
-    passes ``verify_rsp_witness``'s conditions on the raw A:
+    Only a support with full column rank is tried: k <= r and every
+    diagonal entry of R in the QR A~_S = Q R above the row reduction's
+    threshold, the rule of ``_margin_stacks``.  A witness y of
+    ``_least_squares_witness`` settles S once eta = A^T y passes
+    ``verify_rsp_witness``'s conditions on the raw A:
     |eta_S - 1|_inf <= feas_tol and max eta_off <= 1 - rsp_margin.  That is
     a complete yes certificate of the range space property by itself, and
     tighter than the margin LP's own yes, whose witness needs only
-    eta_off <= t* + feas_tol.  Its verdict is the LP's too: y0 + N w solves
-    A_S^T y = 1 up to rounding for every w, so it is a feasible point of the
-    margin LP and t* <= max eta_off <= 1 - rsp_margin.
+    eta_off <= t* + feas_tol.  Its verdict is the LP's too: y solves
+    A_S^T y = 1 to feas_tol, so it is a feasible point of the margin LP and
+    t* <= max eta_off <= 1 - rsp_margin.
 
     The first witness has every weight 1.  A support whose witness misses
     either bound gets up to _REWEIGHTS more, each from the eta_off of the
     last: a column with eta_j below _LS_TARGET gets weight _WEIGHT_FLOOR,
     every other column's weight is multiplied by (1 + eta_j - _LS_TARGET)^2,
     and the weights are divided by their largest.  Each iterate passes the
-    same re-check; a support none settles runs its LP.  The supports settled
-    by the first witness and by a reweighted one are counted into ``stats``.
+    same re-check; a support none settles runs its LP.  The y and eta of a
+    support that no witness was tried at are NaN.  The supports settled by
+    the first witness and by a reweighted one are counted into ``stats``.
     """
-    count = len(block)
-    y, eta = np.empty((count, A.shape[0])), np.empty((count, A.shape[1]))
+    count, k = block.shape
+    m, n = A.shape
+    y, eta = np.full((count, m), np.nan), np.full((count, n), np.nan)
     passed = np.zeros(count, dtype=bool)
+    first = passed
+    todo = np.arange(0)
+    if count and k <= rows.At.shape[0]:
+        R = np.linalg.qr(rows.At.T[block].transpose(0, 2, 1), mode="r")
+        todo = np.flatnonzero((np.abs(np.diagonal(R, axis1=1, axis2=2)) > rows.floor).all(axis=1))
+    off = _off_support(block, n)
     weights = np.ones(off.shape)
-    todo = np.arange(count)
     for step in range(_REWEIGHTS + 1):
+        if not todo.size:
+            break
         if step:
             over = eta[todo[:, None], off[todo]] - _LS_TARGET
             grown = np.where(over < 0.0, _WEIGHT_FLOOR, weights[todo] * (1.0 + over) ** 2)
             weights[todo] = grown / grown.max(axis=1, keepdims=True)
-        y[todo] = _least_squares_witness(*(a[todo] for a in space), weights[todo])
+        y[todo] = _least_squares_witness(rows.Z, rows.P, block[todo], off[todo],
+                                         weights[todo] if step else None)
         eta[todo], on, worst = _raw_eta(A, block[todo], off[todo], y[todo])
         ok = (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin)
         passed[todo] = ok
         if not step:
-            first = ok
+            first = passed.copy()
         # A witness of a singular stack is NaN, and one with no column off S
         # has max eta_off = -inf; weights change neither.
         todo = todo[~ok & np.isfinite(worst)]
-        if not todo.size:
-            break
     counts = stats.current()
     if counts is not None:
-        k = block.shape[1]
         counts[f"margin.settled_first.{k}"] += int(np.count_nonzero(first))
         counts[f"margin.settled_reweighted.{k}"] += int(np.count_nonzero(passed & ~first))
     return passed, y, eta
@@ -459,17 +506,16 @@ def _null_space_margins(A: np.ndarray, supports: list[IndexSet], block: np.ndarr
 
 
 def _margin_solves(A: np.ndarray, supports: list[IndexSet], tol: ToleranceConfig,
-                   rows: tuple | None = None,
-                   screen: bool = False) -> list[RspCertificate | CertificateUnavailable]:
+                   rows: _Rows | None = None, settled: np.ndarray | None = None
+                   ) -> list[RspCertificate | CertificateUnavailable]:
     # The certificate of each sorted support of one size, in order, or the
     # CertificateUnavailable of its solve: a no with lp_status INFEASIBLE
-    # where a checked witness refutes the equalities; with ``screen``, a yes
-    # with lp_status _SETTLED, its witness and no t* where a checked
-    # least-squares witness settles a support with k' = k; and otherwise
-    # its null-space LP's,
-    # solved in lockstep with the others of its k' and started where it has
-    # a start.  ``rows`` is A's ``_row_reduction`` where the caller shares
-    # one over several calls.
+    # where a checked witness refutes the equalities, and otherwise its
+    # null-space LP's, solved in lockstep with the others of its k' and
+    # started where it has a start.  The supports marked in ``settled``
+    # (``_settled``'s mask) count with the block but get no LP and no
+    # entry.  ``rows`` is A's ``_row_reduction`` where the caller shares one
+    # over several calls.
     if not supports:
         return []
     block = np.array(supports, dtype=np.intp)
@@ -477,23 +523,21 @@ def _margin_solves(A: np.ndarray, supports: list[IndexSet], tol: ToleranceConfig
     if counts is not None:
         counts["margin.blocks"] += 1
         counts[f"margin.supports.{block.shape[1]}"] += len(supports)
+    if settled is not None:
+        supports, block = list(compress(supports, ~settled)), block[~settled]
+        if not supports:
+            return []
     stacks, refuted = _margin_stacks(A, block, tol, rows)
     results: list = [None] * len(supports)
     for i in refuted.tolist():
         results[i] = RspCertificate(Verdict.NO, supports[i], None, None, None, INFEASIBLE)
     for space in stacks:
-        if screen and space.rank == block.shape[1]:
-            passed, y, eta = _settled(A, block[space.at], space.off, space[3:], tol)
-            for i, j in zip(space.at[passed].tolist(), np.flatnonzero(passed).tolist()):
-                results[i] = RspCertificate(Verdict.YES, supports[i], eta[j], y[j], None, _SETTLED)
-            space = _NullSpace(space.rank, *(a[~passed] for a in space[1:]))
-        if space.at.size:
-            lps, basis = _null_space_lps(space.G, space.eta0, tol.rank_tol)
-            solved = solve_batch(lps, tol, basis=basis)
-            stats.add("margin.lps", len(solved))
-            for i, cert in zip(space.at.tolist(),
-                               _null_space_margins(A, supports, block, space, solved, tol)):
-                results[i] = cert
+        lps, basis = _null_space_lps(space.G, space.eta0, tol.rank_tol)
+        solved = solve_batch(lps, tol, basis=basis)
+        stats.add("margin.lps", len(solved))
+        for i, cert in zip(space.at.tolist(),
+                           _null_space_margins(A, supports, block, space, solved, tol)):
+            results[i] = cert
     return results
 
 

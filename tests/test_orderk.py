@@ -168,20 +168,34 @@ def _certified(A, K, prop):
 
 
 def _unscreened(monkeypatch, A, K, prop, corrupt=None):
-    """_certified with the least-squares screen's witnesses NaN, or put through ``corrupt``.
+    """_certified with every least-squares witness NaN, or put through ``corrupt``.
 
-    A NaN witness fails its re-check, so the screen settles nothing and
-    every support runs its margin LP.
+    ``rsp._least_squares_witness`` makes the y of the first witness and of
+    every reweighted one.  A NaN witness fails its re-check, so the screen
+    settles nothing: every support the run checks is built into the margin
+    LP's coordinates and then either solves its LP or is refuted there.
     """
     import rspcert.rsp as rsp
 
-    witness = rsp._least_squares_witness
+    witness, margin_stacks = rsp._least_squares_witness, rsp._margin_stacks
     if corrupt is None:
         def corrupt(y):
             return np.full_like(y, np.nan)
-    with monkeypatch.context() as patch:
-        patch.setattr(rsp, "_least_squares_witness", lambda *space: corrupt(witness(*space)))
-        return _certified(A, K, prop)
+    built, refuted = [], []
+
+    def counting(A, block, *args):
+        stacks, out = margin_stacks(A, block, *args)
+        built.append(len(block))
+        refuted.append(len(out))
+        return stacks, out
+    with monkeypatch.context() as patch, stats.collect() as counts:
+        patch.setattr(rsp, "_least_squares_witness", lambda *args: corrupt(witness(*args)))
+        patch.setattr(rsp, "_margin_stacks", counting)
+        report = _certified(A, K, prop)
+    if not isinstance(report, tuple):
+        assert sum(built) == report.subsets_checked, (K, prop)
+        assert counts["margin.lps"] == report.subsets_checked - sum(refuted), (K, prop)
+    return report
 
 
 def _screen_cases():
@@ -195,46 +209,70 @@ def _screen_cases():
             pytest.param(duplicated, id="duplicated columns 4x8")]
 
 
+def _recording_screen(monkeypatch, settled):
+    """Record in ``settled`` each support the certifier's screen settles, with
+    the max eta_off of its witness, once that witness passes
+    verify_rsp_witness on the raw A."""
+    import rspcert.orderk as orderk
+
+    real = orderk._settled
+
+    def recording(A, block, *args):
+        passed, y, eta = real(A, block, *args)
+        for i in np.flatnonzero(passed):
+            S = tuple(block[i].tolist())
+            assert verify_rsp_witness(A, S, eta[i], y[i]), S
+            settled[S] = np.delete(eta[i], block[i]).max(initial=-np.inf)
+        return passed, y, eta
+    monkeypatch.setattr(orderk, "_settled", recording)
+
+
 @pytest.mark.parametrize("A", _screen_cases())
 def test_the_least_squares_screen_changes_no_report(monkeypatch, A):
     # certify_order_k settles a full-rank support as yes, without its margin
     # LP, where a least-squares witness passes verify_rsp_witness's
     # conditions on the raw A.  Its reports are those of the same call with
-    # the screen settling nothing, at every scale, and every certificate
-    # with lp_status "settled" is a yes with no t* whose witness passes
-    # verify_rsp_witness on the raw A.
-    import rspcert.orderk as orderk
-
-    real = orderk._margin_solves
-    settled = []
-
-    def recording(A, block, *args, **kwargs):
-        certs = real(A, block, *args, **kwargs)
-        for cert in certs:
-            if getattr(cert, "lp_status", None) == "settled":
-                assert cert.holds is Verdict.YES and cert.t_star is None, cert.support
-                assert verify_rsp_witness(A, cert.support, cert.witness_eta, cert.witness_y), \
-                    cert.support
-                settled.append(cert.support)
-        return certs
-    monkeypatch.setattr(orderk, "_margin_solves", recording)
-    counts, every = [], []
+    # the screen settling nothing, at every scale, and the witness of every
+    # support the screen settles passes verify_rsp_witness on the raw A.
+    settled = {}
+    _recording_screen(monkeypatch, settled)
     for scale in (1e-8, 1.0, 1e8):
         settled.clear()
-        every.append(0)
         for K in (1, 2, 3):
             for prop in QUANTIFIERS:
-                before = len(settled)
                 screened = _certified(scale * A, K, prop)
                 assert screened == _unscreened(monkeypatch, scale * A, K, prop), (scale, K, prop)
-                if not QUANTIFIERS[prop].full_rank_only:
-                    every[-1] += len(settled) - before
-        counts.append(len(settled))
-    assert all(counts), counts
-    # rsp and prsp range over every support at every scale, and the margin
-    # build's one threshold scales with A, so they settle the same number of
-    # supports at every scale.
-    assert every[0] == every[1] == every[2], every
+        assert settled, scale
+
+
+def _scale_cases():
+    rng = np.random.default_rng([2027, 51])
+    return [*(pytest.param(case.values[0], (1, 2, 3), id=case.id) for case in _screen_cases()),
+            pytest.param(rng.standard_normal((5, 4)), (4,), id="5x4 at K=4"),
+            pytest.param(rng.standard_normal((6, 6)), (1, 2, 3), id="6x6")]
+
+
+@pytest.mark.parametrize("A, orders", _scale_cases())
+def test_the_screen_settles_the_same_supports_at_every_scale(A, orders):
+    # The screen's full-rank gate has one threshold, rank_tol times the
+    # largest singular value of A; the null-space basis its witnesses come
+    # from does not see the scale of A, and its re-check of eta = A^T y
+    # does not either.  So rsp and prsp, which range over every support,
+    # settle the same number of supports of each size and give the same
+    # reports at every scale.  The last two cases have an empty null space (n = r).
+    def run(scale):
+        out = []
+        for K in orders:
+            for prop in ("rsp", "prsp"):
+                with stats.collect() as counts:
+                    report = _certified(scale * A, K, prop)
+                out.append((K, prop, report, {name: n for name, n in counts.items()
+                                             if name.startswith("margin.settled") and n}))
+        return out
+    at_one = run(1.0)
+    assert any(settled for *_, settled in at_one)
+    for scale in (1e-10, 1e-8, 1e8, 1e12):
+        assert run(scale) == at_one, scale
 
 
 def _near_dependent():
@@ -322,15 +360,8 @@ def test_every_support_a_least_squares_witness_settles_is_a_yes_of_highs(monkeyp
 
     import rspcert.rsp as rsp
 
-    real = rsp._settled
     settled = {}
-
-    def recording(A, block, *args):
-        passed, y, eta = real(A, block, *args)
-        for i in np.flatnonzero(passed):
-            settled[tuple(int(j) for j in block[i])] = np.delete(eta[i], block[i]).max()
-        return passed, y, eta
-    monkeypatch.setattr(rsp, "_settled", recording)
+    _recording_screen(monkeypatch, settled)
     rng = np.random.default_rng([2027, 80])
     tol = DEFAULT_TOLERANCES
     first = reweighted = 0

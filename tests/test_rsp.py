@@ -284,6 +284,52 @@ def test_certification_ignores_positive_magnitudes():
     assert small.rsp.t_star == large.rsp.t_star
 
 
+# ------------------------------------------------ least-squares witnesses
+
+def _kkt_eta(A, S, weights):
+    """eta = A^T y of min |W^1/2 (A_off^T y - target)| s.t. A_S^T y = 1.
+
+    Solved with lstsq on the KKT system [A_off W A_off^T, A_S; A_S^T, 0],
+    which shares nothing with the null-space form of the screen.  y is not
+    unique where A has dependent rows; eta is.
+    """
+    m, n = A.shape
+    k = len(S)
+    AS, Aoff = A[:, list(S)], np.delete(A, list(S), axis=1)
+    kkt = np.block([[(Aoff * weights) @ Aoff.T, AS], [AS.T, np.zeros((k, k))]])
+    rhs = np.concatenate([(Aoff * weights) @ np.full(n - k, rsp._LS_TARGET), np.ones(k)])
+    return A.T @ np.linalg.lstsq(kkt, rhs, rcond=None)[0][:m]
+
+
+def _dependent_row():
+    A = np.random.default_rng([2028, 3]).standard_normal((6, 12))
+    A[5] = A[0] - 2.0 * A[1]
+    return A
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param(np.random.default_rng([2028, 1]).standard_normal((6, 12)), id="gaussian 6x12"),
+    pytest.param(np.random.default_rng([2028, 2]).standard_normal((8, 16)), id="gaussian 8x16"),
+    pytest.param(_dependent_row(), id="rank 5 6x12")])
+def test_least_squares_witnesses_match_their_kkt_solution(A):
+    # The screen's eta, with every weight 1 (the first witness) and with
+    # positive weights (a reweighted one), is the weighted least-squares
+    # eta nearest the target off S with eta_S = 1, at every support of
+    # size 1 to 3.
+    n = A.shape[1]
+    rows = rsp._row_reduction(A, DEFAULT_TOLERANCES)
+    rng = np.random.default_rng([2028, 0])
+    for k in (1, 2, 3):
+        block = np.array(list(combinations(range(n), k)))
+        off = rsp._off_support(block, n)
+        weights = rng.uniform(1e-3, 1.0, off.shape)
+        for w in (None, weights):
+            eta = rsp._least_squares_witness(rows.Z, rows.P, block, off, w) @ A
+            for i, S in enumerate(block.tolist()):
+                want = _kkt_eta(A, S, np.ones(n - k) if w is None else w[i])
+                assert np.abs(eta[i] - want).max() <= 1e-9 * max(1.0, np.abs(want).max()), S
+
+
 # -------------------------------------------------------- certify_uniqueness
 
 def test_unique_system_certifies_yes():

@@ -35,16 +35,16 @@ def test_check_rsp_batch_counts_its_margin_lps_and_their_pivots():
 
 
 def test_certify_order_k_counts_its_settled_certificates(monkeypatch):
-    # The certifier settles exactly the certificates of _margin_solves with
-    # lp_status "settled", the first witness's share is what a run with no
-    # reweighted witnesses settles, and every other support is a margin LP.
+    # The certifier settles exactly the supports of the screen's mask, the
+    # first witness's share is what a run with no reweighted witnesses
+    # settles, every other support is a margin LP, and the settled supports
+    # still count with their blocks.
     A = _gaussian((6, 12), 1)
     tol = DEFAULT_TOLERANCES
 
     def settled(k):
-        block = list(combinations(range(12), k))
-        certs = rsp._margin_solves(A, block, tol, screen=True)
-        return sum(c.lp_status == "settled" for c in certs)
+        block = np.array(list(combinations(range(12), k)))
+        return int(rsp._settled(A, block, rsp._row_reduction(A, tol), tol)[0].sum())
     with stats.collect() as counts:
         report = certify_order_k(A, 3)
     with monkeypatch.context() as patch:
