@@ -144,9 +144,9 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     itself and a feasible point of the margin LP whose max eta_off is at
     most 1 - rsp_margin, so the LP would say yes too; it just gives no t*,
     which ``check_rsp_at`` still computes exactly.  The witnesses come from
-    a basis of null(A) and the pseudo-inverse of A^T, and the margin LPs
-    from A's row reduction, all from one SVD of A per call; a settled
-    support gets no certificate object and no null-space coordinates.
+    an orthonormal basis of the range of A^T, and the margin LPs from A's
+    row reduction, both from one thin SVD of A per call; a settled support
+    gets no certificate object and no null-space coordinates.
     Every other support's verdict comes from its margin LP.  Each size of
     the enumeration is one block, up to ``linalg._BLOCK_LEN`` supports, so
     its remaining margin LPs pivot as one lockstep stack.

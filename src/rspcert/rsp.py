@@ -11,10 +11,9 @@ every margin LP and report its exact t*; a margin LP or an l1 LP whose
 start fails is solved two-phase by the LP core, not here.  The order-K
 certifier, which needs only the verdict, first tries a least-squares
 witness at each support with full column rank (``_settled``).  The witness
-comes from Z, an orthonormal basis of null(A) taken from the one SVD of A
-per call: eta is in the range of A^T iff Z^T eta = 0, so the eta that is 1
-on S and nearest the target off S is one small solve on rows of Z, and
-y = P eta with P the pseudo-inverse of A^T.  Where eta = A^T y passes
+is eta = V c, V an orthonormal basis of the range of A^T from the one thin
+SVD of A per call, and y = U Sigma^-1 c; the eta that is 1 on S and
+nearest the target off S is one k x k solve.  Where eta = A^T y passes
 ``verify_rsp_witness``'s conditions on the raw A, the support is a yes with
 no LP, no t* and no certificate object, and that yes is the LP's too, since
 the witness is a feasible point of the margin LP with
@@ -23,9 +22,11 @@ it fails its re-check, a few reweighted least-squares solves follow,
 one-sided in the manner of Lawson's minimax iteration: an off-support
 column whose eta is already below the target gets a small weight, and one
 above it a weight that grows with its excess, so that the next witness
-pushes down the largest eta_off.  Every iterate passes the same re-check on
-the raw A.  Only the supports that no witness settles get null-space
-coordinates and a margin LP.
+pushes down the largest eta_off.  Each is one stacked solve in the smaller
+of two bases: one of null(A) that completes V where n - r <= r, and V
+itself on a wider A.  Every iterate passes the same re-check on the raw A.
+Only the supports that no witness settles get null-space coordinates and a
+margin LP.
 """
 
 from __future__ import annotations
@@ -182,31 +183,43 @@ _WEIGHT_FLOOR = 1e-3
 
 
 class _Rows(NamedTuple):
-    """A's row reduction and null space, from one SVD A = W Sigma V^T.
+    """A's row reduction and the range of A^T, from one thin SVD A = W Sigma V^T.
 
     r counts the singular values above ``floor``, rank_tol times the
-    largest.  P is the pseudo-inverse of A^T: y = P eta has A^T y = eta for
-    every eta in the range of A^T.
+    largest; U, Sigma_r and V_r keep the r singular triplets that count.
+    The rows of A~ and the columns of V_r span the range of A^T, and
+    y = Y c has A^T y = V_r c for every c in R^r.
     """
 
     U: np.ndarray        # (m, r) the columns of W with singular values above floor
     At: np.ndarray       # (r, n) A~ = U^T A, A reduced to r independent rows
     floor: float
-    Z: np.ndarray        # (n, n - r) the rest of V, an orthonormal basis of null(A)
-    P: np.ndarray        # (m, n) U Sigma_r^-1 V_r^T
+    V: np.ndarray        # (n, r) V_r, an orthonormal basis of the range of A^T
+    Y: np.ndarray        # (m, r) U Sigma_r^-1
 
 
 def _row_reduction(A: np.ndarray, tol: ToleranceConfig) -> _Rows:
-    # The SVD is complete in V, for Z; it is complete in W only where A is
-    # wide, so that W has no column past the singular values.
-    m, n = A.shape
-    W, sigma, Vt = np.linalg.svd(A, full_matrices=m < n)
+    W, sigma, Vt = np.linalg.svd(A, full_matrices=False)
     floor = tol.rank_tol * sigma[0]
     kept = sigma > floor
-    r = int(np.count_nonzero(kept))
     U = W[:, kept]
-    # Z is copied to row order, since the witnesses gather its rows.
-    return _Rows(U, U.T @ A, floor, Vt[r:].T.copy(), (U / sigma[kept]) @ Vt[:r])
+    # V is copied to row order, since the witnesses gather its rows.
+    return _Rows(U, U.T @ A, floor, Vt[kept].T.copy(), U / sigma[kept])
+
+
+def _full_column_rank(At: np.ndarray, block: np.ndarray, floor: float,
+                      mode: str = "r") -> tuple[np.ndarray, object]:
+    # Which sorted supports in ``block`` have full column rank, and the
+    # stacked QR A~_S = Q R behind that rule (np.linalg.qr's ``mode``), or
+    # None where k > r: k <= r and every diagonal entry of R exceeds the
+    # row reduction's threshold ``floor``.  The screen and the margin LPs'
+    # coordinates both decide rank here.
+    count, k = block.shape
+    if k > len(At):
+        return np.zeros(count, dtype=bool), None
+    factors = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode=mode)
+    R = factors if mode == "r" else factors[1]
+    return (np.abs(np.diagonal(R, axis1=1, axis2=2)) > floor).all(axis=1), factors
 
 
 def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
@@ -216,24 +229,21 @@ def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
     # equalities a checked witness shows to be inconsistent.  A is first
     # reduced to r independent rows (``_row_reduction``, or ``rows`` where
     # the caller has it already), so that no row of G is zero up to
-    # rounding.  A support has full column rank when k <= r and each
-    # diagonal entry of R in the QR A~_S = Q R exceeds the row reduction's
-    # threshold; then k' = k and u = R^-T 1.  Every other support takes an
-    # SVD A~_S = W Sigma V^T, whose k' singular values above that threshold
-    # give Q = W and
-    # u = Sigma_1^-1 V_1^T 1, and the witness d = V_2 V_2^T 1 = 1 - A~_S^T W_1 u
-    # of ``_inconsistent``.  Either way y0 = Q_1 u and N = Q_2, both mapped
-    # back by U.
+    # rounding.  Where a support has full column rank
+    # (``_full_column_rank``, from the QR A~_S = Q R), k' = k and
+    # u = R^-T 1.  Every other support takes an SVD A~_S = W Sigma V^T,
+    # whose k' singular values above the row reduction's threshold give
+    # Q = W and u = Sigma_1^-1 V_1^T 1, and the witness
+    # d = V_2 V_2^T 1 = 1 - A~_S^T W_1 u of ``_inconsistent``.  Either way
+    # y0 = Q_1 u and N = Q_2, both mapped back by U.
     count, k = block.shape
     U, At, floor = (_row_reduction(A, tol) if rows is None else rows)[:3]
-    full = np.zeros(count, dtype=bool)
-    if k <= U.shape[1]:
-        Q, R = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode="complete")
-        full = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > floor).all(axis=1)
+    full, factors = _full_column_rank(At, block, floor, "complete")
 
     stacks = []
     at, rest = np.flatnonzero(full), np.flatnonzero(~full)
     if at.size:
+        Q, R = factors
         if rest.size:
             Q, R = Q[at], R[at]
         u = np.linalg.solve(R[:, :k].transpose(0, 2, 1), np.ones((at.size, k, 1)))
@@ -358,50 +368,77 @@ def _pivot_columns(E: np.ndarray, rank_tol: float) -> np.ndarray:
     return picks
 
 
-def _least_squares_witness(Z: np.ndarray, P: np.ndarray, block: np.ndarray, off: np.ndarray,
-                           weights: np.ndarray | None = None) -> np.ndarray:
-    # The y = P eta of each support whose eta, in the range of A^T and 1 on
-    # S, is nearest _LS_TARGET off S in the 2-norm, weighted per
-    # off-support column by ``weights`` (count, n - k), all 1 where None.
-    # In the range of A^T means Z^T eta = 0, so with
-    # h = _LS_TARGET Z^T 1 + (1 - _LS_TARGET) Z_S^T 1 the optimum is
+def _reweighting_basis(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The basis that ``_least_squares_witness`` solves the reweighted
+    # witnesses in, and the outer products of its rows, (n, q^2): where
+    # n - r <= r, Z, an orthonormal basis of null(A) that completes V (its
+    # columns are orthogonal to the range of A^T), so that each solve is
+    # (n - r) x (n - r); on a wider A, V itself, so that it is r x r.
+    n, r = V.shape
+    basis = np.linalg.qr(V, mode="complete")[0][:, r:] if n - r <= r else V
+    return basis, (basis[:, :, None] * basis[:, None, :]).reshape(n, -1)
+
+
+def _least_squares_witness(rows: _Rows, block: np.ndarray, off: np.ndarray,
+                           weights: np.ndarray | None = None,
+                           basis: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    # The y of each support whose eta = A^T y is 1 on S and nearest
+    # _LS_TARGET off S in the 2-norm, weighted per off-support column by
+    # ``weights`` (count, n - k), all 1 where None.  Such an eta is V c,
+    # and y = Y c (``_Rows``).  Let Omega be the weights off S and 1 on S,
+    # whose term on S is 0 at every c with V_S c = 1, and t the target off
+    # S and 1 on S.  Then c = M^-1 (b - V_S^T u) with M = V^T Omega V,
+    # b = V^T Omega t and (V_S M^-1 V_S^T) u = V_S M^-1 b - 1.  With every
+    # weight 1, M = I, and that is one k x k solve.  A reweighted witness
+    # takes ``basis`` (``_reweighting_basis``).  With V it is the r x r
+    # solve, with k + 1 right-hand sides, and the k x k one.  With Z, eta
+    # is in the range of A^T iff Z^T eta = 0, so
     # eta_off = _LS_TARGET - D Z_off l, D = weights^-1, where
-    # (Z_off^T D Z_off) l = h: one stacked (n - r) x (n - r) solve, whose
-    # matrices are one product of D, zero on S, with the outer products of
-    # the rows of Z.  With every weight 1, Z_off^T Z_off = I - Z_S^T Z_S,
-    # and Woodbury's l = h + Z_S^T (I - Z_S Z_S^T)^-1 Z_S h is one k x k
-    # solve.  Both matrices are nonsingular where A_S has full column rank;
-    # should a stack still be singular to the solver, its witnesses are NaN
-    # and settle nothing.
+    # (Z_off^T D Z_off) l = Z^T t: one (n - r) x (n - r) solve, and
+    # c = V^T eta.  Either way the square matrices are one product of the
+    # weights with the basis's outer products.  They are nonsingular where
+    # A_S has full column rank; should a stack still be singular to the
+    # solver, its witnesses are NaN and settle nothing.
+    V = rows.V
     count, k = block.shape
-    n, p = Z.shape
+    n, r = V.shape
     every = np.arange(count)[:, None]
-    ZS = Z[block]
-    h = _LS_TARGET * Z.sum(axis=0) + (1.0 - _LS_TARGET) * ZS.sum(axis=1)
+    VS = V[block]
     try:
         if weights is None:
-            ZSt = ZS.transpose(0, 2, 1)
-            v = np.linalg.solve(np.eye(k) - np.matmul(ZS, ZSt), np.matmul(ZS, h[:, :, None]))
-            eta = _LS_TARGET - np.matmul(h + np.matmul(ZSt, v)[:, :, 0], Z.T)
+            b = _LS_TARGET * V.sum(axis=0) + (1.0 - _LS_TARGET) * VS.sum(axis=1)
+            X = np.concatenate([b[:, :, None], VS.transpose(0, 2, 1)], axis=2)
+        elif basis[0] is V:
+            omega = np.ones((count, n))
+            omega[every, off] = weights
+            M = np.matmul(omega, basis[1]).reshape(count, r, r)
+            omega[every, off] *= _LS_TARGET
+            X = np.linalg.solve(M, np.concatenate(
+                [np.matmul(omega, V)[:, :, None], VS.transpose(0, 2, 1)], axis=2))
         else:
+            Z = basis[0]
+            p = Z.shape[1]
+            h = _LS_TARGET * Z.sum(axis=0) + (1.0 - _LS_TARGET) * Z[block].sum(axis=1)
             D = np.zeros((count, n))
             D[every, off] = 1.0 / weights
-            outer = (Z[:, :, None] * Z[:, None, :]).reshape(n, p * p)
-            l = np.linalg.solve(np.matmul(D, outer).reshape(count, p, p), h[:, :, None])
+            l = np.linalg.solve(np.matmul(D, basis[1]).reshape(count, p, p), h[:, :, None])
             eta = _LS_TARGET - D * np.matmul(l[:, :, 0], Z.T)
+            eta[every, block] = 1.0
+            return np.matmul(np.matmul(eta, V), rows.Y.T)
+        E = np.matmul(VS, X)
+        E[:, :, 0] -= 1.0
+        u = np.linalg.solve(E[:, :, 1:], E[:, :, :1])
     except np.linalg.LinAlgError:
-        return np.full((count, len(P)), np.nan)
-    eta[every, block] = 1.0
-    return np.matmul(eta, P.T)
+        return np.full((count, len(rows.Y)), np.nan)
+    return np.matmul(X[:, :, 0] - np.matmul(X[:, :, 1:], u)[:, :, 0], rows.Y.T)
 
 
 def _settled(A: np.ndarray, block: np.ndarray, rows: _Rows,
              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which supports a least-squares witness settles as yes, with each witness y and eta.
 
-    Only a support with full column rank is tried: k <= r and every
-    diagonal entry of R in the QR A~_S = Q R above the row reduction's
-    threshold, the rule of ``_margin_stacks``.  A witness y of
+    Only a support with full column rank is tried, by the rule of
+    ``_full_column_rank`` that ``_margin_stacks`` applies too.  A witness y of
     ``_least_squares_witness`` settles S once eta = A^T y passes
     ``verify_rsp_witness``'s conditions on the raw A:
     |eta_S - 1|_inf <= feas_tol and max eta_off <= 1 - rsp_margin.  That is
@@ -425,12 +462,10 @@ def _settled(A: np.ndarray, block: np.ndarray, rows: _Rows,
     y, eta = np.full((count, m), np.nan), np.full((count, n), np.nan)
     passed = np.zeros(count, dtype=bool)
     first = passed
-    todo = np.arange(0)
-    if count and k <= rows.At.shape[0]:
-        R = np.linalg.qr(rows.At.T[block].transpose(0, 2, 1), mode="r")
-        todo = np.flatnonzero((np.abs(np.diagonal(R, axis1=1, axis2=2)) > rows.floor).all(axis=1))
+    todo = np.flatnonzero(_full_column_rank(rows.At, block, rows.floor)[0])
     off = _off_support(block, n)
     weights = np.ones(off.shape)
+    basis = None
     for step in range(_REWEIGHTS + 1):
         if not todo.size:
             break
@@ -438,8 +473,10 @@ def _settled(A: np.ndarray, block: np.ndarray, rows: _Rows,
             over = eta[todo[:, None], off[todo]] - _LS_TARGET
             grown = np.where(over < 0.0, _WEIGHT_FLOOR, weights[todo] * (1.0 + over) ** 2)
             weights[todo] = grown / grown.max(axis=1, keepdims=True)
-        y[todo] = _least_squares_witness(rows.Z, rows.P, block[todo], off[todo],
-                                         weights[todo] if step else None)
+            if basis is None:
+                basis = _reweighting_basis(rows.V)
+        y[todo] = _least_squares_witness(rows, block[todo], off[todo],
+                                         weights[todo] if step else None, basis)
         eta[todo], on, worst = _raw_eta(A, block[todo], off[todo], y[todo])
         ok = (on <= tol.feas_tol) & (worst <= 1.0 - tol.rsp_margin)
         passed[todo] = ok

@@ -249,17 +249,20 @@ def _scale_cases():
     rng = np.random.default_rng([2027, 51])
     return [*(pytest.param(case.values[0], (1, 2, 3), id=case.id) for case in _screen_cases()),
             pytest.param(rng.standard_normal((5, 4)), (4,), id="5x4 at K=4"),
-            pytest.param(rng.standard_normal((6, 6)), (1, 2, 3), id="6x6")]
+            pytest.param(rng.standard_normal((6, 6)), (1, 2, 3), id="6x6"),
+            pytest.param(rng.standard_normal((4, 16)), (1, 2, 3), id="wide 4x16")]
 
 
 @pytest.mark.parametrize("A, orders", _scale_cases())
 def test_the_screen_settles_the_same_supports_at_every_scale(A, orders):
     # The screen's full-rank gate has one threshold, rank_tol times the
-    # largest singular value of A; the null-space basis its witnesses come
-    # from does not see the scale of A, and its re-check of eta = A^T y
+    # largest singular value of A; the orthonormal bases its witnesses are
+    # solved in do not see the scale of A, and its re-check of eta = A^T y
     # does not either.  So rsp and prsp, which range over every support,
     # settle the same number of supports of each size and give the same
-    # reports at every scale.  The last two cases have an empty null space (n = r).
+    # reports at every scale.  The 5x4 and the 6x6 have an empty null space
+    # (n = r); the wide 4x16 solves its reweighted witnesses in the range
+    # of A^T rather than in a basis of null(A).
     def run(scale):
         out = []
         for K in orders:
@@ -355,7 +358,9 @@ def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
 def test_every_support_a_least_squares_witness_settles_is_a_yes_of_highs(monkeypatch):
     # A support settled by the first witness or by a reweighted one must be
     # a yes by HiGHS's t*, which the witness bounds from above: its y is a
-    # feasible point of the margin LP.
+    # feasible point of the margin LP.  The 4x16 matrices solve their
+    # reweighted witnesses in the range of A^T, the others in a basis of
+    # null(A).
     from test_golden_lp import _scipy_t_star
 
     import rspcert.rsp as rsp
@@ -365,7 +370,7 @@ def test_every_support_a_least_squares_witness_settles_is_a_yes_of_highs(monkeyp
     rng = np.random.default_rng([2027, 80])
     tol = DEFAULT_TOLERANCES
     first = reweighted = 0
-    for shape in [(6, 12)] * 3 + [(8, 16)] * 3:
+    for shape in [(6, 12)] * 3 + [(8, 16)] * 3 + [(4, 16)] * 2:
         A = rng.standard_normal(shape)
         settled.clear()
         with monkeypatch.context() as patch:

@@ -307,24 +307,32 @@ def _dependent_row():
     return A
 
 
-@pytest.mark.parametrize("A", [
-    pytest.param(np.random.default_rng([2028, 1]).standard_normal((6, 12)), id="gaussian 6x12"),
-    pytest.param(np.random.default_rng([2028, 2]).standard_normal((8, 16)), id="gaussian 8x16"),
-    pytest.param(_dependent_row(), id="rank 5 6x12")])
-def test_least_squares_witnesses_match_their_kkt_solution(A):
+@pytest.mark.parametrize("A, in_range", [
+    pytest.param(np.random.default_rng([2028, 1]).standard_normal((6, 12)), False,
+                 id="gaussian 6x12"),
+    pytest.param(np.random.default_rng([2028, 2]).standard_normal((8, 16)), False,
+                 id="gaussian 8x16"),
+    pytest.param(_dependent_row(), True, id="rank 5 6x12"),
+    pytest.param(np.random.default_rng([2028, 4]).standard_normal((4, 20)), True,
+                 id="gaussian 4x20")])
+def test_least_squares_witnesses_match_their_kkt_solution(A, in_range):
     # The screen's eta, with every weight 1 (the first witness) and with
     # positive weights (a reweighted one), is the weighted least-squares
     # eta nearest the target off S with eta_S = 1, at every support of
-    # size 1 to 3.
+    # size 1 to 3.  A reweighted witness is solved in a basis of null(A)
+    # where n - r <= r and in the range of A^T on a wider A; the cases
+    # cover both.
     n = A.shape[1]
     rows = rsp._row_reduction(A, DEFAULT_TOLERANCES)
+    basis = rsp._reweighting_basis(rows.V)
+    assert (basis[0] is rows.V) == in_range
     rng = np.random.default_rng([2028, 0])
     for k in (1, 2, 3):
         block = np.array(list(combinations(range(n), k)))
         off = rsp._off_support(block, n)
         weights = rng.uniform(1e-3, 1.0, off.shape)
         for w in (None, weights):
-            eta = rsp._least_squares_witness(rows.Z, rows.P, block, off, w) @ A
+            eta = rsp._least_squares_witness(rows, block, off, w, basis) @ A
             for i, S in enumerate(block.tolist()):
                 want = _kkt_eta(A, S, np.ones(n - k) if w is None else w[i])
                 assert np.abs(eta[i] - want).max() <= 1e-9 * max(1.0, np.abs(want).max()), S
