@@ -33,7 +33,8 @@ the one measure of that path), two planted k*=4 10x20 systems for the
 feasibility LPs (through ``sparsest_supports``: µs per support checked,
 and the feasibility LPs it actually solves, which are fewer once supports
 are screened before any LP runs), the size-3 supports of the 8x16 matrices for the
-rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
+order-K layer's full-column-rank gate (µs per support, with the one row
+reduction of A it takes) and for the rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
 of the four properties and on the matrices and properties of the
 benchmark's ``orderk_enum`` commands for seed 1 (with its l1 pivots per LP,
 its margin LPs and rank probes per checked support, and the trials its l1
@@ -64,7 +65,10 @@ lockstep figures were taken through the prsp certifier, which then solved
 one margin LP per support as ``check_rsp_batch`` does.  Up to
 ``BENCH_26.json``, ``fallbacks`` and ``fallbacks_near_dependent`` were split
 by LP kind (``margin``, ``l1``); the LP core, which counts them, does not
-know an LP's kind, so they are one total now.
+know an LP's kind, so they are one total now.  Up to ``BENCH_28.json``,
+``rank_probe_us_in_filter`` timed ``SupportEnumeration``'s full-rank
+filter, one stacked SVD probe per block; the order-K layer now decides
+full column rank by the R-diagonal gate that ``full_rank_gate_us`` times.
 """
 
 from __future__ import annotations
@@ -140,9 +144,14 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     out["feasibility_lps_solved"] = counts["feasibility.lps"]
 
     supports = list(combinations(range(16), 3))
-    t = _best(lambda: [list(linalg.SupportEnumeration(A, [3], 10**6, full_rank_only=True))
-                       for A in mats], repeat)
-    out["rank_probe_us_in_filter"] = 1e6 * t / (len(supports) * len(mats))
+    block = np.array(supports)
+
+    def gate(A):
+        # rsp holds both names in either tree: it defines them, or imports them.
+        rows = rsp._row_reduction(A, rc.DEFAULT_TOLERANCES)
+        return rsp._full_column_rank(rows.At, block, rows.floor)[0]
+    t = _best(lambda: [gate(A) for A in mats], repeat)
+    out["full_rank_gate_us"] = 1e6 * t / (len(supports) * len(mats))
     t = _best(lambda: [rc.rank_details(mats[0], S) for S in supports], repeat)
     out["rank_probe_us_alone"] = 1e6 * t / len(supports)
 

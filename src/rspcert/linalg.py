@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import combinations, compress, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,14 +160,46 @@ def _block_ranks(A: np.ndarray, block: list[IndexSet],
     return ranks, marginal
 
 
-def _full_rank_supports(A: np.ndarray, block: list[IndexSet], rank_tol: float) -> list[IndexSet]:
-    # The supports of a block of one size whose columns have full column
-    # rank, in order: the one full-rank filter rule, of ``SupportEnumeration``
-    # and of the recovery oracle's windows.
-    if not block:
-        return []
-    full = _block_ranks(A, block, rank_tol)[0] == len(block[0])
-    return list(compress(block, full.tolist()))
+class _Rows(NamedTuple):
+    """A's row reduction and the range of A^T, from one thin SVD A = W Sigma V^T.
+
+    r counts the singular values above ``floor``, rank_tol times the
+    largest; U, Sigma_r and V_r keep the r singular triplets that count.
+    The rows of A~ and the columns of V_r span the range of A^T, and
+    y = Y c has A^T y = V_r c for every c in R^r.
+    """
+
+    U: np.ndarray        # (m, r) the columns of W with singular values above floor
+    At: np.ndarray       # (r, n) A~ = U^T A, A reduced to r independent rows
+    floor: float
+    V: np.ndarray        # (n, r) V_r, an orthonormal basis of the range of A^T
+    Y: np.ndarray        # (m, r) U Sigma_r^-1
+
+
+def _row_reduction(A: np.ndarray, tol: ToleranceConfig) -> _Rows:
+    W, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+    floor = tol.rank_tol * sigma[0]
+    kept = sigma > floor
+    U = W[:, kept]
+    # V is copied to row order, since the witnesses gather its rows.
+    return _Rows(U, U.T @ A, floor, Vt[kept].T.copy(), U / sigma[kept])
+
+
+def _full_column_rank(At: np.ndarray, block: np.ndarray, floor: float,
+                      mode: str = "r") -> tuple[np.ndarray, object]:
+    # Which sorted supports in ``block`` have full column rank, and the
+    # stacked QR A~_S = Q R behind that rule (np.linalg.qr's ``mode``), or
+    # None where k > r: k <= r and every diagonal entry of R exceeds the
+    # row reduction's threshold ``floor``, rank_tol * sigma_max(A).  The
+    # order-K layer's one full-rank rule: the certifier, its margin LPs'
+    # coordinates and the recovery oracle decide rank here; the reported
+    # ranks keep the rule of ``_stacked_ranks``.
+    count, k = block.shape
+    if k > len(At):
+        return np.zeros(count, dtype=bool), None
+    factors = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode=mode)
+    R = factors if mode == "r" else factors[1]
+    return (np.abs(np.diagonal(R, axis1=1, axis2=2)) > floor).all(axis=1), factors
 
 
 def rank_details(A: np.ndarray, support: Iterable[int] | None = None,
@@ -242,19 +274,15 @@ class SupportEnumeration:
     Iterating yields ``(k, block)`` for each size in ``sizes``: ``block``
     lists supports of size ``k`` in lexicographic order, and the blocks of a
     size, at most _BLOCK_LEN supports each, follow one another in that order.
-    ``count`` is the number of supports yielded so far.  ``full_rank_only``
-    drops, uncounted, supports with rank-deficient columns (one stacked rank
-    probe per block).  The budget caps the supports visited.  It is checked
-    over all sizes here, before the caller does any work, or with ``lazy``
-    (for searches that usually stop early) only on reaching a size whose
-    running total exceeds it.
+    ``count`` is the number of supports yielded so far.  The budget caps the
+    supports visited.  It is checked over all sizes here, before the caller
+    does any work, or with ``lazy`` (for searches that usually stop early)
+    only on reaching a size whose running total exceeds it.
     """
 
     A: np.ndarray
     sizes: Sequence[int]
     budget: int
-    tol: ToleranceConfig = DEFAULT_TOLERANCES
-    full_rank_only: bool = False
     lazy: bool = False
     count: int = field(default=0, init=False)
 
@@ -275,8 +303,6 @@ class SupportEnumeration:
             self._check(planned)
             supports = combinations(range(n), k)
             while block := list(islice(supports, _BLOCK_LEN)):
-                if self.full_rank_only:
-                    block = _full_rank_supports(self.A, block, self.tol.rank_tol)
                 self.count += len(block)
                 yield k, block
 

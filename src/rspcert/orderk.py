@@ -31,10 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stats
-from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration,
-                     ToleranceConfig, _full_rank_supports, as_matrix, rank)
+from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration, ToleranceConfig,
+                     _full_column_rank, _row_reduction, _Rows, as_matrix)
 from .rsp import (Verdict, _certified_points, _l1_points, _margin_solves, _raised,
-                  _row_reduction, _settled)
+                  _settled)
 
 # Enumeration cap for LP-backed subset certification.  Each subset costs one
 # LP solve, far more than the rank probes behind the spark search, so the
@@ -54,7 +54,7 @@ class Quantifier(NamedTuple):
     """The supports an order-K property ranges over."""
 
     exact_size: bool           # size exactly K, else every size 1 through K
-    full_rank_only: bool       # skip supports with rank-deficient columns
+    full_rank_only: bool       # skip supports that fail ``_full_column_rank``
     needs_full_rank_k: bool    # also require a full-column-rank size-K support
 
 
@@ -74,9 +74,9 @@ class RecoveryReport:
     (sizes ascending, lexicographic within a size) and can be re-checked with
     a single ``check_rsp_at`` call.  A marginal subset downgrades the verdict
     to marginal unless a hard failure exists.  ``no_full_rank_subset`` marks
-    the rank-restricted properties whose quantifier ranged over nothing
-    (wrsp also fails outright in that case, since it requires a witnessable
-    size-K support to exist).
+    the rank-restricted properties with no size-K support of full column
+    rank (wrsp also fails outright in that case, since it requires a
+    witnessable size-K support to exist).
     """
 
     property: str
@@ -111,18 +111,15 @@ class RecoveryOracleReport:
     seed: int
 
 
-def _supports(A: np.ndarray, K: int, prop: str, tol: ToleranceConfig,
-              budget: int, filtered: bool = True) -> SupportEnumeration:
-    # The supports ``prop`` ranges over; without ``filtered``, rank-deficient
-    # ones too, for a caller that applies the full-rank filter itself.
+def _supports(A: np.ndarray, K: int, prop: str, budget: int) -> SupportEnumeration:
+    # The supports of the sizes ``prop`` ranges over; a caller applies the
+    # full-rank gate of the weak properties itself.
     if prop not in QUANTIFIERS:
         raise ValueError(f"unknown property {prop!r}; expected one of {sorted(QUANTIFIERS)}")
     if not 1 <= K <= A.shape[1]:
         raise ValueError(f"order K={K} must lie in [1, {A.shape[1]}]")
-    q = QUANTIFIERS[prop]
-    sizes = [K] if q.exact_size else range(1, K + 1)
-    return SupportEnumeration(A, sizes, budget, tol,
-                              full_rank_only=filtered and q.full_rank_only)
+    sizes = [K] if QUANTIFIERS[prop].exact_size else range(1, K + 1)
+    return SupportEnumeration(A, sizes, budget)
 
 
 def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -132,9 +129,11 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
 
     Every support the property ranges over is checked, and per-size failure
     counts are kept as evidence: success at size k does not imply success at
-    smaller sizes.  wrsp also requires some size-K support with full column
-    rank, so K above rank(A) fails with ``no_full_rank_subset`` set.  When
-    no size-K support has full column rank, pwrsp's quantifier is empty and
+    smaller sizes.  One full-column-rank gate per support decides which
+    supports the weak properties range over and the screen tries.  wrsp
+    also requires a size-K support that passes it, so K above r fails at
+    once and a size K with none at the end, with ``no_full_rank_subset``
+    set.  When no size-K support passes, pwrsp's quantifier is empty and
     the property holds vacuously; the report flags that case too.
 
     A full-rank support is a yes without its margin LP where a least-squares
@@ -152,18 +151,25 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     its remaining margin LPs pivot as one lockstep stack.
     """
     A = as_matrix(A)
-    supports = _supports(A, K, property, tol, budget)
+    supports = _supports(A, K, property, budget)
     q = QUANTIFIERS[property]
-    if q.needs_full_rank_k and rank(A, None, tol) < K:
+    rows = _row_reduction(A, tol)
+    if q.needs_full_rank_k and len(rows.At) < K:
         return RecoveryReport(property=property, order=K, holds=Verdict.NO,
                               counterexample=None, subsets_checked=0,
                               no_full_rank_subset=True)
     counterexample: IndexSet | None = None
     marginal: list[IndexSet] = []
     failures: dict[int, int] = {}
-    rows = _row_reduction(A, tol)
+    checked = full_at_k = 0
     for k, block in supports:
-        settled = _settled(A, np.array(block, dtype=np.intp).reshape(-1, k), rows, tol)[0]
+        index = np.array(block, dtype=np.intp).reshape(-1, k)
+        full = _full_column_rank(rows.At, index, rows.floor)[0]
+        if q.full_rank_only:
+            block, index, full = list(compress(block, full)), index[full], full[full]
+            full_at_k += len(block) if k == K else 0
+        checked += len(block)
+        settled = _settled(A, index, rows, tol, full)[0]
         # A block's first support in order whose LP breaks down or fails its
         # re-check raises, as in ``check_rsp_batch``.
         for S, cert in zip(compress(block, ~settled),
@@ -174,7 +180,8 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                     counterexample = S
             elif cert.holds is Verdict.MARGINAL:
                 marginal.append(S)
-    if counterexample is not None:
+    no_full_rank_subset = q.full_rank_only and full_at_k == 0
+    if counterexample is not None or (q.needs_full_rank_k and no_full_rank_subset):
         holds = Verdict.NO
     elif marginal:
         holds = Verdict.MARGINAL
@@ -182,19 +189,19 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
         holds = Verdict.YES
     return RecoveryReport(property=property, order=K, holds=holds,
                           counterexample=counterexample,
-                          subsets_checked=supports.count,
+                          subsets_checked=checked,
                           marginal_subsets=marginal, failures_per_size=failures,
-                          no_full_rank_subset=q.full_rank_only and supports.count == 0)
+                          no_full_rank_subset=no_full_rank_subset)
 
 
 def _l1_walk(A: np.ndarray, block: list[IndexSet], k: int, trials: int,
              rng: np.random.Generator, tol: ToleranceConfig,
-             full_rank_only: bool) -> tuple[list[IndexSet], list, bool]:
+             gate: _Rows | None) -> tuple[list[IndexSet], list, bool]:
     # The supports a block's walk reaches and the l1 points of their trials,
     # window by window, up to and including the first trial whose l1 step
     # fails or misses its planted vector, and whether one did; no window is
-    # drawn after it.  With ``full_rank_only`` a window of W supports is the
-    # next W of the block with full column rank, ranked as it is filled.
+    # drawn after it.  With a ``gate``, A's row reduction, a window of W
+    # supports is the next W that pass ``_full_column_rank``, as it fills.
     n = A.shape[1]
     walked: list[IndexSet] = []
     points: list = []
@@ -204,7 +211,8 @@ def _l1_walk(A: np.ndarray, block: list[IndexSet], k: int, trials: int,
         while len(window) < width and start < len(block):
             more = block[start:start + width - len(window)]
             start += len(more)
-            window += _full_rank_supports(A, more, tol.rank_tol) if full_rank_only else more
+            window += more if gate is None else list(compress(more, _full_column_rank(
+                gate.At, np.array(more, dtype=np.intp), gate.floor)[0]))
         if not window:
             break
         walked += window
@@ -222,13 +230,14 @@ def _l1_walk(A: np.ndarray, block: list[IndexSet], k: int, trials: int,
     return walked, points, False
 
 
-def _pinned(A: np.ndarray, points: list, tol: ToleranceConfig) -> np.ndarray:
+def _pinned(rows: _Rows, points: list, tol: ToleranceConfig) -> np.ndarray:
     # Which l1 optima (x, S, s) of ``_l1_points`` their own LP proves
     # unique.  For every feasible x', 1.x' = b.y + s.x', with s >= 0 the
     # reduced costs checked on the raw A, so every optimum vanishes off
     # Z = {j : s_j <= rsp_margin}; x is the only one where S lies in Z and
-    # A_Z has full column rank (so |Z| <= m).  A_S then has full column rank
-    # too under the same threshold rule, as sigma_min(A_S) >= sigma_min(A_Z).
+    # A_Z passes ``_full_column_rank`` under A's row reduction ``rows`` (so
+    # |Z| <= r).  A_S then passes too: each |R_ii|, a column's distance from
+    # the span of those before it, is no smaller in A~_S than in A~_Z.
     pinned = np.zeros(len(points), dtype=bool)
     if not points:
         return pinned
@@ -236,17 +245,17 @@ def _pinned(A: np.ndarray, points: list, tol: ToleranceConfig) -> np.ndarray:
     trial = np.repeat(np.arange(len(points)), [len(S) for _, S, _ in points])
     off = trial[~Z[trial, [j for _, S, _ in points for j in S]]]
     at = np.flatnonzero((np.bincount(off, minlength=len(points)) == 0)
-                        & (Z.sum(axis=1) <= A.shape[0]))
+                        & (Z.sum(axis=1) <= len(rows.At)))
     candidates = Z[at]
     columns = np.nonzero(candidates)[1].tolist()
     ends = np.cumsum(candidates.sum(axis=1)).tolist()
     faces = [tuple(columns[i:j]) for i, j in zip([0] + ends[:-1], ends)]
-    # One rank probe per distinct Z, stacked by size.
+    # One gate per distinct Z, stacked by size.
     by_size: dict[int, list[IndexSet]] = {}
     for F in dict.fromkeys(faces):
         by_size.setdefault(len(F), []).append(F)
-    full = {F for group in by_size.values()
-            for F in _full_rank_supports(A, group, tol.rank_tol)}
+    full = {F for group in by_size.values() for F in compress(group, _full_column_rank(
+        rows.At, np.array(group, dtype=np.intp), rows.floor)[0])}
     pinned[at] = [F in full for F in faces]
     return pinned
 
@@ -271,20 +280,20 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     the reduced costs 1 - A^T y that the LP core checked on the raw A and
     Z = {j : s_j <= rsp_margin}, every optimum vanishes off Z, since
     1.x' = b.y + s.x' for every feasible x'; so x is the unique optimum
-    when its support lies in Z and A_Z has full column rank (the rank rule
-    of ``rank``, one stacked probe per distinct Z).  Z is usually the m
+    when its support lies in Z and A_Z has full column rank (the
+    certifier's full-column-rank gate, under one row reduction of A per
+    call, stacked over the distinct Z of a block).  Z is usually the m
     columns of the LP's optimal basis, the support and m - k at zero.  Only
-    a trial that this leaves open, where Z is larger than m or A_Z is rank
-    deficient, gets what a
-    ``solve_and_certify`` call of its own gives: the range-space margin LP
-    and the rank tests at its support, in one call for the block's open
-    trials.
+    a trial that this leaves open, where Z is larger than r or A_Z fails
+    the gate, gets what a ``solve_and_certify`` call of its own gives: the
+    range-space margin LP and the rank tests (those of ``rank``) at its
+    support, in one call for the block's open trials.
 
     Supports are visited in enumeration order, and the first that fails is
     reported; an exception is raised only on reaching the trial that raises
     it, so the report is what a one-by-one walk reports.  Each block of the
     enumeration is walked in windows of 8, 16, 32, ... supports (for the
-    weak properties, the next supports with full column rank, ranked as a
+    weak properties, the next supports that pass the same gate, gated as a
     window is filled); one window's l1 LPs are one stack, each started at
     its planted vertex (S and m - k columns that make the basis
     nonsingular, or two-phase where none is found).  Phase 2 still decides
@@ -300,15 +309,15 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     if trials_per_support < 1:
         raise ValueError(f"trials_per_support={trials_per_support} must be at least 1")
     A = as_matrix(A)
-    supports = _supports(A, K, property, tol, budget, filtered=False)
-    full_rank_only = QUANTIFIERS[property].full_rank_only
+    supports = _supports(A, K, property, budget)
+    rows = _row_reduction(A, tol)
+    gate = rows if QUANTIFIERS[property].full_rank_only else None
     rng = np.random.default_rng(seed)
     checked = 0
     for k, block in supports:
-        walked, points, missed = _l1_walk(A, block, k, trials_per_support, rng, tol,
-                                          full_rank_only)
+        walked, points, missed = _l1_walk(A, block, k, trials_per_support, rng, tol, gate)
         recovered = points[:-1] if missed else points
-        open_ = ~_pinned(A, recovered, tol)
+        open_ = ~_pinned(rows, recovered, tol)
         counts = stats.current()
         if counts is not None:
             counts["oracle.trials_decided"] += int(np.count_nonzero(~open_))

@@ -42,8 +42,8 @@ from . import stats
 from .errors import (CertificateUnavailable, Infeasible, NonpositiveWeight,
                      NotASolution, NotNonnegative, RspcertError, Unbounded)
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig, _block_ranks,
-                     as_matrix, as_vector, augmented_rank_details,
-                     complement, normalize_support, rank_details)
+                     _full_column_rank, _row_reduction, _Rows, as_matrix, as_vector,
+                     augmented_rank_details, complement, normalize_support, rank_details)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, LpStack, StandardLp,
                       solve, solve_batch)
 
@@ -180,46 +180,6 @@ _LS_TARGET = -0.5
 # (BENCH_21.json).
 _REWEIGHTS = 6
 _WEIGHT_FLOOR = 1e-3
-
-
-class _Rows(NamedTuple):
-    """A's row reduction and the range of A^T, from one thin SVD A = W Sigma V^T.
-
-    r counts the singular values above ``floor``, rank_tol times the
-    largest; U, Sigma_r and V_r keep the r singular triplets that count.
-    The rows of A~ and the columns of V_r span the range of A^T, and
-    y = Y c has A^T y = V_r c for every c in R^r.
-    """
-
-    U: np.ndarray        # (m, r) the columns of W with singular values above floor
-    At: np.ndarray       # (r, n) A~ = U^T A, A reduced to r independent rows
-    floor: float
-    V: np.ndarray        # (n, r) V_r, an orthonormal basis of the range of A^T
-    Y: np.ndarray        # (m, r) U Sigma_r^-1
-
-
-def _row_reduction(A: np.ndarray, tol: ToleranceConfig) -> _Rows:
-    W, sigma, Vt = np.linalg.svd(A, full_matrices=False)
-    floor = tol.rank_tol * sigma[0]
-    kept = sigma > floor
-    U = W[:, kept]
-    # V is copied to row order, since the witnesses gather its rows.
-    return _Rows(U, U.T @ A, floor, Vt[kept].T.copy(), U / sigma[kept])
-
-
-def _full_column_rank(At: np.ndarray, block: np.ndarray, floor: float,
-                      mode: str = "r") -> tuple[np.ndarray, object]:
-    # Which sorted supports in ``block`` have full column rank, and the
-    # stacked QR A~_S = Q R behind that rule (np.linalg.qr's ``mode``), or
-    # None where k > r: k <= r and every diagonal entry of R exceeds the
-    # row reduction's threshold ``floor``.  The screen and the margin LPs'
-    # coordinates both decide rank here.
-    count, k = block.shape
-    if k > len(At):
-        return np.zeros(count, dtype=bool), None
-    factors = np.linalg.qr(At.T[block].transpose(0, 2, 1), mode=mode)
-    R = factors if mode == "r" else factors[1]
-    return (np.abs(np.diagonal(R, axis1=1, axis2=2)) > floor).all(axis=1), factors
 
 
 def _margin_stacks(A: np.ndarray, block: np.ndarray, tol: ToleranceConfig,
@@ -433,12 +393,12 @@ def _least_squares_witness(rows: _Rows, block: np.ndarray, off: np.ndarray,
     return np.matmul(X[:, :, 0] - np.matmul(X[:, :, 1:], u)[:, :, 0], rows.Y.T)
 
 
-def _settled(A: np.ndarray, block: np.ndarray, rows: _Rows,
-             tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _settled(A: np.ndarray, block: np.ndarray, rows: _Rows, tol: ToleranceConfig,
+             full: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which supports a least-squares witness settles as yes, with each witness y and eta.
 
-    Only a support with full column rank is tried, by the rule of
-    ``_full_column_rank`` that ``_margin_stacks`` applies too.  A witness y of
+    Only the supports marked in ``full``, the caller's ``_full_column_rank``
+    mask of ``block``, are tried.  A witness y of
     ``_least_squares_witness`` settles S once eta = A^T y passes
     ``verify_rsp_witness``'s conditions on the raw A:
     |eta_S - 1|_inf <= feas_tol and max eta_off <= 1 - rsp_margin.  That is
@@ -462,7 +422,7 @@ def _settled(A: np.ndarray, block: np.ndarray, rows: _Rows,
     y, eta = np.full((count, m), np.nan), np.full((count, n), np.nan)
     passed = np.zeros(count, dtype=bool)
     first = passed
-    todo = np.flatnonzero(_full_column_rank(rows.At, block, rows.floor)[0])
+    todo = np.flatnonzero(full)
     off = _off_support(block, n)
     weights = np.ones(off.shape)
     basis = None

@@ -22,7 +22,8 @@ Each count is added where its figure is already known:
   least-squares witness or a reweighted one); ``l1.lps``, ``l1.batches`` and
   ``l1.pivots`` (``rsp._l1_points``); ``feasibility.lps``
   (``oracle.sparsest_supports``);
-* ``linalg.ranked``: matrices whose numerical rank is computed;
+* ``linalg.ranked``: matrices ranked by a rank probe (``rank`` and the
+  other reported ranks); the order-K full-column-rank gate counts nothing;
 * the recovery oracle: ``oracle.trials_decided`` (trials whose l1 dual proves
   them unique) and ``oracle.trials_to_margin`` (trials certified with
   margin LPs).

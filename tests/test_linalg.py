@@ -221,13 +221,21 @@ def test_rank_threshold_and_marginal_band(largest):
         assert (ranks.tolist(), near.tolist()) == ([found], [marginal]), factor
 
 
-def test_stacked_rank_probe_matches_each_probe_alone():
+def test_stacked_rank_probe_matches_each_probe_alone(monkeypatch):
     # One stacked probe per block must give every support the rank and
     # marginal flag of its probe alone, at any position in the stack and at
-    # any scale of the data.
-    from itertools import combinations
+    # any scale of the data.  The weak properties range instead over the
+    # supports that pass the full-column-rank gate, rank_tol * sigma_max(A)
+    # on the R-diagonal of A's row reduction, at every scale: the nearly
+    # dependent pair (4, 9), whose sigma_min lies above the probe's
+    # threshold at scale 1 and above and below the gate's at every scale,
+    # is out.
+    from itertools import combinations, compress
+    from types import SimpleNamespace
 
-    from rspcert.linalg import SupportEnumeration, _block_ranks
+    import rspcert.orderk as orderk
+    from rspcert import Verdict, certify_order_k
+    from rspcert.linalg import _block_ranks, _full_column_rank, _row_reduction
 
     rng = np.random.default_rng(71)
     A = rng.standard_normal((6, 12))
@@ -235,8 +243,14 @@ def test_stacked_rank_probe_matches_each_probe_alone():
     A[:, 10] = 2.0 * A[:, 3]                  # a dependent pair
     A[:, 9] = A[:, 4] + 3e-8 * A[:, 5]        # a nearly dependent pair (marginal)
     tol = ToleranceConfig(rank_tol=1e-8)
+    # A quantifier's count does not depend on the margin LPs, so each
+    # answers yes here (the LP core refuses the one at (4,)).
+    monkeypatch.setattr(orderk, "_margin_solves", lambda A, block, tol, rows, settled:
+                        [SimpleNamespace(holds=Verdict.YES)] * int((~settled).sum()))
     for scale in (1e-4, 1.0, 1e4, 1e8):
         sA = scale * A
+        rows = _row_reduction(sA, tol)
+        gated = {}
         for k in (1, 2, 3, 4):
             block = list(combinations(range(12), k))
             ranks, marginal = _block_ranks(sA, block, tol.rank_tol)
@@ -248,11 +262,21 @@ def test_stacked_rank_probe_matches_each_probe_alone():
                         (scale, S)
             if scale == 1.0:
                 assert marginal.any() == (k >= 2)
-        kept = [S for _, part in SupportEnumeration(sA, [3], 10**6, tol, full_rank_only=True)
-                for S in part]
-        assert kept == [S for S in combinations(range(12), 3)
-                        if rank_details(sA, S, tol).rank == 3]
-        assert (0, 1, 11) not in kept and (3, 5, 10) not in kept
+            full = _full_column_rank(rows.At, np.array(block), rows.floor)[0]
+            gated[k] = list(compress(block, full))
+            # Away from the gate's threshold it is sigma_min(A_S) > rank_tol * sigma_max(A).
+            least = np.linalg.svd(sA[:, block].transpose(1, 0, 2), compute_uv=False)[:, -1]
+            clear = (least < 0.1 * rows.floor) | (least > 10.0 * rows.floor)
+            assert (full == (least > rows.floor))[clear].all(), scale
+        for K in (2, 3):
+            assert (certify_order_k(sA, K, tol, property="pwrsp").subsets_checked
+                    == len(gated[K])), (scale, K)
+            assert (certify_order_k(sA, K, tol, property="wrsp").subsets_checked
+                    == sum(len(gated[k]) for k in range(1, K + 1))), (scale, K)
+        assert (4, 9) not in gated[2]
+        if scale >= 1.0:
+            assert rank(sA, (4, 9), tol) == 2, scale
+        assert (0, 1, 11) not in gated[3] and (3, 5, 10) not in gated[3]
 
 
 def test_support_enumeration_yields_blocks_in_order():

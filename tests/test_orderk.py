@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 import pytest
@@ -136,7 +136,7 @@ def test_unknown_property_is_refused_before_any_solve(monkeypatch, run):
 
     calls = []
     monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(orderk, "rank", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(orderk, "_row_reduction", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(linalg, "_stacked_ranks", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="unknown property 'RSP'") as info:
         run(np.random.default_rng(40).standard_normal((4, 8)))
@@ -250,23 +250,27 @@ def _scale_cases():
     return [*(pytest.param(case.values[0], (1, 2, 3), id=case.id) for case in _screen_cases()),
             pytest.param(rng.standard_normal((5, 4)), (4,), id="5x4 at K=4"),
             pytest.param(rng.standard_normal((6, 6)), (1, 2, 3), id="6x6"),
-            pytest.param(rng.standard_normal((4, 16)), (1, 2, 3), id="wide 4x16")]
+            pytest.param(rng.standard_normal((4, 16)), (1, 2, 3), id="wide 4x16"),
+            pytest.param(np.random.default_rng([0, 7]).standard_normal((6, 12)), (1, 2, 3),
+                         id="gaussian 6x12")]
 
 
 @pytest.mark.parametrize("A, orders", _scale_cases())
 def test_the_screen_settles_the_same_supports_at_every_scale(A, orders):
-    # The screen's full-rank gate has one threshold, rank_tol times the
-    # largest singular value of A; the orthonormal bases its witnesses are
-    # solved in do not see the scale of A, and its re-check of eta = A^T y
-    # does not either.  So rsp and prsp, which range over every support,
-    # settle the same number of supports of each size and give the same
-    # reports at every scale.  The 5x4 and the 6x6 have an empty null space
-    # (n = r); the wide 4x16 solves its reweighted witnesses in the range
-    # of A^T rather than in a basis of null(A).
+    # The order-K layer's full-column-rank gate has one threshold, rank_tol
+    # times the largest singular value of A; the orthonormal bases the
+    # screen's witnesses are solved in do not see the scale of A, and its
+    # re-check of eta = A^T y does not either.  So every property ranges
+    # over the same supports, settles the same number of each size and
+    # gives the same report at every scale.  The 5x4 and the 6x6 have an
+    # empty null space (n = r); the wide 4x16 solves its reweighted
+    # witnesses in the range of A^T rather than in a basis of null(A).  On
+    # the Gaussian 6x12 at scale 1e-8, the smaller singular value of
+    # A_(3,7), 0.74e-8, lies under an absolute rank floor of 1e-8.
     def run(scale):
         out = []
         for K in orders:
-            for prop in ("rsp", "prsp"):
+            for prop in QUANTIFIERS:
                 with stats.collect() as counts:
                     report = _certified(scale * A, K, prop)
                 out.append((K, prop, report, {name: n for name, n in counts.items()
@@ -276,6 +280,39 @@ def test_the_screen_settles_the_same_supports_at_every_scale(A, orders):
     assert any(settled for *_, settled in at_one)
     for scale in (1e-10, 1e-8, 1e8, 1e12):
         assert run(scale) == at_one, scale
+
+
+def test_the_oracle_gives_the_same_reports_at_every_scale():
+    # The recovery oracle fills the weak properties' windows and pins its
+    # trials by the same gate, so its reports do not depend on the scale of
+    # A either.  Not the 5x4 at K = 4: with n < m its l1 LPs have no start,
+    # and their two-phase solves fail at other scales.
+    for case in _scale_cases():
+        if case.id == "5x4 at K=4":
+            continue
+        A, orders = case.values
+        for K in orders:
+            for prop in QUANTIFIERS:
+                at_one = _oracle_outcome(A, K, prop, 1, seed=0)
+                assert not isinstance(at_one, tuple), (case.id, K, prop, at_one)
+                for scale in (1e-10, 1e-8, 1e8, 1e12):
+                    assert _oracle_outcome(scale * A, K, prop, 1, seed=0) == at_one, \
+                        (case.id, K, prop, scale)
+
+
+def test_weak_properties_range_over_a_full_rank_support_below_the_rank_tolerance():
+    # At scale 1e-8 the smaller singular value of A_(3,7), 0.74e-8, lies
+    # below an absolute floor of rank_tol = 1e-8, yet A_(3,7) has full
+    # column rank at every scale, and (3, 7) is where wrsp and pwrsp fail.
+    A = np.random.default_rng([0, 7]).standard_normal((6, 12))
+    for scale in (1e-10, 1e-8, 1.0, 1e8, 1e12):
+        for prop, checked in (("wrsp", 78), ("pwrsp", 66)):
+            report = certify_order_k(scale * A, 2, property=prop)
+            assert (report.holds, report.counterexample, report.subsets_checked) \
+                == (Verdict.NO, (3, 7), checked), (scale, prop)
+            oracle = uniform_recovery_oracle(scale * A, 2, property=prop)
+            assert (oracle.recovers, oracle.failing_support) == (False, (3, 7)), (scale, prop)
+            assert report.agrees_with(oracle) is True
 
 
 def _near_dependent():
@@ -305,13 +342,28 @@ def test_margin_lps_whose_started_solve_is_refused_answer_as_highs_does():
         assert abs(cert.t_star - _scipy_t_star(A, S)) <= 1e-9, S
 
 
+def _quantified(A, K, prop, tol=DEFAULT_TOLERANCES):
+    """(k, block) of each size ``prop`` ranges over, in enumeration order.
+
+    For the weak properties a block holds only the supports that pass the
+    full-column-rank gate under A's row reduction.
+    """
+    import rspcert.orderk as orderk
+    from rspcert.linalg import _full_column_rank, _row_reduction
+
+    rows = _row_reduction(A, tol)
+    for k, block in orderk._supports(A, K, prop, 10**6):
+        if QUANTIFIERS[prop].full_rank_only:
+            block = list(compress(block, _full_column_rank(rows.At, np.array(block),
+                                                           rows.floor)[0]))
+        yield k, block
+
+
 def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(monkeypatch):
     # On the near-dependent matrix every case answers with and without the
     # least-squares screen, the two reports are equal, and each is the
     # report that HiGHS's t* gives at every support.
     from test_golden_lp import _scipy_t_star
-
-    import rspcert.orderk as orderk
 
     A = _near_dependent()
     tol = DEFAULT_TOLERANCES
@@ -320,7 +372,7 @@ def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(
             screened, unscreened = _certified(A, K, prop), _unscreened(monkeypatch, A, K, prop)
             assert not isinstance(screened, tuple), (K, prop, screened)
             assert screened == unscreened, (K, prop)
-            supports = orderk._supports(A, K, prop, tol, 10**6)
+            supports = list(_quantified(A, K, prop, tol))
             failures, marginal = {}, []
             for k, block in supports:
                 for S in block:
@@ -334,7 +386,7 @@ def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(
             assert screened.counterexample == first, (K, prop)
             assert screened.failures_per_size == {k: len(v) for k, v in failures.items()}
             assert screened.marginal_subsets == marginal
-            assert screened.subsets_checked == supports.count
+            assert screened.subsets_checked == sum(len(block) for _, block in supports)
 
 
 def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
@@ -533,10 +585,8 @@ def test_oracle_reports_do_not_depend_on_the_l1_start(monkeypatch, A, K):
 
 def _planted_vectors(A, K, prop, trials, seed):
     """(S, planted x of each trial) of every support, in the oracle's order and draws."""
-    import rspcert.orderk as orderk
-
     rng = np.random.default_rng(seed)
-    for k, block in orderk._supports(A, K, prop, DEFAULT_TOLERANCES, 10**6):
+    for k, block in _quantified(A, K, prop):
         for S in block:
             planted = np.zeros((trials, A.shape[1]))
             planted[:, list(S)] = rng.uniform(0.1, 1.0, size=(trials, k))

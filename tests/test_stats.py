@@ -44,7 +44,9 @@ def test_certify_order_k_counts_its_settled_certificates(monkeypatch):
 
     def settled(k):
         block = np.array(list(combinations(range(12), k)))
-        return int(rsp._settled(A, block, rsp._row_reduction(A, tol), tol)[0].sum())
+        rows = rsp._row_reduction(A, tol)
+        full = rsp._full_column_rank(rows.At, block, rows.floor)[0]
+        return int(rsp._settled(A, block, rows, tol, full)[0].sum())
     with stats.collect() as counts:
         report = certify_order_k(A, 3)
     with monkeypatch.context() as patch:
