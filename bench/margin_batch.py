@@ -36,9 +36,11 @@ are screened before any LP runs), the size-3 supports of the 8x16 matrices for t
 order-K layer's full-column-rank gate (µs per support, with the one row
 reduction of A it takes) and for the rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
 of the four properties and on the matrices and properties of the
-benchmark's ``orderk_enum`` commands for seed 1 (with its l1 pivots per LP,
-its margin LPs and rank probes per checked support, and the trials its l1
-LPs' duals decide and the trials it sends to margin LPs).
+benchmark's ``orderk_enum`` commands for seed 1, each split into the runs
+of the weak properties (wrsp, pwrsp) and of the strong ones (rsp, prsp)
+(with its l1 pivots per LP, its margin LPs and rank probes per checked
+support, and the trials its l1 LPs' duals decide and the trials it sends
+to margin LPs).
 ``solve_and_certify_batch`` gets a digest of its outputs on planted
 right-hand sides of the 8x16 matrices, and its l1 pivots per LP, so that
 two trees can be shown to agree on it.  The lockstep figures count the
@@ -69,6 +71,9 @@ know an LP's kind, so they are one total now.  Up to ``BENCH_28.json``,
 ``rank_probe_us_in_filter`` timed ``SupportEnumeration``'s full-rank
 filter, one stacked SVD probe per block; the order-K layer now decides
 full column rank by the R-diagonal gate that ``full_rank_gate_us`` times.
+Up to ``BENCH_28.json``, ``oracle`` and ``oracle_orderk_enum_seed1`` were
+one set of figures over all four properties; they are now split into the
+weak properties' runs and the strong ones'.
 """
 
 from __future__ import annotations
@@ -230,12 +235,27 @@ def _certifier(rc, runs, repeat: int) -> dict:
 def _oracle(rc, runs, repeat: int) -> dict:
     """The recovery oracle at K=3 over ``runs``, pairs of a matrix and a property.
 
-    µs per support it checks; its LPs, ``solve_batch`` calls and lockstep
-    steps; its l1 LPs per stack (a window's stack) and per checked support,
-    and the pivots of each l1 LP; the margin LPs and margin-LP stacks it
-    solves, and the matrices its rank probes take, per checked support; and
-    the trials whose uniqueness the l1 LP's own dual decides and the trials
-    it sends to the margin-LP certification.
+    The figures of ``_oracle_runs`` twice: under ``weak`` for the runs of
+    wrsp and pwrsp, whose windows keep only the supports that pass the
+    full-column-rank gate, and under ``strong`` for those of rsp and prsp.
+    """
+    from rspcert.orderk import QUANTIFIERS
+
+    return {strength: _oracle_runs(rc, [(A, prop) for A, prop in runs if
+                                        QUANTIFIERS[prop].full_rank_only == (strength == "weak")],
+                                   repeat)
+            for strength in ("weak", "strong")}
+
+
+def _oracle_runs(rc, runs, repeat: int) -> dict:
+    """µs per support the oracle checks over ``runs``, and its work.
+
+    Its LPs, ``solve_batch`` calls and lockstep steps; its l1 LPs per stack
+    (a window's stack) and per checked support, and the pivots of each l1
+    LP; the margin LPs and margin-LP stacks it solves, and the matrices its
+    rank probes take, per checked support; and the trials whose uniqueness
+    the l1 LP's own dual decides and the trials it sends to the margin-LP
+    certification.
     """
     from rspcert import stats
 

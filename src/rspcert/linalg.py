@@ -48,7 +48,8 @@ class ToleranceConfig:
     """
 
     feas_tol: float = 1e-8    # LP feasibility residual
-    rank_tol: float = 1e-8    # singular value threshold for rank, times max(1, max|entry|)
+    rank_tol: float = 1e-8    # rank threshold, times max(1, max|entry|) for a reported
+                              # rank, times sigma_max(A) for the row reduction and gate
     rsp_margin: float = 1e-7  # strictness gap required below 1 for a firm yes
     gap_tol: float = 1e-7     # duality gap and complementary slackness
     zero_tol: float = 1e-9    # support detection threshold

@@ -33,12 +33,13 @@ import numpy as np
 from . import stats
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration, ToleranceConfig,
                      _full_column_rank, _row_reduction, _Rows, as_matrix)
-from .rsp import (Verdict, _certified_points, _l1_points, _margin_solves, _raised,
-                  _settled)
+from .rsp import (Verdict, _certified_points, _l1_points, _l1_starts, _margin_solves,
+                  _raised, _settled)
 
-# Enumeration cap for LP-backed subset certification.  Each subset costs one
-# LP solve, far more than the rank probes behind the spark search, so the
-# default sits below the plain subset-count budget used there.
+# Enumeration cap for LP-backed subset certification.  A subset costs the
+# oracle an l1 LP per trial, and the certifier a gate, a least-squares witness
+# and, for the ~9% no witness settles on a Gaussian 8x16 at K=3, a margin LP:
+# more than a spark rank probe, so the default sits below spark's budget.
 DEFAULT_CHECK_BUDGET = 1_000_000
 
 # Supports in the first window of each block the recovery oracle solves as
@@ -194,36 +195,34 @@ def certify_order_k(A, K: int, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                           no_full_rank_subset=no_full_rank_subset)
 
 
-def _l1_walk(A: np.ndarray, block: list[IndexSet], k: int, trials: int,
-             rng: np.random.Generator, tol: ToleranceConfig,
-             gate: _Rows | None) -> tuple[list[IndexSet], list, bool]:
+def _l1_walk(A: np.ndarray, block: list[IndexSet], trials: int, rng: np.random.Generator,
+             tol: ToleranceConfig, rows: _Rows,
+             gated: bool) -> tuple[list[IndexSet], list, bool]:
     # The supports a block's walk reaches and the l1 points of their trials,
     # window by window, up to and including the first trial whose l1 step
     # fails or misses its planted vector, and whether one did; no window is
-    # drawn after it.  With a ``gate``, A's row reduction, a window of W
-    # supports is the next W that pass ``_full_column_rank``, as it fills.
-    n = A.shape[1]
+    # drawn after it.  A window is the next W enumerated supports, and
+    # ``_l1_starts`` gives each its start under A's row reduction ``rows``;
+    # where ``gated``, the window keeps only the supports its gate passes.
     walked: list[IndexSet] = []
     points: list = []
     start, width = 0, _FIRST_WINDOW
     while start < len(block):
-        window: list[IndexSet] = []
-        while len(window) < width and start < len(block):
-            more = block[start:start + width - len(window)]
-            start += len(more)
-            window += more if gate is None else list(compress(more, _full_column_rank(
-                gate.At, np.array(more, dtype=np.intp), gate.floor)[0]))
+        window = block[start:start + width]
+        start, width = start + width, 2 * width
+        index = np.array(window, dtype=np.intp)
+        full, basis = _l1_starts(rows, index)
+        if gated:
+            window, index, basis = list(compress(window, full)), index[full], basis[full]
         if not window:
-            break
+            continue
         walked += window
-        width *= 2
-        rows = len(window) * trials
-        planted = np.zeros((rows, n))
-        columns = np.repeat(np.array(window, dtype=np.intp), trials, axis=0)
-        planted[np.arange(rows)[:, None], columns] = rng.uniform(0.1, 1.0, size=(rows, k))
+        columns = np.repeat(index, trials, axis=0)
+        planted = np.zeros((len(columns), A.shape[1]))
+        np.put_along_axis(planted, columns, rng.uniform(0.1, 1.0, size=columns.shape), axis=1)
         # One product per trial, as each trial's own call computed it.
         rhs = np.array([A @ p for p in planted])
-        for p, point in zip(planted, _l1_points(A, rhs, tol, columns)):
+        for p, point in zip(planted, _l1_points(A, rhs, tol, np.repeat(basis, trials, axis=0))):
             points.append(point)
             if isinstance(point, Exception) or np.abs(point[0] - p).max() > _RECOVERY_TOL:
                 return walked, points, True
@@ -244,19 +243,16 @@ def _pinned(rows: _Rows, points: list, tol: ToleranceConfig) -> np.ndarray:
     Z = np.array([s for _, _, s in points]) <= tol.rsp_margin
     trial = np.repeat(np.arange(len(points)), [len(S) for _, S, _ in points])
     off = trial[~Z[trial, [j for _, S, _ in points for j in S]]]
-    at = np.flatnonzero((np.bincount(off, minlength=len(points)) == 0)
-                        & (Z.sum(axis=1) <= len(rows.At)))
-    candidates = Z[at]
-    columns = np.nonzero(candidates)[1].tolist()
-    ends = np.cumsum(candidates.sum(axis=1)).tolist()
-    faces = [tuple(columns[i:j]) for i, j in zip([0] + ends[:-1], ends)]
-    # One gate per distinct Z, stacked by size.
-    by_size: dict[int, list[IndexSet]] = {}
-    for F in dict.fromkeys(faces):
-        by_size.setdefault(len(F), []).append(F)
-    full = {F for group in by_size.values() for F in compress(group, _full_column_rank(
-        rows.At, np.array(group, dtype=np.intp), rows.floor)[0])}
-    pinned[at] = [F in full for F in faces]
+    held = np.bincount(off, minlength=len(points)) == 0
+    sizes = Z.sum(axis=1)
+    # One gate per distinct Z, stacked by size.  Each row of Z is one n-byte
+    # key to np.unique, which sorts those far faster than rows (axis=0).
+    for size in np.unique(sizes[held]).tolist():
+        at = np.flatnonzero(held & (sizes == size))
+        keys = Z[at].view(np.dtype((np.void, Z.shape[1])))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        faces = np.nonzero(Z[at[first]])[1].reshape(-1, size)
+        pinned[at] = _full_column_rank(rows.At, faces, rows.floor)[0][inverse]
     return pinned
 
 
@@ -285,21 +281,21 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     call, stacked over the distinct Z of a block).  Z is usually the m
     columns of the LP's optimal basis, the support and m - k at zero.  Only
     a trial that this leaves open, where Z is larger than r or A_Z fails
-    the gate, gets what a ``solve_and_certify`` call of its own gives: the
-    range-space margin LP and the rank tests (those of ``rank``) at its
-    support, in one call for the block's open trials.
+    the gate, is certified as ``solve_and_certify`` certifies it, under the
+    same row reduction: the margin LP and the rank tests (those of
+    ``rank``) at its support, in one call for the block's open trials.
 
     Supports are visited in enumeration order, and the first that fails is
     reported; an exception is raised only on reaching the trial that raises
-    it, so the report is what a one-by-one walk reports.  Each block of the
-    enumeration is walked in windows of 8, 16, 32, ... supports (for the
-    weak properties, the next supports that pass the same gate, gated as a
-    window is filled); one window's l1 LPs are one stack, each started at
-    its planted vertex (S and m - k columns that make the basis
-    nonsingular, or two-phase where none is found).  Phase 2 still decides
-    optimality by reduced costs and every optimum is re-checked on the raw
-    data; the LP core solves two-phase, in the same call, any started LP
-    whose solve fails.  The walk stops at the first trial whose l1 step
+    it, so the report is what a one-by-one walk reports.  Each block is
+    walked in windows of its next 8, 16, 32, ... supports, with one QR per
+    support, the gate's: a weak property's window keeps the supports that
+    pass it, and each l1 LP starts at its planted vertex, S and m - k
+    columns that this QR makes a nonsingular basis, where there are such.
+    One window's l1 LPs are one stack.  Phase 2 still decides optimality by
+    reduced costs and every optimum is re-checked on the raw data; the LP
+    core solves two-phase, in the same call, any LP with no start or whose
+    started solve fails.  The walk stops at the first trial whose l1 step
     fails or misses the planted vector.  That trial has failed already and
     is not certified, and no window is drawn after it.  A window's planted
     values are one draw of W * trials rows of k values, the same stream as
@@ -311,18 +307,18 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     A = as_matrix(A)
     supports = _supports(A, K, property, budget)
     rows = _row_reduction(A, tol)
-    gate = rows if QUANTIFIERS[property].full_rank_only else None
+    gated = QUANTIFIERS[property].full_rank_only
     rng = np.random.default_rng(seed)
     checked = 0
-    for k, block in supports:
-        walked, points, missed = _l1_walk(A, block, k, trials_per_support, rng, tol, gate)
+    for _, block in supports:
+        walked, points, missed = _l1_walk(A, block, trials_per_support, rng, tol, rows, gated)
         recovered = points[:-1] if missed else points
         open_ = ~_pinned(rows, recovered, tol)
         counts = stats.current()
         if counts is not None:
             counts["oracle.trials_decided"] += int(np.count_nonzero(~open_))
             counts["oracle.trials_to_margin"] += int(np.count_nonzero(open_))
-        verdicts = _certified_points(A, list(compress(recovered, open_)), tol)
+        verdicts = _certified_points(A, list(compress(recovered, open_)), tol, rows)
         failed = next((i for i in np.flatnonzero(open_).tolist()
                        if next(verdicts)[1].unique is not Verdict.YES), None)
         if failed is None and missed:

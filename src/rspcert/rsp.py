@@ -702,48 +702,44 @@ def _l1_point(sol: LpSolution) -> np.ndarray:
     return sol.x
 
 
-def _l1_starts(A: np.ndarray, block: np.ndarray, rank_tol: float) -> np.ndarray:
-    # A starting basis of the l1 LP of each right-hand side A x with x
-    # planted on the support in its row of ``block`` (count, k): S and
-    # m - k columns J off S with [A_S A_J] nonsingular, so that the basic
-    # solution is x itself.  With Q from a complete QR A_S = Q R, J is
-    # picked by ``_pivot_columns`` on Q_2^T A_off.  A is scaled to largest
-    # |entry| 1 first, and a support gets a row of -1 where k > m or n < m
-    # (no m columns to make a basis), or where a diagonal entry of R or a
-    # pivot is at rank_tol or below.
+def _l1_starts(rows: _Rows, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Which sorted supports in ``block`` (count, k) pass ``_full_column_rank``
+    # under A's row reduction ``rows``, and, from that same QR A~_S = Q R, a
+    # starting basis of the l1 LP of each right-hand side A x with x planted
+    # on the support: S and m - k columns J off S with [A_S A_J] nonsingular,
+    # so that the basic solution is x itself.  J is picked by
+    # ``_pivot_columns`` on Q_2^T A~_off against the row reduction's floor.
+    # A support gets a row of -1 where r < m (no m columns make a basis),
+    # where it fails the gate, or where a pivot is at the floor.
     count, k = block.shape
-    m, n = A.shape
+    m, (r, n) = len(rows.U), rows.At.shape
+    full, factors = _full_column_rank(rows.At, block, rows.floor, "complete")
     basis = np.full((count, m), -1, dtype=np.intp)
-    scale = np.abs(A).max()
-    if k > m or n < m or not scale > 0.0:
-        return basis
-    At = A.T / scale
-    Q, R = np.linalg.qr(At[block].transpose(0, 2, 1), mode="complete")
+    if r < m or factors is None:
+        return full, basis
     off = _off_support(block, n)
-    picks = _pivot_columns(np.matmul(Q[:, :, k:].transpose(0, 2, 1),
-                                     At[off].transpose(0, 2, 1)), rank_tol)
-    ok = ((np.abs(np.diagonal(R, axis1=1, axis2=2)) > rank_tol).all(axis=1)
-          & (picks >= 0).all(axis=1))
+    picks = _pivot_columns(np.matmul(factors[0][:, :, k:].transpose(0, 2, 1),
+                                     rows.At.T[off].transpose(0, 2, 1)), rows.floor)
+    ok = full & (picks >= 0).all(axis=1)
     basis[ok, :k] = block[ok]
     basis[ok, k:] = np.take_along_axis(off[ok], picks[ok], axis=1)
-    return basis
+    return full, basis
 
 
 def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
-               planted_on: np.ndarray | None = None
+               basis: np.ndarray | None = None
                ) -> list[tuple[np.ndarray, IndexSet, np.ndarray] | RspcertError]:
     # The l1 step of ``solve_and_certify`` for each right-hand side: the
     # optimal x, its support and the reduced costs s = 1 - A^T y that the
     # LP core's re-check computed on the raw A, or the error raised for it.
-    # The LPs are one stack, solved two-phase.  With ``planted_on`` (one row
-    # of a support per right-hand side A x, x positive on it), each LP starts
-    # at its planted vertex where ``_l1_starts`` finds a basis, and phase 2
+    # The LPs are one stack, solved two-phase.  With ``basis`` (one row of
+    # ``_l1_starts`` per right-hand side A x, x planted on its support), each
+    # LP starts at its planted vertex where that row has one, and phase 2
     # still decides optimality by reduced costs.  The core's re-check accepts
     # entries of x down to -feas_tol; the support test takes them as 0, and
     # x is returned as the LP gave it.
     m, n = A.shape
     lps = LpStack(np.ones(n), np.broadcast_to(A, (len(rhs), m, n)), rhs)
-    basis = None if planted_on is None else _l1_starts(A, planted_on, tol.rank_tol)
     solved = solve_batch(lps, tol, basis=basis)
     counts = stats.current()
     if counts is not None:
@@ -765,19 +761,18 @@ def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
     return points
 
 
-def _certified_points(A: np.ndarray, points: list, tol: ToleranceConfig
+def _certified_points(A: np.ndarray, points: list, tol: ToleranceConfig, rows: _Rows
                       ) -> Iterator[tuple[np.ndarray, UniquenessVerdict]]:
     # The certification step of ``solve_and_certify`` for each entry of
     # ``points``: ``(x, verdict)``, or a raise on reaching an error.  The
     # margin LPs at the supports reached (each distinct support once) are
-    # one stack per support size, and the rank tests stacked probes.  Each
-    # point gets a certificate of its own.
+    # one stack per support size under A's row reduction ``rows``, and the
+    # rank tests stacked probes.  Each point gets a certificate of its own.
     n = A.shape[1]
     by_size: dict[int, list[IndexSet]] = {}
     for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
         by_size.setdefault(len(S), []).append(S)
     with_ones = np.vstack([A, np.ones(n)])
-    rows = _row_reduction(A, tol) if by_size else None
     margin, ranks = {}, {}
     for group in by_size.values():
         margin |= zip(group, _margin_solves(A, group, tol, rows))
@@ -809,7 +804,7 @@ def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
     A = as_matrix(A)
     m = A.shape[0]
     rhs = np.array([as_vector(b, m) for b in rhs]).reshape(-1, m)
-    yield from _certified_points(A, _l1_points(A, rhs, tol), tol)
+    yield from _certified_points(A, _l1_points(A, rhs, tol), tol, _row_reduction(A, tol))
 
 
 def solve_and_certify(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES):

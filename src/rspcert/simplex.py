@@ -11,7 +11,8 @@ basis passes it to ``solve_batch`` and the LP starts in phase 2 on a
 tableau with no artificial columns.  ``rsp`` does so for the null-space
 margin LP of every support, (r - k' + 2) x (n - k + 3) for A of rank r and
 A_S of rank k', and for the recovery oracle's l1 LPs, each at its planted
-vertex (S and m - k columns that make the basis nonsingular).  The one
+vertex (S and m - k columns that the order-K gate's QR of A_S makes a
+nonsingular basis; ``rsp._l1_starts``).  The one
 fallback from a start is the core's: in the same call it solves two-phase
 every LP with no start, whose start does not serve or whose started solve
 fails.  These stay two-phase: the l1 LPs of ``solve_l1``,

@@ -392,7 +392,9 @@ def test_the_screen_answers_only_where_highs_agrees_on_nearly_dependent_columns(
 def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
     # Every block of one call shares A's row reduction: the SVD of A is
     # computed once, not once per block.  rsp at K=3 on 8x16 is 3 blocks,
-    # one per size, so each size's margin LPs are one lockstep stack.
+    # one per size, so each size's margin LPs are one lockstep stack.  The
+    # oracle's call shares it too, with the margin LPs of the trials its l1
+    # duals leave open: nine under rsp at K=3 on the duplicated Gaussian.
     svd = np.linalg.svd
     shapes = []
 
@@ -405,6 +407,11 @@ def test_certify_order_k_reduces_the_rows_of_a_once(monkeypatch):
         certify_order_k(A, 3)
     assert counts["margin.blocks"] == 3 and shapes.count(A.shape) == 1
     assert [counts[f"margin.supports.{k}"] for k in (1, 2, 3)] == [16, 120, 560]
+    A, shapes[:] = _duplicated_gaussian(), []
+    with stats.collect() as counts:
+        uniform_recovery_oracle(A, 3)
+    assert counts["oracle.trials_to_margin"] == 9 and counts["margin.lps"] > 0
+    assert shapes.count(A.shape) == 1
 
 
 def test_every_support_a_least_squares_witness_settles_is_a_yes_of_highs(monkeypatch):
@@ -516,18 +523,21 @@ def test_oracle_draws_follow_the_one_by_one_stream(monkeypatch):
     import rspcert.orderk as orderk
 
     A = np.random.default_rng([2027, 25]).standard_normal((5, 10))
-    seen, planted_on = [], []
+    seen, starts = [], []
     real = orderk._l1_points
 
-    def recording(A, rhs, tol, supports):
+    def recording(A, rhs, tol, basis):
         seen.append(rhs)
-        planted_on.extend(map(tuple, supports))
-        return real(A, rhs, tol, supports)
+        starts.extend(basis.tolist())
+        return real(A, rhs, tol, basis)
     monkeypatch.setattr(orderk, "_l1_points", recording)
     report = uniform_recovery_oracle(A, 2, trials_per_support=3, seed=5)
     assert report.recovers and report.supports_checked == 55
     assert [len(rhs) for rhs in seen] == [24, 6, 24, 48, 63]   # 8, 2 | 8, 16, 21 supports
-    assert planted_on == [S for k in (1, 2) for S in combinations(range(10), k) for _ in range(3)]
+    # Each trial starts at a basis that holds its planted support first.
+    planted_on = [S for k in (1, 2) for S in combinations(range(10), k) for _ in range(3)]
+    assert [tuple(row[:len(S)]) for row, S in zip(starts, planted_on)] == planted_on
+    assert len(starts) == len(planted_on)
     rng = np.random.default_rng(5)
     expected = []
     for k in (1, 2):
@@ -548,13 +558,23 @@ def _oracle_outcome(A, K, prop, trials, seed=3):
 
 
 def _oracle_with_and_without_starts(monkeypatch, A, K, prop, trials, seed=3):
-    """The oracle's outcome with every l1 LP solved two-phase, then with planted starts."""
-    import rspcert.rsp as rsp
+    """The oracle's outcome with every l1 LP solved two-phase, then with planted starts.
 
+    The two-phase run keeps each window's full-column-rank gate and drops
+    only its starts.
+    """
+    import rspcert.orderk as orderk
+
+    real, windows = orderk._l1_starts, []
+
+    def unstarted_starts(rows, block):
+        full, basis = real(rows, block)
+        windows.append(len(block))
+        return full, np.full_like(basis, -1)
     with monkeypatch.context() as patch:
-        patch.setattr(rsp, "_l1_starts",
-                      lambda A, block, rank_tol: np.full((len(block), A.shape[0]), -1))
+        patch.setattr(orderk, "_l1_starts", unstarted_starts)
         unstarted = _oracle_outcome(A, K, prop, trials, seed)
+    assert windows, "the oracle reached no l1 start"
     return unstarted, _oracle_outcome(A, K, prop, trials, seed)
 
 
@@ -765,9 +785,9 @@ def test_the_l1_dual_changes_no_oracle_report(monkeypatch, family):
     real = orderk._certified_points
     sent = []
 
-    def certified(A, points, tol):
+    def certified(A, points, tol, rows):
         sent.append(len(points))
-        return real(A, points, tol)
+        return real(A, points, tol, rows)
     monkeypatch.setattr(orderk, "_certified_points", certified)
     left_open = 0
     for seed in range(4):

@@ -472,15 +472,22 @@ def test_solve_and_certify_batch_raises_on_reaching_the_item():
 def test_l1_start_is_the_planted_vertex():
     # The start holds S, and its basic solution for b = A x is x itself.
     # Columns 10 and 11 are equal, so a support holding both gets no start;
-    # neither does any support once k > m or A loses a row's rank.
+    # neither does any support once k > m or A loses a row's rank.  The
+    # mask is the order-K gate's, and neither it nor a start sees the scale
+    # of A.
+    from rspcert.linalg import _full_column_rank, _row_reduction
     from rspcert.rsp import _l1_starts
 
+    tol = DEFAULT_TOLERANCES
     rng = np.random.default_rng([2027, 41])
     A = rng.standard_normal((6, 12))
     A[:, 11] = A[:, 10]
     block = np.array(list(combinations(range(12), 3)))
-    basis = _l1_starts(A, block, DEFAULT_TOLERANCES.rank_tol)
+    rows = _row_reduction(A, tol)
+    full, basis = _l1_starts(rows, block)
     dependent = np.isin(block, (10, 11)).sum(axis=1) == 2
+    assert np.array_equal(full, _full_column_rank(rows.At, block, rows.floor)[0])
+    assert np.array_equal(full, ~dependent)
     assert (basis[dependent] == -1).all() and (basis[~dependent] >= 0).all()
     for S, row in zip(block[~dependent], basis[~dependent]):
         assert list(row[:3]) == list(S) and len(set(row)) == 6
@@ -488,9 +495,14 @@ def test_l1_start_is_the_planted_vertex():
         x[S] = rng.uniform(0.1, 1.0, size=3)
         z = np.linalg.solve(A[:, row], A @ x)
         assert np.abs(z - x[row]).max() <= 1e-12
-    assert (_l1_starts(A[:2], block, DEFAULT_TOLERANCES.rank_tol) == -1).all()
+    for s in (1e-10, 1e-8, 1e8, 1e12):
+        scaled, starts = _l1_starts(_row_reduction(s * A, tol), block)
+        assert np.array_equal(scaled, full) and np.array_equal(starts, basis), s
+    full, basis = _l1_starts(_row_reduction(A[:2], tol), block)
+    assert not full.any() and (basis == -1).all()
     A[5] = A[4]
-    assert (_l1_starts(A, block, DEFAULT_TOLERANCES.rank_tol) == -1).all()
+    full, basis = _l1_starts(_row_reduction(A, tol), block)
+    assert np.array_equal(full, ~dependent) and (basis == -1).all()
 
 
 # ---------------------------------------------------------- weighted variant
