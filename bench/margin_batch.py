@@ -36,11 +36,13 @@ are screened before any LP runs), the size-3 supports of the 8x16 matrices for t
 order-K layer's full-column-rank gate (µs per support, with the one row
 reduction of A it takes) and for the rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
 of the four properties and on the matrices and properties of the
-benchmark's ``orderk_enum`` commands for seed 1, each split into the runs
-of the weak properties (wrsp, pwrsp) and of the strong ones (rsp, prsp)
-(with its l1 pivots per LP, its margin LPs and rank probes per checked
-support, and the trials its l1 LPs' duals decide and the trials it sends
-to margin LPs).
+benchmark's ``orderk_enum`` commands for seed 1, and under each property on
+four degenerate 6x12 matrices (``_degenerate``), whose l1 duals leave
+trials open or whose dependent columns fail the gate, each split into the
+runs of the weak properties (wrsp, pwrsp) and of the strong ones (rsp,
+prsp) (with its l1 pivots per LP, its margin LPs and rank probes per
+checked support, and the trials its l1 LPs' duals decide and the trials it
+sends to margin LPs).
 ``solve_and_certify_batch`` gets a digest of its outputs on planted
 right-hand sides of the 8x16 matrices, and its l1 pivots per LP, so that
 two trees can be shown to agree on it.  The lockstep figures count the
@@ -73,7 +75,10 @@ filter, one stacked SVD probe per block; the order-K layer now decides
 full column rank by the R-diagonal gate that ``full_rank_gate_us`` times.
 Up to ``BENCH_28.json``, ``oracle`` and ``oracle_orderk_enum_seed1`` were
 one set of figures over all four properties; they are now split into the
-weak properties' runs and the strong ones'.
+weak properties' runs and the strong ones'.  ``oracle_degenerate`` is new
+in ``BENCH_31.json``: on the Gaussian 8x16 matrices every support passes
+the gate and no trial is left open, so the weak and strong runs there do
+the same work.
 """
 
 from __future__ import annotations
@@ -164,6 +169,8 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     if cap_kib is None:
         out["oracle"] = _oracle(rc, [(A, prop) for A in mats for prop in props], repeat)
         out["oracle_orderk_enum_seed1"] = _oracle(rc, _orderk_runs(np), repeat)
+        out["oracle_degenerate"] = _oracle(rc, [(A, prop) for A in _degenerate(np)
+                                                for prop in props], repeat)
         out["solve_and_certify_batch"] = _public_batch(rc, np, mats)
         with stats.collect() as counts:
             _near_dependent_work(rc, np)
@@ -301,6 +308,28 @@ def _near_dependent_work(rc, np) -> None:
                 for seed in (0, 1, 2):
                     rc.uniform_recovery_oracle(A, k, trials_per_support=trials,
                                                property=prop, seed=seed)
+
+
+def _degenerate(np) -> list:
+    """Four 6x12 matrices with dependent columns, three of them as in tests/test_orderk.py.
+
+    A Gaussian whose column 9 repeats column 4 and one whose column 10
+    repeats column 3 and whose column 11 is the midpoint of columns 0 and 5
+    leave l1 trials open under every property; a 0/1 matrix of density 0.4
+    with a zero column leaves trials open and has the weak properties skip
+    that column; and a Gaussian whose column 11 is minus column 0 has them
+    skip the pairs with both, so that wrsp walks 69 supports where rsp
+    fails at its 23rd.
+    """
+    duplicated = np.random.default_rng([2027, 41]).standard_normal((6, 12))
+    duplicated[:, 9] = duplicated[:, 4]
+    midpoint = np.random.default_rng([0, 10]).standard_normal((6, 12))
+    midpoint[:, 10] = midpoint[:, 3]
+    midpoint[:, 11] = 0.5 * (midpoint[:, 0] + midpoint[:, 5])
+    zero_one = (np.random.default_rng([2, 9]).random((6, 12)) < 0.4).astype(float)
+    negated = np.random.default_rng([2, 13]).standard_normal((6, 12))
+    negated[:, 11] = -negated[:, 0]
+    return [duplicated, midpoint, zero_one, negated]
 
 
 def _orderk_runs(np) -> list:

@@ -17,9 +17,9 @@ Every verdict is cross-checkable against a brute-force recovery oracle that
 actually plants a random positive vector on each support and re-solves.
 The oracle reads each trial's uniqueness off its own l1 LP: every optimum
 vanishes off the columns Z of zero reduced cost, so x is unique when Z
-holds its support and A_Z has full column rank.  Only a trial that this
-leaves open is certified as ``solve_and_certify`` certifies it, with a
-margin LP and rank tests at its support.
+holds its support and A_Z has full column rank.  A trial that this
+leaves open is decided at its support S by the paper's two conditions:
+A_S passes the same full-column-rank gate and the margin LP says yes.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ import numpy as np
 from . import stats
 from .linalg import (DEFAULT_TOLERANCES, IndexSet, SupportEnumeration, ToleranceConfig,
                      _full_column_rank, _row_reduction, _Rows, as_matrix)
-from .rsp import (Verdict, _certified_points, _l1_points, _l1_starts, _margin_solves,
-                  _raised, _settled)
+from .rsp import Verdict, _l1_points, _l1_starts, _margin_solves, _raised, _settled
 
 # Enumeration cap for LP-backed subset certification.  A subset costs the
 # oracle an l1 LP per trial, and the certifier a gate, a least-squares witness
@@ -256,6 +255,27 @@ def _pinned(rows: _Rows, points: list, tol: ToleranceConfig) -> np.ndarray:
     return pinned
 
 
+def _first_not_unique(A: np.ndarray, points: list, open_: np.ndarray, tol: ToleranceConfig,
+                      rows: _Rows) -> int | None:
+    # The index of the first l1 optimum (x, S, s) of ``points`` marked in
+    # ``open_`` that is not unique by the paper's two conditions at its
+    # support S: A_S passes ``_full_column_rank`` under A's row reduction
+    # ``rows``, and the margin LP at S says yes.  Each distinct S gets one
+    # gate and one margin LP, stacked by size; a margin LP that breaks down
+    # raises on reaching its point, as ``solve_and_certify`` raises for it.
+    reached = [(i, points[i][1]) for i in np.flatnonzero(open_).tolist()]
+    decided = {}
+    for k in dict.fromkeys(len(S) for _, S in reached):
+        group = list(dict.fromkeys(S for _, S in reached if len(S) == k))
+        full = _full_column_rank(rows.At, np.array(group, dtype=np.intp), rows.floor)[0]
+        decided |= zip(group, zip(full.tolist(), _margin_solves(A, group, tol, rows)))
+    for i, S in reached:
+        full, cert = decided[S]
+        if _raised(cert).holds is not Verdict.YES or not full:
+            return i
+    return None
+
+
 def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
                             tol: ToleranceConfig = DEFAULT_TOLERANCES,
                             seed: int = 0, budget: int = DEFAULT_CHECK_BUDGET,
@@ -279,11 +299,11 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
     when its support lies in Z and A_Z has full column rank (the
     certifier's full-column-rank gate, under one row reduction of A per
     call, stacked over the distinct Z of a block).  Z is usually the m
-    columns of the LP's optimal basis, the support and m - k at zero.  Only
-    a trial that this leaves open, where Z is larger than r or A_Z fails
-    the gate, is certified as ``solve_and_certify`` certifies it, under the
-    same row reduction: the margin LP and the rank tests (those of
-    ``rank``) at its support, in one call for the block's open trials.
+    columns of the LP's optimal basis, the support and m - k at zero.  A
+    trial that this leaves open, where Z is larger than r or A_Z fails the
+    gate, is unique iff A_S passes the same gate and the margin LP at its
+    support S says yes, the paper's two conditions: one gate call and one
+    margin-LP stack over the block's distinct open supports.
 
     Supports are visited in enumeration order, and the first that fails is
     reported; an exception is raised only on reaching the trial that raises
@@ -318,9 +338,7 @@ def uniform_recovery_oracle(A, K: int, trials_per_support: int = 1,
         if counts is not None:
             counts["oracle.trials_decided"] += int(np.count_nonzero(~open_))
             counts["oracle.trials_to_margin"] += int(np.count_nonzero(open_))
-        verdicts = _certified_points(A, list(compress(recovered, open_)), tol, rows)
-        failed = next((i for i in np.flatnonzero(open_).tolist()
-                       if next(verdicts)[1].unique is not Verdict.YES), None)
+        failed = _first_not_unique(A, recovered, open_, tol, rows)
         if failed is None and missed:
             if isinstance(points[-1], Exception):
                 raise points[-1]

@@ -761,32 +761,6 @@ def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
     return points
 
 
-def _certified_points(A: np.ndarray, points: list, tol: ToleranceConfig, rows: _Rows
-                      ) -> Iterator[tuple[np.ndarray, UniquenessVerdict]]:
-    # The certification step of ``solve_and_certify`` for each entry of
-    # ``points``: ``(x, verdict)``, or a raise on reaching an error.  The
-    # margin LPs at the supports reached (each distinct support once) are
-    # one stack per support size under A's row reduction ``rows``, and the
-    # rank tests stacked probes.  Each point gets a certificate of its own.
-    n = A.shape[1]
-    by_size: dict[int, list[IndexSet]] = {}
-    for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
-        by_size.setdefault(len(S), []).append(S)
-    with_ones = np.vstack([A, np.ones(n)])
-    margin, ranks = {}, {}
-    for group in by_size.values():
-        margin |= zip(group, _margin_solves(A, group, tol, rows))
-        found, near = _block_ranks(A, group, tol.rank_tol)
-        augmented, augmented_near = _block_ranks(with_ones, group, tol.rank_tol)
-        near |= augmented_near
-        ranks |= zip(group, zip(found.tolist(), augmented.tolist(), near.tolist()))
-    for point in points:
-        x, S, _ = _raised(point)
-        c = _raised(margin[S])
-        cert = RspCertificate(c.holds, S, c.witness_eta, c.witness_y, c.t_star, c.lp_status)
-        yield x, _combine(cert, *ranks[S], len(S))
-
-
 def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
                             ) -> Iterator[tuple[np.ndarray, UniquenessVerdict]]:
     """``solve_and_certify`` for several right-hand sides of one matrix, as stacked LPs.
@@ -802,9 +776,25 @@ def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
     before: a consumer that stops at an earlier one never sees it.
     """
     A = as_matrix(A)
-    m = A.shape[0]
+    m, n = A.shape
     rhs = np.array([as_vector(b, m) for b in rhs]).reshape(-1, m)
-    yield from _certified_points(A, _l1_points(A, rhs, tol), tol, _row_reduction(A, tol))
+    points = _l1_points(A, rhs, tol)
+    by_size: dict[int, list[IndexSet]] = {}
+    for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
+        by_size.setdefault(len(S), []).append(S)
+    rows, with_ones = _row_reduction(A, tol), np.vstack([A, np.ones(n)])
+    margin, ranks = {}, {}
+    for group in by_size.values():
+        margin |= zip(group, _margin_solves(A, group, tol, rows))
+        found, near = _block_ranks(A, group, tol.rank_tol)
+        augmented, augmented_near = _block_ranks(with_ones, group, tol.rank_tol)
+        near |= augmented_near
+        ranks |= zip(group, zip(found.tolist(), augmented.tolist(), near.tolist()))
+    for point in points:
+        x, S, _ = _raised(point)
+        c = _raised(margin[S])
+        cert = RspCertificate(c.holds, S, c.witness_eta, c.witness_y, c.t_star, c.lp_status)
+        yield x, _combine(cert, *ranks[S], len(S))
 
 
 def solve_and_certify(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES):

@@ -23,10 +23,11 @@ Each count is added where its figure is already known:
   ``l1.pivots`` (``rsp._l1_points``); ``feasibility.lps``
   (``oracle.sparsest_supports``);
 * ``linalg.ranked``: matrices ranked by a rank probe (``rank`` and the
-  other reported ranks); the order-K full-column-rank gate counts nothing;
+  other reported ranks); the order-K full-column-rank gate counts nothing,
+  so neither ``certify_order_k`` nor the recovery oracle counts any;
 * the recovery oracle: ``oracle.trials_decided`` (trials whose l1 dual proves
-  them unique) and ``oracle.trials_to_margin`` (trials certified with
-  margin LPs).
+  them unique) and ``oracle.trials_to_margin`` (trials decided by the gate
+  and a margin LP at their support).
 """
 
 from __future__ import annotations

@@ -153,6 +153,27 @@ def test_malformed_csv_exit_one_with_location(tmp_path, capsys):
     assert ":1:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, body, where, message", [
+    ("A", "1,0,-1,-1\n0,-1,nan,6\n0,0,-1,1\n", "2:3", "non-finite entry 'nan'"),
+    ("b", "0.5\n inf\n0\n", "2:1", "non-finite entry 'inf'"),
+    ("A", "1,0,-1,-1\n\n \n0,-1,-1,x\n0,0,-1,1\n", "4:4", "invalid number 'x'"),
+    ("b", "0.5\n\n-0.5\n\nzero\n", "5:1", "invalid number 'zero'"),
+    ("A", "", "1:1", "empty matrix file"),
+    ("A", "\n  \n\n", "1:1", "empty matrix file"),
+    ("b", "", "1:1", "empty vector file"),
+], ids=["nan-entry", "inf-entry", "blank-matrix-rows", "blank-vector-lines",
+        "empty-matrix", "blank-matrix", "empty-vector"])
+def test_parse_errors_exit_one_with_their_position(tmp_path, capsys, bad, body, where, message):
+    # Blank lines are skipped but still counted, so a later error is placed
+    # on its own line of the file; an empty file is reported at 1:1.
+    paths = {"A": tmp_path / "A.csv", "b": tmp_path / "b.csv"}
+    write_csv_matrix(paths["A"], UNIQUE_A)
+    write_csv_vector(paths["b"], UNIQUE_B)
+    paths[bad].write_text(body)
+    assert main(["solve-l1", str(paths["A"]), str(paths["b"])]) == 1
+    assert capsys.readouterr().err == f"parse error: {paths[bad]}:{where}: {message}\n"
+
+
 def _write_mtx(path, A):
     entries = "".join(f"{float(v)!r}\n" for v in np.asarray(A).reshape(-1, order="F"))
     path.write_text("%%MatrixMarket matrix array real general\n"

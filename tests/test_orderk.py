@@ -116,7 +116,6 @@ def test_order_k_budget_refuses_before_any_solve(monkeypatch, run):
     calls = []
     monkeypatch.setattr(orderk, "_margin_solves", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(orderk, "_l1_points", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(orderk, "_certified_points", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(rsp, "solve_batch", lambda *a, **k: calls.append(a))
     A = np.random.default_rng(40).standard_normal((4, 30))
     for prop in QUANTIFIERS:
@@ -283,21 +282,24 @@ def test_the_screen_settles_the_same_supports_at_every_scale(A, orders):
 
 
 def test_the_oracle_gives_the_same_reports_at_every_scale():
-    # The recovery oracle fills the weak properties' windows and pins its
-    # trials by the same gate, so its reports do not depend on the scale of
-    # A either.  Not the 5x4 at K = 4: with n < m its l1 LPs have no start,
-    # and their two-phase solves fail at other scales.
-    for case in _scale_cases():
-        if case.id == "5x4 at K=4":
-            continue
-        A, orders = case.values
+    # The recovery oracle fills the weak properties' windows, pins its
+    # trials and decides the trials its l1 duals leave open by the same
+    # gate, so its reports do not depend on the scale of A either.  The
+    # duplicated Gaussian leaves trials open (nine under rsp at K = 3),
+    # which then take no rank probe.  Not the 5x4 at K = 4: with n < m its
+    # l1 LPs have no start, and their two-phase solves fail at other scales.
+    with stats.collect() as counts:
+        uniform_recovery_oracle(_duplicated_gaussian(), 3)
+    assert counts["oracle.trials_to_margin"] == 9 and counts["linalg.ranked"] == 0
+    cases = [(case.id, *case.values) for case in _scale_cases() if case.id != "5x4 at K=4"]
+    for name, A, orders in [*cases, ("duplicated gaussian", _duplicated_gaussian(), (1, 2, 3))]:
         for K in orders:
             for prop in QUANTIFIERS:
                 at_one = _oracle_outcome(A, K, prop, 1, seed=0)
-                assert not isinstance(at_one, tuple), (case.id, K, prop, at_one)
+                assert not isinstance(at_one, tuple), (name, K, prop, at_one)
                 for scale in (1e-10, 1e-8, 1e8, 1e12):
                     assert _oracle_outcome(scale * A, K, prop, 1, seed=0) == at_one, \
-                        (case.id, K, prop, scale)
+                        (name, K, prop, scale)
 
 
 def test_weak_properties_range_over_a_full_rank_support_below_the_rank_tolerance():
@@ -777,18 +779,18 @@ def _duplicated_and_midpoint(seed):
 @pytest.mark.parametrize("family", [_zero_one, _duplicated_and_midpoint])
 def test_the_l1_dual_changes_no_oracle_report(monkeypatch, family):
     # Each report equals the one given when every trial that recovers its
-    # planted vector is certified through the margin LP and rank tests at
-    # its support, as solve_and_certify certifies it; and in each family
-    # some trials are left open to that certification.
+    # planted vector is decided by the gate and the margin LP at its
+    # support; and in each family some trials are left open to that
+    # decision.
     import rspcert.orderk as orderk
 
-    real = orderk._certified_points
+    real = orderk._first_not_unique
     sent = []
 
-    def certified(A, points, tol, rows):
-        sent.append(len(points))
-        return real(A, points, tol, rows)
-    monkeypatch.setattr(orderk, "_certified_points", certified)
+    def decided(A, points, open_, tol, rows):
+        sent.append(int(open_.sum()))
+        return real(A, points, open_, tol, rows)
+    monkeypatch.setattr(orderk, "_first_not_unique", decided)
     left_open = 0
     for seed in range(4):
         A = family(seed)

@@ -160,6 +160,66 @@ def test_a_null_space_optimum_that_fails_on_the_raw_matrix_is_not_a_verdict(monk
         check_rsp_at(np.hstack([A, A[:, :1]]), (0, 8))
 
 
+@pytest.mark.parametrize("breakdown", [CertificateUnavailable("injected breakdown"),
+                                       simplex.LpSolution(simplex.UNBOUNDED)],
+                         ids=["unavailable", "unbounded"])
+def test_a_margin_lp_breakdown_raises_at_its_support_and_not_before(monkeypatch, breakdown):
+    # solve_batch may hand back a CertificateUnavailable or a solution that
+    # is not optimal.  The margin LP is feasible and bounded, so either is a
+    # breakdown, which check_rsp_batch and certify_order_k raise on reaching
+    # its support.  Each block of this Gaussian is one stack, so its i-th
+    # LP is its i-th support that no witness settles.
+    import rspcert.orderk as orderk
+
+    message = "^injected breakdown$" if isinstance(breakdown, Exception) \
+        else "^margin LP returned unbounded$"
+    A = np.random.default_rng([2026, 63]).standard_normal((6, 12))
+    supports = list(combinations(range(12), 2))
+    want = [(c.holds, c.t_star) for c in rsp.check_rsp_batch(A, supports)]
+    solve_batch, solved_before, broken = rsp.solve_batch, [], []
+
+    def breaking(lps, tol, basis=None):
+        solved = solve_batch(lps, tol, basis=basis)
+        if not broken and len(solved) > 5:
+            broken.append(sum(solved_before) + 5)
+            solved[5] = breakdown
+        solved_before.append(len(solved))
+        return solved
+    monkeypatch.setattr(rsp, "solve_batch", breaking)
+    certs = rsp.check_rsp_batch(A, supports)
+    assert [(c.holds, c.t_star) for c in (next(certs) for _ in range(5))] == want[:5]
+    with pytest.raises(CertificateUnavailable, match=message):
+        next(certs)
+    reached, raised = [], orderk._raised
+    monkeypatch.setattr(orderk, "_raised", lambda entry: reached.append(entry) or raised(entry))
+    solved_before[:], broken[:] = [], []
+    with pytest.raises(CertificateUnavailable, match=message):
+        orderk.certify_order_k(A, 3)
+    assert broken and len(reached) == broken[0] + 1
+    assert all(isinstance(c, rsp.RspCertificate) for c in reached[:-1])
+
+
+def test_a_witness_stack_singular_to_the_solver_settles_nothing(monkeypatch):
+    # Should LAPACK call a stack of witness systems singular, every witness
+    # of it is NaN, and the screen settles none of its supports, which then
+    # go to their margin LPs.
+    A = np.random.default_rng([2028, 1]).standard_normal((6, 12))
+    rows = rsp._row_reduction(A, DEFAULT_TOLERANCES)
+    block = np.array(list(combinations(range(12), 2)))
+    off = rsp._off_support(block, 12)
+    full = np.ones(len(block), dtype=bool)
+    assert rsp._settled(A, block, rows, DEFAULT_TOLERANCES, full)[0].any()
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    weights = np.full(off.shape, 0.5)
+    for w, basis in ((None, None), (weights, rsp._reweighting_basis(rows.V))):
+        assert np.isnan(rsp._least_squares_witness(rows, block, off, w, basis)).all()
+    settled, y, eta = rsp._settled(A, block, rows, DEFAULT_TOLERANCES, full)
+    assert not settled.any() and np.isnan(y).all() and np.isnan(eta).all()
+
+
 def test_null_space_margins_do_not_see_the_scale_of_a():
     # The null-space LP scales each row of G to unit norm, and eta0 is
     # invariant under A -> s A, so t* stays put over 18 orders of magnitude.
