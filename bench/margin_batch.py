@@ -43,9 +43,9 @@ runs of the weak properties (wrsp, pwrsp) and of the strong ones (rsp,
 prsp) (with its l1 pivots per LP, its margin LPs and rank probes per
 checked support, and the trials its l1 LPs' duals decide and the trials it
 sends to margin LPs).
-``solve_and_certify_batch`` gets a digest of its outputs on planted
-right-hand sides of the 8x16 matrices, and its l1 pivots per LP, so that
-two trees can be shown to agree on it.  The lockstep figures count the
+``solve_and_certify``, called once per right-hand side, gets a digest of
+its outputs on planted right-hand sides of the 8x16 matrices, and its l1
+pivots per LP, so that two trees can be shown to agree on it.  The lockstep figures count the
 steps of the stacked engine on the size-3 margin LPs and on one pass of the
 benchmark's ``orderk_enum`` commands for seed 1 (``perfbench/workloads.py``,
 run in-process through ``rspcert.cli.main``).  The started LPs that the LP
@@ -78,7 +78,10 @@ one set of figures over all four properties; they are now split into the
 weak properties' runs and the strong ones'.  ``oracle_degenerate`` is new
 in ``BENCH_31.json``: on the Gaussian 8x16 matrices every support passes
 the gate and no trial is left open, so the weak and strong runs there do
-the same work.
+the same work.  Up to ``BENCH_31.json``, the ``solve_and_certify`` digest
+was taken over one batch call per matrix of a batched variant that the
+library no longer has, and stored under that variant's name; the digest
+and the pivots per LP are the same.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
         out["oracle_orderk_enum_seed1"] = _oracle(rc, _orderk_runs(np), repeat)
         out["oracle_degenerate"] = _oracle(rc, [(A, prop) for A in _degenerate(np)
                                                 for prop in props], repeat)
-        out["solve_and_certify_batch"] = _public_batch(rc, np, mats)
+        out["solve_and_certify"] = _solve_and_certify_digest(rc, np, mats)
         with stats.collect() as counts:
             _near_dependent_work(rc, np)
         out["fallbacks_near_dependent"] = counts["simplex.two_phase"]
@@ -347,8 +350,8 @@ def _orderk_runs(np) -> list:
             for command in commands]
 
 
-def _public_batch(rc, np, mats) -> dict:
-    """A digest of ``solve_and_certify_batch`` outputs, and its l1 pivots per LP.
+def _solve_and_certify_digest(rc, np, mats) -> dict:
+    """A digest of ``solve_and_certify`` outputs, and its l1 pivots per LP.
 
     Forty right-hand sides planted on random supports of sizes 1 to 4 of each
     8x16 matrix; the digest covers x, the verdicts, t* and the witnesses.
@@ -364,7 +367,7 @@ def _public_batch(rc, np, mats) -> dict:
             for row in planted:
                 S = rng.choice(16, size=int(rng.integers(1, 5)), replace=False)
                 row[S] = rng.uniform(0.1, 1.0, size=S.size)
-            results += rc.solve_and_certify_batch(A, [A @ p for p in planted])
+            results += [rc.solve_and_certify(A, A @ p) for p in planted]
     for x, verdict in results:
         cert = verdict.rsp
         digest.update(x.tobytes())

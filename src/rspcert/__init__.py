@@ -23,8 +23,8 @@ from .orderk import (DEFAULT_CHECK_BUDGET, RecoveryOracleReport, RecoveryReport,
                      certify_order_k, uniform_recovery_oracle)
 from .rsp import (FailureReason, LpSparsestResult, RspCertificate,
                   UniquenessVerdict, Verdict, certify_uniqueness, check_rsp_at,
-                  lp_sparsest_pipeline, solve_and_certify,
-                  solve_and_certify_batch, solve_l1, support_of, verify_rsp_witness)
+                  lp_sparsest_pipeline, solve_and_certify, solve_l1, support_of,
+                  verify_rsp_witness)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, StandardLp,
                       solve, verify_certificate)
 
@@ -45,8 +45,7 @@ __all__ = [
     "uniform_recovery_oracle",
     "FailureReason", "LpSparsestResult", "RspCertificate", "UniquenessVerdict",
     "Verdict", "certify_uniqueness", "check_rsp_at", "lp_sparsest_pipeline",
-    "solve_and_certify", "solve_and_certify_batch", "solve_l1", "support_of",
-    "verify_rsp_witness",
+    "solve_and_certify", "solve_l1", "support_of", "verify_rsp_witness",
     "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "LpSolution", "StandardLp", "solve",
     "verify_certificate",
 ]

@@ -6,9 +6,10 @@ stays strictly below 1 elsewhere, and (b) the support columns of A are
 linearly independent.  Condition (a) reduces to one small LP per support; this
 module certifies both conditions with re-checkable witnesses.
 
-``check_rsp_at``, ``check_rsp_batch`` and ``solve_and_certify_batch`` solve
-every margin LP and report its exact t*; a margin LP or an l1 LP whose
-start fails is solved two-phase by the LP core, not here.  The order-K
+``check_rsp_at`` and ``check_rsp_batch`` solve every margin LP and report
+its exact t*; ``certify_uniqueness`` and ``solve_and_certify`` reach their
+verdict through ``check_rsp_at``.  A margin LP or an l1 LP whose start
+fails is solved two-phase by the LP core, not here.  The order-K
 certifier, which needs only the verdict, first tries a least-squares
 witness at each support with full column rank (``_settled``).  The witness
 is eta = V c, V an orthonormal basis of the range of A^T from the one thin
@@ -41,9 +42,9 @@ import numpy as np
 from . import stats
 from .errors import (CertificateUnavailable, Infeasible, NonpositiveWeight,
                      NotASolution, NotNonnegative, RspcertError, Unbounded)
-from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig, _block_ranks,
-                     _full_column_rank, _row_reduction, _Rows, as_matrix, as_vector,
-                     augmented_rank_details, complement, normalize_support, rank_details)
+from .linalg import (DEFAULT_TOLERANCES, IndexSet, ToleranceConfig, _full_column_rank,
+                     _row_reduction, _Rows, as_matrix, as_vector, augmented_rank_details,
+                     complement, normalize_support, rank_details)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, LpStack, StandardLp,
                       solve, solve_batch)
 
@@ -604,9 +605,13 @@ def verify_rsp_witness(A, support, eta, y,
     return True
 
 
-def _combine(rsp_cert: RspCertificate, rank_found: int, augmented_rank: int,
-             rank_marginal: bool, k: int) -> UniquenessVerdict:
-    full = rank_found == k
+def _uniqueness_at(A: np.ndarray, scaled: np.ndarray, S: IndexSet,
+                   tol: ToleranceConfig) -> UniquenessVerdict:
+    # The verdict at the support S of a candidate: the margin LP on
+    # ``scaled`` (A itself, or A W^-1 under weights) and both rank tests on A.
+    rsp_cert = check_rsp_at(scaled, S, tol)
+    ranks, augmented = rank_details(A, S, tol), augmented_rank_details(A, S, tol)
+    full = ranks.rank == len(S)
     rsp_no = rsp_cert.holds is Verdict.NO
     if rsp_no and not full:
         reason = FailureReason.BOTH
@@ -623,9 +628,10 @@ def _combine(rsp_cert: RspCertificate, rank_found: int, augmented_rank: int,
     else:
         unique = Verdict.NO
     return UniquenessVerdict(unique=unique, rsp=rsp_cert,
-                             full_column_rank=full, rank_found=rank_found,
-                             augmented_full_column_rank=augmented_rank == k,
-                             rank_marginal=rank_marginal, reason=reason)
+                             full_column_rank=full, rank_found=ranks.rank,
+                             augmented_full_column_rank=augmented.rank == len(S),
+                             rank_marginal=ranks.marginal or augmented.marginal,
+                             reason=reason)
 
 
 def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -645,10 +651,7 @@ def certify_uniqueness(A, b, x, tol: ToleranceConfig = DEFAULT_TOLERANCES,
     b = as_vector(b, A.shape[0])
     x = as_vector(x, A.shape[1])
     scaled = A if weights is None else _scaled_by_weights(A, weights)
-    S = _solution_support(A, b, x, tol)
-    ranks, augmented = rank_details(A, S, tol), augmented_rank_details(A, S, tol)
-    return _combine(check_rsp_at(scaled, S, tol), ranks.rank, augmented.rank,
-                    ranks.marginal or augmented.marginal, len(S))
+    return _uniqueness_at(A, scaled, _solution_support(A, b, x, tol), tol)
 
 
 def _solution_support(A: np.ndarray, b: np.ndarray, x: np.ndarray,
@@ -761,45 +764,18 @@ def _l1_points(A: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig,
     return points
 
 
-def solve_and_certify_batch(A, rhs, tol: ToleranceConfig = DEFAULT_TOLERANCES
-                            ) -> Iterator[tuple[np.ndarray, UniquenessVerdict]]:
-    """``solve_and_certify`` for several right-hand sides of one matrix, as stacked LPs.
+def solve_and_certify(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Minimize the l1 norm, then certify uniqueness at the returned point.
 
-    Yields one ``(x, verdict)`` per right-hand side, in order, each what
-    ``solve_and_certify`` gives for it, bit for bit.  The l1 LPs are solved
-    as one stack, the margin LPs at the supports they reach as one stack per
-    support size (each distinct support once: the LP depends only on A and
-    the support), and the two rank tests as stacked probes; every optimal
-    solve is re-checked.  The checks run in the order ``certify_uniqueness``
-    runs them.  Where ``solve_and_certify`` would raise for a right-hand
-    side, the generator raises that exception on reaching it, and not
-    before: a consumer that stops at an earlier one never sees it.
+    The check is ``certify_uniqueness``'s, at the support of the optimal x.
+    The LP core accepts entries of x down to -feas_tol and the support takes
+    them as 0, so x, returned as the LP gave it, may hold an entry that
+    ``certify_uniqueness`` refuses as a candidate (below -zero_tol).
     """
     A = as_matrix(A)
-    m, n = A.shape
-    rhs = np.array([as_vector(b, m) for b in rhs]).reshape(-1, m)
-    points = _l1_points(A, rhs, tol)
-    by_size: dict[int, list[IndexSet]] = {}
-    for S in dict.fromkeys(p[1] for p in points if not isinstance(p, Exception)):
-        by_size.setdefault(len(S), []).append(S)
-    rows, with_ones = _row_reduction(A, tol), np.vstack([A, np.ones(n)])
-    margin, ranks = {}, {}
-    for group in by_size.values():
-        margin |= zip(group, _margin_solves(A, group, tol, rows))
-        found, near = _block_ranks(A, group, tol.rank_tol)
-        augmented, augmented_near = _block_ranks(with_ones, group, tol.rank_tol)
-        near |= augmented_near
-        ranks |= zip(group, zip(found.tolist(), augmented.tolist(), near.tolist()))
-    for point in points:
-        x, S, _ = _raised(point)
-        c = _raised(margin[S])
-        cert = RspCertificate(c.holds, S, c.witness_eta, c.witness_y, c.t_star, c.lp_status)
-        yield x, _combine(cert, *ranks[S], len(S))
-
-
-def solve_and_certify(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Minimize the l1 norm, then certify uniqueness at the returned point."""
-    return next(solve_and_certify_batch(A, [b], tol))
+    b = as_vector(b, A.shape[0])
+    x, S, _ = _raised(_l1_points(A, b[None], tol)[0])
+    return x, _uniqueness_at(A, A, S, tol)
 
 
 def lp_sparsest_pipeline(A, b, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LpSparsestResult:

@@ -15,9 +15,9 @@ vertex (S and m - k columns that the order-K gate's QR of A_S makes a
 nonsingular basis; ``rsp._l1_starts``).  The one
 fallback from a start is the core's: in the same call it solves two-phase
 every LP with no start, whose start does not serve or whose started solve
-fails.  These stay two-phase: the l1 LPs of ``solve_l1``,
-``solve_and_certify`` and ``solve_and_certify_batch``, the first LP of
-``lp-sparse``, and the feasibility LPs of the sparsest search, solved only
+fails.  These stay two-phase: the l1 LPs of ``solve_l1`` and
+``solve_and_certify``, the first LP of ``lp-sparse``, and the feasibility
+LPs of the sparsest search, solved only
 for the supports whose b its least-squares screen
 (``oracle._outside_range``) does not put outside range(A_S).
 

@@ -18,6 +18,7 @@ one of Qhull's vertices of it still counts.  The facet count grows steeply
 with the dimension, so this serves the tests' small shapes only.
 """
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -49,25 +50,57 @@ def rsp_holds(lattice: np.ndarray, S) -> bool:
     return int(np.count_nonzero(shared)) == len(points)
 
 
-def expected_oracle(A: np.ndarray, K: int, prop: str, lattice: np.ndarray | None = None):
+def support_table(A: np.ndarray, K: int) -> dict:
+    """Each support of sizes 1 through K, in enumeration order, as (S, full, face).
+
+    ``full`` is whether A_S has full column rank, taken here by
+    ``np.linalg.matrix_rank``, and ``face`` whether RSP holds at S
+    (``rsp_holds``).  The expectations below share one table per matrix.
+    """
+    lattice = facets(A)
+    return {k: [(S, np.linalg.matrix_rank(A[:, S]) == k, rsp_holds(lattice, S))
+                for S in combinations(range(A.shape[1]), k)] for k in range(1, K + 1)}
+
+
+def _ranged(table: dict, K: int, prop: str):
+    # The (S, full, face) of each support the property ranges over, in
+    # order: rsp and wrsp range over sizes 1 through K, prsp and pwrsp over
+    # size K; wrsp and pwrsp only over the supports of full column rank.
+    sizes = [K] if prop in ("prsp", "pwrsp") else range(1, K + 1)
+    weak = prop in ("wrsp", "pwrsp")
+    return [row for k in sizes for row in table[k] if row[1] or not weak]
+
+
+def expected_oracle(table: dict, K: int, prop: str):
     """The recovery oracle's (recovers, failing_support, supports_checked) by the face lattice.
 
     x planted on S is the unique least-l1 solution iff RSP holds at S and A_S
-    has full column rank, taken here by ``np.linalg.matrix_rank``.  The
-    report fails at the first support in enumeration order that the
-    property ranges over and where either condition fails.  rsp and wrsp
-    range over sizes 1 through K, prsp and pwrsp over size K; wrsp and
-    pwrsp only over the supports of full column rank.
+    has full column rank.  The report fails at the first support in
+    enumeration order that the property ranges over and where either
+    condition fails.
     """
-    lattice = facets(A) if lattice is None else lattice
-    sizes = [K] if prop in ("prsp", "pwrsp") else range(1, K + 1)
-    checked = 0
-    for k in sizes:
-        for S in combinations(range(A.shape[1]), k):
-            full = np.linalg.matrix_rank(A[:, S]) == k
-            if not full and prop in ("wrsp", "pwrsp"):
-                continue
-            checked += 1
-            if not (full and rsp_holds(lattice, S)):
-                return False, S, checked
-    return True, None, checked
+    ranged = _ranged(table, K, prop)
+    for checked, (S, full, face) in enumerate(ranged, 1):
+        if not (full and face):
+            return False, S, checked
+    return True, None, len(ranged)
+
+
+def expected_report(table: dict, K: int, prop: str):
+    """The order-K certifier's (holds, counterexample, failures_per_size,
+    subsets_checked, no_full_rank_subset) by the face lattice.
+
+    Every support the property ranges over is checked, and fails where RSP
+    does not hold at it; rank decides only which supports the weak
+    properties range over.  wrsp with no size-K support of full column rank
+    (then A has rank below K) checks nothing and does not hold; pwrsp holds
+    vacuously there.  The verdict is yes unless some support fails.
+    """
+    weak = prop in ("wrsp", "pwrsp")
+    none_full_at_k = weak and not any(full for _, full, _ in table[K])
+    if prop == "wrsp" and none_full_at_k:
+        return False, None, {}, 0, True
+    ranged = _ranged(table, K, prop)
+    failing = [S for S, _, face in ranged if not face]
+    return (not failing, failing[0] if failing else None, dict(Counter(map(len, failing))),
+            len(ranged), none_full_at_k)

@@ -9,8 +9,8 @@ from rspcert import (DEFAULT_TOLERANCES, INFEASIBLE, OPTIMAL, CertificateUnavail
                      NotNonnegative, ToleranceConfig,
                      Unbounded, Verdict, augmented_rank, certify_uniqueness, check_rsp_at,
                      lp_sparsest_pipeline, rank, rsp, simplex,
-                     solve_and_certify, solve_and_certify_batch, solve_l1,
-                     support_of, verify_rsp_witness)
+                     solve_and_certify, solve_l1, stats, support_of,
+                     verify_rsp_witness)
 
 from conftest import (DENSE_A, DENSE_B, DENSE_X, TIED_A, TIED_B, TIED_X_FULL,
                       TIED_X_SPARSE, TRIPLE_A, TRIPLE_B, TRIPLE_WITNESS_ETA,
@@ -486,11 +486,11 @@ def _same_verdict(a, b) -> bool:
                     or np.array_equal(getattr(a.rsp, f), getattr(b.rsp, f)) for f in arrays))
 
 
-def test_solve_and_certify_batch_matches_each_solve_alone():
-    # Planted supports of sizes 0 to 7 on one 8x16 matrix, some repeated, so
-    # the batch holds several support sizes and margin LPs shared by more
-    # than one right-hand side.  Columns 14 and 15 are equal, so an l1
-    # optimum using one of them is not unique: verdicts yes and no.
+def test_solve_and_certify_is_solve_l1_then_certify_uniqueness():
+    # Planted supports of sizes 0 to 7 on one 8x16 matrix, some repeated.
+    # Columns 14 and 15 are equal, so an l1 optimum using one of them is not
+    # unique: verdicts yes and no.  Each call is one l1 LP, one margin LP
+    # and the two rank probes of ``certify_uniqueness``.
     rng = np.random.default_rng([2026, 30])
     A = rng.standard_normal((8, 16))
     A[:, 15] = A[:, 14]
@@ -499,34 +499,50 @@ def test_solve_and_certify_batch_matches_each_solve_alone():
         S = rng.choice(16, size=int(rng.integers(0, 8)), replace=False)
         row[S] = rng.uniform(0.1, 1.0, size=S.size)
     planted[20:30] = planted[:10]
-    rhs = np.array([A @ p for p in planted])
-    batched = list(solve_and_certify_batch(A, rhs))
-    assert len(batched) == 40
-    assert {verdict.unique for _, verdict in batched} == {Verdict.YES, Verdict.NO}
-    assert len({len(verdict.rsp.support) for _, verdict in batched}) >= 4
-    for b, (x, verdict) in zip(rhs, batched):
-        alone_x, alone = solve_and_certify(A, b)
+    verdicts = []
+    for p in planted:
+        b = A @ p
+        with stats.collect() as counts:
+            x, verdict = solve_and_certify(A, b)
+        assert [counts[name] for name in ("l1.lps", "margin.lps", "margin.blocks",
+                                          "linalg.ranked")] == [1, 1, 1, 2]
         scalar_x = solve_l1(A, b)
-        scalar = certify_uniqueness(A, b, scalar_x)
-        assert np.array_equal(x, alone_x) and np.array_equal(x, scalar_x)
-        assert _same_verdict(verdict, alone) and _same_verdict(verdict, scalar)
-    # A repeated right-hand side gets equal results, not shared objects.
-    assert batched[0][1].rsp is not batched[20][1].rsp
-    assert list(solve_and_certify_batch(A, np.zeros((0, 8)))) == []
+        assert np.array_equal(x, scalar_x)
+        assert _same_verdict(verdict, certify_uniqueness(A, b, scalar_x))
+        verdicts.append(verdict)
+    assert {verdict.unique for verdict in verdicts} == {Verdict.YES, Verdict.NO}
+    assert len({len(verdict.rsp.support) for verdict in verdicts}) >= 4
 
 
-def test_solve_and_certify_batch_raises_on_reaching_the_item():
-    # All-positive columns: b = -1 has no nonnegative solution.
-    A = np.abs(np.random.default_rng([2026, 31]).standard_normal((3, 6)))
-    good = A @ np.array([0.5, 0.0, 0.25, 0.0, 0.0, 0.0])
-    results = solve_and_certify_batch(A, [good, -np.ones(3), good])
-    x, verdict = next(results)
-    assert np.array_equal(x, solve_and_certify(A, good)[0])
-    with pytest.raises(Infeasible, match="no nonnegative solution to the system"):
-        next(results)
-    # Nothing is raised for an item the consumer does not reach.
-    first = next(solve_and_certify_batch(A, [good, -np.ones(3)]))
-    assert np.array_equal(first[0], x)
+def test_solve_and_certify_keeps_a_certified_tiny_negative_entry(monkeypatch):
+    # The LP core accepts entries of x down to -feas_tol.  Its l1 optimum is
+    # returned with one zero entry off the support set to -5e-9, within
+    # that tolerance.  ``solve_and_certify`` returns x as the LP gave it
+    # and leaves the entry out of the support; ``certify_uniqueness`` takes
+    # x as a candidate and refuses it.
+    A, b, planted = planted_system(np.random.default_rng([2027, 32]), 4, 8, 2)
+    off = np.flatnonzero(planted == 0.0)
+    j = int(off[np.abs(A[:, off]).max(axis=0).argmin()])
+    real = rsp.solve_batch
+
+    def nudged(lps, tol=DEFAULT_TOLERANCES, max_pivots=None, basis=None):
+        solved = real(lps, tol, max_pivots, basis)
+        if lps.constraints.shape[1:] == A.shape and np.array_equal(lps.constraints[0], A):
+            x = solved[0].x.copy()
+            assert x[j] == 0.0
+            x[j] = -5e-9
+            solved[0] = replace(solved[0], x=x)
+        return solved
+
+    monkeypatch.setattr(rsp, "solve_batch", nudged)
+    x, verdict = solve_and_certify(A, b)
+    assert x[j] == -5e-9
+    assert verdict.rsp.support == tuple(np.flatnonzero(planted).tolist())
+    assert j not in verdict.rsp.support and verdict.unique is Verdict.YES
+    with pytest.raises(NotNonnegative):
+        certify_uniqueness(A, b, x)
+    clipped = np.maximum(x, 0.0)
+    assert _same_verdict(verdict, certify_uniqueness(A, b, clipped))
 
 
 def test_l1_start_is_the_planted_vertex():
