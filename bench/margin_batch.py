@@ -31,9 +31,10 @@ size 2), a rank-deficient 6x12 matrix for the same (every support of size 2
 and 3; the benchmark's commands reach no rank-deficient support, so this is
 the one measure of that path), two planted k*=4 10x20 systems for the
 feasibility LPs (through ``sparsest_supports``: µs per support checked,
-and the feasibility LPs it actually solves, which are fewer once supports
-are screened before any LP runs), the size-3 supports of the 8x16 matrices for the
-order-K layer's full-column-rank gate (µs per support, with the one row
+the feasibility LPs it actually solves, which are fewer once supports
+are screened before any LP runs, and the supports its screen rules out),
+the size-3 supports of the 8x16 matrices for the order-K layer's
+full-column-rank gate (µs per support, with the one row
 reduction of A it takes) and for the rank probes, and the recovery oracle at K=3 on the 8x16 matrices under each
 of the four properties and on the matrices and properties of the
 benchmark's ``orderk_enum`` commands for seed 1, and under each property on
@@ -56,7 +57,7 @@ fastest of ``--repeat`` runs, on one thread.
 
 Every count is read from the library's own run statistics: each measured
 call runs inside ``rspcert.stats.collect()``, and the figures are its
-counters (``simplex.*``, ``margin.*``, ``l1.*``, ``feasibility.lps``,
+counters (``simplex.*``, ``margin.*``, ``l1.*``, ``feasibility.*``,
 ``linalg.ranked``, ``oracle.*``).  The tool sets no library name but
 ``linalg._STACK_BYTES`` for ``--sweep``, and the tree must have
 ``rspcert.stats``.
@@ -155,6 +156,8 @@ def measure(tree: Path, repeat: int, cap_kib: int | None = None) -> dict:
     out["feasibility_us_per_support"] = 1e6 * t / checked
     out["feasibility_supports"] = checked
     out["feasibility_lps_solved"] = counts["feasibility.lps"]
+    # None on a tree that does not count the screen's outcomes.
+    out["feasibility_ruled_out"] = counts.get("feasibility.ruled_out")
 
     supports = list(combinations(range(16), 3))
     block = np.array(supports)

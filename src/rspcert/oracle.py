@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,16 +96,17 @@ def sparsest_supports(A, b, max_k: int | None = None,
                       budget: int = DEFAULT_SUBSET_BUDGET) -> SparsestReport:
     """Enumerate every support of minimal size that solves A x = b, x >= 0.
 
-    Each block of supports is first screened by ``_outside_range``: one
-    stacked QR gives, per support, a unit y with A_S^T y ~ 0 and b^T y > 0,
-    and a support whose y passes the re-check on the raw A_S and b is ruled
-    out, since no z of any sign solves A_S z = b.  Every other support is
-    decided by its feasibility LP in the LP core (phase 1 is an exact
-    feasibility certificate up to tolerances), so a ruled-out support's LP
-    is never solved and cannot break down.  A representative whose exact
-    support turns out smaller than the enumerated subset is attributed to
-    that smaller support and deduplicated, since the count of nonzeros is a
-    property of the point, not of the enumeration set.
+    Each block of supports is first screened by ``_outside_range``: from
+    G = A^T A and c = A^T b, formed once per call, it gives each support a
+    unit y with A_S^T y ~ 0 and b^T y > 0, and a support whose y passes the
+    re-check on the raw A_S and b is ruled out, since no z of any sign
+    solves A_S z = b.  Only the other supports have their columns gathered,
+    and each is decided by its feasibility LP in the LP core (phase 1 is an
+    exact feasibility certificate up to tolerances), so a ruled-out
+    support's LP is never solved and cannot break down.  A representative
+    whose exact support turns out smaller than the enumerated subset is
+    attributed to that smaller support and deduplicated, since the count of
+    nonzeros is a property of the point, not of the enumeration set.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -115,13 +117,16 @@ def sparsest_supports(A, b, max_k: int | None = None,
         raise ValueError("max_k must lie in [0, n]")
     if np.abs(b).max(initial=0.0) <= tol.feas_tol:
         return SparsestReport(0, [()], [np.zeros(n)], [True], 0)
+    gram = _gram(A, b)
     supports = SupportEnumeration(A, range(1, max_k + 1), budget, lazy=True)
     found: dict[IndexSet, tuple[np.ndarray, bool]] = {}
     for k, block in supports:
-        columns = A.T[block].transpose(0, 2, 1).copy()
-        todo = np.flatnonzero(~_outside_range(columns, b, tol))
-        lps = LpStack(np.zeros(k), columns[todo], np.broadcast_to(b, (todo.size, m)))
+        idx = np.array(block)
+        todo = np.flatnonzero(~_outside_range(gram, idx, tol))
+        columns = A.T[idx[todo]].transpose(0, 2, 1).copy()
+        lps = LpStack(np.zeros(k), columns, np.broadcast_to(b, (todo.size, m)))
         stats.add("feasibility.lps", todo.size)
+        stats.add("feasibility.ruled_out", len(block) - todo.size)
         for i, sol in zip(todo, map(_raised, solve_batch(lps, tol))):
             S = block[i]
             if sol.status != INFEASIBLE:
@@ -151,15 +156,37 @@ def sparsest_supports(A, b, max_k: int | None = None,
 _SCREEN_FACTOR = 1e3
 
 
-def _outside_range(columns: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Which stacked supports A_S (``columns``, (count, m, k)) have a checked Farkas witness.
+class _Gram(NamedTuple):
+    """What the range screen reads of A x = b, formed once per search."""
 
-    One stacked QR gives r = b - Q Q^T b, the part of b outside the span of
-    Q, which holds range(A_S); y = r / |r| then has A_S^T y ~ 0 and
-    b^T y = |r| > 0, so no z, even one of any sign, solves A_S z = b.  A
-    support counts as ruled out only when y passes a re-check on the raw A_S
-    and b: |A_S^T y|_inf <= feas_tol * max(1, max|A_S|), and b^T y above
-    _SCREEN_FACTOR times beta = sqrt(m) * feas_tol * max(1, |b|_inf).
+    A: np.ndarray      # (m, n)
+    b: np.ndarray      # (m,)
+    G: np.ndarray      # (n, n) A^T A
+    c: np.ndarray      # (n,) A^T b
+    scale: np.ndarray  # (n,) max(1, max_i |a_ij|), column by column
+
+
+def _gram(A: np.ndarray, b: np.ndarray) -> _Gram:
+    return _Gram(A, b, A.T @ A, A.T @ b, np.maximum(1.0, np.abs(A).max(axis=0)))
+
+
+def _outside_range(gram: _Gram, idx: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Which supports (rows of ``idx``, (count, k)) have a checked Farkas witness.
+
+    The normal equations (G_S + delta I) z = c_S, one stacked k x k solve
+    over blocks gathered from G = A^T A and c = A^T b, give z with
+    A_S z close to the projection of b onto range(A_S); the ridge delta, a
+    rounding-level 1e-14 max diag(G_S) plus the smallest normal float,
+    keeps every system nonsingular, a rank-deficient or zero A_S included.
+    Then r = b - A_S z and y = r / |r| on the raw columns: y has
+    A_S^T y ~ 0 and b^T y = |r| > 0, so no z, even one of any sign, solves
+    A_S z = b.  How y was computed matters to no verdict: a support counts
+    as ruled out only when y passes a re-check on the raw A_S and b,
+    |A_S^T y|_inf <= feas_tol * max(1, max|A_S|), and b^T y above
+    _SCREEN_FACTOR times beta = sqrt(m) * feas_tol * max(1, |b|_inf).  A
+    poor z, as G_S's squared condition number can give on near-dependent
+    columns, only leaves y outside the check and sends its support to the
+    LP.
 
     Why the LP would not have called such a support feasible: the LP core's
     optimum re-check (``simplex._certified``) accepts a z only with every
@@ -168,24 +195,28 @@ def _outside_range(columns: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> 
     (A_S^T y)^T z <= beta + |A_S^T y|_inf |z|_1, which the witness refutes
     unless |z|_1 >= (_SCREEN_FACTOR - 1) beta / |A_S^T y|_inf.  The first
     check alone keeps that bound at 999 sqrt(m) max(1, |b|_inf) /
-    max(1, max|A_S|) or more; rounding leaves |A_S^T y| far below the
-    check (at most 5e-3 of it over the supports of the differential test in
-    tests/test_oracle.py), so only a solution hundreds of thousands of times
-    larger than |b| / |A_S| could escape it, one that exists only for a
-    nearly singular A_S.  Where b lies in the span of Q (always for
-    k >= m), r is rounding noise or zero: such a y fails the first check, or
-    the second, and the support goes to the LP.  A rank-deficient A_S only
-    makes r smaller.
+    max(1, max|A_S|) or more, whatever the witness.  Over the supports
+    the differential test in tests/test_oracle.py rules out, |A_S^T y|
+    reaches 0.7 of the check on its near-dependent systems and 2.4e-3
+    elsewhere, so no headroom below the check is counted on: only a
+    solution about a thousand times larger than |b| / |A_S| could escape
+    it, one that exists only for a nearly singular A_S.  Where b lies in range(A_S) (always for k >= m), r is
+    rounding noise or zero: such a y fails the first check, or the second,
+    and the support goes to the LP.
     """
-    m = columns.shape[1]
-    Q = np.linalg.qr(columns)[0]
-    r = b - np.matmul(Q, np.matmul(b, Q)[:, :, None])[:, :, 0]
+    A, b, G, c, scale = gram
+    diag = np.arange(idx.shape[1])
+    GS = G[idx[:, :, None], idx[:, None, :]]
+    GS[:, diag, diag] += (1e-14 * GS[:, diag, diag].max(axis=1, keepdims=True)
+                          + np.finfo(float).tiny)
+    x = np.zeros((idx.shape[0], A.shape[1]))
+    x[np.arange(idx.shape[0])[:, None], idx] = np.linalg.solve(GS, c[idx][:, :, None])[:, :, 0]
+    r = b - x @ A.T
     norm = np.linalg.norm(r, axis=1)
     y = r / np.where(norm > 0.0, norm, 1.0)[:, None]
-    slack = np.abs(np.matmul(y[:, None, :], columns)[:, 0]).max(axis=1)
-    scale = np.maximum(1.0, np.abs(columns).max(axis=(1, 2)))
-    beta = np.sqrt(m) * tol.feas_tol * max(1.0, np.abs(b).max())
-    return (slack <= tol.feas_tol * scale) & (y @ b > _SCREEN_FACTOR * beta)
+    slack = np.abs(np.take_along_axis(y @ A, idx, axis=1)).max(axis=1)
+    beta = np.sqrt(A.shape[0]) * tol.feas_tol * max(1.0, np.abs(b).max())
+    return (slack <= tol.feas_tol * scale[idx].max(axis=1)) & (y @ b > _SCREEN_FACTOR * beta)
 
 
 def classify_system(A, b, tol: ToleranceConfig = DEFAULT_TOLERANCES,

@@ -17,9 +17,9 @@ fallback from a start is the core's: in the same call it solves two-phase
 every LP with no start, whose start does not serve or whose started solve
 fails.  These stay two-phase: the l1 LPs of ``solve_l1`` and
 ``solve_and_certify``, the first LP of ``lp-sparse``, and the feasibility
-LPs of the sparsest search, solved only
-for the supports whose b its least-squares screen
-(``oracle._outside_range``) does not put outside range(A_S).
+LPs of the sparsest search, solved only for the supports whose b its
+least-squares screen (``oracle._outside_range``, normal equations on
+G = A^T A formed once per search) does not put outside range(A_S).
 
 ``solve_batch`` solves LPs that share one objective and shape (an
 ``LpStack``) on stacked tableaux of shape (B, rows, cols) of at most

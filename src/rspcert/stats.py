@@ -20,8 +20,10 @@ Each count is added where its figure is already known:
   ``margin.supports.<k>``, ``margin.settled_first.<k>`` and
   ``margin.settled_reweighted.<k>`` (supports settled by the first
   least-squares witness or a reweighted one); ``l1.lps``, ``l1.batches`` and
-  ``l1.pivots`` (``rsp._l1_points``); ``feasibility.lps``
-  (``oracle.sparsest_supports``);
+  ``l1.pivots`` (``rsp._l1_points``); ``feasibility.lps`` and
+  ``feasibility.ruled_out`` (``oracle.sparsest_supports``: supports sent to
+  a feasibility LP, and supports its range screen rules out, which get
+  none; together they are the supports checked);
 * ``linalg.ranked``: matrices ranked by a rank probe (``rank`` and the
   other reported ranks); the order-K full-column-rank gate counts nothing,
   so neither ``certify_order_k`` nor the recovery oracle counts any;

@@ -159,8 +159,8 @@ def screened_search(monkeypatch, A, b, max_k=None):
     masks = []
     real = oracle._outside_range
 
-    def recording(columns, *args):
-        masks.append(real(columns, *args))
+    def recording(gram, idx, *args):
+        masks.append(real(gram, idx, *args))
         return masks[-1]
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_outside_range", recording)
@@ -208,6 +208,23 @@ def _differential_systems():
     A, b, _ = planted_system(rng, 3, 7, 2)
     systems.append((A, b, 7))
     systems.append((np.abs(rng.standard_normal((3, 6))), -np.ones(3), 5))
+    # Where the screen's G_S = A_S^T A_S is singular or nearly so: a zero
+    # column; near-dependent columns a_5 = a_2 + eps a_7, planted on with
+    # a_2 and a third column; a column equal to a_1 - a_2 plus noise.
+    A, _, x = planted_system(rng, 5, 10, 2)
+    A[:, 4] = 0.0
+    systems.append((A, A @ x, None))
+    for eps in (3e-8, 1e-6, 1e-4):
+        A = rng.standard_normal((6, 12))
+        A[:, 5] = A[:, 2] + eps * A[:, 7]
+        x = np.zeros(12)
+        x[[2, 5, 10]] = rng.uniform(0.1, 1.0, size=3)
+        systems.append((A, A @ x, None))
+    A = rng.standard_normal((6, 12))
+    A[:, 9] = A[:, 1] - A[:, 2] + 1e-6 * rng.standard_normal(6)
+    x = np.zeros(12)
+    x[[1, 9]] = rng.uniform(0.1, 1.0, size=2)
+    systems.append((A, A @ x, None))
     return systems
 
 
@@ -239,7 +256,7 @@ def test_a_support_that_needs_a_negative_coefficient_reaches_the_lp(monkeypatch)
     A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     b = np.array([1.0, -1.0])
     pairs = [(0, 1), (0, 2), (1, 2)]
-    assert not oracle._outside_range(A.T[pairs].transpose(0, 2, 1), b,
+    assert not oracle._outside_range(oracle._gram(A, b), np.array(pairs),
                                      DEFAULT_TOLERANCES).any()
     report, skipped = screened_search(monkeypatch, A, b)
     assert isinstance(report, NoSolutionWithin)
@@ -248,25 +265,52 @@ def test_a_support_that_needs_a_negative_coefficient_reaches_the_lp(monkeypatch)
     assert all(outcomes[S].status == INFEASIBLE for S in pairs + [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("clearance, ruled_out", [(500.0, False), (2000.0, True)])
+def test_b_must_clear_the_lp_tolerance_by_the_screen_factor(clearance, ruled_out):
+    # b lies off range(A_S) = span(e0, e1) by clearance * beta along e2, with
+    # beta = sqrt(m) feas_tol (|b|_inf < 1), the largest residual the LP
+    # core accepts.  The witness y = e2 is exact up to rounding; the screen
+    # rules the support out only past 1e3 beta.
+    import rspcert.oracle as oracle
+
+    tol = DEFAULT_TOLERANCES
+    A = np.zeros((4, 2))
+    A[0, 0] = A[1, 1] = 0.5
+    b = np.array([0.5, 0.5, clearance * 2.0 * tol.feas_tol, 0.0])
+    mask = oracle._outside_range(oracle._gram(A, b), np.array([[0, 1]]), tol)
+    assert mask.tolist() == [ruled_out]
+
+
 @pytest.mark.parametrize("spoil", ["scaled", "rotated"])
 def test_a_corrupted_witness_fails_the_recheck(monkeypatch, spoil):
-    # With the screen's Q scaled or reflected, its residual r is no longer
-    # orthogonal to range(A_S).  Every witness must fail the re-check on the
-    # raw A_S, so every support reaches its LP and the report stays as it was.
+    # With the screen's G divided by 1.1, which scales every z by 1.1, or
+    # its c = A^T b reflected, r = b - A_S z is no longer orthogonal to
+    # range(A_S).  Every witness must fail the re-check on the raw A_S, so
+    # every support reaches its LP and the report stays as it was.
+    import rspcert.oracle as oracle
+
     A, b, _ = planted_system(np.random.default_rng(36), 5, 10, 2)
     expected, ruled_out = screened_search(monkeypatch, A, b)
     assert ruled_out
-    u = np.full(5, 1.0 / np.sqrt(5.0))
-    reflect = np.eye(5) - 2.0 * np.outer(u, u)
-    real = np.linalg.qr
+    u = np.full(10, 1.0 / np.sqrt(10.0))
+    real = oracle._gram
 
-    def spoiled(M, *args, **kwargs):
-        Q, R = real(M, *args, **kwargs)
-        return (1.1 * Q if spoil == "scaled" else reflect @ Q), R
-    monkeypatch.setattr(np.linalg, "qr", spoiled)
+    def spoiled(A, b):
+        gram = real(A, b)
+        if spoil == "scaled":
+            return gram._replace(G=gram.G / 1.1)
+        return gram._replace(c=gram.c - 2.0 * u * (u @ gram.c))
+    monkeypatch.setattr(oracle, "_gram", spoiled)
     report, skipped = screened_search(monkeypatch, A, b)
     assert skipped == []
     assert_same_report(report, expected)
+
+
+def test_an_all_zero_matrix_has_no_solution_and_raises_nothing_else():
+    # Every G_S is zero: the ridge alone keeps the screen's solves
+    # nonsingular, and every LP comes back infeasible.
+    with pytest.raises(NoSolutionWithin):
+        sparsest_supports(np.zeros((3, 5)), np.ones(3))
 
 
 def test_all_sparsest_supports_pass_the_augmented_rank_test():

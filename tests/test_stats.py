@@ -3,7 +3,8 @@ from math import comb
 
 import numpy as np
 
-from rspcert import DEFAULT_TOLERANCES, check_rsp_at, certify_order_k, rank_details, rsp, stats
+from rspcert import (DEFAULT_TOLERANCES, check_rsp_at, certify_order_k, rank_details, rsp,
+                     sparsest_supports, stats)
 from rspcert.simplex import solve_batch
 
 from test_orderk import _near_dependent
@@ -62,6 +63,23 @@ def test_certify_order_k_counts_its_settled_certificates(monkeypatch):
     assert counts["margin.blocks"] == 3
     assert counts["margin.lps"] == counts["simplex.lps"] == report.subsets_checked - total
     assert 0 < sum(first) < total < report.subsets_checked
+
+
+def test_sparsest_supports_counts_the_supports_its_screen_rules_out():
+    # On a planted k* = 4 10x20 system the range screen rules out every
+    # support but the planted one, whose feasibility LP is the one solved;
+    # the two counts together are the supports checked.
+    rng = np.random.default_rng([4, 10])
+    A = rng.standard_normal((10, 20))
+    x = np.zeros(20)
+    x[rng.choice(20, size=4, replace=False)] = rng.uniform(0.1, 1.0, size=4)
+    with stats.collect() as counts:
+        report = sparsest_supports(A, A @ x)
+    assert report.supports == [tuple(np.flatnonzero(x))]
+    assert counts["feasibility.lps"] == counts["simplex.lps"] == 1
+    assert counts["feasibility.ruled_out"] == 6194
+    assert (counts["feasibility.ruled_out"] + counts["feasibility.lps"]
+            == report.subsets_checked == comb(20, 1) + comb(20, 2) + comb(20, 3) + comb(20, 4))
 
 
 def test_refused_started_margin_lps_count_as_two_phase_resolves():
